@@ -1,7 +1,8 @@
 //! Bench: switch-level simulation — good-circuit evaluation and
-//! per-fault detection cost (the event-driven component scheduling is what
-//! keeps the Fig. 4–6 pipeline affordable), plus the serial-vs-parallel
-//! comparison of fanning a fault list across workers.
+//! detection cost per fault family (eight faults each, one worker; the
+//! differential driver takes stuck-ons, floating inputs and most bridges,
+//! the reference driver stuck-opens and rail bridges), plus the
+//! serial-vs-parallel comparison of fanning a fault list across workers.
 
 use dlp_circuit::{generators, switch};
 use dlp_core::par::ThreadCount;
@@ -17,34 +18,15 @@ fn main() {
     let sw = switch::expand(&netlist).expect("expand");
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
     let vectors = random_vectors(netlist.inputs().len(), 256, 3);
+    let t1 = ThreadCount::fixed(1).unwrap();
 
     report.bench("switch_sim/good_c432_256v", || sim.run_good(&vectors).len());
 
-    // One fault of each family, detection over the full sequence.
-    let n10 = sim
-        .netlist()
-        .node_of_net(netlist.node_ids().nth(40).expect("node"));
-    let n20 = sim
-        .netlist()
-        .node_of_net(netlist.node_ids().nth(80).expect("node"));
-    let faults = vec![
-        ("bridge", SwitchFault::Bridge { a: n10, b: n20 }),
-        ("stuck_open", SwitchFault::StuckOpen { transistor: 11 }),
-        ("stuck_on", SwitchFault::StuckOn { transistor: 12 }),
-        (
-            "floating_input",
-            SwitchFault::FloatingInput {
-                net: n10,
-                owners: netlist
-                    .fanout(netlist.node_ids().nth(40).expect("node"))
-                    .to_vec(),
-                level: dlp_sim::switchlevel::Logic::One,
-            },
-        ),
-    ];
-    for (name, fault) in &faults {
-        report.bench(&format!("switch_sim/detect/{name}"), || {
-            sim.detect(std::slice::from_ref(fault), &vectors)
+    // Eight faults of each family, detection over 128 vectors.
+    let vectors128 = random_vectors(netlist.inputs().len(), 128, 3);
+    for (family, faults) in dlp_bench::switch_fault_families(&netlist, &sim, 8) {
+        report.bench(&format!("switch_sim/detect8/{family}"), || {
+            sim.detect_with_threads(&faults, &vectors128, DetectionMode::Voltage, t1)
                 .unwrap()
                 .detected_count()
         });

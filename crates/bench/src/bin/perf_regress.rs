@@ -136,6 +136,27 @@ fn measure() -> Result<BenchReport, PipelineError> {
         }),
     );
 
+    // All five fault families on c432-class, so the differential driver
+    // is gated as well as the reference one (c17's stuck-opens above only
+    // exercise the latter).
+    let c432 = generators::c432_class();
+    let sw = switch::expand(&c432)
+        .map_err(|e| PipelineError::from(e).context("expanding c432_class to switch level"))?;
+    let sim = SwitchSimulator::new(sw, SwitchConfig::default());
+    let mixed: Vec<SwitchFault> = dlp_bench::switch_fault_families(&c432, &sim, 4)
+        .into_iter()
+        .flat_map(|(_, faults)| faults)
+        .collect();
+    let mixed_vectors = random_vectors(c432.inputs().len(), 64, 17);
+    report.record_samples(
+        "switch/c432_class/mixed_64v",
+        TIMED_UNIT,
+        &sample_ns(|| {
+            sim.detect_with_threads(&mixed, &mixed_vectors, DetectionMode::Voltage, t1)
+                .map(|r| r.detected_count())
+        }),
+    );
+
     let adder = generators::ripple_adder(4);
     let chip = ChipLayout::generate(&adder, &Default::default())
         .map_err(|e| PipelineError::from(e).context("ripple-adder layout"))?;

@@ -13,7 +13,10 @@ pub mod regress;
 
 use std::fmt::Write as _;
 
+use dlp_circuit::switch::SwitchNodeId;
+use dlp_circuit::{Netlist, NodeId};
 use dlp_core::{Diagnostics, PipelineError};
+use dlp_sim::switchlevel::{Logic, SwitchFault, SwitchSimulator};
 
 /// Prints graceful-degradation warnings (if any) to stderr, so a figure
 /// binary surfaces partial-result caveats without aborting.
@@ -166,6 +169,73 @@ pub fn log_lengths(max: usize) -> Vec<usize> {
         }
     }
     out
+}
+
+/// The five switch-level fault families the `perf_regress` gate and the
+/// `switch_sim` bench time, `per_family` faults each, spread evenly over
+/// `netlist`: stuck-on, floating input, net-to-net bridge, stuck-open and
+/// rail bridge. The first three run on the differential driver (a
+/// net-to-net bridge only when its nets do not feed each other), the
+/// last two on the reference driver (DESIGN.md §17).
+pub fn switch_fault_families(
+    netlist: &Netlist,
+    sim: &SwitchSimulator,
+    per_family: usize,
+) -> Vec<(&'static str, Vec<SwitchFault>)> {
+    let sw = sim.netlist();
+    let spread = |len: usize| (0..per_family).map(move |i| i * len / per_family.max(1));
+    let transistors = sw.transistors().len();
+    let nets: Vec<NodeId> = netlist
+        .node_ids()
+        .filter(|&id| !netlist.fanout(id).is_empty())
+        .collect();
+    let node = |i: usize| sw.node_of_net(nets[i % nets.len()]);
+    vec![
+        (
+            "stuck_on",
+            spread(transistors)
+                .map(|t| SwitchFault::StuckOn { transistor: t })
+                .collect(),
+        ),
+        (
+            "floating_input",
+            spread(nets.len())
+                .map(|i| SwitchFault::FloatingInput {
+                    net: node(i),
+                    owners: netlist.fanout(nets[i]).to_vec(),
+                    level: Logic::One,
+                })
+                .collect(),
+        ),
+        (
+            "bridge",
+            spread(nets.len())
+                .map(|i| SwitchFault::Bridge {
+                    a: node(i),
+                    b: node(i + nets.len() / 2),
+                })
+                .collect(),
+        ),
+        (
+            "stuck_open",
+            spread(transistors)
+                .map(|t| SwitchFault::StuckOpen { transistor: t })
+                .collect(),
+        ),
+        (
+            "rail_bridge",
+            spread(nets.len())
+                .map(|i| SwitchFault::Bridge {
+                    a: node(i),
+                    b: if i % 2 == 0 {
+                        SwitchNodeId::VDD
+                    } else {
+                        SwitchNodeId::GND
+                    },
+                })
+                .collect(),
+        ),
+    ]
 }
 
 #[cfg(test)]

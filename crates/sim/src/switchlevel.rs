@@ -24,10 +24,19 @@
 //! maximal groups of nodes linked by transistor channels. Components are
 //! relaxed in topological order, iterating to a fixpoint so that bridges
 //! joining distant components (possibly creating feedback) still settle.
+//!
+//! Fault detection records the fault-free machine once per call and runs
+//! each faulty machine on one of two drivers sharing one component solver:
+//! a *differential* driver that solves only the components where the
+//! faulty machine diverges from the recorded good one, and the
+//! event-driven *reference* driver for the fault classes whose solves
+//! depend on more than gate values and charge (DESIGN.md §17).
+
+use std::collections::VecDeque;
 
 use dlp_circuit::switch::{SwitchNetlist, SwitchNodeId, TransKind, Transistor};
 use dlp_circuit::NodeId;
-use dlp_core::obs::Recorder;
+use dlp_core::obs::{Histogram, Recorder};
 use dlp_core::par::{self, ThreadCount};
 
 use crate::detection::DetectionRecord;
@@ -188,6 +197,28 @@ struct CompiledFault {
     /// wired-AND of the two pad values (0 wins, the NMOS-strong
     /// convention).
     input_bridge: Option<(SwitchNodeId, SwitchNodeId)>,
+    /// The fault's solves depend on more than gate values, charge and the
+    /// fault, so only the reference driver is exact for it.
+    reference: bool,
+}
+
+impl CompiledFault {
+    /// The two distinct components a bridge welds into one solve unit,
+    /// canonically identified by the smaller index.
+    fn welded(&self) -> Option<(usize, usize)> {
+        match self.merge {
+            Some((a, b)) if a != usize::MAX && b != usize::MAX && a != b => Some((a, b)),
+            _ => None,
+        }
+    }
+
+    /// The solve unit component `ci` belongs to under this fault.
+    fn unit_of(&self, ci: usize) -> usize {
+        match self.welded() {
+            Some((a, b)) if ci == a || ci == b => a.min(b),
+            _ => ci,
+        }
+    }
 }
 
 /// Channel-connected component: nodes linked by transistor channels, plus
@@ -196,6 +227,9 @@ struct CompiledFault {
 struct Component {
     nodes: Vec<SwitchNodeId>,
     transistors: Vec<u32>,
+    /// Arena slots of each transistor's channel ends, parallel to
+    /// `transistors`: 0 is VDD, 1 is GND, `2 + i` is `nodes[i]`.
+    ends: Vec<(u32, u32)>,
 }
 
 /// The switch-level simulator, preprocessed for a fixed netlist.
@@ -221,9 +255,16 @@ pub struct SwitchSimulator {
     /// node index -> component index (usize::MAX for rails and
     /// channel-less nodes such as primary inputs).
     comp_of: Vec<usize>,
+    /// node index -> position in its component's `nodes`.
+    member_index: Vec<u32>,
     /// node index -> components containing a transistor gated by it
     /// (the event-propagation fanout of the node).
     dependents: Vec<Vec<u32>>,
+    /// Longest-path level of each component in the component fanout
+    /// graph; `None` if that graph has a cycle.
+    levels: Option<Vec<u32>>,
+    /// node index -> whether it is a primary output.
+    is_output: Vec<bool>,
 }
 
 impl SwitchSimulator {
@@ -267,18 +308,40 @@ impl SwitchSimulator {
                 components.push(Component {
                     nodes: Vec::new(),
                     transistors: Vec::new(),
+                    ends: Vec::new(),
                 });
                 components.len() - 1
             });
             components[ci].transistors.push(t_idx as u32);
         }
+        let mut member_index = vec![0u32; n];
         #[allow(clippy::needless_range_loop)] // `node` is the id being built
         for node in 2..n {
             let root = find(&mut parent, node);
             if let Some(&ci) = comp_index.get(&root) {
+                member_index[node] = components[ci].nodes.len() as u32;
                 components[ci].nodes.push(SwitchNodeId::from_index(node));
                 comp_of[node] = ci;
             }
+        }
+        // Both channel ends of a component's transistor are its members
+        // or rails, whose slots equal their node indices.
+        let slot = |x: SwitchNodeId| -> u32 {
+            if x.is_rail() {
+                x.index() as u32
+            } else {
+                2 + member_index[x.index()]
+            }
+        };
+        for comp in &mut components {
+            comp.ends = comp
+                .transistors
+                .iter()
+                .map(|&ti| {
+                    let t = &netlist.transistors()[ti as usize];
+                    (slot(t.a), slot(t.b))
+                })
+                .collect();
         }
         // Event fanout: which components must re-solve when a node's value
         // changes (the components whose devices it gates).
@@ -291,12 +354,20 @@ impl SwitchSimulator {
                 }
             }
         }
+        let levels = component_levels(&components, &dependents);
+        let mut is_output = vec![false; n];
+        for o in netlist.output_nodes() {
+            is_output[o.index()] = true;
+        }
         SwitchSimulator {
             netlist,
             config,
             components,
             comp_of,
+            member_index,
             dependents,
+            levels,
+            is_output,
         }
     }
 
@@ -317,7 +388,8 @@ impl SwitchSimulator {
     ///
     /// Panics if a vector's width differs from the input count.
     pub fn run_good(&self, vectors: &[Vec<bool>]) -> Vec<Vec<Logic>> {
-        self.run(None, vectors)
+        self.trace(None, vectors)
+            .outputs(self.netlist.output_nodes(), None)
     }
 
     /// Simulates with an optional fault, returning primary output values
@@ -327,25 +399,12 @@ impl SwitchSimulator {
     ///
     /// Panics if a vector's width differs from the input count, or if the
     /// fault references out-of-range transistors/nodes.
-    pub fn run(&self, fault: Option<&SwitchFault>, vectors: &[Vec<bool>]) -> Vec<Vec<Logic>> {
+    #[cfg(test)]
+    fn run(&self, fault: Option<&SwitchFault>, vectors: &[Vec<bool>]) -> Vec<Vec<Logic>> {
         let compiled = fault.map(|f| self.compile_fault(f));
-        let mut state = SimState::new(self.netlist.node_count());
-        vectors
-            .iter()
-            .map(|v| {
-                self.step(&mut state, v, compiled.as_ref());
-                let mut outs: Vec<Logic> = self
-                    .netlist
-                    .output_nodes()
-                    .iter()
-                    .map(|&o| state.values[o.index()])
-                    .collect();
-                if let Some(Some((oi, level))) = compiled.as_ref().map(|f| f.output_read) {
-                    outs[oi] = level;
-                }
-                outs
-            })
-            .collect()
+        let read = compiled.as_ref().and_then(|f| f.output_read);
+        self.trace(compiled.as_ref(), vectors)
+            .outputs(self.netlist.output_nodes(), read)
     }
 
     /// Runs fault detection for a list of faults under a steady-state
@@ -395,7 +454,7 @@ impl SwitchSimulator {
     /// [`detect_with`](Self::detect_with) with an explicit worker count.
     ///
     /// Each fault is simulated independently against the whole sequence
-    /// (its own [`SimState`], the shared fault-free reference computed
+    /// (its own faulty machine, the shared fault-free trace recorded
     /// once), so fanning the fault list across workers cannot change any
     /// first-detection index: the record is bit-identical for every thread
     /// count.
@@ -420,11 +479,14 @@ impl SwitchSimulator {
     ///
     /// When the recorder is enabled, the run is traced under the
     /// `sim.switch` scope: a span over the whole detection pass, counters
-    /// for faults / vectors / detections, the first-detection-index
-    /// histogram `sim.switch.first_detect_index` (how early faults fall
-    /// — deterministic percentiles at any thread count), and per-worker
-    /// timeline telemetry from the parallel layer. Tracing never
-    /// changes the record.
+    /// for faults / vectors / detections / component solves / faults on
+    /// the reference driver, the first-detection-index histogram
+    /// `sim.switch.first_detect_index` (how early faults fall —
+    /// deterministic percentiles at any thread count), the
+    /// `sim.switch.divergence` histogram (nodes where a faulty machine
+    /// differs from the good one, per differentially simulated
+    /// fault-vector), and per-worker timeline telemetry from the parallel
+    /// layer. Tracing never changes the record.
     ///
     /// # Errors
     ///
@@ -444,54 +506,90 @@ impl SwitchSimulator {
         }
         obs.add("sim.switch.faults", faults.len() as u64);
         obs.add("sim.switch.vectors", vectors.len() as u64);
-        let good = self.run_good(vectors);
+        let good = self.trace(None, vectors);
         let workers = threads.get();
-        let first_detect: Vec<Option<usize>> =
+        let traced = obs.is_enabled();
+        let chunks =
             par::map_chunks_counted(workers, faults, workers, obs, "sim.switch", |_, chunk| {
-                chunk
+                let mut worker = Worker::new(self, traced);
+                let found: Vec<Option<usize>> = chunk
                     .iter()
-                    .map(|fault| self.first_detection(fault, vectors, &good, mode))
-                    .collect::<Vec<Option<usize>>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+                    .map(|fault| self.detect_one(&mut worker, fault, vectors, &good, mode))
+                    .collect();
+                (found, worker.tally)
+            });
+        let mut first_detect = Vec::with_capacity(faults.len());
+        let mut tally = Tally::new(traced);
+        tally.solves = good.solves;
+        for (found, t) in chunks {
+            first_detect.extend(found);
+            tally.merge(&t);
+        }
         obs.add(
             "sim.switch.detected",
             first_detect.iter().filter(|d| d.is_some()).count() as u64,
         );
-        if obs.is_enabled() {
+        if traced {
             for idx in first_detect.iter().flatten() {
                 obs.observe("sim.switch.first_detect_index", *idx as f64);
+            }
+            obs.add("sim.switch.solves", tally.solves);
+            obs.add("sim.switch.reference_faults", tally.reference_faults);
+            if let Some(h) = &tally.divergence {
+                obs.merge_hist("sim.switch.divergence", h);
             }
         }
         Ok(DetectionRecord::new(first_detect, vectors.len()))
     }
 
-    /// Simulates one fault over the whole sequence and returns the index
-    /// of the first detecting vector, if any.
-    fn first_detection(
+    /// Routes one fault to its driver and returns the index of its first
+    /// detecting vector, if any.
+    fn detect_one(
         &self,
+        w: &mut Worker,
         fault: &SwitchFault,
         vectors: &[Vec<bool>],
-        good: &[Vec<Logic>],
+        good: &Trace,
         mode: DetectionMode,
     ) -> Option<usize> {
         let compiled = self.compile_fault(fault);
-        let mut state = SimState::new(self.netlist.node_count());
+        if !compiled.reference {
+            if let Some(found) = self.differential_detection(w, &compiled, good, mode) {
+                return found;
+            }
+        }
+        w.tally.reference_faults += 1;
+        self.first_detection(w, &compiled, vectors, good, mode)
+    }
+
+    /// The reference driver: simulates one faulty machine from an all-`X`
+    /// state with [`step`](Self::step) and returns the index of the first
+    /// detecting vector, if any.
+    fn first_detection(
+        &self,
+        w: &mut Worker,
+        fault: &CompiledFault,
+        vectors: &[Vec<bool>],
+        good: &Trace,
+        mode: DetectionMode,
+    ) -> Option<usize> {
+        let state = &mut w.state;
+        state.reset();
         for (k, v) in vectors.iter().enumerate() {
-            self.step(&mut state, v, Some(&compiled));
+            w.tally.solves += self.step(state, &mut w.scratch, v, Some(fault));
+            let row = good.row(k);
             let voltage = || {
                 self.netlist
                     .output_nodes()
                     .iter()
                     .enumerate()
                     .any(|(oi, &o)| {
-                        let fv = match compiled.output_read {
+                        let fv = match fault.output_read {
                             Some((ro, level)) if ro == oi => level,
                             _ => state.values[o.index()],
                         };
-                        fv.is_known() && good[k][oi].is_known() && fv != good[k][oi]
+                        let gv = row[o.index()];
+                        fv.is_known() && gv.is_known() && fv != gv
                     })
             };
             let detected = match mode {
@@ -504,6 +602,130 @@ impl SwitchSimulator {
             }
         }
         None
+    }
+
+    /// The differential driver: simulates one faulty machine as a sparse
+    /// divergence from the good trace and returns the index of the first
+    /// detecting vector, if any.
+    ///
+    /// Each vector solves only the fault's dirty units and the units that
+    /// held diverged nodes at the previous vector; a solved node wakes its
+    /// dependents only when it leaves the value they last read. Every
+    /// other unit keeps the good machine's values and static-current
+    /// flag, which is exact because its solve is a pure function of gate
+    /// values and charge that all equal the good machine's. Returns
+    /// `None` (the caller falls back to the reference driver) if a vector
+    /// exhausts the relaxation budget, which only feedback can cause.
+    fn differential_detection(
+        &self,
+        w: &mut Worker,
+        fault: &CompiledFault,
+        good: &Trace,
+        mode: DetectionMode,
+    ) -> Option<Option<usize>> {
+        let Worker {
+            scratch,
+            diff: d,
+            tally,
+            ..
+        } = w;
+        let partner = fault.welded().map(|(a, b)| a.max(b));
+        let read = fault
+            .output_read
+            .map(|(oi, level)| (self.netlist.output_nodes()[oi].index(), level));
+        let budget_per_vector = self.config.max_passes * self.components.len().max(1);
+        let mut outcome = Some(None);
+        'vectors: for k in 0..good.vectors {
+            let row = good.row(k);
+            let prev_row = k.checked_sub(1).map(|j| good.row(j));
+            for &ci in &fault.dirty_comps {
+                d.wake(fault.unit_of(ci));
+            }
+            for i in 0..d.prev_list.len() {
+                let n = d.prev_list[i] as usize;
+                d.wake(fault.unit_of(self.comp_of[n]));
+            }
+            let mut budget = budget_per_vector;
+            while let Some(unit) = d.queue.pop_front() {
+                d.in_queue[unit] = false;
+                if budget == 0 {
+                    outcome = None;
+                    break 'vectors;
+                }
+                budget -= 1;
+                let mut view = Overlay {
+                    good: row,
+                    good_prev: prev_row,
+                    cur: &mut d.cur,
+                    cur_list: &mut d.cur_list,
+                    prev: &d.prev,
+                };
+                let (comps, len) = unit_comps(Some(fault), unit);
+                d.fight[unit] = self.solve(&mut view, scratch, &comps[..len], Some(fault));
+                tally.solves += 1;
+                if !d.solved[unit] {
+                    d.solved[unit] = true;
+                    d.solved_list.push(unit as u32);
+                }
+                for &(n, _) in &scratch.changed {
+                    for &dep in &self.dependents[n] {
+                        d.wake(fault.unit_of(dep as usize));
+                    }
+                }
+            }
+            // Keep only the nodes that end the vector away from good.
+            let DiffState { cur, cur_list, .. } = &mut *d;
+            cur_list.retain(|&n| {
+                let n = n as usize;
+                let diverged = cur[n] != Some(row[n]);
+                if !diverged {
+                    cur[n] = None;
+                }
+                diverged
+            });
+            if let Some(h) = &mut tally.divergence {
+                h.observe(d.cur_list.len() as f64);
+            }
+            let voltage = || {
+                let misread =
+                    |fv: Logic, n: usize| fv.is_known() && row[n].is_known() && fv != row[n];
+                read.is_some_and(|(n, level)| misread(level, n))
+                    || d.cur_list.iter().any(|&n| {
+                        let n = n as usize;
+                        self.observed(n, fault) && d.cur[n].is_some_and(|fv| misread(fv, n))
+                    })
+            };
+            let iddq = || {
+                d.solved_list.iter().any(|&u| d.fight[u as usize])
+                    || good.fights[k]
+                        .iter()
+                        .any(|&u| !d.solved[u as usize] && Some(u as usize) != partner)
+            };
+            let detected = match mode {
+                DetectionMode::Voltage => voltage(),
+                DetectionMode::Iddq => iddq(),
+                DetectionMode::VoltageAndIddq => iddq() || voltage(),
+            };
+            d.end_vector();
+            if detected {
+                outcome = Some(Some(k));
+                break;
+            }
+        }
+        d.clear();
+        outcome
+    }
+
+    /// Whether the tester reads node `n`'s real value at some primary
+    /// output under `fault`.
+    fn observed(&self, n: usize, fault: &CompiledFault) -> bool {
+        let outputs = self.netlist.output_nodes();
+        match fault.output_read {
+            Some((ro, _)) if outputs[ro].index() == n => {
+                outputs.iter().filter(|o| o.index() == n).count() > 1
+            }
+            _ => self.is_output[n],
+        }
     }
 
     /// Validates one fault's references against the netlist.
@@ -535,8 +757,13 @@ impl SwitchSimulator {
         Ok(())
     }
 
+    /// Preprocesses a fault that [`check_fault`](Self::check_fault)
+    /// accepted.
     fn compile_fault(&self, fault: &SwitchFault) -> CompiledFault {
-        let mut cf = CompiledFault::default();
+        let mut cf = CompiledFault {
+            reference: self.levels.is_none(),
+            ..CompiledFault::default()
+        };
         let mark = |cf: &mut CompiledFault, ci: usize| {
             if ci != usize::MAX && !cf.dirty_comps.contains(&ci) {
                 cf.dirty_comps.push(ci);
@@ -544,14 +771,6 @@ impl SwitchSimulator {
         };
         match fault {
             SwitchFault::Bridge { a, b } => {
-                assert!(
-                    a.index() < self.netlist.node_count(),
-                    "bridge node out of range"
-                );
-                assert!(
-                    b.index() < self.netlist.node_count(),
-                    "bridge node out of range"
-                );
                 let (ca, cb) = (self.comp_of[a.index()], self.comp_of[b.index()]);
                 if ca == usize::MAX && cb == usize::MAX {
                     // Pad-to-pad short: neither side has a channel-connected
@@ -567,12 +786,22 @@ impl SwitchSimulator {
                     cf.merge = Some((ca, cb));
                     mark(&mut cf, ca);
                     mark(&mut cf, cb);
+                    // A rail side enters every arena as a source that the
+                    // bridged node can poison; welded components that feed
+                    // each other have no unique fixpoint.
+                    cf.reference |= a.is_rail() || b.is_rail();
+                    if let (Some(levels), Some((x, y))) = (&self.levels, cf.welded()) {
+                        cf.reference |= self.reaches(levels, x, y) || self.reaches(levels, y, x);
+                    }
                 }
                 // Bridges to channel-less nodes (e.g. primary inputs) still
                 // work: the PI side is a forced value, the merge is a no-op
                 // on that side.
             }
             SwitchFault::StuckOpen { transistor } => {
+                // A member node left without a conducting channel keeps
+                // whatever an earlier solve in the same vector wrote.
+                cf.reference = true;
                 cf.forced_off.push(*transistor as u32);
                 let t = &self.netlist.transistors()[*transistor];
                 let key = if !t.a.is_rail() { t.a } else { t.b };
@@ -595,37 +824,77 @@ impl SwitchSimulator {
                 }
             }
             SwitchFault::OutputRead { output, level } => {
-                assert!(
-                    *output < self.netlist.output_nodes().len(),
-                    "output out of range"
-                );
                 cf.output_read = Some((*output, *level));
             }
         }
         cf
     }
 
-    /// Advances the simulation by one vector, relaxing all components to a
-    /// fixpoint.
+    /// Whether component `to` is reachable from `from` in the component
+    /// fanout graph. A path strictly raises the level, so the search never
+    /// leaves the levels below `to`'s.
+    fn reaches(&self, levels: &[u32], from: usize, to: usize) -> bool {
+        let mut seen = vec![false; self.components.len()];
+        let mut stack = vec![from];
+        while let Some(c) = stack.pop() {
+            if c == to {
+                return true;
+            }
+            for n in &self.components[c].nodes {
+                for &dep in &self.dependents[n.index()] {
+                    let dep = dep as usize;
+                    if !seen[dep] && levels[dep] <= levels[to] {
+                        seen[dep] = true;
+                        stack.push(dep);
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Runs the reference driver over `vectors` and records every node's
+    /// value and the static-current units after each vector.
+    fn trace(&self, fault: Option<&CompiledFault>, vectors: &[Vec<bool>]) -> Trace {
+        let n = self.netlist.node_count();
+        let mut state = SimState::new(n);
+        let mut scratch = Scratch::default();
+        let mut trace = Trace {
+            nodes: n,
+            vectors: vectors.len(),
+            values: Vec::with_capacity(n * vectors.len()),
+            fights: Vec::with_capacity(vectors.len()),
+            solves: 0,
+        };
+        for v in vectors {
+            trace.solves += self.step(&mut state, &mut scratch, v, fault);
+            trace.values.extend_from_slice(&state.values);
+            trace.fights.push(
+                (0..state.fight.len())
+                    .filter(|&u| state.fight[u])
+                    .map(|u| u as u32)
+                    .collect(),
+            );
+        }
+        trace
+    }
+
     /// Advances one vector with event-driven relaxation: only components
     /// whose inputs changed are re-solved; value changes wake dependents.
-    fn step(&self, state: &mut SimState, vector: &[bool], fault: Option<&CompiledFault>) {
+    /// Returns the number of component solves.
+    fn step(
+        &self,
+        state: &mut SimState,
+        scratch: &mut Scratch,
+        vector: &[bool],
+        fault: Option<&CompiledFault>,
+    ) -> u64 {
         let inputs = self.netlist.input_nodes();
         assert_eq!(vector.len(), inputs.len(), "vector width mismatch");
         state.values[SwitchNodeId::VDD.index()] = Logic::One;
         state.values[SwitchNodeId::GND.index()] = Logic::Zero;
 
-        let merge = fault.and_then(|f| f.merge);
-        let resolve_unit = |ci: usize| -> usize {
-            // A bridge welds its two components into one solve unit,
-            // canonically identified by the smaller index.
-            match merge {
-                Some((a, b)) if a != usize::MAX && b != usize::MAX && (ci == a || ci == b) => {
-                    a.min(b)
-                }
-                _ => ci,
-            }
-        };
+        let unit_of = |ci: usize| fault.map_or(ci, |f| f.unit_of(ci));
 
         let n_comps = self.components.len();
         if state.in_queue.len() != n_comps {
@@ -636,7 +905,7 @@ impl SwitchSimulator {
             if ci == usize::MAX {
                 return;
             }
-            let unit = resolve_unit(ci);
+            let unit = unit_of(ci);
             if !state.in_queue[unit] {
                 state.in_queue[unit] = true;
                 state.dirty.push_back(unit);
@@ -649,7 +918,6 @@ impl SwitchSimulator {
                 wake(state, ci);
             }
         }
-        #[allow(clippy::needless_range_loop)] // indices sidestep borrow conflicts with `wake`
         if let Some(f) = fault {
             for &ci in &f.dirty_comps {
                 wake(state, ci);
@@ -659,46 +927,43 @@ impl SwitchSimulator {
             let v = Logic::from_bool(bit);
             if state.values[node.index()] != v {
                 state.values[node.index()] = v;
-                for di in 0..self.dependents[node.index()].len() {
-                    let dep = self.dependents[node.index()][di] as usize;
-                    wake(state, dep);
+                for &dep in &self.dependents[node.index()] {
+                    wake(state, dep as usize);
                 }
             }
         }
 
+        let mut solves = 0;
         let mut budget = self.config.max_passes * n_comps.max(1);
-        let mut changed_nodes: Vec<usize> = Vec::new();
+        // Past two solves per unit, which a settling vector rarely needs,
+        // watch for the relaxation repeating a state; once it does, whole
+        // periods of the budget can be skipped.
+        let mut watching = true;
+        state.cycle.active = false;
         while let Some(unit) = state.dirty.pop_front() {
             state.in_queue[unit] = false;
             if budget == 0 {
                 break;
             }
             budget -= 1;
-            changed_nodes.clear();
-            let mut fight = false;
-            match merge {
-                Some((a, b))
-                    if a != usize::MAX && b != usize::MAX && a != b && unit == a.min(b) =>
-                {
-                    let ca = &self.components[a];
-                    let cb = &self.components[b];
-                    self.solve_component(state, &[ca, cb], fault, &mut changed_nodes, &mut fight);
-                }
-                _ => {
-                    let comp = &self.components[unit];
-                    self.solve_component(state, &[comp], fault, &mut changed_nodes, &mut fight);
+            let (comps, len) = unit_comps(fault, unit);
+            state.fight[unit] = self.solve(&mut state.full(), scratch, &comps[..len], fault);
+            solves += 1;
+            for &(n, _) in &scratch.changed {
+                for &dep in &self.dependents[n] {
+                    wake(state, dep as usize);
                 }
             }
-            state.fight[unit] = fight;
-            // Indexed loops: `wake` needs `&mut state` while the changed
-            // list and dependency fanout are read — iterators would hold
-            // overlapping borrows.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..changed_nodes.len() {
-                let n = changed_nodes[i];
-                for di in 0..self.dependents[n].len() {
-                    let dep = self.dependents[n][di] as usize;
-                    wake(state, dep);
+            if watching && solves >= 2 * n_comps as u64 {
+                let SimState {
+                    values,
+                    dirty,
+                    cycle,
+                    ..
+                } = &mut *state;
+                if let Some(period) = cycle.observe(values, dirty, &scratch.changed) {
+                    budget %= period;
+                    watching = false;
                 }
             }
         }
@@ -711,146 +976,96 @@ impl SwitchSimulator {
                     state.values[n.index()] = Logic::X;
                 }
             }
-            let mut sink = Vec::new();
-            let mut fight = false;
-            for comp in &self.components {
-                self.solve_component(state, &[comp], fault, &mut sink, &mut fight);
+            for ci in 0..n_comps {
+                self.solve(&mut state.full(), scratch, &[ci], fault);
+                solves += 1;
             }
         }
         state.charge.copy_from_slice(&state.values);
+        solves
     }
 
-    /// Solves one (possibly merged) component with the current gate
-    /// values; changed node indices are appended to `changed_out`.
-    fn solve_component(
+    /// Solves one unit — a component, or the two components a bridge
+    /// welds — with the current gate values and returns whether it draws
+    /// static current. The nodes whose value changed are left in
+    /// `s.changed` with their previous values, in arena order.
+    ///
+    /// The arena holds the rails, the unit's members at fixed slots, and
+    /// any node outside the unit that a bridge edge names. A member enters
+    /// the arena only through a possibly-conducting channel or a bridge
+    /// edge; a member that never enters is not resolved and keeps its
+    /// current value.
+    fn solve<V: NodeValues>(
         &self,
-        state: &mut SimState,
-        comps: &[&Component],
+        vals: &mut V,
+        s: &mut Scratch,
+        comps: &[usize],
         fault: Option<&CompiledFault>,
-        changed_out: &mut Vec<usize>,
-        fight: &mut bool,
     ) -> bool {
-        // Local arena of nodes: rails + component nodes. Destructure to
-        // let the borrow checker see the disjoint fields.
-        let SimState {
-            values,
-            charge,
-            scratch,
-            ..
-        } = state;
-        *fight = false;
-        scratch.begin();
-        let vdd = scratch.local(SwitchNodeId::VDD);
-        let gnd = scratch.local(SwitchNodeId::GND);
-        scratch.strengths[vdd] = NodeStrength {
-            def1: RAIL_STRENGTH,
-            pos1: RAIL_STRENGTH,
-            f1: RAIL_STRENGTH,
-            def0: 0,
-            pos0: 0,
-            f0: 0,
-        };
-        scratch.strengths[gnd] = NodeStrength {
-            def0: RAIL_STRENGTH,
-            pos0: RAIL_STRENGTH,
-            f0: RAIL_STRENGTH,
-            def1: 0,
-            pos1: 0,
-            f1: 0,
-        };
+        let members: usize = comps.iter().map(|&c| self.components[c].nodes.len()).sum();
+        let extra = fault.map_or(&[][..], |f| &f.extra_edges[..]);
+        s.begin(2 + members + 2 * extra.len());
 
-        // Collect edges: transistor channels with conduction state, plus
-        // bridge edges.
-        scratch.edges.clear();
-        for comp in comps {
-            for &ti in &comp.transistors {
+        let mut base = 0;
+        for &c in comps {
+            let comp = &self.components[c];
+            let shift = |slot: u32| if slot < 2 { slot } else { slot + base };
+            for (&ti, &(ea, eb)) in comp.transistors.iter().zip(&comp.ends) {
                 let t = &self.netlist.transistors()[ti as usize];
-                let (on, maybe, half_on) = self.conduction(values, ti, t, fault);
-                if !on && !maybe {
+                let (on, maybe, half_on) = self.conduction(vals, ti, t, fault);
+                if !maybe {
                     continue;
                 }
+                let (a, b) = (shift(ea), shift(eb));
+                s.touch(a);
+                s.touch(b);
                 let strength = match t.kind {
                     TransKind::Nmos => self.config.nmos_strength,
                     TransKind::Pmos => self.config.pmos_strength,
                 };
-                let la = scratch.local(t.a);
-                let lb = scratch.local(t.b);
-                scratch.edges.push(LocalEdge {
-                    a: la,
-                    b: lb,
+                s.edges.push(LocalEdge {
+                    a: a as usize,
+                    b: b as usize,
                     strength,
                     definite: on,
                     half_on,
                 });
             }
+            base += comp.nodes.len() as u32;
         }
-        if let Some(f) = fault {
-            for &(x, y) in &f.extra_edges {
-                // Only include the bridge edge if at least one side is in
-                // this arena; a bridge to a forced node (PI) is handled by
-                // seeding the forced value below.
-                let lx = scratch.local(x);
-                let ly = scratch.local(y);
-                scratch.edges.push(LocalEdge {
-                    a: lx,
-                    b: ly,
-                    strength: self.config.bridge_strength,
-                    definite: true,
-                    half_on: false,
-                });
-            }
+        // Every arena gets the bridge edges, whichever unit it solves; a
+        // bridge to a node outside the unit (another net, a rail, a PI)
+        // sees that node as a rail-strength source at its current value.
+        for &(x, y) in extra {
+            let a = self.arena_slot(s, comps, members, x);
+            s.touch(a);
+            let b = self.arena_slot(s, comps, members, y);
+            s.touch(b);
+            s.edges.push(LocalEdge {
+                a: a as usize,
+                b: b as usize,
+                strength: self.config.bridge_strength,
+                definite: true,
+                half_on: false,
+            });
         }
-
-        // Seed forced nodes (primary inputs dragged in via bridges): any
-        // local node that is not a rail and not a member of the component
-        // list keeps its externally-set value as a rail-strength source.
-        let member_start = 2; // vdd, gnd
-        let mut member_flags = vec![false; scratch.order.len()];
-        for comp in comps {
-            for &n in &comp.nodes {
-                if let Some(&l) = scratch.index.get(&n) {
-                    member_flags[l] = true;
-                }
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // `l` indexes two parallel arrays
-        for l in member_start..scratch.order.len() {
-            if !member_flags[l] {
-                let node = scratch.order[l];
-                match values[node.index()] {
-                    Logic::One => {
-                        scratch.strengths[l].def1 = RAIL_STRENGTH;
-                        scratch.strengths[l].pos1 = RAIL_STRENGTH;
-                        scratch.strengths[l].f1 = RAIL_STRENGTH;
-                    }
-                    Logic::Zero => {
-                        scratch.strengths[l].def0 = RAIL_STRENGTH;
-                        scratch.strengths[l].pos0 = RAIL_STRENGTH;
-                        scratch.strengths[l].f0 = RAIL_STRENGTH;
-                    }
-                    Logic::X => {
-                        scratch.strengths[l].pos0 = RAIL_STRENGTH;
-                        scratch.strengths[l].pos1 = RAIL_STRENGTH;
-                    }
-                }
-            }
+        for (i, n) in s.outside.iter().enumerate() {
+            s.strengths[2 + members + i] = NodeStrength::source(vals.value(n.index()));
         }
 
         // Relax max-min path strengths to fixpoint.
         loop {
             let mut moved = false;
-            for e in &scratch.edges {
-                let (sa, sb) = (scratch.strengths[e.a], scratch.strengths[e.b]);
-                let merged_ab = sa.pass_through(e.strength, e.definite, e.half_on);
-                let merged_ba = sb.pass_through(e.strength, e.definite, e.half_on);
-                let na = sa.absorb(merged_ba);
-                let nb = sb.absorb(merged_ab);
+            for e in &s.edges {
+                let (sa, sb) = (s.strengths[e.a], s.strengths[e.b]);
+                let na = sa.absorb(sb.pass_through(e.strength, e.definite, e.half_on));
+                let nb = sb.absorb(sa.pass_through(e.strength, e.definite, e.half_on));
                 if na != sa {
-                    scratch.strengths[e.a] = na;
+                    s.strengths[e.a] = na;
                     moved = true;
                 }
                 if nb != sb {
-                    scratch.strengths[e.b] = nb;
+                    s.strengths[e.b] = nb;
                     moved = true;
                 }
             }
@@ -859,21 +1074,21 @@ impl SwitchSimulator {
             }
         }
 
-        // Resolve values for member nodes.
-        let mut changed = false;
-        #[allow(clippy::needless_range_loop)] // `l` indexes three parallel arrays
-        for l in member_start..scratch.order.len() {
-            if !member_flags[l] {
+        // Resolve the members that entered the arena, in arena order.
+        let mut fight = false;
+        for &l in &s.order {
+            let l = l as usize;
+            if l < 2 || l >= 2 + members {
                 continue;
             }
-            let node = scratch.order[l];
-            let s = scratch.strengths[l];
-            let new_value = if s.pos0 == 0 && s.pos1 == 0 {
+            let node = self.member_node(comps, l - 2);
+            let st = s.strengths[l];
+            let new_value = if st.pos0 == 0 && st.pos1 == 0 {
                 // Floating: retain charge.
-                charge[node.index()]
-            } else if s.def1 > 0 && s.def1 > s.pos0 {
+                vals.charge(node)
+            } else if st.def1 > 0 && st.def1 > st.pos0 {
                 Logic::One
-            } else if s.def0 > 0 && s.def0 > s.pos1 {
+            } else if st.def0 > 0 && st.def0 > st.pos1 {
                 Logic::Zero
             } else {
                 Logic::X
@@ -881,25 +1096,60 @@ impl SwitchSimulator {
             // Static-current check: fight-definite paths toward both rails
             // (ordinary drives plus fault-forced half-on devices; a merely
             // propagated X does not count).
-            if s.f0 > 0 && s.f1 > 0 {
-                *fight = true;
+            if st.f0 > 0 && st.f1 > 0 {
+                fight = true;
             }
-            if values[node.index()] != new_value {
-                values[node.index()] = new_value;
-                changed_out.push(node.index());
-                changed = true;
+            let old = vals.value(node);
+            if old != new_value {
+                vals.set(node, new_value);
+                s.changed.push((node, old));
             }
         }
-        changed
+        s.end();
+        fight
     }
 
-    /// Whether transistor `ti` conducts: `(definitely, possibly)`.
+    /// The arena slot of bridge endpoint `x` in a solve of `comps`:
+    /// a rail's fixed slot, a member's slot, or a slot after the members
+    /// for a node outside the unit.
+    fn arena_slot(&self, s: &mut Scratch, comps: &[usize], members: usize, x: SwitchNodeId) -> u32 {
+        if x.is_rail() {
+            return x.index() as u32;
+        }
+        let mut base = 2;
+        for &c in comps {
+            if self.comp_of[x.index()] == c {
+                return base + self.member_index[x.index()];
+            }
+            base += self.components[c].nodes.len() as u32;
+        }
+        let pos = match s.outside.iter().position(|&o| o == x) {
+            Some(pos) => pos,
+            None => {
+                s.outside.push(x);
+                s.outside.len() - 1
+            }
+        };
+        (2 + members + pos) as u32
+    }
+
+    /// The node index of member `i` of a unit (its components' node lists
+    /// concatenated).
+    fn member_node(&self, comps: &[usize], i: usize) -> usize {
+        let first = &self.components[comps[0]].nodes;
+        if i < first.len() {
+            first[i].index()
+        } else {
+            self.components[comps[1]].nodes[i - first.len()].index()
+        }
+    }
+
     /// Whether transistor `ti` conducts: `(definitely, possibly,
     /// half_on)`; `half_on` marks a gate *fault-forced* to an intermediate
     /// level (real static current), as opposed to a propagated unknown.
-    fn conduction(
+    fn conduction<V: NodeValues>(
         &self,
-        values: &[Logic],
+        vals: &V,
         ti: u32,
         t: &Transistor,
         fault: Option<&CompiledFault>,
@@ -912,7 +1162,7 @@ impl SwitchSimulator {
                 return (true, true, false);
             }
         }
-        let mut gate = values[t.gate.index()];
+        let mut gate = vals.value(t.gate.index());
         let mut forced_x = false;
         if let Some(f) = fault {
             if let Some(&(_, level)) = f.gate_override.iter().find(|&&(x, _)| x == ti) {
@@ -922,7 +1172,7 @@ impl SwitchSimulator {
             if let Some((a, b)) = f.input_bridge {
                 if t.gate == a || t.gate == b {
                     // Wired-AND of the two shorted pads: a driven 0 wins.
-                    gate = match (values[a.index()], values[b.index()]) {
+                    gate = match (vals.value(a.index()), vals.value(b.index())) {
                         (Logic::Zero, _) | (_, Logic::Zero) => Logic::Zero,
                         (Logic::One, Logic::One) => Logic::One,
                         _ => Logic::X,
@@ -938,17 +1188,158 @@ impl SwitchSimulator {
     }
 }
 
-/// Per-run mutable simulation state.
+/// The components solved together as `unit` under `fault`: the first
+/// `len` entries of the array.
+fn unit_comps(fault: Option<&CompiledFault>, unit: usize) -> ([usize; 2], usize) {
+    match fault.and_then(CompiledFault::welded) {
+        Some((a, b)) if unit == a.min(b) => ([a, b], 2),
+        _ => ([unit, unit], 1),
+    }
+}
+
+/// Longest-path levels of the component fanout graph (component `c`
+/// feeds every component gated by one of its nodes), or `None` if the
+/// graph has a cycle.
+fn component_levels(components: &[Component], dependents: &[Vec<u32>]) -> Option<Vec<u32>> {
+    let fanout = |c: usize| {
+        components[c]
+            .nodes
+            .iter()
+            .flat_map(|n| dependents[n.index()].iter().map(|&d| d as usize))
+    };
+    let mut indegree = vec![0usize; components.len()];
+    for c in 0..components.len() {
+        for d in fanout(c) {
+            indegree[d] += 1;
+        }
+    }
+    let mut level = vec![0u32; components.len()];
+    let mut ready: Vec<usize> = (0..components.len())
+        .filter(|&c| indegree[c] == 0)
+        .collect();
+    let mut done = 0;
+    while let Some(c) = ready.pop() {
+        done += 1;
+        for d in fanout(c) {
+            level[d] = level[d].max(level[c] + 1);
+            indegree[d] -= 1;
+            if indegree[d] == 0 {
+                ready.push(d);
+            }
+        }
+    }
+    (done == components.len()).then_some(level)
+}
+
+/// Node values as one solve reads and writes them.
+trait NodeValues {
+    /// The node's current value.
+    fn value(&self, n: usize) -> Logic;
+    /// The node's value at the end of the previous vector.
+    fn charge(&self, n: usize) -> Logic;
+    /// Overwrites the node's current value.
+    fn set(&mut self, n: usize, v: Logic);
+}
+
+/// Full per-node arrays: the reference driver's machine.
+struct Full<'a> {
+    values: &'a mut [Logic],
+    charge: &'a [Logic],
+}
+
+impl NodeValues for Full<'_> {
+    fn value(&self, n: usize) -> Logic {
+        self.values[n]
+    }
+
+    fn charge(&self, n: usize) -> Logic {
+        self.charge[n]
+    }
+
+    fn set(&mut self, n: usize, v: Logic) {
+        self.values[n] = v;
+    }
+}
+
+/// A faulty machine as an overlay on the good trace: the differential
+/// driver's machine at vector `k`.
+struct Overlay<'a> {
+    /// Good values at the end of vector `k`.
+    good: &'a [Logic],
+    /// Good values at the end of vector `k - 1` (`None` at vector 0,
+    /// where every charge is `X`).
+    good_prev: Option<&'a [Logic]>,
+    /// Faulty values written during vector `k`.
+    cur: &'a mut [Option<Logic>],
+    cur_list: &'a mut Vec<u32>,
+    /// Faulty values that differed from good at the end of vector `k - 1`.
+    prev: &'a [Option<Logic>],
+}
+
+impl NodeValues for Overlay<'_> {
+    fn value(&self, n: usize) -> Logic {
+        self.cur[n].unwrap_or(self.good[n])
+    }
+
+    fn charge(&self, n: usize) -> Logic {
+        match self.prev[n] {
+            Some(v) => v,
+            None => self.good_prev.map_or(Logic::X, |g| g[n]),
+        }
+    }
+
+    fn set(&mut self, n: usize, v: Logic) {
+        if self.cur[n].is_none() {
+            self.cur_list.push(n as u32);
+        }
+        self.cur[n] = Some(v);
+    }
+}
+
+/// The good machine's trace over one vector sequence.
+#[derive(Debug)]
+struct Trace {
+    nodes: usize,
+    vectors: usize,
+    /// Node values at the end of each vector, `nodes` per vector.
+    values: Vec<Logic>,
+    /// Per vector, the solve units whose static-current flag is set.
+    fights: Vec<Vec<u32>>,
+    solves: u64,
+}
+
+impl Trace {
+    fn row(&self, k: usize) -> &[Logic] {
+        &self.values[k * self.nodes..(k + 1) * self.nodes]
+    }
+
+    /// Per vector, the values at `outputs`, with an optional
+    /// `(output index, level)` misread.
+    fn outputs(&self, outputs: &[SwitchNodeId], read: Option<(usize, Logic)>) -> Vec<Vec<Logic>> {
+        (0..self.vectors)
+            .map(|k| {
+                let row = self.row(k);
+                let mut outs: Vec<Logic> = outputs.iter().map(|o| row[o.index()]).collect();
+                if let Some((oi, level)) = read {
+                    outs[oi] = level;
+                }
+                outs
+            })
+            .collect()
+    }
+}
+
+/// Per-run mutable state of the reference driver.
 #[derive(Debug, Clone)]
 struct SimState {
     values: Vec<Logic>,
     charge: Vec<Logic>,
-    scratch: Scratch,
-    dirty: std::collections::VecDeque<usize>,
+    dirty: VecDeque<usize>,
     in_queue: Vec<bool>,
     /// Per solve-unit static-current flag from its last solve.
     fight: Vec<bool>,
     initialized: bool,
+    cycle: CycleWatch,
 }
 
 impl SimState {
@@ -956,11 +1347,28 @@ impl SimState {
         SimState {
             values: vec![Logic::X; node_count],
             charge: vec![Logic::X; node_count],
-            scratch: Scratch::default(),
-            dirty: std::collections::VecDeque::new(),
+            dirty: VecDeque::new(),
             in_queue: Vec::new(),
             fight: Vec::new(),
             initialized: false,
+            cycle: CycleWatch::default(),
+        }
+    }
+
+    /// Back to the all-`X` start, keeping the allocations.
+    fn reset(&mut self) {
+        self.values.fill(Logic::X);
+        self.charge.fill(Logic::X);
+        self.dirty.clear();
+        self.in_queue.fill(false);
+        self.fight.fill(false);
+        self.initialized = false;
+    }
+
+    fn full(&mut self) -> Full<'_> {
+        Full {
+            values: &mut self.values,
+            charge: &self.charge,
         }
     }
 
@@ -969,34 +1377,227 @@ impl SimState {
     }
 }
 
-/// Reusable local arena for per-component solves.
+/// Brent's cycle finding over the relaxation state of one vector — node
+/// values and the queue. Relaxation is deterministic, so once a state
+/// recurs after `λ` solves it recurs every `λ` solves, and the solver can
+/// skip whole multiples of `λ` of its pass budget without changing a value,
+/// the queue or any unit's static-current flag.
+#[derive(Debug, Clone, Default)]
+struct CycleWatch {
+    active: bool,
+    /// The tortoise: the state after some earlier solve.
+    values: Vec<Logic>,
+    queue: Vec<usize>,
+    /// Solves since the tortoise was taken, and the count at which it
+    /// moves next.
+    lam: usize,
+    power: usize,
+    /// Nodes whose current value differs from the tortoise's.
+    mismatches: usize,
+}
+
+impl CycleWatch {
+    /// Takes in the state after one more solve, whose changes are
+    /// `changed`; returns a period once the state repeats.
+    fn observe(
+        &mut self,
+        values: &[Logic],
+        queue: &VecDeque<usize>,
+        changed: &[(usize, Logic)],
+    ) -> Option<usize> {
+        if !self.active {
+            self.active = true;
+            self.power = 1;
+            self.take(values, queue);
+            return None;
+        }
+        for &(n, old) in changed {
+            if self.values[n] == old {
+                self.mismatches += 1;
+            } else if self.values[n] == values[n] {
+                self.mismatches -= 1;
+            }
+        }
+        self.lam += 1;
+        if self.mismatches == 0 && queue.iter().eq(self.queue.iter()) {
+            return Some(self.lam);
+        }
+        if self.lam == self.power {
+            self.power *= 2;
+            self.take(values, queue);
+        }
+        None
+    }
+
+    fn take(&mut self, values: &[Logic], queue: &VecDeque<usize>) {
+        self.values.clear();
+        self.values.extend_from_slice(values);
+        self.queue.clear();
+        self.queue.extend(queue);
+        self.lam = 0;
+        self.mismatches = 0;
+    }
+}
+
+/// The differential driver's buffers. Between faults every overlay is
+/// `None` and every flag `false`; each is cleared through its list.
+#[derive(Debug)]
+struct DiffState {
+    cur: Vec<Option<Logic>>,
+    cur_list: Vec<u32>,
+    prev: Vec<Option<Logic>>,
+    prev_list: Vec<u32>,
+    queue: VecDeque<usize>,
+    in_queue: Vec<bool>,
+    /// Units solved during the current vector, and their static-current
+    /// flags.
+    solved: Vec<bool>,
+    solved_list: Vec<u32>,
+    fight: Vec<bool>,
+}
+
+impl DiffState {
+    fn new(nodes: usize, units: usize) -> Self {
+        DiffState {
+            cur: vec![None; nodes],
+            cur_list: Vec::new(),
+            prev: vec![None; nodes],
+            prev_list: Vec::new(),
+            queue: VecDeque::new(),
+            in_queue: vec![false; units],
+            solved: vec![false; units],
+            solved_list: Vec::new(),
+            fight: vec![false; units],
+        }
+    }
+
+    fn wake(&mut self, unit: usize) {
+        if unit != usize::MAX && !self.in_queue[unit] {
+            self.in_queue[unit] = true;
+            self.queue.push_back(unit);
+        }
+    }
+
+    /// Makes this vector's divergence the next vector's charge overlay.
+    fn end_vector(&mut self) {
+        for &n in &self.prev_list {
+            self.prev[n as usize] = None;
+        }
+        self.prev_list.clear();
+        std::mem::swap(&mut self.cur, &mut self.prev);
+        std::mem::swap(&mut self.cur_list, &mut self.prev_list);
+        for &u in &self.solved_list {
+            self.solved[u as usize] = false;
+        }
+        self.solved_list.clear();
+    }
+
+    /// Clears every overlay, flag and queue entry (one `end_vector`
+    /// empties the previous overlay, the second the current one).
+    fn clear(&mut self) {
+        self.end_vector();
+        self.end_vector();
+        while let Some(u) = self.queue.pop_front() {
+            self.in_queue[u] = false;
+        }
+    }
+}
+
+/// Work tallies of one detection pass; the histogram exists only when
+/// tracing.
+#[derive(Debug)]
+struct Tally {
+    solves: u64,
+    reference_faults: u64,
+    divergence: Option<Histogram>,
+}
+
+impl Tally {
+    fn new(traced: bool) -> Self {
+        Tally {
+            solves: 0,
+            reference_faults: 0,
+            divergence: traced.then(Histogram::new),
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        self.solves += other.solves;
+        self.reference_faults += other.reference_faults;
+        if let (Some(h), Some(o)) = (&mut self.divergence, &other.divergence) {
+            h.merge(o);
+        }
+    }
+}
+
+/// One worker's buffers, reused across the faults of its chunk.
+#[derive(Debug)]
+struct Worker {
+    scratch: Scratch,
+    state: SimState,
+    diff: DiffState,
+    tally: Tally,
+}
+
+impl Worker {
+    fn new(sim: &SwitchSimulator, traced: bool) -> Self {
+        let n = sim.netlist.node_count();
+        Worker {
+            scratch: Scratch::default(),
+            state: SimState::new(n),
+            diff: DiffState::new(n, sim.components.len()),
+            tally: Tally::new(traced),
+        }
+    }
+}
+
+/// Reusable arena for per-unit solves. Slots are dense indices; between
+/// solves every slot's strength is the default and no slot is touched.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    index: std::collections::HashMap<SwitchNodeId, usize>,
-    order: Vec<SwitchNodeId>,
     strengths: Vec<NodeStrength>,
+    touched: Vec<bool>,
+    /// Slots in the order they entered the arena, rails first.
+    order: Vec<u32>,
     edges: Vec<LocalEdge>,
+    /// Nodes outside the unit that bridge edges pull in, in slot order
+    /// after the members.
+    outside: Vec<SwitchNodeId>,
+    /// Nodes whose value the last solve changed, with their previous
+    /// values.
+    changed: Vec<(usize, Logic)>,
 }
 
 impl Scratch {
-    fn begin(&mut self) {
-        self.index.clear();
-        self.order.clear();
-        self.strengths.clear();
+    /// Starts a solve with room for `slots` slots and the rails entered.
+    fn begin(&mut self, slots: usize) {
+        if self.strengths.len() < slots {
+            self.strengths.resize(slots, NodeStrength::default());
+            self.touched.resize(slots, false);
+        }
         self.edges.clear();
-        self.local(SwitchNodeId::VDD);
-        self.local(SwitchNodeId::GND);
+        self.outside.clear();
+        self.changed.clear();
+        self.touch(SwitchNodeId::VDD.index() as u32);
+        self.touch(SwitchNodeId::GND.index() as u32);
+        self.strengths[SwitchNodeId::VDD.index()] = NodeStrength::source(Logic::One);
+        self.strengths[SwitchNodeId::GND.index()] = NodeStrength::source(Logic::Zero);
     }
 
-    fn local(&mut self, node: SwitchNodeId) -> usize {
-        if let Some(&l) = self.index.get(&node) {
-            return l;
+    fn touch(&mut self, slot: u32) {
+        if !self.touched[slot as usize] {
+            self.touched[slot as usize] = true;
+            self.order.push(slot);
         }
-        let l = self.order.len();
-        self.index.insert(node, l);
-        self.order.push(node);
-        self.strengths.push(NodeStrength::default());
-        l
+    }
+
+    /// Resets the slots this solve touched.
+    fn end(&mut self) {
+        for &l in &self.order {
+            self.strengths[l as usize] = NodeStrength::default();
+            self.touched[l as usize] = false;
+        }
+        self.order.clear();
     }
 }
 
@@ -1026,6 +1627,31 @@ struct NodeStrength {
 }
 
 impl NodeStrength {
+    /// A rail-strength source at `level`: a rail, or a node outside the
+    /// solved unit (`X` drives both ways, possibly).
+    fn source(level: Logic) -> NodeStrength {
+        let r = RAIL_STRENGTH;
+        match level {
+            Logic::One => NodeStrength {
+                def1: r,
+                pos1: r,
+                f1: r,
+                ..NodeStrength::default()
+            },
+            Logic::Zero => NodeStrength {
+                def0: r,
+                pos0: r,
+                f0: r,
+                ..NodeStrength::default()
+            },
+            Logic::X => NodeStrength {
+                pos0: r,
+                pos1: r,
+                ..NodeStrength::default()
+            },
+        }
+    }
+
     /// Strengths visible on the far side of an edge with the given
     /// attenuation and conduction certainty.
     fn pass_through(self, strength: u8, definite: bool, half_on: bool) -> NodeStrength {
@@ -1063,7 +1689,6 @@ impl NodeStrength {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1285,19 +1910,52 @@ mod tests {
 
     #[test]
     fn bridge_with_feedback_settles_or_goes_x() {
-        // Bridge a gate's output back to its own input region: the solver
-        // must terminate (either a stable point or X), never hang.
+        // Bridge a gate's output into its own fanout: the relaxation
+        // oscillates, exhausts the pass budget, X's the survivors and
+        // settles once. The pinned readings are those of a solver that
+        // spends the whole budget; this one must reach them after skipping
+        // whole periods of the oscillation, well inside the budget.
         let nl = generators::c17();
         let sim = simulator(&nl);
-        let sw = sim.netlist();
-        let n10 = nl.find("10").unwrap();
-        let n22 = nl.find("22").unwrap(); // 22 depends on 10
-        let fault = SwitchFault::Bridge {
-            a: sw.node_of_net(n10),
-            b: sw.node_of_net(n22),
-        };
-        let outs = sim.run(Some(&fault), &random_vectors(5, 32, 5));
-        assert_eq!(outs.len(), 32);
+        let node = |name| sim.netlist().node_of_net(nl.find(name).unwrap());
+        let vectors = random_vectors(5, 32, 5);
+        let budget = (sim.config.max_passes * sim.component_count()) as u64;
+        for (a, b, pinned) in [
+            (
+                "10",
+                "22",
+                "11 11 10 11 00 11 11 01 11 11 11 00 11 11 01 01 \
+                 11 00 11 00 00 00 11 01 11 00 10 00 10 11 00 00",
+            ),
+            (
+                "11",
+                "16",
+                "XX 01 00 01 00 01 00 01 01 00 01 11 11 11 11 11 \
+                 00 10 01 00 11 00 00 01 01 10 11 00 11 11 11 10",
+            ),
+        ] {
+            let fault = sim.compile_fault(&SwitchFault::Bridge {
+                a: node(a),
+                b: node(b),
+            });
+            let mut state = SimState::new(sim.netlist().node_count());
+            let mut scratch = Scratch::default();
+            let mut read = Vec::new();
+            for v in &vectors {
+                let solves = sim.step(&mut state, &mut scratch, v, Some(&fault));
+                assert!(solves < budget, "{a}-{b}: {solves} solves");
+                let outs = sim.netlist().output_nodes().iter();
+                read.push(
+                    outs.map(|o| match state.values[o.index()] {
+                        Logic::Zero => '0',
+                        Logic::One => '1',
+                        Logic::X => 'X',
+                    })
+                    .collect::<String>(),
+                );
+            }
+            assert_eq!(read.join(" "), pinned, "{a}-{b}");
+        }
     }
 
     #[test]
@@ -1335,6 +1993,68 @@ mod tests {
         let f = SwitchFault::StuckOpen { transistor: nmos };
         let v = vec![vec![true], vec![false], vec![true]];
         assert_eq!(sim.run(Some(&f), &v), sim.run(Some(&f), &v));
+    }
+
+    #[test]
+    fn stuck_open_output_keeps_its_in_flight_value() {
+        // z = NOR(a, y) with y = NOT(NOT(NOT(a))) and the NMOS of input y
+        // stuck open. When a falls, z's unit solves first with the stale
+        // y = 0 and charges z high. Once y rises, z has no conducting
+        // channel (P_y off, N_a off, N_y open), never enters the arena and
+        // keeps that in-flight 1 rather than its charge 0.
+        let mut nl = Netlist::new("nor_race");
+        let a = nl.add_input("a").unwrap();
+        let n1 = nl.add_gate("n1", GateKind::Not, vec![a]).unwrap();
+        let n2 = nl.add_gate("n2", GateKind::Not, vec![n1]).unwrap();
+        let y = nl.add_gate("y", GateKind::Not, vec![n2]).unwrap();
+        let z = nl.add_gate("z", GateKind::Nor, vec![a, y]).unwrap();
+        nl.mark_output(z);
+        nl.freeze();
+        let sim = simulator(&nl);
+        let y_node = sim.netlist().node_of_net(y);
+        let n_y = sim
+            .netlist()
+            .transistors()
+            .iter()
+            .position(|t| t.kind == TransKind::Nmos && t.gate == y_node)
+            .unwrap();
+        let fault = SwitchFault::StuckOpen { transistor: n_y };
+        let vectors = [vec![true], vec![false]];
+        let outs = sim.run(Some(&fault), &vectors);
+        assert_eq!(outs[0][0], Logic::Zero);
+        assert_eq!(
+            outs[1][0],
+            Logic::One,
+            "the in-flight value, not the charge"
+        );
+        assert_eq!(sim.run_good(&vectors)[1][0], Logic::Zero);
+    }
+
+    #[test]
+    fn rail_bridge_leaves_unrelated_cells_x_at_the_first_vector() {
+        // c17 net 16 bridged to VDD. Every arena carries the bridge edge,
+        // and at vector 0 net 16 is still X when cells 10 and 11 solve
+        // (they are first in the queue): the X feeds VDD a possible 0, so
+        // their pulled-up outputs resolve X. Nothing wakes those cells
+        // again while their inputs hold, so the X persists.
+        let nl = generators::c17();
+        let sim = simulator(&nl);
+        let sw = sim.netlist();
+        let node = |name| sw.node_of_net(nl.find(name).unwrap());
+        let fault = sim.compile_fault(&SwitchFault::Bridge {
+            a: SwitchNodeId::VDD,
+            b: node("16"),
+        });
+        let mut state = SimState::new(sw.node_count());
+        let mut scratch = Scratch::default();
+        let v = vec![false; 5]; // every NAND output is high when fault-free
+        for _ in 0..2 {
+            sim.step(&mut state, &mut scratch, &v, Some(&fault));
+            assert_eq!(state.values[node("10").index()], Logic::X);
+            assert_eq!(state.values[node("11").index()], Logic::X);
+            assert_eq!(state.values[node("16").index()], Logic::One);
+        }
+        assert!(sim.run_good(&[v])[0].iter().all(|l| l.is_known()));
     }
 }
 
@@ -1533,5 +2253,217 @@ mod iddq_tests {
                 }
             }
         }
+    }
+}
+
+/// The differential oracle: on every fault, the routed drivers must return
+/// the reference driver's first detection, in every detection mode and at
+/// every worker count.
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::detection::random_vectors;
+    use dlp_circuit::generators::{self, RandomLogicConfig};
+    use dlp_circuit::{switch, Netlist};
+
+    fn simulator(nl: &Netlist) -> SwitchSimulator {
+        SwitchSimulator::new(switch::expand(nl).unwrap(), SwitchConfig::default())
+    }
+
+    /// Every fault family at a stride, with the bridge shapes the router
+    /// tells apart: net pairs, rail, feedback, same-component, arbitrary
+    /// switch nodes and pad-to-pad.
+    fn fault_zoo(sim: &SwitchSimulator, nl: &Netlist, stride: usize) -> Vec<SwitchFault> {
+        let sw = sim.netlist();
+        let mut faults = Vec::new();
+        for t in (0..sw.transistors().len()).step_by(stride) {
+            faults.push(SwitchFault::StuckOpen { transistor: t });
+            faults.push(SwitchFault::StuckOn { transistor: t });
+        }
+        let nets: Vec<NodeId> = nl.node_ids().collect();
+        for (i, &net) in nets.iter().enumerate().step_by(stride) {
+            let a = sw.node_of_net(net);
+            let b = sw.node_of_net(nets[(i * 7 + 3) % nets.len()]);
+            faults.push(SwitchFault::Bridge { a, b });
+            faults.push(SwitchFault::Bridge {
+                a: SwitchNodeId::VDD,
+                b: a,
+            });
+            faults.push(SwitchFault::Bridge {
+                a,
+                b: SwitchNodeId::GND,
+            });
+            let fanout = nl.fanout(net);
+            if let Some(&next) = fanout.first() {
+                faults.push(SwitchFault::Bridge {
+                    a,
+                    b: sw.node_of_net(next),
+                });
+                for level in [Logic::Zero, Logic::One, Logic::X] {
+                    faults.push(SwitchFault::FloatingInput {
+                        net: a,
+                        owners: fanout[..fanout.len().div_ceil(2)].to_vec(),
+                        level,
+                    });
+                }
+            }
+        }
+        for comp in sim.components.iter().step_by(stride) {
+            if let (Some(&a), Some(&b)) = (comp.nodes.first(), comp.nodes.last()) {
+                faults.push(SwitchFault::Bridge { a, b });
+            }
+        }
+        for n in (2..sw.node_count()).step_by(3 * stride) {
+            let m = (n * 13 + 5) % sw.node_count();
+            faults.push(SwitchFault::Bridge {
+                a: SwitchNodeId::from_index(n),
+                b: SwitchNodeId::from_index(m),
+            });
+        }
+        let pads = sw.input_nodes();
+        for pair in pads.windows(2) {
+            faults.push(SwitchFault::Bridge {
+                a: pair[0],
+                b: pair[1],
+            });
+        }
+        faults.push(SwitchFault::Bridge {
+            a: SwitchNodeId::VDD,
+            b: pads[0],
+        });
+        faults.push(SwitchFault::Bridge {
+            a: pads[0],
+            b: SwitchNodeId::GND,
+        });
+        faults.push(SwitchFault::Bridge {
+            a: SwitchNodeId::VDD,
+            b: SwitchNodeId::GND,
+        });
+        for output in 0..sw.output_nodes().len() {
+            for level in [Logic::Zero, Logic::One, Logic::X] {
+                faults.push(SwitchFault::OutputRead { output, level });
+            }
+        }
+        faults
+    }
+
+    fn assert_matches_reference(nl: &Netlist, n_vectors: usize, stride: usize) {
+        let sim = simulator(nl);
+        let faults = fault_zoo(&sim, nl, stride);
+        let vectors = random_vectors(nl.inputs().len(), n_vectors, 11);
+        let good = sim.trace(None, &vectors);
+        let compiled: Vec<CompiledFault> = faults.iter().map(|f| sim.compile_fault(f)).collect();
+        let routed = compiled.iter().filter(|cf| !cf.reference).count();
+        assert!(
+            routed > 0 && routed < faults.len(),
+            "{}: both drivers must see faults",
+            nl.name()
+        );
+        let mut w = Worker::new(&sim, false);
+        for mode in [
+            DetectionMode::Voltage,
+            DetectionMode::Iddq,
+            DetectionMode::VoltageAndIddq,
+        ] {
+            let reference: Vec<Option<usize>> = compiled
+                .iter()
+                .map(|cf| sim.first_detection(&mut w, cf, &vectors, &good, mode))
+                .collect();
+            for (i, cf) in compiled.iter().enumerate().filter(|(_, cf)| !cf.reference) {
+                assert_eq!(
+                    sim.differential_detection(&mut w, cf, &good, mode),
+                    Some(reference[i]),
+                    "{} {mode:?}: {:?}",
+                    nl.name(),
+                    faults[i]
+                );
+            }
+            for t in [1, 2] {
+                let record = sim
+                    .detect_with_threads(&faults, &vectors, mode, ThreadCount::fixed(t).unwrap())
+                    .unwrap();
+                assert_eq!(
+                    record.first_detect(),
+                    &reference[..],
+                    "{} {mode:?} at {t} workers",
+                    nl.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn faults_route_by_purity() {
+        let nl = generators::c17();
+        let sim = simulator(&nl);
+        let node = |name| sim.netlist().node_of_net(nl.find(name).unwrap());
+        let pads = sim.netlist().input_nodes();
+        let routed_to_reference = |f: SwitchFault| sim.compile_fault(&f).reference;
+        assert!(routed_to_reference(SwitchFault::StuckOpen {
+            transistor: 0
+        }));
+        assert!(routed_to_reference(SwitchFault::Bridge {
+            a: node("16"),
+            b: SwitchNodeId::GND
+        }));
+        // 10 feeds 22: welding them closes a loop.
+        assert!(routed_to_reference(SwitchFault::Bridge {
+            a: node("10"),
+            b: node("22")
+        }));
+        assert!(!routed_to_reference(SwitchFault::Bridge {
+            a: node("10"),
+            b: node("19")
+        }));
+        assert!(!routed_to_reference(SwitchFault::Bridge {
+            a: pads[0],
+            b: pads[1]
+        }));
+        assert!(!routed_to_reference(SwitchFault::Bridge {
+            a: SwitchNodeId::VDD,
+            b: pads[1]
+        }));
+        assert!(!routed_to_reference(SwitchFault::StuckOn { transistor: 0 }));
+        assert!(!routed_to_reference(SwitchFault::OutputRead {
+            output: 0,
+            level: Logic::X
+        }));
+    }
+
+    #[test]
+    fn differential_matches_reference_on_small_circuits() {
+        for (nl, stride) in [
+            (generators::c17(), 1),
+            (generators::alu_slice(), 1),
+            (generators::parity_tree(16), 2),
+            (generators::decoder(4), 2),
+            (generators::mux_tree(3), 1),
+            (generators::ripple_adder(8), 3),
+        ] {
+            assert_matches_reference(&nl, 32, stride);
+        }
+    }
+
+    #[test]
+    fn differential_matches_reference_on_random_logic() {
+        for (seed, gates) in [(1u64, 30usize), (2, 40), (3, 50)] {
+            let nl = generators::random_logic(&RandomLogicConfig {
+                inputs: 10,
+                gates,
+                outputs: 6,
+                seed,
+            })
+            .unwrap();
+            assert_matches_reference(&nl, 32, 2);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow unoptimised; scripts/check.sh runs it in release"
+    )]
+    fn differential_matches_reference_on_c432_class() {
+        assert_matches_reference(&generators::c432_class(), 64, 2);
     }
 }

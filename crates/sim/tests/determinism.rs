@@ -7,12 +7,13 @@
 //! c432-class circuit. (The Monte-Carlo counterpart lives next to
 //! `dlp_core::montecarlo`.)
 
-use dlp_circuit::{generators, switch, Netlist};
+use dlp_circuit::switch::SwitchNodeId;
+use dlp_circuit::{generators, switch, Netlist, NodeId};
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_sim::detection::random_vectors;
 use dlp_sim::switchlevel::{
-    DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator,
+    DetectionMode, Logic, SwitchConfig, SwitchFault, SwitchSimulator,
 };
 use dlp_sim::{ppsfp, stuck_at};
 
@@ -121,9 +122,12 @@ fn tracing_does_not_perturb_counted_simulation() {
     }
 }
 
-fn switch_faults_sample(sim: &SwitchSimulator) -> Vec<SwitchFault> {
-    // A handful of each family, spread across the netlist.
-    let n_trans = sim.netlist().transistors().len();
+fn switch_faults_sample(sim: &SwitchSimulator, netlist: &Netlist) -> Vec<SwitchFault> {
+    // A handful of each family, spread across the netlist, so both
+    // drivers see faults: stuck-opens, rail and feedback bridges take the
+    // reference driver, the rest the differential one.
+    let sw = sim.netlist();
+    let n_trans = sw.transistors().len();
     let mut faults: Vec<SwitchFault> = (0..n_trans)
         .step_by((n_trans / 6).max(1))
         .flat_map(|t| {
@@ -133,18 +137,53 @@ fn switch_faults_sample(sim: &SwitchSimulator) -> Vec<SwitchFault> {
             ]
         })
         .collect();
-    let outs = sim.netlist().output_nodes();
+    let outs = sw.output_nodes();
+    let pads = sw.input_nodes();
     faults.push(SwitchFault::Bridge {
         a: outs[0],
         b: outs[outs.len() - 1],
     });
+    faults.push(SwitchFault::Bridge {
+        a: pads[0],
+        b: pads[pads.len() - 1],
+    });
+    faults.push(SwitchFault::Bridge {
+        a: SwitchNodeId::VDD,
+        b: outs[0],
+    });
+    faults.push(SwitchFault::Bridge {
+        a: outs[outs.len() - 1],
+        b: SwitchNodeId::GND,
+    });
+    let gates: Vec<NodeId> = netlist
+        .node_ids()
+        .filter(|&id| !netlist.fanin(id).is_empty() && !netlist.fanout(id).is_empty())
+        .collect();
+    for &net in gates.iter().step_by((gates.len() / 3).max(1)) {
+        let fanout = netlist.fanout(net);
+        // A gate's output welded to one of its loads: feedback.
+        faults.push(SwitchFault::Bridge {
+            a: sw.node_of_net(net),
+            b: sw.node_of_net(fanout[0]),
+        });
+        for level in [Logic::Zero, Logic::X] {
+            faults.push(SwitchFault::FloatingInput {
+                net: sw.node_of_net(net),
+                owners: fanout.to_vec(),
+                level,
+            });
+        }
+    }
+    for level in [Logic::One, Logic::X] {
+        faults.push(SwitchFault::OutputRead { output: 0, level });
+    }
     faults
 }
 
 fn assert_switch_invariant(netlist: &Netlist, n_vectors: usize, seed: u64) {
     let sw = switch::expand(netlist).expect("switch expansion");
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let faults = switch_faults_sample(&sim);
+    let faults = switch_faults_sample(&sim, netlist);
     let vectors = random_vectors(netlist.inputs().len(), n_vectors, seed);
     for mode in [DetectionMode::Voltage, DetectionMode::VoltageAndIddq] {
         let reference = sim
@@ -212,11 +251,12 @@ fn tracing_does_not_perturb_either_simulator() {
 
     let sw = switch::expand(&netlist).expect("switch expansion");
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let sw_faults = switch_faults_sample(&sim);
+    let sw_faults = switch_faults_sample(&sim, &netlist);
     let sw_vectors = random_vectors(netlist.inputs().len(), 48, 17);
     let reference = sim
         .detect_with_threads(&sw_faults, &sw_vectors, DetectionMode::Voltage, threads(1))
         .expect("untraced serial switch-level");
+    let mut work_ref = None;
     for t in [1usize, 2, 4] {
         let obs = Recorder::enabled();
         let got = sim
@@ -242,6 +282,24 @@ fn tracing_does_not_perturb_either_simulator() {
             })
             .sum();
         assert_eq!(worker_sum, sw_faults.len() as u64);
+        // Work counters are per fault, so their totals cannot depend on
+        // how faults were split across workers.
+        let reference_faults = report
+            .counter("sim.switch.reference_faults")
+            .expect("reference-driver counter");
+        assert!(reference_faults > 0 && reference_faults < sw_faults.len() as u64);
+        let work = (
+            report.counter("sim.switch.solves").expect("solve counter"),
+            reference_faults,
+            report
+                .hist("sim.switch.divergence")
+                .expect("divergence histogram")
+                .clone(),
+        );
+        match &work_ref {
+            None => work_ref = Some(work),
+            Some(r) => assert_eq!(&work, r, "switch-level work with {t} workers"),
+        }
     }
 }
 
@@ -290,7 +348,7 @@ fn histogram_percentiles_are_thread_count_invariant() {
 
     let sw = switch::expand(&netlist).expect("switch expansion");
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let sw_faults = switch_faults_sample(&sim);
+    let sw_faults = switch_faults_sample(&sim, &netlist);
     let sw_vectors = random_vectors(netlist.inputs().len(), 24, 29);
     let mut switch_ref = None;
     for t in [1usize, 2, 4] {

@@ -36,6 +36,11 @@ DLP_THREADS=1 cargo test --workspace -q
 echo "== test: full workspace, DLP_THREADS=4"
 DLP_THREADS=4 cargo test --workspace -q
 
+# Differential oracle (DESIGN.md §17): the c432-class case is too slow
+# unoptimised, so debug builds ignore it and it runs here in release.
+echo "== oracle: differential vs reference switch-level drivers on c432-class"
+cargo test --release -q -p dlp-sim --lib differential_matches_reference_on_c432_class
+
 # Observability gate (DESIGN.md §9): a traced full-flow run must produce
 # a run report that parses with the in-tree JSON parser and carries a
 # span for every stage plus nonzero work counters.
