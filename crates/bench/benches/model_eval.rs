@@ -1,7 +1,7 @@
 //! Bench: defect-level model evaluation and fitting — the cheap
 //! closed-form evaluations (eqs. 1, 2, 11) versus the Nelder–Mead fits —
 //! plus the serial-vs-parallel comparison of the sharded Monte-Carlo
-//! fallout simulation.
+//! fallout simulation and a flow-shaped single-worker Monte-Carlo case.
 
 use dlp_core::agrawal::AgrawalModel;
 use dlp_core::fit;
@@ -77,5 +77,17 @@ fn main() {
             );
         }
     }
+    // Flow-shaped: about 150 faults with uneven weights, one worker.
+    let (weights, detected) = dlp_bench::flow_shaped_fallout_inputs().expect("weights");
+    let config = MonteCarloConfig {
+        dies: 50_000,
+        seed: 0x5EED,
+    };
+    let t1 = ThreadCount::fixed(1).unwrap();
+    report.bench("montecarlo/50k_dies_150_faults", || {
+        simulate_fallout_with(&weights, &detected, &config, t1)
+            .unwrap()
+            .escapes
+    });
     report.write();
 }

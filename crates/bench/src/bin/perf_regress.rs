@@ -186,6 +186,20 @@ fn measure() -> Result<BenchReport, PipelineError> {
         &sample_ns(|| simulate_fallout_with(&weights, &detected, &mc, t1).map(|r| r.escapes)),
     );
 
+    // Flow-shaped: a benchmark flow-switch flow hands Monte-Carlo about
+    // 150 faults with uneven weights and runs 50k dies on one worker.
+    let (weights, detected) =
+        dlp_bench::flow_shaped_fallout_inputs().map_err(PipelineError::from)?;
+    let mc = MonteCarloConfig {
+        dies: 50_000,
+        seed: 0x5EED,
+    };
+    report.record_samples(
+        "montecarlo/50k_dies_150_faults",
+        TIMED_UNIT,
+        &sample_ns(|| simulate_fallout_with(&weights, &detected, &mc, t1).map(|r| r.escapes)),
+    );
+
     Ok(report)
 }
 

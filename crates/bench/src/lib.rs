@@ -15,7 +15,8 @@ use std::fmt::Write as _;
 
 use dlp_circuit::switch::SwitchNodeId;
 use dlp_circuit::{Netlist, NodeId};
-use dlp_core::{Diagnostics, PipelineError};
+use dlp_core::weighted::FaultWeights;
+use dlp_core::{Diagnostics, ModelError, PipelineError};
 use dlp_sim::switchlevel::{Logic, SwitchFault, SwitchSimulator};
 
 /// Prints graceful-degradation warnings (if any) to stderr, so a figure
@@ -169,6 +170,23 @@ pub fn log_lengths(max: usize) -> Vec<usize> {
         }
     }
     out
+}
+
+/// The Monte-Carlo inputs of the flow-shaped `montecarlo/50k_dies_150_faults`
+/// case that the `perf_regress` gate and the `model_eval` bench time: 150
+/// faults with weights spread over a 1:7 range, scaled to Y = 0.75, and
+/// nine in ten detected. A benchmark flow-switch flow hands the stage
+/// about 150 faults on average.
+///
+/// # Errors
+///
+/// None for these fixed inputs; the `Result` carries `FaultWeights`'
+/// validation.
+pub fn flow_shaped_fallout_inputs() -> Result<(FaultWeights, Vec<bool>), ModelError> {
+    let weights = FaultWeights::new((0..150).map(|j| 1.0 + (j % 7) as f64).collect())?
+        .scaled_to_yield(0.75)?;
+    let detected = (0..150).map(|j| j % 10 != 0).collect();
+    Ok((weights, detected))
 }
 
 /// The five switch-level fault families the `perf_regress` gate and the

@@ -20,12 +20,30 @@
 //! [`UnitMix`] instance (`g ≡ 1`, consuming no randomness), which makes
 //! [`simulate_fallout`] *bit-identical* to the historical engine. The
 //! clustered and hierarchical mixes live in the `dlp-yield` crate.
+//!
+//! ## Kernels and the jump-ahead invariant
+//!
+//! Every die rolls every fault's dice, detected or not, even after a
+//! detected fault has already scrapped it. So under a unit mix (one that
+//! consumes no draws, [`DieMix::is_unit`]) die `d` of a shard starts at
+//! draw `d · F` of the shard's stream, `F` being the fault count. The
+//! unit-mix kernel relies on this: it splits a shard into four lanes of
+//! 1024 dies and starts lane `l` at `J^l · s0`, where `s0` is the shard
+//! stream's state and `J = T^(1024·F)` is the xorshift state update
+//! raised to one lane's draws (`rng::Jump`). The lanes advance
+//! in lock-step, so four independent shift/xor chains overlap, and each
+//! draw is compared against an integer threshold
+//! (`rng::unit_threshold`) that is exact. Every tally is
+//! therefore the one the serial loop counts. Mixes that draw a variable
+//! number of numbers per die (the gamma-based ones) break the invariant
+//! and run the serial loop, which is also the lane kernel's differential
+//! oracle.
 
 use crate::budget::{BudgetExceeded, RunBudget};
 use crate::ckpt::{self, CkptError, KeyHasher};
 use crate::obs::{Json, Recorder};
 use crate::par::{self, ThreadCount};
-use crate::rng::Xorshift64Star;
+use crate::rng::{unit_threshold, Jump, Xorshift64Star};
 use crate::weighted::FaultWeights;
 use crate::ModelError;
 
@@ -35,6 +53,13 @@ use crate::ModelError;
 /// counted outcome — is a function of `(dies, seed)` alone, never of the
 /// worker count.
 const SHARD_DIES: usize = 4096;
+
+/// Interleaved lanes of the unit-mix kernel.
+const LANES: usize = 4;
+
+/// Dies per lane: lane `l` covers dies `[l · LANE_DIES, (l+1) · LANE_DIES)`
+/// of its shard.
+const LANE_DIES: usize = SHARD_DIES / LANES;
 
 /// Monte Carlo settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +106,15 @@ pub trait DieMix: Sync {
     /// consumes shifts the die's subsequent per-fault draws (still
     /// deterministic — the stream is a pure function of `(seed, shard)`).
     fn multiplier(&self, seed: u64, die: u64, rng: &mut Xorshift64Star) -> f64;
+
+    /// Whether [`DieMix::multiplier`] returns exactly `1` and consumes no
+    /// draws, for every die. The engine then never calls the hook and runs
+    /// its lane-interleaved kernel, which relies on every die consuming
+    /// exactly one draw per fault. Defaults to `false`: the serial loop,
+    /// correct for any mix.
+    fn is_unit(&self) -> bool {
+        false
+    }
 }
 
 /// The independent-Poisson mix: every die's multiplier is exactly `1`,
@@ -94,6 +128,10 @@ impl DieMix for UnitMix {
 
     fn multiplier(&self, _seed: u64, _die: u64, _rng: &mut Xorshift64Star) -> f64 {
         1.0
+    }
+
+    fn is_unit(&self) -> bool {
+        true
     }
 }
 
@@ -423,12 +461,17 @@ pub fn simulate_fallout_mixed_resumable(
         return Err(ModelError::BadFitData("zero dies requested"));
     }
     let shard_count = config.dies.div_ceil(SHARD_DIES);
-    // The stage's dominant allocations: per-fault probabilities and the
-    // shard descriptors (the per-chunk result slots are the same size).
+    // The stage's dominant allocations: per-fault probabilities, the
+    // shard descriptors (the per-chunk result slots are the same size)
+    // and, for the lane kernel, the per-fault thresholds and the jump.
+    let lane_bytes = if mix.is_unit() {
+        weights.len() * std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<Jump>()
+    } else {
+        0
+    };
     let estimated_bytes = (weights.len() * std::mem::size_of::<f64>()
-        + shard_count
-            * (std::mem::size_of::<(u64, usize)>()
-                + std::mem::size_of::<(usize, usize, usize)>())) as u64;
+        + shard_count * (std::mem::size_of::<(u64, usize)>() + std::mem::size_of::<Tally>())
+        + lane_bytes) as u64;
     if let Err(reason) = budget.check_memory(estimated_bytes) {
         return Err(ModelError::Budget(BudgetExceeded {
             reason,
@@ -442,8 +485,7 @@ pub fn simulate_fallout_mixed_resumable(
             what: "checkpoint records more shards than this run has",
         });
     }
-    let probabilities: Vec<f64> = (0..weights.len()).map(|j| weights.probability(j)).collect();
-    let raw_weights = weights.weights();
+    let kernel = Kernel::new(weights, detected, config.seed, mix);
 
     // Shard descriptors: (stream index, dies in shard). The last shard
     // takes the remainder.
@@ -461,49 +503,10 @@ pub fn simulate_fallout_mixed_resumable(
         "mc",
         budget,
         |_, shard| {
-            let mut good = 0usize;
-            let mut shipped = 0usize;
-            let mut escapes = 0usize;
-            for &(stream, dies) in shard {
-                let mut rng = crate::rng::Xorshift64Star::split(config.seed, stream);
-                let first_die = stream * SHARD_DIES as u64;
-                for i in 0..dies {
-                    let g = mix.multiplier(config.seed, first_die + i as u64, &mut rng);
-                    let mut any_fault = false;
-                    let mut any_detected = false;
-                    for (j, &p) in probabilities.iter().enumerate() {
-                        // `g == 1.0` takes the precomputed probability —
-                        // the exact float the historical Poisson engine
-                        // compared against, so UnitMix stays bit-identical.
-                        let p = if g == 1.0 {
-                            p
-                        } else {
-                            1.0 - (-raw_weights[j] * g).exp()
-                        };
-                        if rng.next_f64() < p {
-                            any_fault = true;
-                            if detected[j] {
-                                any_detected = true;
-                                // Faster: once scrapped the die's remaining
-                                // faults cannot change the outcome, but we keep
-                                // rolling so the shard's RNG stream stays
-                                // aligned per die count — determinism over
-                                // micro-optimisation here.
-                            }
-                        }
-                    }
-                    if !any_fault {
-                        good += 1;
-                    }
-                    if !any_detected {
-                        shipped += 1;
-                        if any_fault {
-                            escapes += 1;
-                        }
-                    }
-                }
-            }
-            (good, shipped, escapes)
+            shard.iter().fold((0, 0, 0), |(g, s, e), &(stream, dies)| {
+                let (sg, ss, se) = kernel.shard(stream, dies);
+                (g + sg, s + ss, e + se)
+            })
         },
     );
     let (parts, interrupted) = match simulated {
@@ -541,6 +544,148 @@ pub fn simulate_fallout_mixed_resumable(
         shipped,
         escapes,
     })
+}
+
+/// Lane-word bits of [`shard_lanes`]: some fault struck the die, and
+/// some detected fault struck it.
+const STRUCK: u64 = 1 << 63;
+const DETECTED: u64 = 1 << 62;
+
+/// `(good, shipped, escapes)` of a run of dies.
+type Tally = (usize, usize, usize);
+
+/// One run's per-shard simulation: the inputs every shard shares, and
+/// the lane kernel's tables when the mix is a unit mix.
+struct Kernel<'a> {
+    seed: u64,
+    mix: &'a dyn DieMix,
+    weights: &'a [f64],
+    detected: &'a [bool],
+    probabilities: Vec<f64>,
+    /// Per-fault `(unit_threshold(p_j), mask_j)` — the mask keeps bit 63,
+    /// and bit 62 too for a detected fault ([`shard_lanes`]) — and the
+    /// jump from one lane's first die to the next; `None` runs the serial
+    /// loop.
+    lanes: Option<(Vec<(u64, u64)>, Jump)>,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(
+        weights: &'a FaultWeights,
+        detected: &'a [bool],
+        seed: u64,
+        mix: &'a dyn DieMix,
+    ) -> Self {
+        let probabilities: Vec<f64> = (0..weights.len()).map(|j| weights.probability(j)).collect();
+        let lanes = mix.is_unit().then(|| {
+            let faults = probabilities
+                .iter()
+                .zip(detected)
+                .map(|(&p, &d)| {
+                    let mask = if d { STRUCK | DETECTED } else { STRUCK };
+                    (unit_threshold(p), mask)
+                })
+                .collect();
+            (faults, Jump::steps((LANE_DIES * weights.len()) as u64))
+        });
+        Kernel {
+            seed,
+            mix,
+            weights: weights.weights(),
+            detected,
+            probabilities,
+            lanes,
+        }
+    }
+
+    /// The tally of shard `stream`, which holds `dies` dies.
+    fn shard(&self, stream: u64, dies: usize) -> Tally {
+        let rng = Xorshift64Star::split(self.seed, stream);
+        match &self.lanes {
+            Some((faults, jump)) => shard_lanes(rng, jump, faults, dies),
+            None => self.shard_serial(rng, stream * SHARD_DIES as u64, dies),
+        }
+    }
+
+    /// The serial loop: one die after another, any [`DieMix`].
+    fn shard_serial(&self, mut rng: Xorshift64Star, first_die: u64, dies: usize) -> Tally {
+        let mut tally = (0, 0, 0);
+        for i in 0..dies {
+            let g = self
+                .mix
+                .multiplier(self.seed, first_die + i as u64, &mut rng);
+            let mut any_fault = false;
+            let mut any_detected = false;
+            for (j, &p) in self.probabilities.iter().enumerate() {
+                // `g == 1.0` takes the precomputed probability — the
+                // exact float the historical Poisson engine compared
+                // against, so a multiplier of 1 stays bit-identical.
+                let p = if g == 1.0 {
+                    p
+                } else {
+                    1.0 - (-self.weights[j] * g).exp()
+                };
+                if rng.next_f64() < p {
+                    any_fault = true;
+                    any_detected |= self.detected[j];
+                }
+            }
+            if !any_fault {
+                tally.0 += 1;
+            }
+            if !any_detected {
+                tally.1 += 1;
+                if any_fault {
+                    tally.2 += 1;
+                }
+            }
+        }
+        tally
+    }
+}
+
+/// The unit-mix kernel: [`LANES`] dies advanced in lock-step over the
+/// fault list, lane `l` drawing from `jump^l · rng` — the stream position
+/// of its first die (see the module docs). A short last shard runs the
+/// same loop with ragged lanes: a lane past its last die keeps drawing,
+/// but its dies are not counted.
+///
+/// `faults` holds `(threshold, mask)` per fault ([`Kernel::new`]). For a
+/// draw `k < 2^53` and a threshold `t ≤ 2^53`, `k − t` wraps to a word
+/// with its top bits set exactly when the fault strikes, so OR-ing
+/// `(k − t) & mask` into one word per lane collects bit 63 ("some fault
+/// struck") and bit 62 ("some detected fault struck") without a branch.
+fn shard_lanes(rng: Xorshift64Star, jump: &Jump, faults: &[(u64, u64)], dies: usize) -> Tally {
+    let mut next = rng;
+    let mut lanes: [Xorshift64Star; LANES] = std::array::from_fn(|l| {
+        if l > 0 {
+            next.jump(jump);
+        }
+        next.clone()
+    });
+    let live: [usize; LANES] =
+        std::array::from_fn(|l| dies.saturating_sub(l * LANE_DIES).min(LANE_DIES));
+    let mut tally = (0, 0, 0);
+    for i in 0..live[0] {
+        let mut struck = [0u64; LANES];
+        for &(threshold, mask) in faults {
+            for l in 0..LANES {
+                let k = lanes[l].next_u64() >> 11;
+                struck[l] |= k.wrapping_sub(threshold) & mask;
+            }
+        }
+        for l in 0..LANES {
+            // Branch-free: whether a die is good or scrapped is a coin
+            // flip the predictor cannot learn.
+            let counted = usize::from(i < live[l]);
+            let fault = usize::from(struck[l] & STRUCK != 0);
+            let clean = usize::from(struck[l] & DETECTED == 0);
+            tally.0 += counted & (fault ^ 1);
+            tally.1 += counted & clean;
+            tally.2 += counted & fault & clean;
+        }
+    }
+    tally
 }
 
 #[cfg(test)]
@@ -806,6 +951,112 @@ mod tests {
         }
     }
 
+    /// Returns 1 for every die without being flagged unit, so it forces
+    /// the serial loop on exactly the independent-Poisson model: the lane
+    /// kernel's differential oracle.
+    struct SerialUnit;
+
+    impl DieMix for SerialUnit {
+        fn write_key(&self, _h: &mut KeyHasher) {}
+
+        fn multiplier(&self, _seed: u64, _die: u64, _rng: &mut Xorshift64Star) -> f64 {
+            1.0
+        }
+    }
+
+    /// Die counts around lane and shard boundaries, plus a flow-sized run.
+    const ORACLE_DIES: [usize; 9] = [1, 1023, 1024, 1025, 4095, 4096, 4097, 3 * 4096 + 57, 50_000];
+
+    /// Seeded weights with zero-weight faults and faults with `p ≥ 0.5`,
+    /// and a seeded detection mask.
+    fn oracle_inputs(faults: usize, seed: u64) -> (FaultWeights, Vec<bool>) {
+        let mut r = Xorshift64Star::new(seed);
+        let mut raw: Vec<f64> = (0..faults)
+            .map(|_| match r.next_below(10) {
+                0 | 1 => 0.0,
+                2 => 0.7 + r.next_f64(),
+                _ => r.next_f64() * 0.05,
+            })
+            .collect();
+        raw[0] = raw[0].max(0.01);
+        let detected = (0..faults).map(|_| r.next_f64() < 0.8).collect();
+        (FaultWeights::new(raw).unwrap(), detected)
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_serial_oracle() {
+        let t1 = ThreadCount::fixed(1).unwrap();
+        let t2 = ThreadCount::fixed(2).unwrap();
+        let unlimited = RunBudget::unlimited();
+        for faults in [1usize, 7, 150] {
+            let (w, d) = oracle_inputs(faults, 0x0AC1E + faults as u64);
+            for dies in ORACLE_DIES {
+                let case = format!("F={faults} dies={dies}");
+                let cfg = MonteCarloConfig {
+                    dies,
+                    seed: dies as u64 ^ 0x5EED,
+                };
+                // The estimate together with the run's deterministic trace.
+                let run = |mix: &dyn DieMix,
+                           threads,
+                           budget: &RunBudget,
+                           resume: Option<&McCheckpoint>| {
+                    let obs = Recorder::enabled();
+                    simulate_fallout_mixed_resumable(
+                        &w, &d, &cfg, mix, threads, &obs, budget, resume,
+                    )
+                    .map(|estimate| (estimate, trace_fingerprint(&obs)))
+                };
+                let oracle = run(&SerialUnit, t1, &unlimited, None).unwrap();
+                for threads in [t1, t2] {
+                    let lanes = run(&UnitMix, threads, &unlimited, None).unwrap();
+                    assert_eq!(lanes, oracle, "{case} {threads:?}");
+                }
+                // Kill at every shard boundary: the lane kernel's
+                // checkpoint equals the oracle's, and resuming it at the
+                // other thread count finishes bit-identically.
+                for kill in 1..dies.div_ceil(SHARD_DIES) as u64 {
+                    let interrupt = |mix: &dyn DieMix, threads| {
+                        let fuse = RunBudget::unlimited().cancel_after_checks(kill);
+                        match run(mix, threads, &fuse, None) {
+                            Err(ModelError::Interrupted { checkpoint, .. }) => checkpoint,
+                            other => panic!("{case} kill={kill}: {other:?}"),
+                        }
+                    };
+                    let checkpoint = interrupt(&UnitMix, t2);
+                    assert_eq!(checkpoint, interrupt(&SerialUnit, t1), "{case} kill={kill}");
+                    let resumed = run(&UnitMix, t1, &unlimited, Some(&checkpoint)).unwrap();
+                    assert_eq!(resumed, oracle, "{case} kill={kill}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_serial_loop_without_faults() {
+        // `FaultWeights` rejects an empty fault set, so the zero-fault
+        // case drives the two kernels directly.
+        for lanes in [None, Some((vec![], Jump::steps(0)))] {
+            let kernel = Kernel {
+                seed: 3,
+                mix: &UnitMix,
+                weights: &[],
+                detected: &[],
+                probabilities: vec![],
+                lanes,
+            };
+            for dies in ORACLE_DIES {
+                let mut tally = (0, 0, 0);
+                for shard in 0..dies.div_ceil(SHARD_DIES) {
+                    let (g, s, e) =
+                        kernel.shard(shard as u64, SHARD_DIES.min(dies - shard * SHARD_DIES));
+                    tally = (tally.0 + g, tally.1 + s, tally.2 + e);
+                }
+                assert_eq!(tally, (dies, dies, 0), "dies={dies}");
+            }
+        }
+    }
+
     /// Deterministic trace content of a run: everything except timing.
     #[allow(clippy::type_complexity)]
     fn trace_fingerprint(obs: &Recorder) -> (Vec<(String, u64)>, Option<(u64, Vec<(f64, u64)>)>) {
@@ -1008,6 +1259,43 @@ mod tests {
                 assert!(matches!(b.reason, crate::budget::BudgetReason::Memory { .. }));
             }
             other => panic!("expected Budget, got {other:?}"),
+        }
+
+        // The estimate counts the probabilities and the shard table, plus
+        // the lane kernel's per-fault thresholds and jump table when it
+        // runs: a budget one byte short of that trips, the exact figure
+        // passes.
+        let cfg = MonteCarloConfig {
+            dies: 2 * SHARD_DIES,
+            seed: 1,
+        };
+        let base = 4 * 8 + 2 * (16 + 24);
+        let lanes = 4 * 16 + std::mem::size_of::<Jump>() as u64;
+        assert_eq!(std::mem::size_of::<Jump>(), 512);
+        for (mix, bytes) in [
+            (&UnitMix as &dyn DieMix, base + lanes),
+            (&DoubleOddDies, base),
+        ] {
+            let run = |limit| {
+                simulate_fallout_mixed_resumable(
+                    &w,
+                    &d,
+                    &cfg,
+                    mix,
+                    ThreadCount::fixed(1).unwrap(),
+                    Recorder::noop(),
+                    &RunBudget::unlimited().with_memory_limit(limit),
+                    None,
+                )
+            };
+            match run(bytes - 1) {
+                Err(ModelError::Budget(b)) => assert!(matches!(
+                    b.reason,
+                    crate::budget::BudgetReason::Memory { estimated_bytes, .. } if estimated_bytes == bytes
+                )),
+                other => panic!("expected Budget at {bytes} - 1 bytes, got {other:?}"),
+            }
+            assert!(run(bytes).is_ok(), "{bytes} bytes must suffice");
         }
     }
 

@@ -6,6 +6,11 @@
 //! seed with no external dependency. The multiplier is Vigna's
 //! xorshift64* constant; the low 53 bits of the scrambled state map to a
 //! uniform `f64` in `[0, 1)`.
+//!
+//! The xorshift state update is linear over GF(2), so `n` steps are one
+//! 64×64 bit-matrix product: `Jump::steps` precomputes it and
+//! `Xorshift64Star::jump` applies it, which lets the Monte-Carlo kernel
+//! start several interleaved lanes at their exact positions in one stream.
 
 /// A deterministic xorshift64* pseudo-random generator.
 ///
@@ -58,6 +63,13 @@ impl Xorshift64Star {
         Xorshift64Star::new(z ^ (z >> 31))
     }
 
+    /// Advances the state by a precomputed number of steps: afterwards the
+    /// generator yields exactly what it would have yielded after `n`
+    /// calls to [`Xorshift64Star::next_u64`], where `j = Jump::steps(n)`.
+    pub(crate) fn jump(&mut self, j: &Jump) {
+        self.state = j.apply(self.state);
+    }
+
     /// Advances the state and returns the next scrambled 64-bit word.
     pub fn next_u64(&mut self) -> u64 {
         self.state ^= self.state << 13;
@@ -83,6 +95,84 @@ impl Xorshift64Star {
         }
         (self.next_f64() * bound as f64) as usize % bound
     }
+}
+
+/// The xorshift64 state update `T` raised to a fixed power, as a 64×64
+/// matrix over GF(2): `cols[i]` is the image of the state with only bit
+/// `i` set, so applying it XORs the columns of the state's set bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Jump {
+    cols: [u64; 64],
+}
+
+impl Jump {
+    /// `T^n`, by left-to-right square-and-multiply: `log2(n)` squarings,
+    /// and a multiplication by `T` itself is one xorshift step per
+    /// column. Tens of microseconds at most.
+    pub(crate) fn steps(n: u64) -> Jump {
+        let mut acc = Jump {
+            cols: std::array::from_fn(|i| 1u64 << i),
+        };
+        for bit in (0..u64::BITS - n.leading_zeros()).rev() {
+            acc = acc.then(&acc);
+            if n >> bit & 1 == 1 {
+                acc.cols = acc.cols.map(|col| {
+                    let mut r = Xorshift64Star { state: col };
+                    r.next_u64();
+                    r.state
+                });
+            }
+        }
+        acc
+    }
+
+    /// The matrix applied to one state.
+    fn apply(&self, state: u64) -> u64 {
+        let mut out = 0;
+        let mut bits = state;
+        while bits != 0 {
+            out ^= self.cols[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        out
+    }
+
+    /// The product `other · self`: first `self`, then `other`. `other` is
+    /// tabulated per byte of its input (8 tables of 256 column sums), so
+    /// each of the 64 columns costs 8 lookups.
+    fn then(&self, other: &Jump) -> Jump {
+        let mut table = [[0u64; 256]; 8];
+        for (row, cols) in table.iter_mut().zip(other.cols.chunks_exact(8)) {
+            // Entries `[2^k, 2^(k+1))` are entries `[0, 2^k)` plus column `k`.
+            for (k, &col) in cols.iter().enumerate() {
+                let (low, high) = row.split_at_mut(1 << k);
+                for (h, &l) in high.iter_mut().zip(low.iter()) {
+                    *h = l ^ col;
+                }
+            }
+        }
+        Jump {
+            cols: self.cols.map(|col| {
+                table.iter().enumerate().fold(0, |out, (b, row)| {
+                    out ^ row[(col >> (8 * b)) as u8 as usize]
+                })
+            }),
+        }
+    }
+}
+
+/// The integer form of the comparison `u < p` for a draw
+/// `u = next_f64()`: `next_f64() < p` holds exactly when
+/// `next_u64() >> 11 < unit_threshold(p)`.
+///
+/// Both sides of `k / 2^53 < p` scaled by `2^53` are exact in `f64`, and
+/// for an integer `k`, `k < x ⇔ k < ⌈x⌉`. Clamping keeps the equivalence
+/// at the edges and the threshold at most `2^53`: `p ≤ 0` and NaN give 0
+/// (never true), `p ≥ 1` gives `2^53`, above every 53-bit `k` (always
+/// true).
+pub(crate) fn unit_threshold(p: f64) -> u64 {
+    let scale = (1u64 << 53) as f64;
+    (p * scale).ceil().clamp(0.0, scale) as u64
 }
 
 #[cfg(test)]
@@ -154,5 +244,65 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert_eq!(r.next_below(0), 0);
+    }
+
+    #[test]
+    fn jumped_stream_equals_stepped_stream() {
+        for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
+            for n in [0u64, 1, 63, 64, 65, 1024 * 150] {
+                let mut stepped = Xorshift64Star::new(seed);
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                let mut jumped = Xorshift64Star::new(seed);
+                jumped.jump(&Jump::steps(n));
+                assert_eq!(jumped, stepped, "seed={seed} n={n}");
+                let tail =
+                    |mut r: Xorshift64Star| -> Vec<u64> { (0..8).map(|_| r.next_u64()).collect() };
+                assert_eq!(tail(jumped), tail(stepped), "seed={seed} n={n}");
+            }
+        }
+        // Jumps compose: J(a) then J(b) is J(a + b).
+        let mut twice = Xorshift64Star::split(3, 4);
+        twice.jump(&Jump::steps(1000));
+        twice.jump(&Jump::steps(24));
+        let mut once = Xorshift64Star::split(3, 4);
+        once.jump(&Jump::steps(1024));
+        assert_eq!(twice, once);
+    }
+
+    #[test]
+    fn integer_threshold_is_exact() {
+        let scale = (1u64 << 53) as f64;
+        let check = |p: f64| {
+            let x = p * scale;
+            let t = unit_threshold(p);
+            let mut ks = vec![0u64, (1 << 53) - 1];
+            for edge in [x.floor(), x.ceil()] {
+                let e = edge.clamp(0.0, scale) as u64;
+                ks.extend([e.saturating_sub(1), e, e + 1]);
+            }
+            for k in ks.into_iter().filter(|&k| k < 1 << 53) {
+                assert_eq!(k < t, (k as f64) / scale < p, "p={p:e} k={k} t={t}");
+            }
+        };
+        let eps = f64::EPSILON / 2.0; // 2^-53
+        for p in [0.0, f64::from_bits(1), eps, 0.5, 1.0 - eps, 1.0] {
+            check(p);
+        }
+        let mut r = Xorshift64Star::new(0x7E57);
+        for _ in 0..10_000 {
+            check(r.next_f64());
+            // Probabilities from tiny weights: 1 − e^(−w) spans many octaves.
+            check(1.0 - (-(r.next_f64() * 1e-9)).exp());
+        }
+        // The edges named in the contract.
+        assert_eq!(unit_threshold(0.0), 0);
+        assert_eq!(unit_threshold(f64::NAN), 0);
+        assert_eq!(unit_threshold(-1.0), 0);
+        assert_eq!(unit_threshold(1.0), 1 << 53);
+        assert_eq!(unit_threshold(2.0), 1 << 53);
+        assert_eq!(unit_threshold(f64::INFINITY), 1 << 53);
+        assert_eq!(unit_threshold(f64::from_bits(1)), 1);
     }
 }

@@ -160,6 +160,10 @@ impl DieMix for Poisson {
     fn multiplier(&self, _seed: u64, _die: u64, _rng: &mut Xorshift64Star) -> f64 {
         1.0
     }
+
+    fn is_unit(&self) -> bool {
+        true
+    }
 }
 
 impl FalloutDistribution for Poisson {

@@ -105,6 +105,17 @@ mod tests {
     }
 
     #[test]
+    fn only_poisson_takes_the_lane_kernel() {
+        // The gamma mixes draw per die, so they must stay on the serial loop.
+        assert!(Fallout::poisson().dist().is_unit());
+        assert!(!Fallout::negative_binomial(2.0).unwrap().dist().is_unit());
+        assert!(!Fallout::hierarchical(2.0, 8.0, 20.0, 400, 25)
+            .unwrap()
+            .dist()
+            .is_unit());
+    }
+
+    #[test]
     fn checkpoint_keys_bind_the_distribution() {
         let w = weights(4, 0.8);
         let d = vec![true; 4];
