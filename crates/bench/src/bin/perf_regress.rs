@@ -1,7 +1,7 @@
 //! Cross-run performance regression gate.
 //!
 //! Measures a small fixed set of hot-path workloads (gate-level PPSFP,
-//! switch-level detection, critical-area extraction, Monte-Carlo
+//! switch-level detection, layout, critical-area extraction, Monte-Carlo
 //! fallout) plus a CPU calibration loop, and compares the
 //! calibration-normalized costs against a committed baseline
 //! (`baselines/perf_baseline.json`, versioned [`BenchReport`] schema).
@@ -169,6 +169,15 @@ fn measure() -> Result<BenchReport, PipelineError> {
         "extract/ripple_adder4/s6",
         TIMED_UNIT,
         &sample_ns(|| extract_with(&chip, &stats, &config).map(|f| f.len())),
+    );
+
+    // The router on the largest flow-layout circuit: placement, pin
+    // escapes and the negotiated-congestion A* searches.
+    let parity = generators::parity_tree(48);
+    report.record_samples(
+        "layout/parity_tree48",
+        TIMED_UNIT,
+        &sample_ns(|| ChipLayout::generate(&parity, &Default::default()).map(|c| c.shapes().len())),
     );
 
     let weights = FaultWeights::new(vec![1.0; 24])

@@ -46,6 +46,8 @@ const REQUIRED_SPANS: &[&str] = &[
 
 /// Counters that must exist and be nonzero.
 const REQUIRED_COUNTERS: &[&str] = &[
+    "layout.route.waves",
+    "layout.route.expanded",
     "extract.defect_classes",
     "extract.bridge_pairs",
     "extract.faults",

@@ -97,6 +97,10 @@ pub fn extract_netlist_obs(
         ChipLayout::generate(&netlist, &Default::default())
             .map_err(|e| PipelineError::from(e).context(netlist.name().to_string()))?
     };
+    let route = chip.route_stats();
+    obs.add("layout.route.waves", route.waves);
+    obs.add("layout.route.expanded", route.expanded);
+    obs.add("layout.route.reroutes", route.reroutes);
     let violations = chip.verify_connectivity();
     obs.add("layout.violations", violations.len() as u64);
     if !violations.is_empty() {

@@ -120,6 +120,20 @@ pub struct PlacedTransistor {
     pub channel: Rect,
 }
 
+/// Router work counters of one generated chip (DESIGN.md §9). The
+/// router is single-threaded, so they are the same at every thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteStats {
+    /// A* searches, one per terminal not already on its net's route tree.
+    pub waves: u64,
+    /// States expanded over all searches.
+    pub expanded: u64,
+    /// Nets ripped up and requeued by the negotiation.
+    pub reroutes: u64,
+    /// Net branches left unconnected (as [`ChipLayout::unrouted`]).
+    pub unrouted: usize,
+}
+
 /// The assembled chip.
 #[derive(Debug, Clone)]
 pub struct ChipLayout {
@@ -130,7 +144,7 @@ pub struct ChipLayout {
     transistors: Vec<PlacedTransistor>,
     bbox: Rect,
     rows: usize,
-    unrouted: usize,
+    route: RouteStats,
 }
 
 impl ChipLayout {
@@ -189,7 +203,12 @@ impl ChipLayout {
     /// congestion (the affected geometry is simply absent, which slightly
     /// undercounts critical area but never creates shorts).
     pub fn unrouted(&self) -> usize {
-        self.unrouted
+        self.route.unrouted
+    }
+
+    /// How much work the router did for this chip.
+    pub fn route_stats(&self) -> RouteStats {
+        self.route
     }
 
     /// Checks that no two shapes with different electrical identities
@@ -260,7 +279,7 @@ struct Builder {
     margin: Coord,
     chip_w: Coord,
     chip_h: Coord,
-    unrouted: usize,
+    route: RouteStats,
 }
 
 impl Builder {
@@ -282,7 +301,7 @@ impl Builder {
             margin,
             chip_w,
             chip_h,
-            unrouted: 0,
+            route: RouteStats::default(),
         })
     }
 
@@ -364,17 +383,7 @@ impl Builder {
             }
         }
 
-        let dbg = std::env::var_os("DLP_ROUTE_DEBUG").is_some();
-        if dbg {
-            eprintln!(
-                "phase: instantiate ({} gates)",
-                self.placement.gates().len()
-            );
-        }
         self.instantiate_cells();
-        if dbg {
-            eprintln!("phase: pads");
-        }
         // Primary-input pads go first so they occupy terminal slot 0
         // (the driver) of their nets; output pads are appended after the
         // cell pins so the driving strap keeps slot 0.
@@ -386,9 +395,6 @@ impl Builder {
             .map(|i| (ElecNet::Signal(i), TerminalKind::Driver))
             .collect();
         self.place_pads(&mut grid, cols, pis, 1);
-        if dbg {
-            eprintln!("phase: terminals");
-        }
         self.collect_terminals(&mut grid)?;
         // Discourage trunks from squatting next to pin landings.
         for ts in self.terminals.clone() {
@@ -407,15 +413,10 @@ impl Builder {
             .map(|o| (ElecNet::Signal(o), TerminalKind::OutputPad))
             .collect();
         self.place_pads(&mut grid, cols, pos, top_gy);
-        if dbg {
-            eprintln!(
-                "phase: route ({} nets, grid {}x{})",
-                self.nets.len(),
-                cols,
-                grows
-            );
-        }
         self.route(&mut grid)?;
+        let searched = grid.stats();
+        self.route.waves = searched.waves;
+        self.route.expanded = searched.expanded;
 
         let bbox = Rect::new(0, 0, self.chip_w, self.chip_h);
         Ok(ChipLayout {
@@ -426,7 +427,7 @@ impl Builder {
             transistors: self.transistors,
             bbox,
             rows,
-            unrouted: self.unrouted,
+            route: self.route,
         })
     }
 
@@ -632,21 +633,9 @@ impl Builder {
         let mut queue: std::collections::VecDeque<usize> = order.into_iter().collect();
         let mut routed: Vec<Option<Vec<crate::grid::RoutedPath>>> = vec![None; self.nets.len()];
         let mut budget = 20 * self.nets.len() + 300;
-        let budget0 = budget;
-        let t0 = std::time::Instant::now();
-        let dbg = std::env::var_os("DLP_ROUTE_DEBUG").is_some();
-        let mut processed = 0usize;
         while let Some(ni) = queue.pop_front() {
             if routed[ni].is_some() {
                 continue;
-            }
-            processed += 1;
-            if dbg && processed.is_multiple_of(100) {
-                eprintln!(
-                    "  route: {} nets processed, queue {}",
-                    processed,
-                    queue.len()
-                );
             }
             let terminals = self.terminals[ni].clone();
             if terminals.len() < 2 {
@@ -656,16 +645,7 @@ impl Builder {
             let over_budget = budget == 0;
             let (paths, victims, skipped) = grid.route_net(ni as u32, &terminals, !over_budget);
             routed[ni] = Some(paths);
-            self.unrouted += skipped;
-            if dbg && (budget0 - budget) % 200 < victims.len() {
-                eprintln!(
-                    "  negotiation: {} reroutes, queue {}, net {:?} stole {}",
-                    budget0 - budget,
-                    queue.len(),
-                    self.nets[ni].net,
-                    victims.len()
-                );
-            }
+            self.route.unrouted += skipped;
             if over_budget {
                 // Negotiation diverged: keep whatever this net got and
                 // stop evicting others (their claims stand).
@@ -673,20 +653,12 @@ impl Builder {
             }
             for victim in victims {
                 budget = budget.saturating_sub(1);
+                self.route.reroutes += 1;
                 let v = victim as usize;
                 grid.release(victim);
                 routed[v] = None;
                 queue.push_back(v);
             }
-        }
-
-        if std::env::var_os("DLP_ROUTE_DEBUG").is_some() {
-            eprintln!(
-                "routing: {} nets, {} reroutes, {:.2}s",
-                self.nets.len(),
-                budget0 - budget,
-                t0.elapsed().as_secs_f64()
-            );
         }
         let (half_m1, half_m2) = (self.tech.m1_width / 2, self.tech.m2_width / 2);
         #[allow(clippy::needless_range_loop)] // emit_path borrows &mut self

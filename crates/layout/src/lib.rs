@@ -10,12 +10,13 @@
 //!   [`CellTemplate`](dlp_circuit::cells::CellTemplate)s (poly columns over
 //!   diffusion strips, m1 straps, labelled pin pads),
 //! * [`place`] — row placement (snake order over logic levels),
-//! * [`grid`] — a two-layer gridded Lee router (m1 horizontal in channels,
-//!   m2 vertical everywhere); grid exclusivity makes routed geometry
-//!   short-free by construction,
 //! * [`chip`] — full-chip assembly: every rectangle tagged with its
 //!   electrical role ([`chip::ElecRole`]), the contract the extractor
-//!   builds fault lists from,
+//!   builds fault lists from. Nets are routed on a two-layer grid (m1
+//!   horizontal in channels, m2 vertical everywhere) by a
+//!   negotiated-congestion router: one A* search per terminal, drained
+//!   through a monotone bucket queue on reusable scratch; grid
+//!   exclusivity makes routed geometry short-free by construction,
 //! * [`svg`] — layout rendering for visual inspection.
 //!
 //! # Example
@@ -38,7 +39,7 @@
 pub mod cell;
 pub mod chip;
 mod error;
-pub mod grid;
+mod grid;
 pub mod place;
 pub mod svg;
 pub mod tech;

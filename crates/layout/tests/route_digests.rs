@@ -1,0 +1,66 @@
+//! Pinned layout digests: every shape, net, placed transistor and the
+//! `unrouted` count of a generated chip, folded into one `KeyHasher` key.
+//!
+//! The router kernel is an optimisation of a fixed search order, so any
+//! change to it must leave these keys untouched. A change that alters a
+//! route on purpose re-pins them and says why.
+
+use dlp_circuit::{generators, Netlist};
+use dlp_core::ckpt::KeyHasher;
+use dlp_layout::chip::ChipLayout;
+
+fn layout_digest(netlist: &Netlist) -> u64 {
+    let chip = ChipLayout::generate(netlist, &Default::default()).expect("layout");
+    let mut h = KeyHasher::new();
+    h.write_usize(chip.shapes().len());
+    for s in chip.shapes() {
+        h.write_bytes(format!("{s:?}").as_bytes());
+    }
+    h.write_usize(chip.nets().len());
+    for n in chip.nets() {
+        h.write_bytes(format!("{n:?}").as_bytes());
+    }
+    h.write_usize(chip.transistors().len());
+    for t in chip.transistors() {
+        h.write_bytes(format!("{t:?}").as_bytes());
+    }
+    h.write_usize(chip.unrouted());
+    h.finish()
+}
+
+#[test]
+fn small_circuit_layouts_are_pinned() {
+    let cases: [(&str, Netlist, u64); 6] = [
+        ("c17", generators::c17(), 0xed7d_f77e_b03e_4279),
+        ("alu_slice", generators::alu_slice(), 0x35c5_dc16_a920_72ca),
+        (
+            "parity_tree16",
+            generators::parity_tree(16),
+            0x44fc_ee1e_e922_7410,
+        ),
+        ("decoder4", generators::decoder(4), 0x9b98_ef9c_ece9_6cfc),
+        ("mux_tree3", generators::mux_tree(3), 0x0c92_b6ed_4b58_c18a),
+        (
+            "ripple_adder8",
+            generators::ripple_adder(8),
+            0x4ae9_7d7c_4feb_4a42,
+        ),
+    ];
+    for (name, netlist, want) in &cases {
+        let d = layout_digest(netlist);
+        assert_eq!(d, *want, "{name} layout digest drifted: now {d:#018x}");
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow unoptimised; scripts/check.sh runs it in release"
+)]
+fn c432_class_layout_is_pinned() {
+    let d = layout_digest(&generators::c432_class());
+    assert_eq!(
+        d, 0x8200_7e8f_dc05_674b,
+        "c432_class layout digest drifted: now {d:#018x}"
+    );
+}

@@ -41,6 +41,11 @@ DLP_THREADS=4 cargo test --workspace -q
 echo "== oracle: differential vs reference switch-level drivers on c432-class"
 cargo test --release -q -p dlp-sim --lib differential_matches_reference_on_c432_class
 
+# Router oracle (DESIGN.md §19): the c432-class layout must hash to the
+# digest pinned before the bucket-queue kernel; debug builds ignore it.
+echo "== oracle: pinned c432-class layout digest"
+cargo test --release -q -p dlp-layout --test route_digests c432_class_layout_is_pinned
+
 # Observability gate (DESIGN.md §9): a traced full-flow run must produce
 # a run report that parses with the in-tree JSON parser and carries a
 # span for every stage plus nonzero work counters.
