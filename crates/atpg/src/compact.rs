@@ -7,6 +7,9 @@
 //! of the redundant prefix while preserving coverage exactly.
 
 use dlp_circuit::Netlist;
+use dlp_core::obs::Recorder;
+use dlp_core::par::ThreadCount;
+use dlp_core::RunBudget;
 use dlp_sim::ppsfp;
 use dlp_sim::stuck_at::StuckAtFault;
 
@@ -27,7 +30,7 @@ pub struct CompactionResult {
 /// # Errors
 ///
 /// [`AtpgError::Sim`] if vector widths mismatch the netlist (see
-/// [`ppsfp::simulate`]).
+/// [`ppsfp::simulate_resumable`]).
 ///
 /// # Example
 ///
@@ -48,8 +51,12 @@ pub fn compact(
     faults: &[StuckAtFault],
     vectors: &[Vec<bool>],
 ) -> Result<CompactionResult, AtpgError> {
+    let (threads, obs, budget) = (ThreadCount::Auto, Recorder::noop(), &RunBudget::unlimited());
+    let simulate = |faults: &[StuckAtFault], vectors: &[Vec<bool>]| {
+        ppsfp::simulate_resumable(netlist, faults, vectors, threads, obs, budget, None)
+    };
     // Which faults does the full sequence detect at all?
-    let full = ppsfp::simulate(netlist, faults, vectors)?;
+    let full = simulate(faults, vectors)?;
     let mut remaining: Vec<usize> = full
         .first_detect()
         .iter()
@@ -63,7 +70,7 @@ pub fn compact(
             break;
         }
         let live: Vec<StuckAtFault> = remaining.iter().map(|&j| faults[j]).collect();
-        let rec = ppsfp::simulate(netlist, &live, std::slice::from_ref(&vectors[idx]))?;
+        let rec = simulate(&live, std::slice::from_ref(&vectors[idx]))?;
         let detected: Vec<usize> = rec
             .first_detect()
             .iter()
@@ -107,26 +114,30 @@ pub fn compact(
 /// [`AtpgError::Sim`] if vector widths mismatch the netlist, a fault site
 /// is out of range, or `n` is not in
 /// `1..=`[`dlp_sim::ppsfp::MAX_DETECTION_CAP`] (see
-/// [`ppsfp::simulate_counted`]).
+/// [`ppsfp::simulate_counted_resumable`]).
 ///
 /// # Example
 ///
 /// ```
 /// use dlp_atpg::compact::compact_counted;
 /// use dlp_circuit::generators;
+/// use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 /// use dlp_sim::{detection, ppsfp, stuck_at};
 ///
 /// let c17 = generators::c17();
 /// let faults = stuck_at::enumerate(&c17).collapse();
 /// let vectors = detection::random_vectors(5, 128, 3);
-/// let n = 3;
+/// let (n, threads) = (3, ThreadCount::from_env()?);
 /// let compacted = compact_counted(&c17, faults.faults(), &vectors, n)?;
 /// assert!(compacted.vectors.len() < vectors.len() / 2);
 /// // Every fault keeps at least min(original count, 3) detections.
-/// let before = ppsfp::simulate_counted(&c17, faults.faults(), &vectors, n)?;
-/// let after = ppsfp::simulate_counted(&c17, faults.faults(), &compacted.vectors, n)?;
+/// let (f, obs, budget) = (faults.faults(), Recorder::noop(), &RunBudget::unlimited());
+/// let counts = |v: &[Vec<bool>]| {
+///     ppsfp::simulate_counted_resumable(&c17, f, v, n, threads, obs, budget, None)
+/// };
+/// let (before, after) = (counts(&vectors)?, counts(&compacted.vectors)?);
 /// assert!(after.counts().iter().zip(before.counts()).all(|(a, b)| a >= &b));
-/// # Ok::<(), dlp_atpg::AtpgError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn compact_counted(
     netlist: &Netlist,
@@ -134,9 +145,11 @@ pub fn compact_counted(
     vectors: &[Vec<bool>],
     n: usize,
 ) -> Result<CompactionResult, AtpgError> {
+    let (threads, obs, budget) = (ThreadCount::Auto, Recorder::noop(), &RunBudget::unlimited());
     // How many detections (capped at n) does the full sequence give each
     // fault? That is the requirement the compacted set must preserve.
-    let full = ppsfp::simulate_counted(netlist, faults, vectors, n)?;
+    let full =
+        ppsfp::simulate_counted_resumable(netlist, faults, vectors, n, threads, obs, budget, None)?;
     let mut required: Vec<usize> = full.counts();
     let mut open: usize = required.iter().filter(|&&r| r > 0).count();
 
@@ -147,7 +160,9 @@ pub fn compact_counted(
         }
         let live: Vec<usize> = (0..faults.len()).filter(|&j| required[j] > 0).collect();
         let live_faults: Vec<StuckAtFault> = live.iter().map(|&j| faults[j]).collect();
-        let rec = ppsfp::simulate(netlist, &live_faults, std::slice::from_ref(&vectors[idx]))?;
+        let vector = std::slice::from_ref(&vectors[idx]);
+        let rec =
+            ppsfp::simulate_resumable(netlist, &live_faults, vector, threads, obs, budget, None)?;
         let mut keeps = false;
         for (pos, d) in rec.first_detect().iter().enumerate() {
             if d.is_some() {
@@ -173,16 +188,39 @@ pub fn compact_counted(
 mod tests {
     use super::*;
     use dlp_circuit::generators;
+    use dlp_sim::detection::{DetectionProfile, DetectionRecord};
     use dlp_sim::{detection, stuck_at};
+
+    fn threads() -> ThreadCount {
+        ThreadCount::from_env().unwrap()
+    }
+
+    /// Untraced first-detect record at the `DLP_THREADS` worker count.
+    fn record(nl: &Netlist, faults: &[StuckAtFault], vectors: &[Vec<bool>]) -> DetectionRecord {
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        ppsfp::simulate_resumable(nl, faults, vectors, threads(), obs, budget, None).unwrap()
+    }
+
+    /// [`record`] for the count-capped engine.
+    fn profile(
+        nl: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+        n: usize,
+    ) -> DetectionProfile {
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        ppsfp::simulate_counted_resumable(nl, faults, vectors, n, threads(), obs, budget, None)
+            .unwrap()
+    }
 
     #[test]
     fn coverage_is_preserved_exactly() {
         let nl = generators::c432_class();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(36, 512, 17);
-        let before = ppsfp::simulate(&nl, faults.faults(), &vectors).unwrap().detected_count();
+        let before = record(&nl, faults.faults(), &vectors).detected_count();
         let compacted = compact(&nl, faults.faults(), &vectors).unwrap();
-        let after = ppsfp::simulate(&nl, faults.faults(), &compacted.vectors).unwrap().detected_count();
+        let after = record(&nl, faults.faults(), &compacted.vectors).detected_count();
         assert_eq!(before, after);
         assert!(compacted.vectors.len() < vectors.len());
     }
@@ -209,8 +247,8 @@ mod tests {
         let twice = compact(&nl, faults.faults(), &once.vectors).unwrap();
         // A second pass may reorder marginally but never grows.
         assert!(twice.vectors.len() <= once.vectors.len());
-        let cov_once = ppsfp::simulate(&nl, faults.faults(), &once.vectors).unwrap().detected_count();
-        let cov_twice = ppsfp::simulate(&nl, faults.faults(), &twice.vectors).unwrap().detected_count();
+        let cov_once = record(&nl, faults.faults(), &once.vectors).detected_count();
+        let cov_twice = record(&nl, faults.faults(), &twice.vectors).detected_count();
         assert_eq!(cov_once, cov_twice);
     }
 
@@ -230,11 +268,10 @@ mod tests {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(36, 512, 17);
         for n in [1usize, 2, 4] {
-            let before = ppsfp::simulate_counted(&nl, faults.faults(), &vectors, n).unwrap();
+            let before = profile(&nl, faults.faults(), &vectors, n);
             let compacted = compact_counted(&nl, faults.faults(), &vectors, n).unwrap();
             assert!(compacted.vectors.len() < vectors.len());
-            let after =
-                ppsfp::simulate_counted(&nl, faults.faults(), &compacted.vectors, n).unwrap();
+            let after = profile(&nl, faults.faults(), &compacted.vectors, n);
             for j in 0..faults.len() {
                 assert!(
                     after.count(j) >= before.count(j),

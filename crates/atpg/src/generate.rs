@@ -4,7 +4,10 @@
 //! deterministically generated").
 
 use dlp_circuit::Netlist;
+use dlp_core::obs::Recorder;
+use dlp_core::par::ThreadCount;
 use dlp_core::rng::Xorshift64Star;
+use dlp_core::RunBudget;
 use dlp_sim::ppsfp;
 use dlp_sim::stuck_at::StuckAtFault;
 
@@ -103,6 +106,12 @@ pub fn generate_tests(
     }
     let mut rng = Xorshift64Star::new(config.seed);
     let n_in = netlist.inputs().len();
+    // Detection records do not depend on the worker count, so the fault
+    // simulation behind both phases uses every available core.
+    let (threads, obs, budget) = (ThreadCount::Auto, Recorder::noop(), &RunBudget::unlimited());
+    let simulate = |faults: &[StuckAtFault], vectors: &[Vec<bool>]| {
+        ppsfp::simulate_resumable(netlist, faults, vectors, threads, obs, budget, None)
+    };
 
     // Random phase, chunked so stalling can cut it short.
     let mut vectors: Vec<Vec<bool>> = Vec::new();
@@ -116,7 +125,7 @@ pub fn generate_tests(
         // Simulate only the still-live faults against this block.
         let live: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
         let live_faults: Vec<StuckAtFault> = live.iter().map(|&i| faults[i]).collect();
-        let record = ppsfp::simulate(netlist, &live_faults, &block)?;
+        let record = simulate(&live_faults, &block)?;
         let mut newly = 0;
         for (j, d) in record.first_detect().iter().enumerate() {
             if d.is_some() {
@@ -150,7 +159,7 @@ pub fn generate_tests(
                 // Fault-simulate the new vector against all live faults.
                 let live: Vec<usize> = (0..faults.len()).filter(|&j| !detected[j]).collect();
                 let live_faults: Vec<StuckAtFault> = live.iter().map(|&j| faults[j]).collect();
-                let record = ppsfp::simulate(netlist, &live_faults, std::slice::from_ref(&vector))?;
+                let record = simulate(&live_faults, std::slice::from_ref(&vector))?;
                 let mut confirmed = false;
                 for (j, d) in record.first_detect().iter().enumerate() {
                     if d.is_some() {

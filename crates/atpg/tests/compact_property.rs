@@ -5,7 +5,14 @@
 
 use dlp_atpg::compact::{compact, compact_counted};
 use dlp_circuit::generators::{random_logic, RandomLogicConfig};
+use dlp_core::obs::Recorder;
+use dlp_core::par::ThreadCount;
+use dlp_core::RunBudget;
 use dlp_sim::{detection, ppsfp, stuck_at};
+
+fn threads() -> ThreadCount {
+    ThreadCount::from_env().expect("DLP_THREADS")
+}
 
 /// The shape sweep: (inputs, gates, outputs, netlist seed, vector seed).
 fn shapes() -> Vec<(usize, usize, usize, u64, u64)> {
@@ -31,10 +38,21 @@ fn compact_preserves_the_exact_detected_set_on_random_netlists() {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(inputs, 192, vseed);
 
-        let full = ppsfp::simulate(&nl, faults.faults(), &vectors).expect("full sim");
+        let (obs, unlimited) = (Recorder::noop(), &RunBudget::unlimited());
+        let simulate = |vectors: &[Vec<bool>]| {
+            ppsfp::simulate_resumable(
+                &nl,
+                faults.faults(),
+                vectors,
+                threads(),
+                obs,
+                unlimited,
+                None,
+            )
+        };
+        let full = simulate(&vectors).expect("full sim");
         let compacted = compact(&nl, faults.faults(), &vectors).expect("compaction");
-        let reduced =
-            ppsfp::simulate(&nl, faults.faults(), &compacted.vectors).expect("compacted sim");
+        let reduced = simulate(&compacted.vectors).expect("compacted sim");
 
         // The exact per-fault detected set, not just its cardinality.
         let before: Vec<bool> = full.detected_after(vectors.len());
@@ -65,12 +83,23 @@ fn compact_counted_preserves_counts_on_random_netlists() {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(inputs, 192, vseed);
         for n in [1usize, 3] {
-            let before =
-                ppsfp::simulate_counted(&nl, faults.faults(), &vectors, n).expect("full counted");
+            let (obs, unlimited) = (Recorder::noop(), &RunBudget::unlimited());
+            let simulate = |vectors: &[Vec<bool>]| {
+                ppsfp::simulate_counted_resumable(
+                    &nl,
+                    faults.faults(),
+                    vectors,
+                    n,
+                    threads(),
+                    obs,
+                    unlimited,
+                    None,
+                )
+            };
+            let before = simulate(&vectors).expect("full counted");
             let compacted =
                 compact_counted(&nl, faults.faults(), &vectors, n).expect("counted compaction");
-            let after = ppsfp::simulate_counted(&nl, faults.faults(), &compacted.vectors, n)
-                .expect("compacted counted");
+            let after = simulate(&compacted.vectors).expect("compacted counted");
             for j in 0..faults.len() {
                 assert!(
                     after.count(j) >= before.count(j),

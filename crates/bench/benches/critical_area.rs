@@ -4,9 +4,10 @@
 //! bridge-pair integration.
 
 use dlp_circuit::generators;
+use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::extractor::{extract_with, extract_with_threads, ExtractionConfig};
+use dlp_extract::extractor::{extract_obs, ExtractionConfig};
 use dlp_layout::chip::ChipLayout;
 
 #[path = "harness/mod.rs"]
@@ -17,6 +18,12 @@ fn main() {
     let netlist = generators::ripple_adder(4);
     let chip = ChipLayout::generate(&netlist, &Default::default()).expect("layout");
     let stats = DefectStatistics::maly_cmos();
+    let env_threads = ThreadCount::from_env().unwrap();
+    let extract = |config: &ExtractionConfig, threads| {
+        extract_obs(&chip, &stats, config, threads, Recorder::noop())
+            .expect("extract")
+            .len()
+    };
 
     for samples in [2usize, 6, 12] {
         let config = ExtractionConfig {
@@ -24,7 +31,7 @@ fn main() {
             ..Default::default()
         };
         report.bench(&format!("critical_area/size_samples/{samples}"), || {
-            extract_with(&chip, &stats, &config).expect("extract").len()
+            extract(&config, env_threads)
         });
     }
     for bin in [32i64, 64, 128] {
@@ -33,7 +40,7 @@ fn main() {
             ..Default::default()
         };
         report.bench(&format!("critical_area/bin_size/{bin}"), || {
-            extract_with(&chip, &stats, &config).expect("extract").len()
+            extract(&config, env_threads)
         });
     }
 
@@ -47,9 +54,7 @@ fn main() {
     for workers in [1usize, 2, 4] {
         let threads = ThreadCount::fixed(workers).unwrap();
         let ns = report.bench(&format!("critical_area/s12/threads{workers}"), || {
-            extract_with_threads(&chip, &stats, &config, threads)
-                .expect("extract")
-                .len()
+            extract(&config, threads)
         });
         if workers == 1 {
             serial = ns;

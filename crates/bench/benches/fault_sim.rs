@@ -1,12 +1,28 @@
 //! Bench: PPSFP stuck-at fault simulation throughput — the
 //! word-parallelism payoff (vectors are processed 64 at a time), plus the
 //! serial-vs-parallel comparison of the thread layer and the overhead of
-//! the observability recorder (noop vs enabled vs untraced).
+//! the observability recorder (noop vs enabled).
 
 use dlp_circuit::generators;
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
+use dlp_core::RunBudget;
+use dlp_sim::stuck_at::StuckAtFault;
 use dlp_sim::{detection, ppsfp, stuck_at};
+
+/// One unbudgeted run, returning the detected-fault count.
+fn detected(
+    netlist: &dlp_circuit::Netlist,
+    faults: &[StuckAtFault],
+    vectors: &[Vec<bool>],
+    threads: ThreadCount,
+    obs: &Recorder,
+) -> usize {
+    let unlimited = &RunBudget::unlimited();
+    ppsfp::simulate_resumable(netlist, faults, vectors, threads, obs, unlimited, None)
+        .unwrap()
+        .detected_count()
+}
 
 #[path = "harness/mod.rs"]
 mod harness;
@@ -15,13 +31,12 @@ fn main() {
     let mut report = harness::Report::new("fault_sim");
     let netlist = generators::c432_class();
     let faults = stuck_at::enumerate(&netlist).collapse();
+    let (env_threads, noop) = (ThreadCount::from_env().unwrap(), Recorder::noop());
 
     for vectors in [64usize, 256, 1024] {
         let vs = detection::random_vectors(netlist.inputs().len(), vectors, 7);
         report.bench(&format!("ppsfp/c432_class/{vectors}"), || {
-            ppsfp::simulate(&netlist, faults.faults(), &vs)
-                .unwrap()
-                .detected_count()
+            detected(&netlist, faults.faults(), &vs, env_threads, noop)
         });
     }
 
@@ -33,9 +48,7 @@ fn main() {
     for workers in [1usize, 2, 4] {
         let threads = ThreadCount::fixed(workers).unwrap();
         let ns = report.bench(&format!("ppsfp/c432_class/1024/threads{workers}"), || {
-            ppsfp::simulate_with(&netlist, faults.faults(), &vs, threads)
-                .unwrap()
-                .detected_count()
+            detected(&netlist, faults.faults(), &vs, threads, noop)
         });
         if workers == 1 {
             serial = ns;
@@ -47,29 +60,17 @@ fn main() {
         }
     }
 
-    // Observability overhead on the same workload: the untraced entry
-    // point, an explicit no-op recorder, and a fully enabled recorder.
-    // The tracing-off contract is near-zero overhead (a single bool
-    // check per record call), so untraced/noop should be within noise;
-    // the enabled ratio documents the price of a traced run.
+    // Observability overhead on the same workload: a no-op recorder
+    // (tracing off: a single bool check per record call) against a fully
+    // enabled one. The enabled ratio documents the price of a traced run.
     let threads = ThreadCount::fixed(1).unwrap();
     let untraced = report.bench("ppsfp/c432_class/1024/obs_off", || {
-        ppsfp::simulate_with(&netlist, faults.faults(), &vs, threads)
-            .unwrap()
-            .detected_count()
-    });
-    let noop = report.bench("ppsfp/c432_class/1024/obs_noop", || {
-        ppsfp::simulate_obs(&netlist, faults.faults(), &vs, threads, Recorder::noop())
-            .unwrap()
-            .detected_count()
+        detected(&netlist, faults.faults(), &vs, threads, noop)
     });
     let traced = report.bench("ppsfp/c432_class/1024/obs_on", || {
         let obs = Recorder::enabled();
-        ppsfp::simulate_obs(&netlist, faults.faults(), &vs, threads, &obs)
-            .unwrap()
-            .detected_count()
+        detected(&netlist, faults.faults(), &vs, threads, &obs)
     });
-    report.record("ppsfp/c432_class/1024/obs_noop_ratio", noop / untraced);
     report.record("ppsfp/c432_class/1024/obs_on_ratio", traced / untraced);
 
     // Scaling with circuit size on random logic.
@@ -84,7 +85,7 @@ fn main() {
         let fl = stuck_at::enumerate(&nl).collapse();
         let vs = detection::random_vectors(32, 256, 11);
         report.bench(&format!("ppsfp_scaling/gates/{gates}"), || {
-            ppsfp::simulate(&nl, fl.faults(), &vs).unwrap().detected_count()
+            detected(&nl, fl.faults(), &vs, env_threads, noop)
         });
     }
     report.write();

@@ -5,11 +5,13 @@
 
 use dlp_core::agrawal::AgrawalModel;
 use dlp_core::fit;
-use dlp_core::montecarlo::{simulate_fallout_with, MonteCarloConfig};
+use dlp_core::montecarlo::{simulate_fallout_resumable, MonteCarloConfig};
+use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_core::sousa::SousaModel;
 use dlp_core::weighted::FaultWeights;
 use dlp_core::williams_brown;
+use dlp_core::RunBudget;
 
 #[path = "harness/mod.rs"]
 mod harness;
@@ -64,9 +66,17 @@ fn main() {
     for workers in [1usize, 2, 4] {
         let threads = ThreadCount::fixed(workers).unwrap();
         let ns = report.bench(&format!("montecarlo/100k_dies/threads{workers}"), || {
-            simulate_fallout_with(&weights, &detected, &config, threads)
-                .unwrap()
-                .escapes
+            simulate_fallout_resumable(
+                &weights,
+                &detected,
+                &config,
+                threads,
+                Recorder::noop(),
+                &RunBudget::unlimited(),
+                None,
+            )
+            .unwrap()
+            .escapes
         });
         if workers == 1 {
             serial = ns;
@@ -85,9 +95,17 @@ fn main() {
     };
     let t1 = ThreadCount::fixed(1).unwrap();
     report.bench("montecarlo/50k_dies_150_faults", || {
-        simulate_fallout_with(&weights, &detected, &config, t1)
-            .unwrap()
-            .escapes
+        simulate_fallout_resumable(
+            &weights,
+            &detected,
+            &config,
+            t1,
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
+        )
+        .unwrap()
+        .escapes
     });
     report.write();
 }

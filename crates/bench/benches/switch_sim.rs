@@ -5,6 +5,7 @@
 //! serial-vs-parallel comparison of fanning a fault list across workers.
 
 use dlp_circuit::{generators, switch};
+use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_sim::detection::random_vectors;
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator};
@@ -26,9 +27,15 @@ fn main() {
     let vectors128 = random_vectors(netlist.inputs().len(), 128, 3);
     for (family, faults) in dlp_bench::switch_fault_families(&netlist, &sim, 8) {
         report.bench(&format!("switch_sim/detect8/{family}"), || {
-            sim.detect_with_threads(&faults, &vectors128, DetectionMode::Voltage, t1)
-                .unwrap()
-                .detected_count()
+            sim.detect_obs(
+                &faults,
+                &vectors128,
+                DetectionMode::Voltage,
+                t1,
+                Recorder::noop(),
+            )
+            .unwrap()
+            .detected_count()
         });
     }
 
@@ -42,9 +49,15 @@ fn main() {
     for workers in [1usize, 2, 4] {
         let threads = ThreadCount::fixed(workers).unwrap();
         let ns = report.bench(&format!("switch_sim/detect16/threads{workers}"), || {
-            sim.detect_with_threads(&fanned, &short, DetectionMode::Voltage, threads)
-                .unwrap()
-                .detected_count()
+            sim.detect_obs(
+                &fanned,
+                &short,
+                DetectionMode::Voltage,
+                threads,
+                Recorder::noop(),
+            )
+            .unwrap()
+            .detected_count()
         });
         if workers == 1 {
             serial = ns;

@@ -8,7 +8,9 @@
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_bench::print_table;
+use dlp_circuit::generators;
 use dlp_core::fit;
+use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 use dlp_extract::defects::DefectStatistics;
 
 fn run_line(
@@ -16,9 +18,11 @@ fn run_line(
     stats: &DefectStatistics,
 ) -> Result<(String, f64, f64, f64), dlp_core::PipelineError> {
     eprintln!("pipeline ({name} line)...");
-    let ex = pipeline::extract_c432(stats)?;
+    let ex = pipeline::extract_netlist_obs(generators::c432_class(), stats, Recorder::noop())?;
     dlp_bench::report_diagnostics(&ex.diagnostics);
-    let run = pipeline::simulate(&ex, 1994)?;
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&ex, 1994, threads, &budget, Recorder::noop())?;
     let samples = pipeline::curve_samples(&ex, &run)?;
     let points: Vec<(f64, f64)> = samples.iter().map(|&(_, t, _, _, dl)| (t, dl)).collect();
     let fitted = fit::fit_sousa(PAPER_YIELD, &points)?;

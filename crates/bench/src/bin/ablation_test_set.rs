@@ -8,9 +8,11 @@
 
 use dlp_bench::pipeline;
 use dlp_bench::print_table;
+use dlp_circuit::generators;
+use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 use dlp_extract::defects::DefectStatistics;
 use dlp_extract::faults::OpenLevelModel;
-use dlp_sim::switchlevel::{SwitchConfig, SwitchSimulator};
+use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 use dlp_sim::{detection, ppsfp, stuck_at};
 
 fn main() -> std::process::ExitCode {
@@ -19,8 +21,10 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), dlp_core::PipelineError> {
     eprintln!("layout + extraction (c432-class)...");
-    let ex = pipeline::extract_c432(&DefectStatistics::maly_cmos())?;
+    let stats = DefectStatistics::maly_cmos();
+    let ex = pipeline::extract_netlist_obs(generators::c432_class(), &stats, Recorder::noop())?;
     dlp_bench::report_diagnostics(&ex.diagnostics);
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
     let netlist = &ex.netlist;
     let w = ex.faults.weights();
 
@@ -36,8 +40,18 @@ fn run() -> Result<(), dlp_core::PipelineError> {
     for &n in &[256usize, 1024, 4096] {
         eprintln!("random-only, {n} vectors...");
         let vectors = detection::random_vectors(36, n, 1994);
-        let t = ppsfp::simulate(netlist, sa.faults(), &vectors)?.coverage_after(n);
-        let rec = sim.detect(&lowered, &vectors)?;
+        let t = ppsfp::simulate_resumable(
+            netlist,
+            sa.faults(),
+            &vectors,
+            threads,
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
+        )?
+        .coverage_after(n);
+        let mode = DetectionMode::Voltage;
+        let rec = sim.detect_obs(&lowered, &vectors, mode, threads, Recorder::noop())?;
         let theta = rec.weighted_coverage_after(n, &w)?;
         rows.push(vec![
             format!("random x{n}"),
@@ -46,7 +60,8 @@ fn run() -> Result<(), dlp_core::PipelineError> {
         ]);
     }
     eprintln!("random + deterministic (full ATPG)...");
-    let run = pipeline::simulate(&ex, 1994)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&ex, 1994, threads, &budget, Recorder::noop())?;
     let k = run.vectors.len();
     rows.push(vec![
         format!("ATPG x{k}"),

@@ -8,6 +8,8 @@
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_bench::print_table;
+use dlp_circuit::generators;
+use dlp_core::obs::Recorder;
 use dlp_core::weighted::FaultWeights;
 use dlp_extract::defects::DefectStatistics;
 
@@ -17,7 +19,8 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), dlp_core::PipelineError> {
     eprintln!("building layout and extracting faults (c432-class)...");
-    let ex = pipeline::extract_c432(&DefectStatistics::maly_cmos())?;
+    let stats = DefectStatistics::maly_cmos();
+    let ex = pipeline::extract_netlist_obs(generators::c432_class(), &stats, Recorder::noop())?;
     dlp_bench::report_diagnostics(&ex.diagnostics);
     println!(
         "chip: {} x {} λ, {} shapes; {} weighted faults (bridge share {:.1} %)",

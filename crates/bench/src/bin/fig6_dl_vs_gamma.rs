@@ -8,7 +8,9 @@
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_bench::{ascii_plot, print_table, to_csv, Series};
+use dlp_circuit::generators;
 use dlp_core::sousa::SousaModel;
+use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 use dlp_extract::defects::DefectStatistics;
 
 fn main() -> std::process::ExitCode {
@@ -17,10 +19,13 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), dlp_core::PipelineError> {
     eprintln!("stage 1: layout + extraction...");
-    let ex = pipeline::extract_c432(&DefectStatistics::maly_cmos())?;
+    let stats = DefectStatistics::maly_cmos();
+    let ex = pipeline::extract_netlist_obs(generators::c432_class(), &stats, Recorder::noop())?;
     dlp_bench::report_diagnostics(&ex.diagnostics);
     eprintln!("stage 2: ATPG + fault simulation...");
-    let run = pipeline::simulate(&ex, 1994)?;
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&ex, 1994, threads, &budget, Recorder::noop())?;
     let samples = pipeline::curve_samples(&ex, &run)?;
 
     let naive = SousaModel::williams_brown(PAPER_YIELD)?; // DL = 1 - Y^(1-Gamma)

@@ -26,7 +26,7 @@ use dlp_extract::faults::OpenLevelModel;
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 use dlp_sim::stuck_at;
-use dlp_circuit::switch;
+use dlp_circuit::{generators, switch};
 
 const MAX_N: usize = 8;
 
@@ -36,7 +36,8 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), PipelineError> {
     let obs = pipeline::recorder_from_env();
-    let extraction = pipeline::extract_c432_obs(&DefectStatistics::maly_cmos(), &obs)?;
+    let stats = DefectStatistics::maly_cmos();
+    let extraction = pipeline::extract_netlist_obs(generators::c432_class(), &stats, &obs)?;
     dlp_bench::report_diagnostics(&extraction.diagnostics);
     let netlist = &extraction.netlist;
     let sa = stuck_at::enumerate(netlist).collapse();

@@ -13,9 +13,9 @@
 use std::time::Instant;
 
 use dlp_circuit::generators;
-use dlp_core::obs::{bench::median, BenchReport};
+use dlp_core::obs::{bench::median, BenchReport, Recorder};
 use dlp_core::par::ThreadCount;
-use dlp_core::PipelineError;
+use dlp_core::{ModelError, PipelineError, RunBudget};
 use dlp_sim::{detection, ppsfp, stuck_at};
 
 const VECTORS: usize = 1024;
@@ -40,22 +40,30 @@ fn run() -> Result<(), PipelineError> {
     let netlist = generators::c432_class();
     let faults = stuck_at::enumerate(&netlist).collapse();
     let vectors = detection::random_vectors(netlist.inputs().len(), VECTORS, 7);
-    let t1 = ThreadCount::fixed(1).map_err(dlp_sim::SimError::from)?;
-    let t4 = ThreadCount::fixed(4).map_err(dlp_sim::SimError::from)?;
+    let t1 = ThreadCount::fixed(1).map_err(ModelError::from)?;
+    let t4 = ThreadCount::fixed(4).map_err(ModelError::from)?;
+    let unlimited = &RunBudget::unlimited();
+    let simulate = |threads| {
+        ppsfp::simulate_resumable(
+            &netlist,
+            faults.faults(),
+            &vectors,
+            threads,
+            Recorder::noop(),
+            unlimited,
+            None,
+        )
+    };
 
-    let serial = ppsfp::simulate_with(&netlist, faults.faults(), &vectors, t1)?;
-    let parallel = ppsfp::simulate_with(&netlist, faults.faults(), &vectors, t4)?;
+    let serial = simulate(t1)?;
+    let parallel = simulate(t4)?;
     assert_eq!(
         serial, parallel,
         "DetectionRecord must be bit-identical across thread counts"
     );
 
-    let samples_t1 = sample_secs(|| {
-        ppsfp::simulate_with(&netlist, faults.faults(), &vectors, t1).map(|r| r.detected_count())
-    });
-    let samples_t4 = sample_secs(|| {
-        ppsfp::simulate_with(&netlist, faults.faults(), &vectors, t4).map(|r| r.detected_count())
-    });
+    let samples_t1 = sample_secs(|| simulate(t1).map(|r| r.detected_count()));
+    let samples_t4 = sample_secs(|| simulate(t4).map(|r| r.detected_count()));
     let secs_t1 = median(&samples_t1);
     let secs_t4 = median(&samples_t4);
     let speedup = secs_t1 / secs_t4;

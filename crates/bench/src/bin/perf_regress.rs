@@ -36,13 +36,13 @@ use std::time::Instant;
 
 use dlp_bench::regress::{self, Verdict, CALIBRATION_LABEL, TIMED_UNIT};
 use dlp_circuit::{generators, switch};
-use dlp_core::montecarlo::{simulate_fallout_with, MonteCarloConfig};
-use dlp_core::obs::BenchReport;
+use dlp_core::montecarlo::{simulate_fallout_resumable, MonteCarloConfig};
+use dlp_core::obs::{BenchReport, Recorder};
 use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
-use dlp_core::PipelineError;
+use dlp_core::{PipelineError, RunBudget};
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::extractor::{extract_with, ExtractionConfig};
+use dlp_extract::extractor::{extract_obs, ExtractionConfig};
 use dlp_layout::chip::ChipLayout;
 use dlp_sim::detection::random_vectors;
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator};
@@ -102,6 +102,7 @@ fn calibration_spin() -> u64 {
 fn measure() -> Result<BenchReport, PipelineError> {
     let mut report = BenchReport::new("perf_regress");
     let t1 = ThreadCount::fixed(1).map_err(dlp_core::ModelError::from)?;
+    let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
 
     report.record_samples(CALIBRATION_LABEL, TIMED_UNIT, &sample_ns(calibration_spin));
 
@@ -112,7 +113,7 @@ fn measure() -> Result<BenchReport, PipelineError> {
         "ppsfp/c432_class/256v",
         TIMED_UNIT,
         &sample_ns(|| {
-            ppsfp::simulate_with(&netlist, faults.faults(), &vectors, t1)
+            ppsfp::simulate_resumable(&netlist, faults.faults(), &vectors, t1, obs, budget, None)
                 .map(|r| r.detected_count())
         }),
     );
@@ -131,7 +132,7 @@ fn measure() -> Result<BenchReport, PipelineError> {
         "switch/c17/voltage_48v",
         TIMED_UNIT,
         &sample_ns(|| {
-            sim.detect_with_threads(&sw_faults, &sw_vectors, DetectionMode::Voltage, t1)
+            sim.detect_obs(&sw_faults, &sw_vectors, DetectionMode::Voltage, t1, obs)
                 .map(|r| r.detected_count())
         }),
     );
@@ -152,7 +153,7 @@ fn measure() -> Result<BenchReport, PipelineError> {
         "switch/c432_class/mixed_64v",
         TIMED_UNIT,
         &sample_ns(|| {
-            sim.detect_with_threads(&mixed, &mixed_vectors, DetectionMode::Voltage, t1)
+            sim.detect_obs(&mixed, &mixed_vectors, DetectionMode::Voltage, t1, obs)
                 .map(|r| r.detected_count())
         }),
     );
@@ -161,6 +162,7 @@ fn measure() -> Result<BenchReport, PipelineError> {
     let chip = ChipLayout::generate(&adder, &Default::default())
         .map_err(|e| PipelineError::from(e).context("ripple-adder layout"))?;
     let stats = DefectStatistics::maly_cmos();
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
     let config = ExtractionConfig {
         size_samples: 6,
         ..Default::default()
@@ -168,7 +170,7 @@ fn measure() -> Result<BenchReport, PipelineError> {
     report.record_samples(
         "extract/ripple_adder4/s6",
         TIMED_UNIT,
-        &sample_ns(|| extract_with(&chip, &stats, &config).map(|f| f.len())),
+        &sample_ns(|| extract_obs(&chip, &stats, &config, threads, obs).map(|f| f.len())),
     );
 
     // The router on the largest flow-layout circuit: placement, pin
@@ -192,7 +194,10 @@ fn measure() -> Result<BenchReport, PipelineError> {
     report.record_samples(
         "montecarlo/20k_dies",
         TIMED_UNIT,
-        &sample_ns(|| simulate_fallout_with(&weights, &detected, &mc, t1).map(|r| r.escapes)),
+        &sample_ns(|| {
+            simulate_fallout_resumable(&weights, &detected, &mc, t1, obs, budget, None)
+                .map(|r| r.escapes)
+        }),
     );
 
     // Flow-shaped: a benchmark flow-switch flow hands Monte-Carlo about
@@ -206,7 +211,10 @@ fn measure() -> Result<BenchReport, PipelineError> {
     report.record_samples(
         "montecarlo/50k_dies_150_faults",
         TIMED_UNIT,
-        &sample_ns(|| simulate_fallout_with(&weights, &detected, &mc, t1).map(|r| r.escapes)),
+        &sample_ns(|| {
+            simulate_fallout_resumable(&weights, &detected, &mc, t1, obs, budget, None)
+                .map(|r| r.escapes)
+        }),
     );
 
     Ok(report)

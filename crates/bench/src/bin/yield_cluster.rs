@@ -34,13 +34,13 @@ use std::time::Instant;
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_circuit::generators;
 use dlp_core::fit::fit_sousa;
-use dlp_core::montecarlo::MonteCarloConfig;
-use dlp_core::obs::BenchReport;
+use dlp_core::montecarlo::{simulate_fallout_mixed_resumable, MonteCarloConfig};
+use dlp_core::obs::{BenchReport, Recorder};
+use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
-use dlp_core::{PipelineError, Ppm, Stage};
+use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
 use dlp_yield::dist::Fallout;
-use dlp_yield::mc::simulate_fallout_dist;
 
 /// Simulated production volume for the Monte-Carlo cross-check.
 const MC_DIES: usize = 200_000;
@@ -139,7 +139,9 @@ fn run() -> Result<(), PipelineError> {
     let obs = pipeline::recorder_from_env();
     let extraction = pipeline::extract_netlist_obs(netlist, &DefectStatistics::maly_cmos(), &obs)?;
     dlp_bench::report_diagnostics(&extraction.diagnostics);
-    let run = pipeline::simulate_obs(&extraction, 1, &obs)?;
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&extraction, 1, threads, &budget, &obs)?;
     let raw_w = extraction.faults.weights();
     let total_vectors = run.vectors.len();
     let ks = dlp_bench::log_lengths(total_vectors);
@@ -212,8 +214,17 @@ fn run() -> Result<(), PipelineError> {
         let mut est = None;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let e = simulate_fallout_dist(&scaled, &full_mask, &cfg, dist)
-                .map_err(model_err)?;
+            let e = simulate_fallout_mixed_resumable(
+                &scaled,
+                &full_mask,
+                &cfg,
+                dist,
+                threads,
+                Recorder::noop(),
+                &RunBudget::unlimited(),
+                None,
+            )
+            .map_err(model_err)?;
             mc_ns.push(t0.elapsed().as_nanos() as f64);
             est = Some(e);
         }

@@ -9,8 +9,10 @@
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_bench::print_table;
+use dlp_circuit::generators;
 use dlp_circuit::switch;
 use dlp_core::Ppm;
+use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 use dlp_extract::defects::DefectStatistics;
 use dlp_extract::faults::OpenLevelModel;
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
@@ -21,10 +23,13 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), dlp_core::PipelineError> {
     eprintln!("layout + extraction (c432-class)...");
-    let ex = pipeline::extract_c432(&DefectStatistics::maly_cmos())?;
+    let stats = DefectStatistics::maly_cmos();
+    let ex = pipeline::extract_netlist_obs(generators::c432_class(), &stats, Recorder::noop())?;
     dlp_bench::report_diagnostics(&ex.diagnostics);
     eprintln!("ATPG...");
-    let run = pipeline::simulate(&ex, 1994)?;
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&ex, 1994, threads, &budget, Recorder::noop())?;
     let w = ex.faults.weights();
     let k = run.vectors.len();
 
@@ -42,7 +47,7 @@ fn run() -> Result<(), dlp_core::PipelineError> {
         ("voltage + IDDQ", DetectionMode::VoltageAndIddq),
     ] {
         eprintln!("detection: {name}...");
-        let record = sim.detect_with(&lowered, &run.vectors, mode)?;
+        let record = sim.detect_obs(&lowered, &run.vectors, mode, threads, Recorder::noop())?;
         let theta = record.weighted_coverage_after(k, &w)?;
         let dl = ex.weights.defect_level(theta)?;
         thetas.push(theta);

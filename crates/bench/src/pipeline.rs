@@ -3,7 +3,7 @@
 //! yield scaling. Each figure binary runs the stages it needs.
 
 use dlp_atpg::generate::{generate_tests, AtpgConfig, PodemVerdict};
-use dlp_circuit::{generators, switch, Netlist};
+use dlp_circuit::{switch, Netlist};
 use dlp_core::obs::{Recorder, RunReport, TraceSetting};
 use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
@@ -35,57 +35,40 @@ pub struct Extraction {
     pub diagnostics: Diagnostics,
 }
 
-/// Builds the c432-class chip and extracts faults under the given defect
-/// statistics.
-///
-/// # Errors
-///
-/// See [`extract_netlist`].
-pub fn extract_c432(stats: &DefectStatistics) -> Result<Extraction, PipelineError> {
-    extract_netlist(generators::c432_class(), stats)
-}
-
-/// [`extract_c432`] with an observability [`Recorder`]; see
-/// [`extract_netlist_obs`].
-///
-/// # Errors
-///
-/// See [`extract_netlist`].
-pub fn extract_c432_obs(
-    stats: &DefectStatistics,
-    obs: &Recorder,
-) -> Result<Extraction, PipelineError> {
-    extract_netlist_obs(generators::c432_class(), stats, obs)
-}
-
-/// Same pipeline for an arbitrary netlist.
+/// Lays out `netlist` and extracts its weighted realistic faults under
+/// the given defect statistics, scaled to the paper's yield.
 ///
 /// Recoverable anomalies degrade gracefully instead of aborting: layout
 /// connectivity violations and a prune that would drop every fault are
 /// recorded as [`Diagnostics`] warnings on the returned [`Extraction`],
 /// which still carries usable partial results.
 ///
-/// # Errors
-///
-/// A stage-tagged [`PipelineError`] when a stage cannot produce a result
-/// at all: layout generation fails, the defect statistics are unusable,
-/// or extraction finds no faults (so no weights exist to scale).
-pub fn extract_netlist(
-    netlist: Netlist,
-    stats: &DefectStatistics,
-) -> Result<Extraction, PipelineError> {
-    extract_netlist_obs(netlist, stats, Recorder::noop())
-}
-
-/// [`extract_netlist`] with an observability [`Recorder`].
-///
-/// Adds `layout` and `extract` spans, layout shape / pruning counters,
-/// and the extraction-stage counters and gauges recorded by
+/// Extraction runs on the worker count resolved from `DLP_THREADS`
+/// (default: available parallelism). The recorder adds `layout` and
+/// `extract` spans, layout shape / pruning counters, and the
+/// extraction-stage counters and gauges recorded by
 /// [`extractor::extract_obs`]. Tracing never changes the extraction.
 ///
 /// # Errors
 ///
-/// See [`extract_netlist`].
+/// A stage-tagged [`PipelineError`] when a stage cannot produce a result
+/// at all: layout generation fails, `DLP_THREADS` is set to `0` or
+/// garbage, the defect statistics are unusable, or extraction finds no
+/// faults (so no weights exist to scale).
+///
+/// # Example
+///
+/// ```
+/// use dlp_bench::pipeline;
+/// use dlp_circuit::generators;
+/// use dlp_core::obs::Recorder;
+/// use dlp_extract::defects::DefectStatistics;
+///
+/// let stats = DefectStatistics::maly_cmos();
+/// let ex = pipeline::extract_netlist_obs(generators::c17(), &stats, Recorder::noop())?;
+/// assert!(ex.faults.len() > 50);
+/// # Ok::<(), dlp_core::PipelineError>(())
+/// ```
 pub fn extract_netlist_obs(
     netlist: Netlist,
     stats: &DefectStatistics,
@@ -169,51 +152,24 @@ pub struct SimulationRun {
     pub redundant: usize,
 }
 
-/// Runs ATPG and both simulators for an extraction.
+/// Runs ATPG and both simulators for an extraction, on `threads`
+/// workers under `budget`.
 ///
-/// The gate-level pass honours the `DLP_BUDGET_MS` / `DLP_BUDGET_MB` /
-/// `DLP_CANCEL_AFTER` environment knobs (see `dlp_core::budget`): a
+/// Adds an `atpg` span and vector/redundancy counters, then runs the
+/// gate-level simulator via [`ppsfp::simulate_resumable`] (scope
+/// `sim.gate`) and the switch-level simulator via
+/// [`SwitchSimulator::detect_obs`] (scope `sim.switch`). Tracing never
+/// changes either record. The budget guards the gate-level pass: a
 /// tripped budget surfaces as a stage-tagged interruption carrying a
-/// resume checkpoint rather than a partial result.
+/// resume checkpoint rather than a partial result. Binaries build the
+/// budget from the `DLP_BUDGET_*` knobs with [`RunBudget::from_env`];
+/// the projection service manages one per request.
 ///
 /// # Errors
 ///
 /// A stage-tagged [`PipelineError`] when the netlist cannot be expanded
-/// to switch level, the fault list cannot be lowered onto it, a
-/// `DLP_BUDGET_*` variable is set to garbage, or the run budget trips.
-pub fn simulate(extraction: &Extraction, seed: u64) -> Result<SimulationRun, PipelineError> {
-    simulate_obs(extraction, seed, Recorder::noop())
-}
-
-/// [`simulate`] with an observability [`Recorder`].
-///
-/// Adds an `atpg` span and vector/redundancy counters, then runs the
-/// gate-level simulator via [`ppsfp::simulate_obs`] (scope `sim.gate`)
-/// and the switch-level simulator via
-/// [`SwitchSimulator::detect_obs`] (scope `sim.switch`). Tracing never
-/// changes either record.
-///
-/// # Errors
-///
-/// See [`simulate`].
-pub fn simulate_obs(
-    extraction: &Extraction,
-    seed: u64,
-    obs: &Recorder,
-) -> Result<SimulationRun, PipelineError> {
-    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
-    let budget = RunBudget::from_env()?;
-    simulate_budgeted(extraction, seed, threads, &budget, obs)
-}
-
-/// [`simulate_obs`] with an explicit worker count and [`RunBudget`]
-/// instead of the `DLP_THREADS` / `DLP_BUDGET_*` environment knobs —
-/// for embedders (the projection service) that manage budgets per
-/// request rather than per process.
-///
-/// # Errors
-///
-/// See [`simulate`].
+/// to switch level, the fault list cannot be lowered onto it, or the run
+/// budget trips.
 pub fn simulate_budgeted(
     extraction: &Extraction,
     seed: u64,

@@ -18,7 +18,7 @@
 //! supplies a weight multiplier `g`, and fault `j` then strikes with
 //! probability `1 − e^(−w_j · g)`. The independent-Poisson model is the
 //! [`UnitMix`] instance (`g ≡ 1`, consuming no randomness), which makes
-//! [`simulate_fallout`] *bit-identical* to the historical engine. The
+//! [`simulate_fallout_resumable`] *bit-identical* to the historical engine. The
 //! clustered and hierarchical mixes live in the `dlp-yield` crate.
 //!
 //! ## Kernels and the jump-ahead invariant
@@ -317,87 +317,24 @@ impl McCheckpoint {
     }
 }
 
-/// Simulates fabrication and test of `config.dies` dies.
+/// Simulates fabrication and test of `config.dies` dies, with
+/// cooperative budget checks at shard boundaries and checkpoint/resume.
 ///
 /// Fault `j` strikes a die with probability `p_j = 1 − e^(−w_j)`
 /// independently; the tester scraps the die iff some struck fault is in
 /// the detected set.
 ///
 /// Dies are processed in fixed-size shards with per-shard RNG streams
-/// split deterministically from `config.seed`, spread over the worker
-/// count resolved from `DLP_THREADS` (default: available parallelism).
-/// The counted outcome is bit-identical for every thread count; see
-/// [`simulate_fallout_with`] for explicit thread control.
+/// split deterministically from `config.seed`, spread over `threads`
+/// workers. The counted outcome is bit-identical for every thread count.
 ///
-/// # Errors
-///
-/// [`ModelError::BadFitData`] if `detected.len()` mismatches the fault
-/// count or `config.dies == 0`; [`ModelError::BadThreadCount`] if the
-/// `DLP_THREADS` environment variable is set to `0` or garbage.
-///
-/// # Example
-///
-/// ```
-/// use dlp_core::montecarlo::{simulate_fallout, MonteCarloConfig};
-/// use dlp_core::weighted::FaultWeights;
-///
-/// let w = FaultWeights::new(vec![0.05; 10])?.scaled_to_yield(0.75)?;
-/// // Detect the first 7 of 10 equal faults: theta = 0.7.
-/// let detected: Vec<bool> = (0..10).map(|j| j < 7).collect();
-/// let est = simulate_fallout(&w, &detected, &MonteCarloConfig::default())?;
-/// let formula = w.defect_level(w.theta(&detected)?)?;
-/// assert!((est.defect_level() - formula).abs() < 0.01);
-/// # Ok::<(), dlp_core::ModelError>(())
-/// ```
-pub fn simulate_fallout(
-    weights: &FaultWeights,
-    detected: &[bool],
-    config: &MonteCarloConfig,
-) -> Result<FalloutEstimate, ModelError> {
-    simulate_fallout_with(weights, detected, config, ThreadCount::from_env()?)
-}
-
-/// [`simulate_fallout`] with an explicit worker count.
-///
-/// # Errors
-///
-/// [`ModelError::BadFitData`] if `detected.len()` mismatches the fault
-/// count or `config.dies == 0`.
-pub fn simulate_fallout_with(
-    weights: &FaultWeights,
-    detected: &[bool],
-    config: &MonteCarloConfig,
-    threads: ThreadCount,
-) -> Result<FalloutEstimate, ModelError> {
-    simulate_fallout_obs(weights, detected, config, threads, Recorder::noop())
-}
-
-/// [`simulate_fallout_with`] with observability: records the
-/// `montecarlo` span, shard/die counters, fallout tallies
-/// (`mc.good` / `mc.shipped` / `mc.escapes`), the per-shard escape
-/// histogram (`mc.shard_escapes` — deterministic percentiles at any
-/// thread count, since shards fold in chunk order), and per-worker
-/// timeline telemetry (`mc.worker<i>.*`) into `obs`.
-///
-/// Recording is observation-only: the counted [`FalloutEstimate`] is
-/// bit-identical to [`simulate_fallout_with`] for every thread count,
+/// The run records the `montecarlo` span, shard/die counters, fallout
+/// tallies (`mc.good` / `mc.shipped` / `mc.escapes`), the per-shard
+/// escape histogram (`mc.shard_escapes` — deterministic percentiles at
+/// any thread count, since shards fold in chunk order), and per-worker
+/// timeline telemetry (`mc.worker<i>.*`) into `obs`. Recording is
+/// observation-only: the counted [`FalloutEstimate`] is bit-identical
 /// with tracing on or off.
-///
-/// # Errors
-///
-/// See [`simulate_fallout_with`].
-pub fn simulate_fallout_obs(
-    weights: &FaultWeights,
-    detected: &[bool],
-    config: &MonteCarloConfig,
-    threads: ThreadCount,
-    obs: &Recorder,
-) -> Result<FalloutEstimate, ModelError> {
-    simulate_fallout_resumable(weights, detected, config, threads, obs, &RunBudget::unlimited(), None)
-}
-
-/// [`simulate_fallout_obs`] with cooperative budget checks at shard
-/// boundaries and checkpoint/resume.
 ///
 /// With `resume = Some(checkpoint)`, the tallies of the checkpoint's
 /// completed leading shards are replayed (the `mc.shard_escapes`
@@ -407,14 +344,37 @@ pub fn simulate_fallout_obs(
 ///
 /// # Errors
 ///
-/// - [`ModelError::BadFitData`] / [`ModelError::BadThreadCount`] as
-///   [`simulate_fallout`];
+/// - [`ModelError::BadFitData`] if `detected.len()` mismatches the
+///   fault count or `config.dies == 0`;
 /// - [`ModelError::BadCheckpoint`] if `resume` records more shards than
 ///   this run has;
 /// - [`ModelError::Budget`] if the up-front memory estimate already
 ///   exceeds the budget (nothing was simulated);
 /// - [`ModelError::Interrupted`] if the budget tripped at a shard
 ///   boundary — the embedded [`McCheckpoint`] resumes the run.
+///
+/// # Example
+///
+/// ```
+/// use dlp_core::montecarlo::{simulate_fallout_resumable, MonteCarloConfig};
+/// use dlp_core::{obs::Recorder, par::ThreadCount, weighted::FaultWeights, RunBudget};
+///
+/// let w = FaultWeights::new(vec![0.05; 10])?.scaled_to_yield(0.75)?;
+/// // Detect the first 7 of 10 equal faults: theta = 0.7.
+/// let detected: Vec<bool> = (0..10).map(|j| j < 7).collect();
+/// let est = simulate_fallout_resumable(
+///     &w,
+///     &detected,
+///     &MonteCarloConfig::default(),
+///     ThreadCount::from_env()?,
+///     Recorder::noop(),
+///     &RunBudget::unlimited(),
+///     None,
+/// )?;
+/// let formula = w.defect_level(w.theta(&detected)?)?;
+/// assert!((est.defect_level() - formula).abs() < 0.01);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn simulate_fallout_resumable(
     weights: &FaultWeights,
     detected: &[bool],
@@ -692,6 +652,21 @@ fn shard_lanes(rng: Xorshift64Star, jump: &Jump, faults: &[(u64, u64)], dies: us
 mod tests {
     use super::*;
 
+    /// Unbudgeted, untraced, non-resumed run.
+    fn fallout(
+        w: &FaultWeights,
+        detected: &[bool],
+        config: &MonteCarloConfig,
+        threads: ThreadCount,
+    ) -> Result<FalloutEstimate, ModelError> {
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        simulate_fallout_resumable(w, detected, config, threads, obs, budget, None)
+    }
+
+    fn env_threads() -> ThreadCount {
+        ThreadCount::from_env().unwrap()
+    }
+
     fn weights(n: usize, y: f64) -> FaultWeights {
         FaultWeights::new(vec![1.0; n])
             .unwrap()
@@ -703,13 +678,14 @@ mod tests {
     fn yield_estimate_matches_formula() {
         let w = weights(20, 0.75);
         let detected = vec![false; 20];
-        let est = simulate_fallout(
+        let est = fallout(
             &w,
             &detected,
             &MonteCarloConfig {
                 dies: 200_000,
                 seed: 1,
             },
+            env_threads(),
         )
         .unwrap();
         assert!(
@@ -725,7 +701,7 @@ mod tests {
     #[test]
     fn full_detection_ships_no_escapes() {
         let w = weights(10, 0.8);
-        let est = simulate_fallout(&w, &[true; 10], &MonteCarloConfig::default()).unwrap();
+        let est = fallout(&w, &[true; 10], &MonteCarloConfig::default(), env_threads()).unwrap();
         assert_eq!(est.escapes, 0);
         assert!(est.shipped < est.fabricated, "some dies must be scrapped");
         assert_eq!(est.defect_level(), 0.0);
@@ -743,13 +719,14 @@ mod tests {
         let detected: Vec<bool> = (0..30).map(|j| j % 3 != 0).collect();
         let theta = w.theta(&detected).unwrap();
         let formula = w.defect_level(theta).unwrap();
-        let est = simulate_fallout(
+        let est = fallout(
             &w,
             &detected,
             &MonteCarloConfig {
                 dies: 300_000,
                 seed: 9,
             },
+            env_threads(),
         )
         .unwrap();
         assert!(
@@ -769,8 +746,8 @@ mod tests {
             seed: 42,
         };
         assert_eq!(
-            simulate_fallout(&w, &d, &cfg).unwrap(),
-            simulate_fallout(&w, &d, &cfg).unwrap()
+            fallout(&w, &d, &cfg, env_threads()).unwrap(),
+            fallout(&w, &d, &cfg, env_threads()).unwrap()
         );
     }
 
@@ -783,11 +760,10 @@ mod tests {
             dies: 3 * SHARD_DIES + 57,
             seed: 0xFEED,
         };
-        let reference =
-            simulate_fallout_with(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
+        let reference = fallout(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
         for t in [2usize, 4] {
             assert_eq!(
-                simulate_fallout_with(&w, &d, &cfg, ThreadCount::fixed(t).unwrap()).unwrap(),
+                fallout(&w, &d, &cfg, ThreadCount::fixed(t).unwrap()).unwrap(),
                 reference,
                 "threads={t}"
             );
@@ -802,11 +778,19 @@ mod tests {
             dies: 2 * SHARD_DIES + 19,
             seed: 0xACE,
         };
-        let plain = simulate_fallout_with(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
+        let plain = fallout(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
         for t in [1usize, 4] {
             let obs = Recorder::enabled();
-            let traced =
-                simulate_fallout_obs(&w, &d, &cfg, ThreadCount::fixed(t).unwrap(), &obs).unwrap();
+            let traced = simulate_fallout_resumable(
+                &w,
+                &d,
+                &cfg,
+                ThreadCount::fixed(t).unwrap(),
+                &obs,
+                &RunBudget::unlimited(),
+                None,
+            )
+            .unwrap();
             assert_eq!(traced, plain, "threads={t}");
             let report = obs.report("mc");
             assert_eq!(report.counter("mc.dies"), Some(cfg.dies as u64));
@@ -828,8 +812,9 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let w = weights(3, 0.9);
-        assert!(simulate_fallout(&w, &[true], &MonteCarloConfig::default()).is_err());
-        assert!(simulate_fallout(&w, &[true; 3], &MonteCarloConfig { dies: 0, seed: 1 }).is_err());
+        assert!(fallout(&w, &[true], &MonteCarloConfig::default(), env_threads()).is_err());
+        let no_dies = MonteCarloConfig { dies: 0, seed: 1 };
+        assert!(fallout(&w, &[true; 3], &no_dies, env_threads()).is_err());
     }
 
     /// A deterministic non-unit mix for engine tests: doubles every
@@ -869,7 +854,7 @@ mod tests {
             McCheckpoint::key_mixed(&w, &d, &cfg, &DoubleOddDies),
             "a non-unit mix must move the key"
         );
-        let legacy = simulate_fallout_with(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
+        let legacy = fallout(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
         let mixed = simulate_fallout_mixed_resumable(
             &w,
             &d,
@@ -903,7 +888,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let unit = simulate_fallout_with(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
+        let unit = fallout(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
         assert_ne!(reference, unit, "doubling weights must change the outcome");
         for t in [2usize, 4] {
             let got = simulate_fallout_mixed_resumable(
@@ -1088,12 +1073,14 @@ mod tests {
             seed: 0xFEED,
         };
         let uninterrupted_obs = Recorder::enabled();
-        let reference = simulate_fallout_obs(
+        let reference = simulate_fallout_resumable(
             &w,
             &d,
             &cfg,
             ThreadCount::fixed(1).unwrap(),
             &uninterrupted_obs,
+            &RunBudget::unlimited(),
+            None,
         )
         .unwrap();
         let reference_trace = trace_fingerprint(&uninterrupted_obs);
@@ -1159,8 +1146,7 @@ mod tests {
             dies: 4 * SHARD_DIES, // 4 shards
             seed: 7,
         };
-        let reference =
-            simulate_fallout_with(&w, &d, &cfg, ThreadCount::fixed(2).unwrap()).unwrap();
+        let reference = fallout(&w, &d, &cfg, ThreadCount::fixed(2).unwrap()).unwrap();
         let threads = ThreadCount::fixed(2).unwrap();
         let kill = |n: u64, resume: Option<&McCheckpoint>| {
             simulate_fallout_resumable(
@@ -1328,8 +1314,13 @@ mod tests {
             let detected: Vec<bool> = (0..12).map(|j| (seed >> (j % 8)) & 1 == 1).collect();
             let theta = w.theta(&detected).unwrap();
             let formula = w.defect_level(theta).unwrap();
-            let est = simulate_fallout(&w, &detected, &MonteCarloConfig { dies: 60_000, seed })
-                .unwrap();
+            let est = fallout(
+                &w,
+                &detected,
+                &MonteCarloConfig { dies: 60_000, seed },
+                env_threads(),
+            )
+            .unwrap();
             assert!(
                 (est.defect_level() - formula).abs() < 0.02,
                 "seed={seed} y={y}: MC {} vs eq.3 {}",

@@ -59,15 +59,6 @@ enum BridgeId {
     },
 }
 
-/// Runs extraction with default tuning.
-///
-/// # Errors
-///
-/// See [`extract_with`].
-pub fn extract(chip: &ChipLayout, stats: &DefectStatistics) -> Result<FaultSet, ExtractError> {
-    extract_with(chip, stats, &ExtractionConfig::default())
-}
-
 /// Runs extraction.
 ///
 /// Inputs are validated before any geometry is touched, so adversarial
@@ -76,43 +67,8 @@ pub fn extract(chip: &ChipLayout, stats: &DefectStatistics) -> Result<FaultSet, 
 /// than contaminating fault weights.
 ///
 /// The bridge critical-area integration — the extraction hot path — is
-/// spread across the workers resolved from `DLP_THREADS` (default:
-/// available parallelism); the extracted fault set is bit-identical for
-/// every thread count. See [`extract_with_threads`] for explicit control.
-///
-/// # Errors
-///
-/// * [`ExtractError::BadDefectStatistics`] — a class has a non-finite or
-///   non-positive density, `x_min < 1`, or `x_max < x_min`;
-/// * [`ExtractError::NoSizeSamples`] — `config.size_samples == 0`;
-/// * [`ExtractError::MissingOutputNet`] — the chip's tagged geometry is
-///   inconsistent with its netlist (cannot happen for layouts produced by
-///   `ChipLayout::generate`);
-/// * [`ExtractError::BadThreadCount`] — the `DLP_THREADS` environment
-///   variable is set to `0` or garbage.
-pub fn extract_with(
-    chip: &ChipLayout,
-    stats: &DefectStatistics,
-    config: &ExtractionConfig,
-) -> Result<FaultSet, ExtractError> {
-    extract_with_threads(chip, stats, config, ThreadCount::from_env()?)
-}
-
-/// [`extract_with`] with an explicit worker count.
-///
-/// # Errors
-///
-/// See [`extract_with`] (minus the environment lookup).
-pub fn extract_with_threads(
-    chip: &ChipLayout,
-    stats: &DefectStatistics,
-    config: &ExtractionConfig,
-    threads: ThreadCount,
-) -> Result<FaultSet, ExtractError> {
-    extract_obs(chip, stats, config, threads, Recorder::noop())
-}
-
-/// [`extract_with_threads`] with an observability [`Recorder`].
+/// spread across `threads` workers; the extracted fault set is
+/// bit-identical for every thread count.
 ///
 /// When the recorder is enabled, the run is traced under the `extract`
 /// scope: a span over the whole pass (plus sub-spans for the bridge,
@@ -125,7 +81,12 @@ pub fn extract_with_threads(
 ///
 /// # Errors
 ///
-/// See [`extract_with`] (minus the environment lookup).
+/// * [`ExtractError::BadDefectStatistics`] — a class has a non-finite or
+///   non-positive density, `x_min < 1`, or `x_max < x_min`;
+/// * [`ExtractError::NoSizeSamples`] — `config.size_samples == 0`;
+/// * [`ExtractError::MissingOutputNet`] — the chip's tagged geometry is
+///   inconsistent with its netlist (cannot happen for layouts produced by
+///   `ChipLayout::generate`).
 pub fn extract_obs(
     chip: &ChipLayout,
     stats: &DefectStatistics,
@@ -178,6 +139,17 @@ pub fn extract_obs(
     obs.gauge("extract.open_weight", set.open_weight());
     obs.gauge("extract.total_weight", set.weights().iter().sum());
     Ok(set)
+}
+
+/// Default-config, untraced extraction at the `DLP_THREADS` worker count,
+/// so both thread passes of the suite exercise the parallel path.
+#[cfg(test)]
+pub(crate) fn extract_for_test(
+    chip: &ChipLayout,
+    stats: &DefectStatistics,
+) -> Result<FaultSet, ExtractError> {
+    let (config, obs) = (ExtractionConfig::default(), Recorder::noop());
+    extract_obs(chip, stats, &config, ThreadCount::from_env().unwrap(), obs)
 }
 
 /// Stage-output net of `(gate, stage)` (the last stage is the gate's own
@@ -689,7 +661,7 @@ mod tests {
     fn c17_faults() -> (dlp_circuit::Netlist, ChipLayout, FaultSet) {
         let nl = generators::c17();
         let chip = ChipLayout::generate(&nl, &Default::default()).unwrap();
-        let faults = extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let faults = extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
         (nl, chip, faults)
     }
 
@@ -733,7 +705,7 @@ mod tests {
         // block (the effect is stronger still on the c432-class chip).
         let nl = generators::ripple_adder(4);
         let chip = ChipLayout::generate(&nl, &Default::default()).unwrap();
-        let faults = extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let faults = extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
         assert!(
             faults.bridge_weight() > faults.open_weight(),
             "bridge {} vs open {}",
@@ -741,7 +713,7 @@ mod tests {
             faults.open_weight()
         );
         // And the open-heavy ablation line flips it.
-        let open_faults = extract(&chip, &DefectStatistics::open_heavy()).unwrap();
+        let open_faults = extract_for_test(&chip, &DefectStatistics::open_heavy()).unwrap();
         assert!(open_faults.open_weight() > open_faults.bridge_weight());
     }
 
@@ -769,8 +741,8 @@ mod tests {
     fn extraction_is_deterministic() {
         let nl = generators::c17();
         let chip = ChipLayout::generate(&nl, &Default::default()).unwrap();
-        let a = extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
-        let b = extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let a = extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let b = extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.faults().iter().zip(b.faults()) {
             assert_eq!(x.label, y.label);
@@ -784,11 +756,23 @@ mod tests {
         let chip = ChipLayout::generate(&nl, &Default::default()).unwrap();
         let stats = DefectStatistics::maly_cmos();
         let cfg = ExtractionConfig::default();
-        let reference =
-            extract_with_threads(&chip, &stats, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
+        let reference = extract_obs(
+            &chip,
+            &stats,
+            &cfg,
+            ThreadCount::fixed(1).unwrap(),
+            Recorder::noop(),
+        )
+        .unwrap();
         for t in [2usize, 4] {
-            let got =
-                extract_with_threads(&chip, &stats, &cfg, ThreadCount::fixed(t).unwrap()).unwrap();
+            let got = extract_obs(
+                &chip,
+                &stats,
+                &cfg,
+                ThreadCount::fixed(t).unwrap(),
+                Recorder::noop(),
+            )
+            .unwrap();
             assert_eq!(got.len(), reference.len(), "threads={t}");
             for (x, y) in got.faults().iter().zip(reference.faults()) {
                 assert_eq!(x.label, y.label, "threads={t}");

@@ -24,12 +24,19 @@
 //!
 //! ```
 //! use dlp_circuit::generators;
+//! use dlp_core::{obs::Recorder, par::ThreadCount};
 //! use dlp_extract::{defects::DefectStatistics, extractor};
 //! use dlp_layout::chip::ChipLayout;
 //!
 //! let c17 = generators::c17();
 //! let chip = ChipLayout::generate(&c17, &Default::default())?;
-//! let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos())?;
+//! let faults = extractor::extract_obs(
+//!     &chip,
+//!     &DefectStatistics::maly_cmos(),
+//!     &extractor::ExtractionConfig::default(),
+//!     ThreadCount::from_env()?,
+//!     Recorder::noop(),
+//! )?;
 //! assert!(faults.len() > 50);
 //! assert!(faults.weights().iter().all(|&w| w > 0.0));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

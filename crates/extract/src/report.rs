@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn report_sums_match_fault_set() {
         let chip = ChipLayout::generate(&generators::c17(), &Default::default()).unwrap();
-        let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let faults = extractor::extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
         let report = ExtractionReport::new(&faults);
         let family_total: f64 = report.by_family.iter().map(|(_, _, w)| w).sum();
         let layer_total: f64 = report.by_layer.iter().map(|(_, _, w)| w).sum();
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn display_is_complete() {
         let chip = ChipLayout::generate(&generators::c17(), &Default::default()).unwrap();
-        let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let faults = extractor::extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
         let text = ExtractionReport::new(&faults).to_string();
         for needle in ["bridge", "break", "by layer", "bridge share"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");

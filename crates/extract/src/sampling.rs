@@ -236,7 +236,7 @@ mod tests {
         //     overestimate), within Poisson slack.
         let chip = ChipLayout::generate(&generators::c17(), &Default::default()).unwrap();
         let stats = DefectStatistics::maly_cmos();
-        let faults = extractor::extract(&chip, &stats).unwrap();
+        let faults = extractor::extract_for_test(&chip, &stats).unwrap();
         let mut analytic: HashMap<String, f64> = HashMap::new();
         for f in faults.faults() {
             if let FaultKind::Bridge { .. } = f.kind {

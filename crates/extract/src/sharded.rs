@@ -217,7 +217,7 @@ mod tests {
     fn c17_setup() -> (Netlist, FaultSet, Vec<StuckAtFault>) {
         let nl = generators::c17();
         let chip = ChipLayout::generate(&nl, &Default::default()).unwrap();
-        let set = extractor::extract(&chip, &DefectStatistics::maly_cmos()).unwrap();
+        let set = extractor::extract_for_test(&chip, &DefectStatistics::maly_cmos()).unwrap();
         let sites = stuck_at::enumerate(&nl).collapse().faults().to_vec();
         (nl, set, sites)
     }

@@ -165,7 +165,16 @@ fn sim_sweep(
     let width = netlist.inputs().len();
     let vectors = random_vectors(width, 256, 0xC0FFEE);
     let n_cap = 2;
-    let reference = match ppsfp::simulate_counted(&netlist, faults.faults(), &vectors, n_cap) {
+    let reference = match ppsfp::simulate_counted_resumable(
+        &netlist,
+        faults.faults(),
+        &vectors,
+        n_cap,
+        ThreadCount::Auto,
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    ) {
         Ok(p) => p,
         Err(e) => {
             report.fail("sim/reference", format!("uninterrupted run failed: {e}"));

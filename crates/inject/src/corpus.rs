@@ -9,7 +9,7 @@ use dlp_atpg::generate::{generate_tests, AtpgConfig};
 use dlp_circuit::switch::SwitchNodeId;
 use dlp_circuit::{bench, generators, switch, NodeId};
 use dlp_core::montecarlo::{
-    simulate_fallout, simulate_fallout_resumable, McCheckpoint, MonteCarloConfig, MC_CKPT_KIND,
+    simulate_fallout_resumable, McCheckpoint, MonteCarloConfig, MC_CKPT_KIND,
 };
 use dlp_core::obs::{Json, Recorder};
 use dlp_core::par::ThreadCount;
@@ -18,6 +18,7 @@ use dlp_core::{ckpt, fit, PipelineError, RunBudget, Stage};
 use dlp_extract::defects::{DefectClass, DefectStatistics, Mechanism};
 use dlp_extract::extractor::{self, ExtractionConfig};
 use dlp_extract::faults::{FaultKind, FaultSet, OpenLevelModel, RealisticFault};
+use dlp_extract::ExtractError;
 use dlp_geometry::Layer;
 use dlp_layout::chip::{ChipLayout, ElecNet};
 use dlp_layout::tech::Technology;
@@ -31,7 +32,8 @@ use dlp_serve::service::{
 use dlp_serve::ServeError;
 use dlp_yield::Fallout;
 use dlp_sim::ckpt::SimCheckpoint;
-use dlp_sim::switchlevel::{SwitchConfig, SwitchFault, SwitchSimulator};
+use dlp_sim::detection::DetectionRecord;
+use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator};
 use dlp_sim::{ppsfp, stuck_at};
 
 /// One adversarial input and the stage whose typed error it must produce.
@@ -154,6 +156,18 @@ pub fn corpus() -> Vec<Case> {
             extract_zero_size_samples
         ),
         case!(
+            "extract-threads-zero",
+            Extraction,
+            "a DLP_THREADS-style setting of 0 worker threads",
+            extract_threads_zero
+        ),
+        case!(
+            "extract-threads-garbage",
+            Extraction,
+            "a non-numeric DLP_THREADS-style setting",
+            extract_threads_garbage
+        ),
+        case!(
             "faultset-mismatched-lowering",
             Extraction,
             "a fault naming a transistor ordinal its owner gate lacks",
@@ -201,18 +215,6 @@ pub fn corpus() -> Vec<Case> {
             Simulation,
             "a branch stuck-at fault naming a pin past its gate's fanin",
             sim_stuckat_pin_out_of_range
-        ),
-        case!(
-            "sim-threads-zero",
-            Simulation,
-            "a DLP_THREADS-style setting of 0 worker threads",
-            sim_threads_zero
-        ),
-        case!(
-            "sim-threads-garbage",
-            Simulation,
-            "a non-numeric DLP_THREADS-style setting",
-            sim_threads_garbage
         ),
         case!(
             "sim-ndetect-cap-zero",
@@ -588,7 +590,8 @@ fn bad_density_class(density: f64) -> DefectStatistics {
 }
 
 fn extract_with_stats(stats: &DefectStatistics) -> Result<(), PipelineError> {
-    extractor::extract(&c17_chip()?, stats)?;
+    let (config, threads) = (ExtractionConfig::default(), ThreadCount::Auto);
+    extractor::extract_obs(&c17_chip()?, stats, &config, threads, Recorder::noop())?;
     Ok(())
 }
 
@@ -629,15 +632,36 @@ fn defect_size_zero_minimum() -> Result<(), PipelineError> {
 }
 
 fn extract_zero_size_samples() -> Result<(), PipelineError> {
-    extractor::extract_with(
+    extractor::extract_obs(
         &c17_chip()?,
         &DefectStatistics::maly_cmos(),
         &ExtractionConfig {
             size_samples: 0,
             ..ExtractionConfig::default()
         },
+        ThreadCount::Auto,
+        Recorder::noop(),
     )?;
     Ok(())
+}
+
+/// Stages a `DLP_THREADS`-style setting exactly as
+/// `dlp_bench::pipeline::extract_netlist_obs` does — without mutating the
+/// process environment, because the adversarial tests run concurrently in
+/// one process.
+fn extract_with_thread_setting(setting: &'static str) -> Result<(), PipelineError> {
+    let threads = ThreadCount::from_setting(Some(setting)).map_err(ExtractError::from)?;
+    let (stats, config) = (DefectStatistics::maly_cmos(), ExtractionConfig::default());
+    extractor::extract_obs(&c17_chip()?, &stats, &config, threads, Recorder::noop())?;
+    Ok(())
+}
+
+fn extract_threads_zero() -> Result<(), PipelineError> {
+    extract_with_thread_setting("0")
+}
+
+fn extract_threads_garbage() -> Result<(), PipelineError> {
+    extract_with_thread_setting("lots")
 }
 
 fn first_gate(netlist: &dlp_circuit::Netlist) -> NodeId {
@@ -679,7 +703,27 @@ fn sim_vector_width_mismatch() -> Result<(), PipelineError> {
     let c17 = generators::c17();
     let faults = stuck_at::enumerate(&c17).collapse();
     // c17 has 5 inputs; these vectors have 3 bits.
-    ppsfp::simulate(&c17, faults.faults(), &[vec![true; 3]])?;
+    c17_first_detect(faults.faults(), &[vec![true; 3]])?;
+    Ok(())
+}
+
+/// Untraced, unbudgeted first-detect PPSFP on c17.
+fn c17_first_detect(
+    faults: &[stuck_at::StuckAtFault],
+    vectors: &[Vec<bool>],
+) -> Result<DetectionRecord, PipelineError> {
+    let (c17, threads, budget) = (generators::c17(), ThreadCount::Auto, RunBudget::unlimited());
+    let obs = Recorder::noop();
+    Ok(ppsfp::simulate_resumable(
+        &c17, faults, vectors, threads, obs, &budget, None,
+    )?)
+}
+
+/// Untraced, unbudgeted count-capped PPSFP on c17.
+fn c17_counted(faults: &[stuck_at::StuckAtFault], n_cap: usize) -> Result<(), PipelineError> {
+    let (c17, obs, budget) = (generators::c17(), Recorder::noop(), RunBudget::unlimited());
+    let (vectors, threads) = ([vec![false; 5]], ThreadCount::Auto);
+    ppsfp::simulate_counted_resumable(&c17, faults, &vectors, n_cap, threads, obs, &budget, None)?;
     Ok(())
 }
 
@@ -691,9 +735,12 @@ fn c17_switch_sim() -> Result<SwitchSimulator, PipelineError> {
 fn sim_transistor_out_of_range() -> Result<(), PipelineError> {
     let sim = c17_switch_sim()?;
     let width = sim.netlist().input_nodes().len();
-    sim.detect(
+    sim.detect_obs(
         &[SwitchFault::StuckOpen { transistor: 10_000 }],
         &[vec![false; width]],
+        DetectionMode::Voltage,
+        ThreadCount::Auto,
+        Recorder::noop(),
     )?;
     Ok(())
 }
@@ -701,12 +748,15 @@ fn sim_transistor_out_of_range() -> Result<(), PipelineError> {
 fn sim_bridge_node_out_of_range() -> Result<(), PipelineError> {
     let sim = c17_switch_sim()?;
     let width = sim.netlist().input_nodes().len();
-    sim.detect(
+    sim.detect_obs(
         &[SwitchFault::Bridge {
             a: SwitchNodeId::from_index(40_000),
             b: SwitchNodeId::from_index(40_001),
         }],
         &[vec![true; width]],
+        DetectionMode::Voltage,
+        ThreadCount::Auto,
+        Recorder::noop(),
     )?;
     Ok(())
 }
@@ -715,19 +765,18 @@ fn sim_weight_count_mismatch() -> Result<(), PipelineError> {
     let c17 = generators::c17();
     let faults = stuck_at::enumerate(&c17).collapse();
     let vectors = vec![vec![false; 5], vec![true; 5]];
-    let record = ppsfp::simulate(&c17, faults.faults(), &vectors)?;
+    let record = c17_first_detect(faults.faults(), &vectors)?;
     // One weight for a multi-fault record.
     record.weighted_coverage_after(2, &[1.0])?;
     Ok(())
 }
 
 fn sim_stuckat_node_out_of_range() -> Result<(), PipelineError> {
-    let c17 = generators::c17();
     let fault = stuck_at::StuckAtFault {
         site: stuck_at::FaultSite::Stem(NodeId::from_index(9_999)),
         stuck_at_one: false,
     };
-    ppsfp::simulate(&c17, &[fault], &[vec![false; 5]])?;
+    c17_first_detect(&[fault], &[vec![false; 5]])?;
     Ok(())
 }
 
@@ -740,34 +789,13 @@ fn sim_stuckat_pin_out_of_range() -> Result<(), PipelineError> {
         },
         stuck_at_one: true,
     };
-    ppsfp::simulate(&c17, &[fault], &[vec![true; 5]])?;
+    c17_first_detect(&[fault], &[vec![true; 5]])?;
     Ok(())
-}
-
-/// Stages a `DLP_THREADS`-style setting exactly as the simulators' env
-/// entry points do — without mutating the process environment, because the
-/// adversarial tests run concurrently in one process.
-fn sim_with_thread_setting(setting: &'static str) -> Result<(), PipelineError> {
-    let threads = ThreadCount::from_setting(Some(setting)).map_err(dlp_sim::SimError::from)?;
-    let c17 = generators::c17();
-    let faults = stuck_at::enumerate(&c17).collapse();
-    ppsfp::simulate_with(&c17, faults.faults(), &[vec![false; 5]], threads)?;
-    Ok(())
-}
-
-fn sim_threads_zero() -> Result<(), PipelineError> {
-    sim_with_thread_setting("0")
-}
-
-fn sim_threads_garbage() -> Result<(), PipelineError> {
-    sim_with_thread_setting("lots")
 }
 
 fn counted_with_cap(n_cap: usize) -> Result<(), PipelineError> {
-    let c17 = generators::c17();
-    let faults = stuck_at::enumerate(&c17).collapse();
-    ppsfp::simulate_counted(&c17, faults.faults(), &[vec![false; 5]], n_cap)?;
-    Ok(())
+    let faults = stuck_at::enumerate(&generators::c17()).collapse();
+    c17_counted(faults.faults(), n_cap)
 }
 
 fn sim_ndetect_cap_zero() -> Result<(), PipelineError> {
@@ -779,19 +807,17 @@ fn sim_ndetect_cap_absurd() -> Result<(), PipelineError> {
 }
 
 fn sim_counted_fault_out_of_range() -> Result<(), PipelineError> {
-    let c17 = generators::c17();
     let fault = stuck_at::StuckAtFault {
         site: stuck_at::FaultSite::Stem(NodeId::from_index(9_999)),
         stuck_at_one: false,
     };
-    ppsfp::simulate_counted(&c17, &[fault], &[vec![false; 5]], 2)?;
-    Ok(())
+    c17_counted(&[fault], 2)
 }
 
 fn sim_nonfinite_weight() -> Result<(), PipelineError> {
     let c17 = generators::c17();
     let faults = stuck_at::enumerate(&c17).collapse();
-    let record = ppsfp::simulate(&c17, faults.faults(), &[vec![true; 5]])?;
+    let record = c17_first_detect(faults.faults(), &[vec![true; 5]])?;
     let mut weights = vec![1.0; faults.len()];
     weights[0] = f64::NAN;
     record.weighted_coverage_after(1, &weights)?;
@@ -899,20 +925,32 @@ fn model_yield_one() -> Result<(), PipelineError> {
 
 fn model_montecarlo_zero_dies() -> Result<(), PipelineError> {
     let w = FaultWeights::new(vec![0.05; 4])?;
-    simulate_fallout(
+    simulate_fallout_resumable(
         &w,
         &[true; 4],
         &MonteCarloConfig {
             dies: 0,
             ..MonteCarloConfig::default()
         },
+        ThreadCount::Auto,
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
     )?;
     Ok(())
 }
 
 fn model_montecarlo_mask_mismatch() -> Result<(), PipelineError> {
     let w = FaultWeights::new(vec![0.05; 4])?;
-    simulate_fallout(&w, &[true; 3], &MonteCarloConfig::default())?;
+    simulate_fallout_resumable(
+        &w,
+        &[true; 3],
+        &MonteCarloConfig::default(),
+        ThreadCount::Auto,
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )?;
     Ok(())
 }
 

@@ -3,8 +3,10 @@
 
 use std::collections::HashSet;
 
+use dlp_core::obs::Recorder;
+use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
-use dlp_core::Stage;
+use dlp_core::{RunBudget, Stage};
 use dlp_inject::{corpus, verify_all};
 
 #[test]
@@ -89,8 +91,16 @@ fn degenerate_but_legal_inputs_stay_finite() {
     // Coverage of an all-zero detection record is 0, not 0/0.
     let c17 = dlp_circuit::generators::c17();
     let faults = dlp_sim::stuck_at::enumerate(&c17).collapse();
-    let record =
-        dlp_sim::ppsfp::simulate(&c17, faults.faults(), &[vec![false; 5]]).expect("sim");
+    let record = dlp_sim::ppsfp::simulate_resumable(
+        &c17,
+        faults.faults(),
+        &[vec![false; 5]],
+        ThreadCount::from_env().expect("DLP_THREADS"),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect("sim");
     let theta = record
         .weighted_coverage_after(0, &vec![1.0; faults.len()])
         .expect("weighted coverage");

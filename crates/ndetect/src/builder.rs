@@ -13,6 +13,8 @@
 
 use dlp_atpg::podem::{Podem, PodemOutcome};
 use dlp_circuit::Netlist;
+use dlp_core::obs::Recorder;
+use dlp_core::par::ThreadCount;
 use dlp_core::rng::Xorshift64Star;
 use dlp_core::{BudgetExceeded, RunBudget};
 use dlp_sim::detection::random_vectors;
@@ -171,8 +173,9 @@ fn restore_checkpoint(
 /// checkpoint holding the satisfied-target prefix; passing it back as
 /// `resume` (same netlist, faults, target, and config) continues the
 /// build and reproduces the uninterrupted schedule bit-identically —
-/// the builder is serial and deterministic, so thread count never
-/// enters the picture.
+/// the builder is deterministic, and its fault simulations are
+/// bit-identical at every thread count, so the thread count never enters
+/// the picture.
 ///
 /// # Errors
 ///
@@ -212,13 +215,22 @@ pub fn build_schedule_resumable(
     }
 
     let pool = random_vectors(n_in, config.pool_size, config.pool_seed);
+    // The builder's own simulations run unbudgeted on every available
+    // core: `budget` guards the target boundaries only, and the records
+    // do not depend on the worker count.
+    let (threads, obs, unlimited) = (ThreadCount::Auto, Recorder::noop(), &RunBudget::unlimited());
+    let counted = |vectors: &[Vec<bool>]| {
+        ppsfp::simulate_counted_resumable(
+            netlist, faults, vectors, max_n, threads, obs, unlimited, None,
+        )
+    };
 
     // Pool detection structure, capped at max_n entries per fault — all a
     // requirement of min(n, achievable) can ever consume. `by_vector`
     // inverts it so the greedy gain scan touches only recorded pairs.
     // (An empty pool skips straight to the PODEM phase; the capped
     // simulation itself validates the fault sites either way.)
-    let profile = ppsfp::simulate_counted(netlist, faults, &pool, max_n)?;
+    let profile = counted(&pool)?;
     let avail: Vec<usize> = profile.counts();
     let mut by_vector: Vec<Vec<usize>> = vec![Vec::new(); pool.len()];
     for j in 0..faults.len() {
@@ -323,10 +335,14 @@ pub fn build_schedule_resumable(
                             .collect();
                         let live_faults: Vec<StuckAtFault> =
                             live.iter().map(|&k| faults[k]).collect();
-                        let rec = ppsfp::simulate(
+                        let rec = ppsfp::simulate_resumable(
                             netlist,
                             &live_faults,
                             std::slice::from_ref(&vector),
+                            threads,
+                            obs,
+                            unlimited,
+                            None,
                         )?;
                         let before = counts[j];
                         for (pos, d) in rec.first_detect().iter().enumerate() {
@@ -362,7 +378,7 @@ pub fn build_schedule_resumable(
     let final_counts = if vectors.is_empty() {
         vec![0; faults.len()]
     } else {
-        ppsfp::simulate_counted(netlist, faults, &vectors, max_n)?.counts()
+        counted(&vectors)?.counts()
     };
 
     Ok(NDetectSchedule {
@@ -380,6 +396,19 @@ mod tests {
     use dlp_circuit::generators;
     use dlp_sim::stuck_at;
 
+    /// Untraced capped profile at the `DLP_THREADS` worker count.
+    fn profile(
+        nl: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+        n: usize,
+    ) -> dlp_sim::detection::DetectionProfile {
+        let threads = ThreadCount::from_env().unwrap();
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        ppsfp::simulate_counted_resumable(nl, faults, vectors, n, threads, obs, budget, None)
+            .unwrap()
+    }
+
     #[test]
     fn c17_schedule_satisfies_every_target() {
         let c17 = generators::c17();
@@ -396,7 +425,7 @@ mod tests {
             let set = schedule.test_set(n).unwrap();
             assert!(set.len() >= prev);
             prev = set.len();
-            let p = ppsfp::simulate_counted(&c17, faults.faults(), set, n).unwrap();
+            let p = profile(&c17, faults.faults(), set, n);
             assert_eq!(
                 p.coverage_at_least(n),
                 1.0,
@@ -433,7 +462,7 @@ mod tests {
         assert_eq!(schedule.pool_selected, 0);
         assert!(schedule.below_target.is_empty());
         let set = schedule.test_set(2).unwrap();
-        let p = ppsfp::simulate_counted(&c17, faults.faults(), set, 2).unwrap();
+        let p = profile(&c17, faults.faults(), set, 2);
         assert_eq!(p.coverage_at_least(2), 1.0);
     }
 

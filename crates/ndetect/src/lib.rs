@@ -8,7 +8,7 @@
 //! incidentally.
 //!
 //! This crate builds such sets on top of the count-capped simulator
-//! [`dlp_sim::ppsfp::simulate_counted`]:
+//! [`dlp_sim::ppsfp::simulate_counted_resumable`]:
 //!
 //! * [`builder::build_schedule`] — greedy forward selection over a random
 //!   vector pool, then PODEM top-ups (a distinct don't-care fill stream
@@ -24,6 +24,7 @@
 //!
 //! ```
 //! use dlp_circuit::generators;
+//! use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 //! use dlp_ndetect::{build_schedule, NDetectConfig};
 //! use dlp_sim::{ppsfp, stuck_at};
 //!
@@ -32,9 +33,11 @@
 //! let schedule = build_schedule(&c17, faults.faults(), 3, &NDetectConfig::default())?;
 //! // The n = 3 prefix detects every fault at least 3 times.
 //! let set = schedule.test_set(3).expect("n within target");
-//! let profile = ppsfp::simulate_counted(&c17, faults.faults(), set, 3)?;
+//! let (f, threads) = (faults.faults(), ThreadCount::from_env()?);
+//! let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+//! let profile = ppsfp::simulate_counted_resumable(&c17, f, set, 3, threads, obs, budget, None)?;
 //! assert_eq!(profile.coverage_at_least(3), 1.0);
-//! # Ok::<(), dlp_ndetect::NDetectError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -137,7 +137,7 @@ impl DetectionRecord {
 /// (0-based, strictly increasing) indices of the vectors that scored its
 /// 1st..n-th detection, where `n` is the cap the simulation ran with.
 ///
-/// Produced by [`crate::ppsfp::simulate_counted`]; a fault whose list is
+/// Produced by [`crate::ppsfp::simulate_counted_resumable`]; a fault whose list is
 /// shorter than the cap was detected exactly that many times by the whole
 /// sequence, while a list of length `n_cap` means *at least* `n_cap`
 /// detections (the simulator stops counting there).
@@ -200,7 +200,7 @@ impl DetectionProfile {
 
     /// Projects the profile onto its rank-1 detections. With `n_cap = 1`
     /// this is exactly the [`DetectionRecord`] of
-    /// [`crate::ppsfp::simulate`].
+    /// [`crate::ppsfp::simulate_resumable`].
     pub fn first_detect_record(&self) -> DetectionRecord {
         DetectionRecord::new(
             self.detections.iter().map(|d| d.first().copied()).collect(),

@@ -44,8 +44,6 @@ pub enum SimError {
         /// The requested cap.
         cap: usize,
     },
-    /// The `DLP_THREADS` override is not a positive thread count.
-    BadThreadCount(dlp_core::par::ParError),
     /// The run budget tripped before any block could be simulated (e.g.
     /// the memory estimate already exceeds the limit).
     Budget(dlp_core::BudgetExceeded),
@@ -103,7 +101,6 @@ impl fmt::Display for SimError {
                 "detection cap {cap} is outside 1..={}",
                 crate::ppsfp::MAX_DETECTION_CAP
             ),
-            SimError::BadThreadCount(e) => e.fmt(f),
             SimError::Budget(b) => b.fmt(f),
             SimError::Interrupted { budget, .. } => {
                 write!(f, "{budget}; a resume checkpoint was captured")
@@ -129,12 +126,6 @@ impl Error for SimError {
             SimError::ShardedInterrupted { budget, .. } => Some(budget),
             _ => None,
         }
-    }
-}
-
-impl From<dlp_core::par::ParError> for SimError {
-    fn from(e: dlp_core::par::ParError) -> Self {
-        SimError::BadThreadCount(e)
     }
 }
 

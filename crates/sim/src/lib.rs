@@ -26,15 +26,24 @@
 //!
 //! ```
 //! use dlp_circuit::generators;
+//! use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 //! use dlp_sim::{ppsfp, stuck_at};
 //!
 //! let c17 = generators::c17();
 //! let faults = stuck_at::enumerate(&c17).collapse();
 //! let vectors = dlp_sim::detection::random_vectors(c17.inputs().len(), 64, 7);
-//! let result = ppsfp::simulate(&c17, faults.faults(), &vectors)?;
+//! let result = ppsfp::simulate_resumable(
+//!     &c17,
+//!     faults.faults(),
+//!     &vectors,
+//!     ThreadCount::from_env()?,
+//!     Recorder::noop(),
+//!     &RunBudget::unlimited(),
+//!     None,
+//! )?;
 //! // c17 is fully testable: 64 random vectors cover everything.
 //! assert_eq!(result.detected_count(), faults.faults().len());
-//! # Ok::<(), dlp_sim::SimError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -16,9 +16,10 @@ use crate::detection::{DetectionProfile, DetectionRecord};
 use crate::SimError;
 use crate::stuck_at::{FaultSite, StuckAtFault};
 
-/// Upper bound on the detection cap of [`simulate_counted`]: beyond this
-/// the per-fault index storage (`faults × n_cap` vector indices) stops
-/// being a profiling structure and becomes an unbounded transcript.
+/// Upper bound on the detection cap of [`simulate_counted_resumable`]:
+/// beyond this the per-fault index storage (`faults × n_cap` vector
+/// indices) stops being a profiling structure and becomes an unbounded
+/// transcript.
 pub const MAX_DETECTION_CAP: usize = 1 << 16;
 
 /// Validates every fault site against the netlist: the stem node, or the
@@ -177,60 +178,13 @@ impl<'a> SimSetup<'a> {
     }
 }
 
-/// Simulates `faults` against `vectors` and reports first detections.
+/// Simulates `faults` against `vectors` and reports first detections,
+/// under a cooperative [`RunBudget`], resumable from a [`SimCheckpoint`].
 ///
 /// Within each 64-pattern block the still-live faults are partitioned
-/// across the workers resolved from `DLP_THREADS` (default: available
-/// parallelism; `1` forces the serial path). Each fault's detection word
-/// depends only on the fault and the block, so the record is bit-identical
-/// for every thread count; see [`simulate_with`] for explicit control.
-///
-/// # Errors
-///
-/// [`SimError::VectorWidthMismatch`] if a vector's width differs from the
-/// netlist's input count; [`SimError::FaultOutOfRange`] if a fault
-/// references a node, gate, or input pin the netlist does not have;
-/// [`SimError::BadThreadCount`] if the `DLP_THREADS` environment variable
-/// is set to `0` or garbage.
-///
-/// # Example
-///
-/// ```
-/// use dlp_circuit::generators;
-/// use dlp_sim::{detection, ppsfp, stuck_at};
-///
-/// let c17 = generators::c17();
-/// let faults = stuck_at::enumerate(&c17).collapse();
-/// let vectors = detection::random_vectors(5, 32, 3);
-/// let record = ppsfp::simulate(&c17, faults.faults(), &vectors)?;
-/// assert!(record.coverage_after(32) > 0.9);
-/// # Ok::<(), dlp_sim::SimError>(())
-/// ```
-pub fn simulate(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-) -> Result<DetectionRecord, SimError> {
-    simulate_with(netlist, faults, vectors, ThreadCount::from_env()?)
-}
-
-/// [`simulate`] with an explicit worker count.
-///
-/// # Errors
-///
-/// [`SimError::VectorWidthMismatch`] if a vector's width differs from the
-/// netlist's input count; [`SimError::FaultOutOfRange`] if a fault
-/// references a node, gate, or input pin the netlist does not have.
-pub fn simulate_with(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-    threads: ThreadCount,
-) -> Result<DetectionRecord, SimError> {
-    simulate_obs(netlist, faults, vectors, threads, Recorder::noop())
-}
-
-/// [`simulate_with`] with an observability [`Recorder`].
+/// across `threads` workers (`1` forces the serial path). Each fault's
+/// detection word depends only on the fault and the block, so the record
+/// is bit-identical for every thread count.
 ///
 /// When the recorder is enabled, the run is traced under the `sim.gate`
 /// scope: a span over the whole simulation, counters for faults /
@@ -243,53 +197,46 @@ pub fn simulate_with(
 /// result: the record is bit-identical with tracing on or off, at any
 /// thread count.
 ///
-/// # Errors
-///
-/// See [`simulate_with`].
-pub fn simulate_obs(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-    threads: ThreadCount,
-    obs: &Recorder,
-) -> Result<DetectionRecord, SimError> {
-    // First-detect is the counted engine with a cap of 1: the rank-1
-    // index of each fault *is* its first detection, a fault retires on
-    // its first credit, and the per-block credit count equals the
-    // per-block retirement count — so both the record and the trace are
-    // exactly what the dedicated first-detect loop produced.
-    let profile = run_counted(
-        "sim.gate",
-        netlist,
-        faults,
-        vectors,
-        1,
-        threads,
-        obs,
-        &RunBudget::unlimited(),
-        None,
-    )?;
-    Ok(profile.first_detect_record())
-}
-
-/// [`simulate_obs`] under a cooperative [`RunBudget`], resumable from a
-/// [`SimCheckpoint`].
-///
 /// The budget is checked once per 64-pattern block, in the serial outer
 /// loop, so the set of possible interruption points is identical at
 /// every thread count. On a trip the error carries a checkpoint holding
 /// the completed-block prefix; passing it back as `resume` (same
 /// netlist, faults, and vectors) continues the run and reproduces the
 /// uninterrupted record — and its deterministic trace content —
-/// bit-identically at any `DLP_THREADS`.
+/// bit-identically at any thread count.
 ///
 /// # Errors
 ///
-/// As [`simulate_obs`], plus [`SimError::Budget`] if the memory
-/// estimate already exceeds the budget, [`SimError::Interrupted`]
-/// (carrying the checkpoint) if the budget trips at a block boundary,
-/// and [`SimError::BadCheckpoint`] if `resume` is inconsistent with
-/// this run's inputs.
+/// [`SimError::VectorWidthMismatch`] if a vector's width differs from the
+/// netlist's input count; [`SimError::FaultOutOfRange`] if a fault
+/// references a node, gate, or input pin the netlist does not have;
+/// [`SimError::Budget`] if the memory estimate already exceeds the
+/// budget, [`SimError::Interrupted`] (carrying the checkpoint) if the
+/// budget trips at a block boundary, and [`SimError::BadCheckpoint`] if
+/// `resume` is inconsistent with this run's inputs.
+///
+/// # Example
+///
+/// ```
+/// use dlp_circuit::generators;
+/// use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
+/// use dlp_sim::{detection, ppsfp, stuck_at};
+///
+/// let c17 = generators::c17();
+/// let faults = stuck_at::enumerate(&c17).collapse();
+/// let vectors = detection::random_vectors(5, 32, 3);
+/// let record = ppsfp::simulate_resumable(
+///     &c17,
+///     faults.faults(),
+///     &vectors,
+///     ThreadCount::from_env()?,
+///     Recorder::noop(),
+///     &RunBudget::unlimited(),
+///     None,
+/// )?;
+/// assert!(record.coverage_after(32) > 0.9);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn simulate_resumable(
     netlist: &Netlist,
     faults: &[StuckAtFault],
@@ -299,63 +246,24 @@ pub fn simulate_resumable(
     budget: &RunBudget,
     resume: Option<&SimCheckpoint>,
 ) -> Result<DetectionRecord, SimError> {
+    // First-detect is the counted engine with a cap of 1: the rank-1
+    // index of each fault *is* its first detection, a fault retires on
+    // its first credit, and the per-block credit count equals the
+    // per-block retirement count — so both the record and the trace are
+    // exactly what the dedicated first-detect loop produced.
     let profile = run_counted(
         "sim.gate", netlist, faults, vectors, 1, threads, obs, budget, resume,
     )?;
     Ok(profile.first_detect_record())
 }
 
-/// Count-capped simulation: like [`simulate`], but each fault stays live
-/// until it has been detected `n_cap` times, and the profile records the
-/// vector index of its 1st..`n_cap`-th detection.
+/// Count-capped simulation: like [`simulate_resumable`], but each fault
+/// stays live until it has been detected `n_cap` times, and the profile
+/// records the vector index of its 1st..`n_cap`-th detection.
 ///
-/// With `n_cap = 1` the profile's rank-1 indices equal [`simulate`]'s
-/// `first_detect` exactly — the counted mode is a strict generalization.
-///
-/// # Errors
-///
-/// [`SimError::BadDetectionCap`] unless `n_cap ∈ 1..=`[`MAX_DETECTION_CAP`];
-/// otherwise as [`simulate`].
-///
-/// # Example
-///
-/// ```
-/// use dlp_circuit::generators;
-/// use dlp_sim::{detection, ppsfp, stuck_at};
-///
-/// let c17 = generators::c17();
-/// let faults = stuck_at::enumerate(&c17).collapse();
-/// let vectors = detection::random_vectors(5, 64, 7);
-/// let profile = ppsfp::simulate_counted(&c17, faults.faults(), &vectors, 3)?;
-/// // c17 is small: 64 random vectors detect every fault at least 3 times.
-/// assert_eq!(profile.coverage_at_least(3), 1.0);
-/// # Ok::<(), dlp_sim::SimError>(())
-/// ```
-pub fn simulate_counted(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-    n_cap: usize,
-) -> Result<DetectionProfile, SimError> {
-    simulate_counted_with(netlist, faults, vectors, n_cap, ThreadCount::from_env()?)
-}
-
-/// [`simulate_counted`] with an explicit worker count.
-///
-/// # Errors
-///
-/// See [`simulate_counted`].
-pub fn simulate_counted_with(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-    n_cap: usize,
-    threads: ThreadCount,
-) -> Result<DetectionProfile, SimError> {
-    simulate_counted_obs(netlist, faults, vectors, n_cap, threads, Recorder::noop())
-}
-
-/// [`simulate_counted_with`] with an observability [`Recorder`].
+/// With `n_cap = 1` the profile's rank-1 indices equal
+/// [`simulate_resumable`]'s `first_detect` exactly — the counted mode is
+/// a strict generalization.
 ///
 /// Traced under the `sim.gate.counted` scope: fault / vector / block /
 /// detected counters, the live-fault count entering each block
@@ -366,44 +274,41 @@ pub fn simulate_counted_with(
 /// (`sim.gate.counted.block_nanos`), and per-worker timeline telemetry.
 /// Tracing never perturbs the profile.
 ///
-/// # Errors
-///
-/// See [`simulate_counted`].
-pub fn simulate_counted_obs(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-    n_cap: usize,
-    threads: ThreadCount,
-    obs: &Recorder,
-) -> Result<DetectionProfile, SimError> {
-    run_counted(
-        "sim.gate.counted",
-        netlist,
-        faults,
-        vectors,
-        n_cap,
-        threads,
-        obs,
-        &RunBudget::unlimited(),
-        None,
-    )
-}
-
-/// [`simulate_counted_obs`] under a cooperative [`RunBudget`],
-/// resumable from a [`SimCheckpoint`].
-///
 /// Budget and resume semantics are exactly those of
 /// [`simulate_resumable`]: one check per freshly simulated block in the
 /// serial outer loop, interruption surfaces a checkpoint, and resuming
-/// reproduces the uninterrupted profile bit-identically at any
-/// `DLP_THREADS`.
+/// reproduces the uninterrupted profile bit-identically at any thread
+/// count.
 ///
 /// # Errors
 ///
-/// As [`simulate_counted_obs`], plus [`SimError::Budget`],
-/// [`SimError::Interrupted`], and [`SimError::BadCheckpoint`] as for
-/// [`simulate_resumable`].
+/// [`SimError::BadDetectionCap`] unless `n_cap ∈ 1..=`[`MAX_DETECTION_CAP`];
+/// otherwise as [`simulate_resumable`].
+///
+/// # Example
+///
+/// ```
+/// use dlp_circuit::generators;
+/// use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
+/// use dlp_sim::{detection, ppsfp, stuck_at};
+///
+/// let c17 = generators::c17();
+/// let faults = stuck_at::enumerate(&c17).collapse();
+/// let vectors = detection::random_vectors(5, 64, 7);
+/// let profile = ppsfp::simulate_counted_resumable(
+///     &c17,
+///     faults.faults(),
+///     &vectors,
+///     3,
+///     ThreadCount::from_env()?,
+///     Recorder::noop(),
+///     &RunBudget::unlimited(),
+///     None,
+/// )?;
+/// // c17 is small: 64 random vectors detect every fault at least 3 times.
+/// assert_eq!(profile.coverage_at_least(3), 1.0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[allow(clippy::too_many_arguments)] // mirrors run_counted; a knob struct would hide the contract
 pub fn simulate_counted_resumable(
     netlist: &Netlist,
@@ -632,25 +537,36 @@ pub(crate) fn run_counted(
     Ok(DetectionProfile::new(detections, n_cap, vectors.len()))
 }
 
-/// Convenience wrapper: stuck-at coverage after the whole sequence.
-///
-/// # Errors
-///
-/// See [`simulate`].
-pub fn coverage(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-) -> Result<f64, SimError> {
-    Ok(simulate(netlist, faults, vectors)?.coverage_after(vectors.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detection::random_vectors;
     use crate::stuck_at;
     use dlp_circuit::generators;
+
+    /// Unbudgeted, untraced first-detect run at the `DLP_THREADS` worker
+    /// count, so both thread passes of the suite exercise it.
+    fn first_detect(
+        netlist: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+    ) -> Result<DetectionRecord, SimError> {
+        let threads = ThreadCount::from_env().unwrap();
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        simulate_resumable(netlist, faults, vectors, threads, obs, budget, None)
+    }
+
+    /// [`first_detect`] for the count-capped engine.
+    fn counted(
+        netlist: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+        n_cap: usize,
+    ) -> Result<DetectionProfile, SimError> {
+        let threads = ThreadCount::from_env().unwrap();
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        simulate_counted_resumable(netlist, faults, vectors, n_cap, threads, obs, budget, None)
+    }
 
     /// Brute-force single-pattern fault simulation for cross-checking.
     fn naive_detects(netlist: &Netlist, fault: &StuckAtFault, vector: &[bool]) -> bool {
@@ -697,7 +613,7 @@ mod tests {
         let c17 = generators::c17();
         let faults = stuck_at::enumerate(&c17);
         let vectors = random_vectors(5, 100, 11);
-        let record = simulate(&c17, faults.faults(), &vectors).unwrap();
+        let record = first_detect(&c17, faults.faults(), &vectors).unwrap();
         for (fi, fault) in faults.faults().iter().enumerate() {
             let expected = vectors.iter().position(|v| naive_detects(&c17, fault, v));
             assert_eq!(
@@ -714,7 +630,7 @@ mod tests {
         let nl = generators::c432_class();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(36, 96, 5);
-        let record = simulate(&nl, faults.faults(), &vectors).unwrap();
+        let record = first_detect(&nl, faults.faults(), &vectors).unwrap();
         // Spot-check every 7th fault against the naive simulator.
         for (fi, fault) in faults.faults().iter().enumerate().step_by(7) {
             let expected = vectors.iter().position(|v| naive_detects(&nl, fault, v));
@@ -732,7 +648,7 @@ mod tests {
         let c17 = generators::c17();
         let faults = stuck_at::enumerate(&c17).collapse();
         let vectors = random_vectors(5, 64, 7);
-        let record = simulate(&c17, faults.faults(), &vectors).unwrap();
+        let record = first_detect(&c17, faults.faults(), &vectors).unwrap();
         assert_eq!(
             record.detected_count(),
             faults.len(),
@@ -745,7 +661,7 @@ mod tests {
         let nl = generators::c432_class();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(36, 1024, 9);
-        let record = simulate(&nl, faults.faults(), &vectors).unwrap();
+        let record = first_detect(&nl, faults.faults(), &vectors).unwrap();
         let curve = record.coverage_curve();
         assert!(curve.windows(2).all(|w| w[1] >= w[0]));
         // The paper observes >80 % stuck-at coverage from random vectors.
@@ -764,7 +680,7 @@ mod tests {
         let faults = stuck_at::enumerate(&c17);
         let mut vectors = random_vectors(5, 64, 3);
         vectors.extend(random_vectors(5, 64, 3)); // repeat the same block
-        let record = simulate(&c17, faults.faults(), &vectors).unwrap();
+        let record = first_detect(&c17, faults.faults(), &vectors).unwrap();
         for d in record.first_detect().iter().flatten() {
             assert!(*d < 64, "first detection must come from the first block");
         }
@@ -777,7 +693,7 @@ mod tests {
         // 70 vectors: final block has 6 patterns; detections must never
         // report an index >= 70.
         let vectors = random_vectors(5, 70, 13);
-        let record = simulate(&c17, faults.faults(), &vectors).unwrap();
+        let record = first_detect(&c17, faults.faults(), &vectors).unwrap();
         for d in record.first_detect().iter().flatten() {
             assert!(*d < 70);
         }
@@ -795,7 +711,7 @@ mod tests {
         };
         let vectors = random_vectors(5, 8, 1);
         assert_eq!(
-            simulate(&c17, &[stem], &vectors),
+            first_detect(&c17, &[stem], &vectors),
             Err(SimError::FaultOutOfRange {
                 fault: 0,
                 what: "node"
@@ -814,7 +730,7 @@ mod tests {
             stuck_at_one: false,
         };
         assert_eq!(
-            simulate(&c17, &[valid, branch_gate], &vectors),
+            first_detect(&c17, &[valid, branch_gate], &vectors),
             Err(SimError::FaultOutOfRange {
                 fault: 1,
                 what: "gate"
@@ -830,7 +746,7 @@ mod tests {
             stuck_at_one: true,
         };
         assert_eq!(
-            simulate(&c17, &[valid, branch_pin], &vectors),
+            first_detect(&c17, &[valid, branch_pin], &vectors),
             Err(SimError::FaultOutOfRange {
                 fault: 1,
                 what: "input pin"
@@ -846,7 +762,7 @@ mod tests {
         let faults = stuck_at::enumerate(&c17);
         let vectors = random_vectors(5, 100, 11);
         let n_cap = 4;
-        let profile = simulate_counted(&c17, faults.faults(), &vectors, n_cap).unwrap();
+        let profile = counted(&c17, faults.faults(), &vectors, n_cap).unwrap();
         for (fi, fault) in faults.faults().iter().enumerate() {
             let expected: Vec<usize> = vectors
                 .iter()
@@ -873,8 +789,8 @@ mod tests {
         ] {
             let faults = stuck_at::enumerate(&nl).collapse();
             let vectors = random_vectors(width, n, seed);
-            let record = simulate(&nl, faults.faults(), &vectors).unwrap();
-            let profile = simulate_counted(&nl, faults.faults(), &vectors, 1).unwrap();
+            let record = first_detect(&nl, faults.faults(), &vectors).unwrap();
+            let profile = counted(&nl, faults.faults(), &vectors, 1).unwrap();
             assert_eq!(profile.first_detect_record(), record, "{}", nl.name());
         }
     }
@@ -888,7 +804,7 @@ mod tests {
         let vectors = random_vectors(5, 70, 13);
         let mut prev: Option<Vec<usize>> = None;
         for cap in [1usize, 2, 5, 70] {
-            let p = simulate_counted(&c17, faults.faults(), &vectors, cap).unwrap();
+            let p = counted(&c17, faults.faults(), &vectors, cap).unwrap();
             for j in 0..faults.len() {
                 assert!(p.count(j) <= cap);
                 assert!(p.detections(j).iter().all(|&i| i < 70));
@@ -910,11 +826,11 @@ mod tests {
         let vectors = random_vectors(5, 8, 1);
         for cap in [0usize, MAX_DETECTION_CAP + 1, usize::MAX] {
             assert_eq!(
-                simulate_counted(&c17, faults.faults(), &vectors, cap),
+                counted(&c17, faults.faults(), &vectors, cap),
                 Err(SimError::BadDetectionCap { cap })
             );
         }
-        assert!(simulate_counted(&c17, faults.faults(), &vectors, MAX_DETECTION_CAP).is_ok());
+        assert!(counted(&c17, faults.faults(), &vectors, MAX_DETECTION_CAP).is_ok());
     }
 
     #[test]
@@ -927,7 +843,7 @@ mod tests {
             stuck_at_one: true,
         };
         assert_eq!(
-            simulate_counted(&c17, &[beyond], &random_vectors(5, 8, 1), 2),
+            counted(&c17, &[beyond], &random_vectors(5, 8, 1), 2),
             Err(SimError::FaultOutOfRange {
                 fault: 0,
                 what: "node"
@@ -983,13 +899,15 @@ mod tests {
         let vectors = random_vectors(36, 256, 33);
         let n_cap = 2;
         let reference_obs = Recorder::enabled();
-        let reference = simulate_counted_obs(
+        let reference = simulate_counted_resumable(
             &nl,
             faults.faults(),
             &vectors,
             n_cap,
             ThreadCount::fixed(1).unwrap(),
             &reference_obs,
+            &RunBudget::unlimited(),
+            None,
         )
         .unwrap();
         let reference_trace = trace_fingerprint(&reference_obs, "sim.gate.counted");
@@ -1070,12 +988,14 @@ mod tests {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(36, 192, 5);
         let reference_obs = Recorder::enabled();
-        let reference = simulate_obs(
+        let reference = simulate_resumable(
             &nl,
             faults.faults(),
             &vectors,
             ThreadCount::fixed(1).unwrap(),
             &reference_obs,
+            &RunBudget::unlimited(),
+            None,
         )
         .unwrap();
         let reference_trace = trace_fingerprint(&reference_obs, "sim.gate");
@@ -1133,8 +1053,7 @@ mod tests {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(36, 256, 33);
         let threads = ThreadCount::fixed(2).unwrap();
-        let reference =
-            simulate_counted(&nl, faults.faults(), &vectors, 2).unwrap();
+        let reference = counted(&nl, faults.faults(), &vectors, 2).unwrap();
         // First interrupt after 1 block, second after 1 more.
         let first = simulate_counted_resumable(
             &nl,
@@ -1350,18 +1269,24 @@ mod tests {
         let c17 = generators::c17();
         let faults = stuck_at::enumerate(&c17);
         let vectors = random_vectors(5, 70, 13);
-        let serial = simulate_with(
+        let serial = simulate_resumable(
             &c17,
             faults.faults(),
             &vectors,
             ThreadCount::fixed(1).unwrap(),
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
         )
         .unwrap();
-        let parallel = simulate_with(
+        let parallel = simulate_resumable(
             &c17,
             faults.faults(),
             &vectors,
             ThreadCount::fixed(3).unwrap(),
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
         )
         .unwrap();
         assert_eq!(serial, parallel);

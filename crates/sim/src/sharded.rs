@@ -19,9 +19,8 @@
 //! the completed-shard first-detect prefix plus the interrupted shard's
 //! own block-level [`SimCheckpoint`] — and resuming from it reproduces
 //! the uninterrupted record bit-identically. The plain
-//! [`simulate_sharded`] / [`simulate_sharded_obs`] entry points keep
-//! their original contract and collapse a trip into
-//! [`SimError::Budget`] with shard-level progress.
+//! [`simulate_sharded_obs`] entry point keeps the original contract and
+//! collapses a trip into [`SimError::Budget`] with shard-level progress.
 //!
 //! On disk a sharded checkpoint is a sealed [`dlp_core::ckpt`] envelope
 //! of kind [`SHARDED_CKPT_KIND`] whose key digests the netlist
@@ -240,33 +239,11 @@ impl ShardedCheckpoint {
 }
 
 /// Simulates `faults` against `vectors` in shards of `shard_faults`,
-/// reporting first detections; workers resolved from `DLP_THREADS`.
-///
-/// The record equals [`crate::ppsfp::simulate`]'s bit for bit, at every
-/// shard size and thread count.
-///
-/// # Errors
-///
-/// See [`simulate_sharded_obs`].
-pub fn simulate_sharded(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-    shard_faults: usize,
-) -> Result<DetectionRecord, SimError> {
-    simulate_sharded_obs(
-        netlist,
-        faults,
-        vectors,
-        shard_faults,
-        ThreadCount::from_env()?,
-        Recorder::noop(),
-        &RunBudget::unlimited(),
-    )
-}
-
-/// [`simulate_sharded`] with explicit workers, an observability
+/// reporting first detections, with explicit workers, an observability
 /// [`Recorder`], and a cooperative [`RunBudget`].
+///
+/// The record equals [`crate::ppsfp::simulate_resumable`]'s bit for bit,
+/// at every shard size and thread count.
 ///
 /// Traced under the `sim.sharded` scope: a span over the whole run,
 /// counters for shards / faults / detected, and the per-shard fault
@@ -275,8 +252,9 @@ pub fn simulate_sharded(
 ///
 /// # Errors
 ///
-/// As [`crate::ppsfp::simulate`] for validation failures (reported with
-/// shard-local fault indices translated back to the caller's), plus
+/// As [`crate::ppsfp::simulate_resumable`] for validation failures
+/// (reported with shard-local fault indices translated back to the
+/// caller's), plus
 /// [`SimError::BadShardSize`] for a zero `shard_faults` and
 /// [`SimError::Budget`] when the budget trips — `completed` / `total`
 /// count shards, not blocks. Callers who need to keep the completed
@@ -482,15 +460,38 @@ mod tests {
     use crate::{ppsfp, stuck_at};
     use dlp_circuit::generators;
 
+    /// Unbudgeted, untraced runs at the `DLP_THREADS` worker count, so
+    /// both thread passes of the suite exercise them.
+    fn first_detect(
+        nl: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+    ) -> Result<DetectionRecord, SimError> {
+        let threads = ThreadCount::from_env().unwrap();
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        ppsfp::simulate_resumable(nl, faults, vectors, threads, obs, budget, None)
+    }
+
+    fn sharded(
+        nl: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+        shard_faults: usize,
+    ) -> Result<DetectionRecord, SimError> {
+        let threads = ThreadCount::from_env().unwrap();
+        let (obs, budget) = (Recorder::noop(), &RunBudget::unlimited());
+        simulate_sharded_obs(nl, faults, vectors, shard_faults, threads, obs, budget)
+    }
+
     #[test]
     fn matches_unsharded_at_every_shard_size() {
         let nl = generators::c432_class();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(36, 192, 5);
-        let reference = ppsfp::simulate(&nl, faults.faults(), &vectors).unwrap();
+        let reference = first_detect(&nl, faults.faults(), &vectors).unwrap();
         for shard in [1, 7, 64, faults.len(), faults.len() + 100] {
-            let sharded = simulate_sharded(&nl, faults.faults(), &vectors, shard).unwrap();
-            assert_eq!(sharded, reference, "shard size {shard}");
+            let record = sharded(&nl, faults.faults(), &vectors, shard).unwrap();
+            assert_eq!(record, reference, "shard size {shard}");
         }
     }
 
@@ -498,7 +499,7 @@ mod tests {
     fn empty_fault_list_is_an_empty_record() {
         let nl = generators::c17();
         let vectors = random_vectors(5, 64, 1);
-        let record = simulate_sharded(&nl, &[], &vectors, 8).unwrap();
+        let record = sharded(&nl, &[], &vectors, 8).unwrap();
         assert_eq!(record.fault_count(), 0);
         assert_eq!(record.vector_count(), 64);
     }
@@ -509,7 +510,7 @@ mod tests {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(5, 8, 1);
         assert_eq!(
-            simulate_sharded(&nl, faults.faults(), &vectors, 0),
+            sharded(&nl, faults.faults(), &vectors, 0),
             Err(SimError::BadShardSize)
         );
     }
@@ -529,7 +530,7 @@ mod tests {
         let vectors = random_vectors(5, 8, 1);
         // Shard size 4: the offender lands in a later shard; its reported
         // index must still be in the caller's frame.
-        let err = simulate_sharded(&nl, &faults, &vectors, 4).unwrap_err();
+        let err = sharded(&nl, &faults, &vectors, 4).unwrap_err();
         assert_eq!(
             err,
             SimError::FaultOutOfRange {
@@ -609,7 +610,7 @@ mod tests {
         let nl = generators::c432_class();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(36, 128, 9);
-        let reference = ppsfp::simulate(&nl, faults.faults(), &vectors).unwrap();
+        let reference = first_detect(&nl, faults.faults(), &vectors).unwrap();
         let threads = ThreadCount::fixed(1).unwrap();
         for fuse in [1u64, 2, 3, 5, 8, 13] {
             let budget = RunBudget::unlimited().cancel_after_checks(fuse);
@@ -697,7 +698,7 @@ mod tests {
         let nl = generators::c17();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = random_vectors(5, 64, 1);
-        let reference = ppsfp::simulate(&nl, faults.faults(), &vectors).unwrap();
+        let reference = first_detect(&nl, faults.faults(), &vectors).unwrap();
         // A genuine shard-0-complete checkpoint: its prefix is the real
         // first-detect data, so the clean resume below stays bit-exact.
         let good = ShardedCheckpoint {

@@ -407,75 +407,22 @@ impl SwitchSimulator {
             .outputs(self.netlist.output_nodes(), read)
     }
 
-    /// Runs fault detection for a list of faults under a steady-state
-    /// voltage test: a fault is detected by the first vector where some
+    /// Runs fault detection for a list of faults under the observation
+    /// model `mode`. Under [`DetectionMode::Voltage`] (a steady-state
+    /// voltage test) a fault is detected by the first vector where some
     /// primary output is driven to the complement of the fault-free value
-    /// (an `X` output is *not* a detection).
+    /// (an `X` output is *not* a detection). A fault-free static-CMOS
+    /// circuit draws no quiescent current, so under
+    /// [`DetectionMode::Iddq`] any static current in the faulty circuit
+    /// is a detection (the tester compares against a clean threshold, not
+    /// against a reference simulation).
     ///
-    /// Detected faults are dropped from further simulation.
-    ///
-    /// # Errors
-    ///
-    /// See [`detect_with`](Self::detect_with).
-    pub fn detect(
-        &self,
-        faults: &[SwitchFault],
-        vectors: &[Vec<bool>],
-    ) -> Result<DetectionRecord, SimError> {
-        self.detect_with(faults, vectors, DetectionMode::Voltage)
-    }
-
-    /// Like [`detect`](Self::detect), with an explicit observation model.
-    ///
-    /// A fault-free static-CMOS circuit draws no quiescent current, so
-    /// under [`DetectionMode::Iddq`] any static current in the faulty
-    /// circuit is a detection (the tester compares against a clean
-    /// threshold, not against a reference simulation).
-    ///
-    /// Faults are fanned across the workers resolved from `DLP_THREADS`;
-    /// see [`detect_with_threads`](Self::detect_with_threads).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::VectorWidthMismatch`] for a vector whose width differs
-    /// from the input count; [`SimError::FaultOutOfRange`] for a fault
-    /// referencing transistors, nodes, or outputs the netlist lacks;
-    /// [`SimError::BadThreadCount`] if the `DLP_THREADS` environment
-    /// variable is set to `0` or garbage.
-    pub fn detect_with(
-        &self,
-        faults: &[SwitchFault],
-        vectors: &[Vec<bool>],
-        mode: DetectionMode,
-    ) -> Result<DetectionRecord, SimError> {
-        self.detect_with_threads(faults, vectors, mode, ThreadCount::from_env()?)
-    }
-
-    /// [`detect_with`](Self::detect_with) with an explicit worker count.
-    ///
-    /// Each fault is simulated independently against the whole sequence
-    /// (its own faulty machine, the shared fault-free trace recorded
-    /// once), so fanning the fault list across workers cannot change any
+    /// Detected faults are dropped from further simulation. Each fault is
+    /// simulated independently against the whole sequence (its own faulty
+    /// machine, the shared fault-free trace recorded once), so fanning the
+    /// fault list across `threads` workers cannot change any
     /// first-detection index: the record is bit-identical for every thread
     /// count.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::VectorWidthMismatch`] for a vector whose width differs
-    /// from the input count; [`SimError::FaultOutOfRange`] for a fault
-    /// referencing transistors, nodes, or outputs the netlist lacks.
-    pub fn detect_with_threads(
-        &self,
-        faults: &[SwitchFault],
-        vectors: &[Vec<bool>],
-        mode: DetectionMode,
-        threads: ThreadCount,
-    ) -> Result<DetectionRecord, SimError> {
-        self.detect_obs(faults, vectors, mode, threads, Recorder::noop())
-    }
-
-    /// [`detect_with_threads`](Self::detect_with_threads) with an
-    /// observability [`Recorder`].
     ///
     /// When the recorder is enabled, the run is traced under the
     /// `sim.switch` scope: a span over the whole detection pass, counters
@@ -490,7 +437,9 @@ impl SwitchSimulator {
     ///
     /// # Errors
     ///
-    /// See [`detect_with_threads`](Self::detect_with_threads).
+    /// [`SimError::VectorWidthMismatch`] for a vector whose width differs
+    /// from the input count; [`SimError::FaultOutOfRange`] for a fault
+    /// referencing transistors, nodes, or outputs the netlist lacks.
     pub fn detect_obs(
         &self,
         faults: &[SwitchFault],
@@ -1689,6 +1638,19 @@ impl NodeStrength {
         }
     }
 }
+/// Untraced detection at the `DLP_THREADS` worker count, so both thread
+/// passes of the suite exercise the parallel path.
+#[cfg(test)]
+fn detect(
+    sim: &SwitchSimulator,
+    faults: &[SwitchFault],
+    vectors: &[Vec<bool>],
+    mode: DetectionMode,
+) -> Result<DetectionRecord, SimError> {
+    let threads = ThreadCount::from_env().unwrap();
+    sim.detect_obs(faults, vectors, mode, threads, Recorder::noop())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1772,7 +1734,7 @@ mod tests {
             b: sw.node_of_net(n19),
         };
         let vectors = random_vectors(5, 64, 23);
-        let record = sim.detect(&[fault], &vectors).unwrap();
+        let record = detect(&sim, &[fault], &vectors, DetectionMode::Voltage).unwrap();
         assert!(
             record.first_detect()[0].is_some(),
             "an internal bridge must be detectable"
@@ -1807,11 +1769,13 @@ mod tests {
         let outs = sim.run(Some(&fault), &[vec![false], vec![true]]);
         assert_eq!(outs[0][0], Logic::One);
         assert_eq!(outs[1][0], Logic::One, "charge retention");
-        let record = sim.detect(
+        let record = detect(
+            &sim,
             &[SwitchFault::StuckOpen {
                 transistor: nmos_idx,
             }],
             &[vec![false], vec![true]],
+            DetectionMode::Voltage,
         ).unwrap();
         assert_eq!(record.first_detect()[0], Some(1));
     }
@@ -1878,7 +1842,8 @@ mod tests {
             owners: vec![z],
             level: Logic::X,
         };
-        let record = sim.detect(&[fault_x], &random_vectors(2, 16, 1)).unwrap();
+        let vectors = random_vectors(2, 16, 1);
+        let record = detect(&sim, &[fault_x], &vectors, DetectionMode::Voltage).unwrap();
         assert_eq!(
             record.first_detect()[0],
             None,
@@ -2096,9 +2061,11 @@ mod input_bridge_tests {
         let sim = SwitchSimulator::new(sw, SwitchConfig::default());
         let a = sim.netlist().node_of_net(nl.find("1").unwrap());
         let b = sim.netlist().node_of_net(nl.find("3").unwrap());
-        let record = sim.detect(
+        let record = detect(
+            &sim,
             &[SwitchFault::Bridge { a, b }],
             &crate::detection::random_vectors(5, 64, 9),
+            DetectionMode::Voltage,
         ).unwrap();
         assert!(record.first_detect()[0].is_some());
     }
@@ -2133,7 +2100,8 @@ mod iddq_tests {
         };
         let sim2 = simulator(&nl2);
         // A stuck-open never creates contention: IDDQ must see nothing.
-        let rec = sim2.detect_with(
+        let rec = detect(
+            &sim2,
             &[SwitchFault::StuckOpen { transistor: 0 }],
             &random_vectors(1, 16, 3),
             DetectionMode::Iddq,
@@ -2167,9 +2135,9 @@ mod iddq_tests {
         // a=1, b=0: x=0, y=1 -> fight. Wired-AND gives (0,0); good (0,1).
         // z good = AND(0,1)=0, faulty = AND(0,0)=0: voltage-silent.
         let v = vec![vec![true, false]];
-        let volt = sim.detect_with(std::slice::from_ref(&fault), &v, DetectionMode::Voltage).unwrap();
+        let volt = detect(&sim, std::slice::from_ref(&fault), &v, DetectionMode::Voltage).unwrap();
         assert_eq!(volt.first_detect()[0], None, "voltage test is blind here");
-        let iddq = sim.detect_with(std::slice::from_ref(&fault), &v, DetectionMode::Iddq).unwrap();
+        let iddq = detect(&sim, std::slice::from_ref(&fault), &v, DetectionMode::Iddq).unwrap();
         assert_eq!(iddq.first_detect()[0], Some(0), "IDDQ sees the fight");
     }
 
@@ -2191,9 +2159,9 @@ mod iddq_tests {
         // fight); IDDQ catches it on the first a=1 vector.
         let fault = SwitchFault::StuckOn { transistor: pmos };
         let vs = vec![vec![false], vec![true]];
-        let volt = sim.detect_with(std::slice::from_ref(&fault), &vs, DetectionMode::Voltage).unwrap();
+        let volt = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Voltage).unwrap();
         assert_eq!(volt.first_detect()[0], None);
-        let iddq = sim.detect_with(std::slice::from_ref(&fault), &vs, DetectionMode::Iddq).unwrap();
+        let iddq = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Iddq).unwrap();
         assert_eq!(iddq.first_detect()[0], Some(1));
     }
 
@@ -2214,13 +2182,13 @@ mod iddq_tests {
             level: Logic::X,
         };
         let vs = random_vectors(1, 8, 5);
-        let volt = sim.detect_with(std::slice::from_ref(&fault), &vs, DetectionMode::Voltage).unwrap();
+        let volt = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Voltage).unwrap();
         assert_eq!(
             volt.first_detect()[0],
             None,
             "intermediate level: voltage-blind"
         );
-        let iddq = sim.detect_with(std::slice::from_ref(&fault), &vs, DetectionMode::Iddq).unwrap();
+        let iddq = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Iddq).unwrap();
         assert_eq!(
             iddq.first_detect()[0],
             Some(0),
@@ -2240,9 +2208,9 @@ mod iddq_tests {
             SwitchFault::StuckOn { transistor: 2 },
         ];
         let vs = random_vectors(5, 64, 11);
-        let v = sim.detect_with(&faults, &vs, DetectionMode::Voltage).unwrap();
-        let i = sim.detect_with(&faults, &vs, DetectionMode::Iddq).unwrap();
-        let c = sim.detect_with(&faults, &vs, DetectionMode::VoltageAndIddq).unwrap();
+        let v = detect(&sim, &faults, &vs, DetectionMode::Voltage).unwrap();
+        let i = detect(&sim, &faults, &vs, DetectionMode::Iddq).unwrap();
+        let c = detect(&sim, &faults, &vs, DetectionMode::VoltageAndIddq).unwrap();
         assert!(c.detected_count() >= v.detected_count());
         assert!(c.detected_count() >= i.detected_count());
         // Combined first detection is never later than either alone.
@@ -2380,7 +2348,13 @@ mod oracle_tests {
             }
             for t in [1, 2] {
                 let record = sim
-                    .detect_with_threads(&faults, &vectors, mode, ThreadCount::fixed(t).unwrap())
+                    .detect_obs(
+                        &faults,
+                        &vectors,
+                        mode,
+                        ThreadCount::fixed(t).unwrap(),
+                        Recorder::noop(),
+                    )
                     .unwrap();
                 assert_eq!(
                     record.first_detect(),

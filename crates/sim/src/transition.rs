@@ -335,7 +335,16 @@ mod tests {
         let tf = enumerate(&nl);
         let t_rec = simulate(&nl, &tf, &vectors).unwrap();
         let sa = crate::stuck_at::enumerate(&nl);
-        let sa_rec = crate::ppsfp::simulate(&nl, sa.faults(), &vectors).unwrap();
+        let sa_rec = crate::ppsfp::simulate_resumable(
+            &nl,
+            sa.faults(),
+            &vectors,
+            dlp_core::par::ThreadCount::from_env().unwrap(),
+            dlp_core::obs::Recorder::noop(),
+            &dlp_core::RunBudget::unlimited(),
+            None,
+        )
+        .unwrap();
         assert!(
             t_rec.coverage_after(256) < sa_rec.coverage_after(256),
             "transition {} vs stuck-at {}",

@@ -11,6 +11,7 @@ use dlp_circuit::switch::SwitchNodeId;
 use dlp_circuit::{generators, switch, Netlist, NodeId};
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
+use dlp_core::RunBudget;
 use dlp_sim::detection::random_vectors;
 use dlp_sim::switchlevel::{
     DetectionMode, Logic, SwitchConfig, SwitchFault, SwitchSimulator,
@@ -24,11 +25,27 @@ fn threads(n: usize) -> ThreadCount {
 fn assert_ppsfp_invariant(netlist: &Netlist, n_vectors: usize, seed: u64) {
     let faults = stuck_at::enumerate(netlist).collapse();
     let vectors = random_vectors(netlist.inputs().len(), n_vectors, seed);
-    let reference = ppsfp::simulate_with(netlist, faults.faults(), &vectors, threads(1))
-        .expect("serial PPSFP");
+    let reference = ppsfp::simulate_resumable(
+        netlist,
+        faults.faults(),
+        &vectors,
+        threads(1),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect("serial PPSFP");
     for t in [2usize, 4] {
-        let got = ppsfp::simulate_with(netlist, faults.faults(), &vectors, threads(t))
-            .expect("parallel PPSFP");
+        let got = ppsfp::simulate_resumable(
+            netlist,
+            faults.faults(),
+            &vectors,
+            threads(t),
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
+        )
+        .expect("parallel PPSFP");
         assert_eq!(got, reference, "{} with {t} workers", netlist.name());
     }
 }
@@ -48,13 +65,29 @@ fn ppsfp_is_thread_count_invariant_on_c432_class() {
 fn assert_counted_invariant(netlist: &Netlist, n_vectors: usize, seed: u64, n_cap: usize) {
     let faults = stuck_at::enumerate(netlist).collapse();
     let vectors = random_vectors(netlist.inputs().len(), n_vectors, seed);
-    let reference =
-        ppsfp::simulate_counted_with(netlist, faults.faults(), &vectors, n_cap, threads(1))
-            .expect("serial counted PPSFP");
+    let reference = ppsfp::simulate_counted_resumable(
+        netlist,
+        faults.faults(),
+        &vectors,
+        n_cap,
+        threads(1),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect("serial counted PPSFP");
     for t in [2usize, 4] {
-        let got =
-            ppsfp::simulate_counted_with(netlist, faults.faults(), &vectors, n_cap, threads(t))
-                .expect("parallel counted PPSFP");
+        let got = ppsfp::simulate_counted_resumable(
+            netlist,
+            faults.faults(),
+            &vectors,
+            n_cap,
+            threads(t),
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
+        )
+        .expect("parallel counted PPSFP");
         assert_eq!(
             got, reference,
             "{} with {t} workers, cap {n_cap}",
@@ -88,19 +121,29 @@ fn tracing_does_not_perturb_counted_simulation() {
     let faults = stuck_at::enumerate(&netlist).collapse();
     let vectors = random_vectors(netlist.inputs().len(), 70, 21);
     let n_cap = 3;
-    let reference =
-        ppsfp::simulate_counted_with(&netlist, faults.faults(), &vectors, n_cap, threads(1))
-            .expect("untraced serial counted PPSFP");
+    let reference = ppsfp::simulate_counted_resumable(
+        &netlist,
+        faults.faults(),
+        &vectors,
+        n_cap,
+        threads(1),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect("untraced serial counted PPSFP");
     let total_credits: usize = reference.counts().iter().sum();
     for t in [1usize, 2, 4] {
         let obs = Recorder::enabled();
-        let got = ppsfp::simulate_counted_obs(
+        let got = ppsfp::simulate_counted_resumable(
             &netlist,
             faults.faults(),
             &vectors,
             n_cap,
             threads(t),
             &obs,
+            &RunBudget::unlimited(),
+            None,
         )
         .expect("traced counted PPSFP");
         assert_eq!(got, reference, "traced counted PPSFP with {t} workers");
@@ -187,11 +230,11 @@ fn assert_switch_invariant(netlist: &Netlist, n_vectors: usize, seed: u64) {
     let vectors = random_vectors(netlist.inputs().len(), n_vectors, seed);
     for mode in [DetectionMode::Voltage, DetectionMode::VoltageAndIddq] {
         let reference = sim
-            .detect_with_threads(&faults, &vectors, mode, threads(1))
+            .detect_obs(&faults, &vectors, mode, threads(1), Recorder::noop())
             .expect("serial switch-level");
         for t in [2usize, 4] {
             let got = sim
-                .detect_with_threads(&faults, &vectors, mode, threads(t))
+                .detect_obs(&faults, &vectors, mode, threads(t), Recorder::noop())
                 .expect("parallel switch-level");
             assert_eq!(
                 got, reference,
@@ -217,12 +260,28 @@ fn tracing_does_not_perturb_either_simulator() {
     let netlist = generators::c17();
     let faults = stuck_at::enumerate(&netlist).collapse();
     let vectors = random_vectors(netlist.inputs().len(), 70, 21);
-    let reference = ppsfp::simulate_with(&netlist, faults.faults(), &vectors, threads(1))
-        .expect("untraced serial PPSFP");
+    let reference = ppsfp::simulate_resumable(
+        &netlist,
+        faults.faults(),
+        &vectors,
+        threads(1),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect("untraced serial PPSFP");
     for t in [1usize, 2, 4] {
         let obs = Recorder::enabled();
-        let got = ppsfp::simulate_obs(&netlist, faults.faults(), &vectors, threads(t), &obs)
-            .expect("traced PPSFP");
+        let got = ppsfp::simulate_resumable(
+            &netlist,
+            faults.faults(),
+            &vectors,
+            threads(t),
+            &obs,
+            &RunBudget::unlimited(),
+            None,
+        )
+        .expect("traced PPSFP");
         assert_eq!(got, reference, "traced PPSFP with {t} workers");
         let report = obs.report("t");
         assert_eq!(report.counter("sim.gate.faults"), Some(faults.len() as u64));
@@ -254,7 +313,13 @@ fn tracing_does_not_perturb_either_simulator() {
     let sw_faults = switch_faults_sample(&sim, &netlist);
     let sw_vectors = random_vectors(netlist.inputs().len(), 48, 17);
     let reference = sim
-        .detect_with_threads(&sw_faults, &sw_vectors, DetectionMode::Voltage, threads(1))
+        .detect_obs(
+            &sw_faults,
+            &sw_vectors,
+            DetectionMode::Voltage,
+            threads(1),
+            Recorder::noop(),
+        )
         .expect("untraced serial switch-level");
     let mut work_ref = None;
     for t in [1usize, 2, 4] {
@@ -323,8 +388,16 @@ fn histogram_percentiles_are_thread_count_invariant() {
     let mut gate_ref = None;
     for t in [1usize, 2, 4] {
         let obs = Recorder::enabled();
-        ppsfp::simulate_obs(&netlist, faults.faults(), &vectors, threads(t), &obs)
-            .expect("traced PPSFP");
+        ppsfp::simulate_resumable(
+            &netlist,
+            faults.faults(),
+            &vectors,
+            threads(t),
+            &obs,
+            &RunBudget::unlimited(),
+            None,
+        )
+        .expect("traced PPSFP");
         let report = obs.report("t");
         let hist = report
             .hist("sim.gate.detects_per_block")

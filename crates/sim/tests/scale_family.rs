@@ -56,7 +56,16 @@ fn tiled_fault_growth_reaches_a_million() {
 fn assert_thread_invariant(name: &str, nl: &Netlist, shard: usize) {
     let faults = stuck_at::enumerate(nl).collapse();
     let vectors = random_vectors(nl.inputs().len(), 192, 0xFA117);
-    let reference = ppsfp::simulate(nl, faults.faults(), &vectors).expect(name);
+    let reference = ppsfp::simulate_resumable(
+        nl,
+        faults.faults(),
+        &vectors,
+        ThreadCount::from_env().expect("DLP_THREADS"),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect(name);
     for workers in [1usize, 2, 4] {
         let threads = ThreadCount::fixed(workers).expect("positive");
         let record = simulate_sharded_obs(

@@ -13,7 +13,8 @@
 //!   defect level `DL = 1 − Y(λ)/Y(θλ)`, and fixed-yield calibration
 //!   `λ(Y)`;
 //! * [`dist::Poisson`] — the historical pipeline, bit-identical
-//!   (regression-tested) to `dlp_core::montecarlo::simulate_fallout`;
+//!   (regression-tested) to the unit-mix
+//!   `dlp_core::montecarlo::simulate_fallout_resumable`;
 //! * [`dist::NegativeBinomial`] — Stapper's gamma-mixed model with
 //!   cluster parameter α (`Y = (1 + λ/α)^(−α)`; α → ∞ converges to
 //!   Poisson, pinned by a property test);
@@ -21,10 +22,15 @@
 //!   (Bogdanov et al.), with wafer/lot multipliers drawn from salted
 //!   per-group RNG streams so results stay bit-identical at any
 //!   `DLP_THREADS` and across checkpoint/resume;
-//! * [`mc`] — the engine wrappers binding a distribution into both the
-//!   fallout simulation and its checkpoint key;
 //! * [`gamma`] — the deterministic Marsaglia–Tsang gamma sampler
 //!   underneath it all.
+//!
+//! A distribution is a [`dlp_core::montecarlo::DieMix`], so the core
+//! engine simulates its fallout directly: pass it to
+//! [`dlp_core::montecarlo::simulate_fallout_mixed_resumable`], and bind
+//! resume checkpoints to it with
+//! [`dlp_core::montecarlo::McCheckpoint::key_mixed`], so a checkpoint
+//! written under one distribution can never be replayed under another.
 //!
 //! # Example: how much does clustering move DL?
 //!
@@ -47,7 +53,5 @@
 
 pub mod dist;
 pub mod gamma;
-pub mod mc;
 
 pub use dist::{Fallout, FalloutDistribution, Hierarchical, NegativeBinomial, Poisson};
-pub use mc::{checkpoint_key, simulate_fallout_dist, simulate_fallout_dist_resumable};

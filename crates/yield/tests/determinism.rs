@@ -4,15 +4,32 @@
 //! * bit-identical resume after a mid-run interrupt;
 //! * NB(α → large) converges to Poisson across a seed sweep;
 //! * Monte-Carlo fallout agrees with each model's analytic yield/DL.
+//! * the Poisson instance is bit-identical to the unit-mix engine, takes
+//!   its lane kernel, and checkpoint keys bind the distribution.
 
 use dlp_core::budget::RunBudget;
-use dlp_core::montecarlo::{simulate_fallout, MonteCarloConfig};
+use dlp_core::montecarlo::{
+    simulate_fallout_mixed_resumable, DieMix, FalloutEstimate, McCheckpoint, MonteCarloConfig,
+    UnitMix,
+};
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
 use dlp_core::ModelError;
-use dlp_yield::dist::{Fallout, FalloutDistribution};
-use dlp_yield::mc::{simulate_fallout_dist, simulate_fallout_dist_resumable};
+use dlp_yield::dist::{Fallout, FalloutDistribution, Poisson};
+
+/// Unbudgeted, untraced run under `mix` at the `DLP_THREADS` worker count.
+fn mc_run(
+    w: &FaultWeights,
+    d: &[bool],
+    cfg: &MonteCarloConfig,
+    mix: &dyn DieMix,
+) -> FalloutEstimate {
+    let threads = ThreadCount::from_env().unwrap();
+    let unlimited = &RunBudget::unlimited();
+    simulate_fallout_mixed_resumable(w, d, cfg, mix, threads, Recorder::noop(), unlimited, None)
+        .unwrap()
+}
 
 /// `n` equal faults summing to the exact λ this distribution needs for
 /// a 75 % analytic yield.
@@ -46,11 +63,11 @@ fn clustered_fallout_is_bit_identical_across_threads_and_tracing() {
             dies: 3 * 4096 + 57, // 4 shards, ragged tail
             seed: 0xBEEF,
         };
-        let reference = simulate_fallout_dist(&w, &d, &cfg, dist).unwrap();
+        let reference = mc_run(&w, &d, &cfg, dist);
         for threads in [1usize, 2, 4] {
             for traced in [false, true] {
                 let obs = Recorder::enabled();
-                let got = simulate_fallout_dist_resumable(
+                let got = simulate_fallout_mixed_resumable(
                     &w,
                     &d,
                     &cfg,
@@ -83,9 +100,9 @@ fn clustered_fallout_resumes_bit_identically() {
             dies: 3 * 4096 + 11,
             seed: 0xAB1E,
         };
-        let reference = simulate_fallout_dist(&w, &d, &cfg, dist).unwrap();
+        let reference = mc_run(&w, &d, &cfg, dist);
         for kill in [1u64, 2, 3] {
-            let err = simulate_fallout_dist_resumable(
+            let err = simulate_fallout_mixed_resumable(
                 &w,
                 &d,
                 &cfg,
@@ -100,7 +117,7 @@ fn clustered_fallout_resumes_bit_identically() {
                 ModelError::Interrupted { checkpoint, .. } => checkpoint,
                 other => panic!("{}: expected Interrupted, got {other:?}", fallout.label()),
             };
-            let resumed = simulate_fallout_dist_resumable(
+            let resumed = simulate_fallout_mixed_resumable(
                 &w,
                 &d,
                 &cfg,
@@ -140,8 +157,8 @@ fn nb_large_alpha_converges_to_poisson_across_seeds() {
     let d = mask(n, 7);
     for seed in [1u64, 17, 4242, 0xDEAD, 0x5EED5] {
         let cfg = MonteCarloConfig { dies: 60_000, seed };
-        let est_p = simulate_fallout(&w, &d, &cfg).unwrap();
-        let est_nb = simulate_fallout_dist(&w, &d, &cfg, nb.dist()).unwrap();
+        let est_p = mc_run(&w, &d, &cfg, &UnitMix);
+        let est_nb = mc_run(&w, &d, &cfg, nb.dist());
         assert!(
             (est_p.yield_estimate() - est_nb.yield_estimate()).abs() < 0.01,
             "seed {seed}: yields {} vs {}",
@@ -176,7 +193,7 @@ fn simulated_fallout_matches_analytic_yield_and_dl() {
             dies: 200_000,
             seed: 99,
         };
-        let est = simulate_fallout_dist(&w, &d, &cfg, dist).unwrap();
+        let est = mc_run(&w, &d, &cfg, dist);
         let y = dist.expected_yield(lambda).unwrap();
         let dl = dist.defect_level(lambda, theta).unwrap();
         assert!((y - 0.75).abs() < 1e-9, "{}: calibration", fallout.label());
@@ -208,11 +225,58 @@ fn clustering_lowers_simulated_dl_at_fixed_yield() {
     let poisson = Fallout::poisson();
     let wp = calibrated_weights(poisson.dist(), n);
     let d = mask(n, 7);
-    let dl_p = simulate_fallout(&wp, &d, &cfg).unwrap().defect_level();
+    let dl_p = mc_run(&wp, &d, &cfg, &UnitMix).defect_level();
     let nb = Fallout::negative_binomial(0.5).unwrap();
     let wn = calibrated_weights(nb.dist(), n);
-    let dl_nb = simulate_fallout_dist(&wn, &d, &cfg, nb.dist())
-        .unwrap()
-        .defect_level();
+    let dl_nb = mc_run(&wn, &d, &cfg, nb.dist()).defect_level();
     assert!(dl_nb < dl_p, "clustered {dl_nb} !< poisson {dl_p}");
+}
+
+#[test]
+fn poisson_instance_is_bit_identical_to_legacy_engine() {
+    let w = FaultWeights::new(vec![1.0; 12])
+        .unwrap()
+        .scaled_to_yield(0.75)
+        .unwrap();
+    let detected: Vec<bool> = (0..12).map(|j| j % 4 != 0).collect();
+    let cfg = MonteCarloConfig {
+        dies: 30_000,
+        seed: 0xFEED,
+    };
+    let legacy = mc_run(&w, &detected, &cfg, &UnitMix);
+    let dist = mc_run(&w, &detected, &cfg, &Poisson);
+    assert_eq!(legacy, dist);
+    assert_eq!(
+        McCheckpoint::key(&w, &detected, &cfg),
+        McCheckpoint::key_mixed(&w, &detected, &cfg, &Poisson),
+    );
+}
+
+#[test]
+fn only_poisson_takes_the_lane_kernel() {
+    // The gamma mixes draw per die, so they must stay on the serial loop.
+    assert!(Fallout::poisson().dist().is_unit());
+    assert!(!Fallout::negative_binomial(2.0).unwrap().dist().is_unit());
+    assert!(!Fallout::hierarchical(2.0, 8.0, 20.0, 400, 25)
+        .unwrap()
+        .dist()
+        .is_unit());
+}
+
+#[test]
+fn checkpoint_keys_bind_the_distribution() {
+    let w = FaultWeights::new(vec![1.0; 4])
+        .unwrap()
+        .scaled_to_yield(0.8)
+        .unwrap();
+    let d = vec![true; 4];
+    let cfg = MonteCarloConfig::default();
+    let nb = Fallout::negative_binomial(2.0).unwrap();
+    let hier = Fallout::hierarchical(2.0, 8.0, 20.0, 400, 25).unwrap();
+    let kp = McCheckpoint::key_mixed(&w, &d, &cfg, Fallout::poisson().dist());
+    let kn = McCheckpoint::key_mixed(&w, &d, &cfg, nb.dist());
+    let kh = McCheckpoint::key_mixed(&w, &d, &cfg, hier.dist());
+    assert_ne!(kp, kn);
+    assert_ne!(kp, kh);
+    assert_ne!(kn, kh);
 }

@@ -6,9 +6,11 @@
 
 use dlp::atpg::generate::{generate_tests, AtpgConfig};
 use dlp::circuit::generators;
-use dlp::core::fit;
+use dlp::core::obs::Recorder;
+use dlp::core::par::ThreadCount;
 use dlp::core::sousa::SousaModel;
 use dlp::core::Ppm;
+use dlp::core::{fit, RunBudget};
 use dlp::sim::{ppsfp, stuck_at};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,6 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         faults.len(),
         faults.total_uncollapsed()
     );
+    let threads = ThreadCount::from_env()?;
     let config = AtpgConfig {
         random_budget: 1024,
         random_stall: 256,
@@ -43,7 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Measure T(k) with the PPSFP simulator and fit the growth law.
-    let record = ppsfp::simulate(&netlist, faults.faults(), &result.vectors)?;
+    let record = ppsfp::simulate_resumable(
+        &netlist,
+        faults.faults(),
+        &result.vectors,
+        threads,
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )?;
     let points: Vec<(u64, f64)> = [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
         .iter()
         .filter(|&&k| k <= result.vectors.len())

@@ -18,6 +18,7 @@
 //! number the flow prints.
 
 use dlp::bench::pipeline;
+use dlp::circuit::generators;
 use dlp::core::montecarlo::{simulate_fallout_resumable, MonteCarloConfig};
 use dlp::core::par::ThreadCount;
 use dlp::core::{fit, sousa::SousaModel, RunBudget};
@@ -25,9 +26,11 @@ use dlp::extract::defects::DefectStatistics;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = pipeline::recorder_from_env();
+    let threads = ThreadCount::from_env()?;
 
     println!("[1/5] layout + fault extraction of the c432-class chip...");
-    let extraction = pipeline::extract_c432_obs(&DefectStatistics::maly_cmos(), &obs)?;
+    let stats = DefectStatistics::maly_cmos();
+    let extraction = pipeline::extract_netlist_obs(generators::c432_class(), &stats, &obs)?;
     for warning in extraction.diagnostics.iter() {
         println!("      warning: {warning}");
     }
@@ -47,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("[2/5] ATPG (random + PODEM)...");
     println!("[3/5] fault simulation (gate-level T(k), switch-level theta(k))...");
-    let run = pipeline::simulate_obs(&extraction, 1, &obs)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&extraction, 1, threads, &budget, &obs)?;
     println!(
         "      {} vectors ({} random), {} stuck-at faults proven redundant",
         run.vectors.len(),
@@ -91,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dies: 50_000,
             seed: 0x5EED,
         },
-        ThreadCount::from_env()?,
+        threads,
         &obs,
         &RunBudget::from_env()?,
         None,

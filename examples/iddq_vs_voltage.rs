@@ -5,10 +5,12 @@
 //! Run with `cargo run --release --example iddq_vs_voltage`.
 
 use dlp::circuit::{generators, switch};
+use dlp::core::obs::Recorder;
+use dlp::core::par::ThreadCount;
 use dlp::core::weighted::FaultWeights;
 use dlp::core::Ppm;
 use dlp::extract::defects::DefectStatistics;
-use dlp::extract::extractor;
+use dlp::extract::extractor::{self, ExtractionConfig};
 use dlp::extract::faults::OpenLevelModel;
 use dlp::extract::report::ExtractionReport;
 use dlp::layout::chip::ChipLayout;
@@ -18,7 +20,9 @@ use dlp::sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = generators::ripple_adder(4);
     let chip = ChipLayout::generate(&netlist, &Default::default())?;
-    let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos())?;
+    let threads = ThreadCount::from_env()?;
+    let (stats, config) = (DefectStatistics::maly_cmos(), ExtractionConfig::default());
+    let faults = extractor::extract_obs(&chip, &stats, &config, threads, Recorder::noop())?;
     println!("{}\n", ExtractionReport::new(&faults));
 
     let weights = FaultWeights::new(faults.weights())?.scaled_to_yield(0.75)?;
@@ -38,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("IDDQ", DetectionMode::Iddq),
         ("voltage+IDDQ", DetectionMode::VoltageAndIddq),
     ] {
-        let record = sim.detect_with(&lowered, &vectors, mode)?;
+        let record = sim.detect_obs(&lowered, &vectors, mode, threads, Recorder::noop())?;
         let theta = record.weighted_coverage_after(k, &w)?;
         let gamma = record.coverage_after(k);
         let dl = weights.defect_level(theta)?;

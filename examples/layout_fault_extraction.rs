@@ -5,9 +5,11 @@
 //! Run with `cargo run --release --example layout_fault_extraction`.
 
 use dlp::circuit::generators;
+use dlp::core::obs::Recorder;
+use dlp::core::par::ThreadCount;
 use dlp::core::weighted::FaultWeights;
 use dlp::extract::defects::DefectStatistics;
-use dlp::extract::extractor;
+use dlp::extract::extractor::{self, ExtractionConfig};
 use dlp::extract::faults::FaultKind;
 use dlp::geometry::Layer;
 use dlp::layout::chip::ChipLayout;
@@ -41,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  wrote rca4_layout.svg (open in a browser to inspect)");
 
     let stats = DefectStatistics::maly_cmos();
-    let faults = extractor::extract(&chip, &stats)?;
+    let (config, threads) = (ExtractionConfig::default(), ThreadCount::from_env()?);
+    let faults = extractor::extract_obs(&chip, &stats, &config, threads, Recorder::noop())?;
     println!("\nextracted {} weighted realistic faults", faults.len());
 
     let mut per_kind = std::collections::BTreeMap::new();

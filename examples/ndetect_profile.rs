@@ -5,7 +5,9 @@
 
 use dlp::circuit::generators;
 use dlp::core::ndetect::{fit_ndetect_growth, NDetectGrowth};
-use dlp::core::{PipelineError, Ppm};
+use dlp::core::obs::Recorder;
+use dlp::core::par::ThreadCount;
+use dlp::core::{ModelError, PipelineError, Ppm, RunBudget};
 use dlp::ndetect::{build_schedule, NDetectConfig};
 use dlp::sim::{detection, ppsfp, stuck_at};
 
@@ -17,8 +19,18 @@ fn main() -> Result<(), PipelineError> {
     // --- Detection-count profile of a random test set --------------------
     // How many times does each fault fire under 32 random vectors?
     let vectors = detection::random_vectors(c17.inputs().len(), 32, 7);
-    let profile = ppsfp::simulate_counted(&c17, faults.faults(), &vectors, 8)
-        .map_err(PipelineError::from)?;
+    let threads = ThreadCount::from_env().map_err(ModelError::from)?;
+    let profile = ppsfp::simulate_counted_resumable(
+        &c17,
+        faults.faults(),
+        &vectors,
+        8,
+        threads,
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .map_err(PipelineError::from)?;
     println!("random 32-vector profile ({} faults, counts capped at 8):", faults.len());
     for n in [1usize, 2, 4, 8] {
         println!(

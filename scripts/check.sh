@@ -36,6 +36,14 @@ DLP_THREADS=1 cargo test --workspace -q
 echo "== test: full workspace, DLP_THREADS=4"
 DLP_THREADS=4 cargo test --workspace -q
 
+# Frozen-API guard: the standalone benchmark crate (its own workspace
+# and lockfile under benchmark/) calls the stage entry points by name.
+# Building it and running its bit-for-bit equivalence test here means a
+# deleted or re-signatured entry point fails this gate, not the benchmark
+# run.
+echo "== benchmark: build the standalone crate, run its equivalence test"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+
 # Differential oracle (DESIGN.md §17): the c432-class case is too slow
 # unoptimised, so debug builds ignore it and it runs here in release.
 echo "== oracle: differential vs reference switch-level drivers on c432-class"

@@ -7,14 +7,22 @@
 
 use dlp::atpg::generate::{generate_tests, AtpgConfig};
 use dlp::circuit::{bench, generators, switch};
+use dlp::core::obs::Recorder;
+use dlp::core::par::ThreadCount;
 use dlp::core::weighted::FaultWeights;
-use dlp::core::{fit, sousa::SousaModel, williams_brown};
+use dlp::core::{fit, sousa::SousaModel, williams_brown, RunBudget};
 use dlp::extract::defects::DefectStatistics;
-use dlp::extract::extractor;
+use dlp::extract::extractor::{self, ExtractionConfig};
 use dlp::extract::faults::OpenLevelModel;
 use dlp::layout::chip::ChipLayout;
-use dlp::sim::switchlevel::{SwitchConfig, SwitchSimulator};
+use dlp::sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 use dlp::sim::{detection, ppsfp, stuck_at};
+
+/// Workers for the stage calls, from `DLP_THREADS`, so both thread passes
+/// of the suite exercise the parallel paths.
+fn threads() -> ThreadCount {
+    ThreadCount::from_env().expect("DLP_THREADS")
+}
 
 /// The full paper flow on c17: every stage must compose.
 #[test]
@@ -24,7 +32,14 @@ fn c17_full_physical_flow() {
     assert_eq!(chip.verify_connectivity().len(), 0, "no geometric shorts");
     assert_eq!(chip.unrouted(), 0, "fully routed");
 
-    let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos()).expect("extract");
+    let faults = extractor::extract_obs(
+        &chip,
+        &DefectStatistics::maly_cmos(),
+        &ExtractionConfig::default(),
+        threads(),
+        Recorder::noop(),
+    )
+    .expect("extract");
     assert!(
         faults.len() > 80,
         "meaningful fault list, got {}",
@@ -48,7 +63,15 @@ fn c17_full_physical_flow() {
     let lowered = faults
         .to_switch_faults(&netlist, sim.netlist(), &OpenLevelModel::default())
         .expect("lowering");
-    let record = sim.detect(&lowered, &atpg.vectors).expect("detect");
+    let record = sim
+        .detect_obs(
+            &lowered,
+            &atpg.vectors,
+            DetectionMode::Voltage,
+            threads(),
+            Recorder::noop(),
+        )
+        .expect("detect");
 
     let theta = record.weighted_coverage_after(atpg.vectors.len(), &faults.weights()).unwrap();
     let gamma = record.coverage_after(atpg.vectors.len());
@@ -68,14 +91,29 @@ fn c17_full_physical_flow() {
 fn theta_leads_gamma_in_bridge_heavy_line() {
     let netlist = generators::ripple_adder(3);
     let chip = ChipLayout::generate(&netlist, &Default::default()).expect("layout");
-    let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos()).expect("extract");
+    let faults = extractor::extract_obs(
+        &chip,
+        &DefectStatistics::maly_cmos(),
+        &ExtractionConfig::default(),
+        threads(),
+        Recorder::noop(),
+    )
+    .expect("extract");
     let sw = switch::expand(&netlist).expect("expand");
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
     let lowered = faults
         .to_switch_faults(&netlist, sim.netlist(), &OpenLevelModel::default())
         .expect("lowering");
     let vectors = detection::random_vectors(netlist.inputs().len(), 96, 42);
-    let record = sim.detect(&lowered, &vectors).expect("detect");
+    let record = sim
+        .detect_obs(
+            &lowered,
+            &vectors,
+            DetectionMode::Voltage,
+            threads(),
+            Recorder::noop(),
+        )
+        .expect("detect");
     let w = faults.weights();
     // The paper's Fig. 1 / Fig. 4 shape: the weighted curve leads early
     // (heavy bridges retire fast), then saturates below the unweighted one
@@ -177,7 +215,16 @@ fn coverage_to_defect_level_monotone() {
     let netlist = generators::c432_class();
     let faults = stuck_at::enumerate(&netlist).collapse();
     let vectors = detection::random_vectors(36, 256, 3);
-    let record = ppsfp::simulate(&netlist, faults.faults(), &vectors).expect("sim");
+    let record = ppsfp::simulate_resumable(
+        &netlist,
+        faults.faults(),
+        &vectors,
+        threads(),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
+    )
+    .expect("sim");
     let model = SousaModel::new(0.75, 1.9, 0.96).expect("model");
     let mut prev = f64::INFINITY;
     for k in [1usize, 4, 16, 64, 256] {

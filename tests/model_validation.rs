@@ -4,15 +4,23 @@
 //! real extracted fault list.
 
 use dlp::circuit::{generators, switch};
-use dlp::core::montecarlo::{simulate_fallout, MonteCarloConfig};
+use dlp::core::montecarlo::{simulate_fallout_resumable, MonteCarloConfig};
+use dlp::core::obs::Recorder;
+use dlp::core::par::ThreadCount;
 use dlp::core::weighted::FaultWeights;
-use dlp::core::{coverage, sousa::SousaModel};
+use dlp::core::{coverage, sousa::SousaModel, RunBudget};
 use dlp::extract::defects::DefectStatistics;
-use dlp::extract::extractor;
+use dlp::extract::extractor::{self, ExtractionConfig};
 use dlp::extract::faults::OpenLevelModel;
 use dlp::layout::chip::ChipLayout;
 use dlp::sim::detection::random_vectors;
-use dlp::sim::switchlevel::{SwitchConfig, SwitchSimulator};
+use dlp::sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
+
+/// Workers for the stage calls, from `DLP_THREADS`, so both thread passes
+/// of the suite exercise the parallel paths.
+fn threads() -> ThreadCount {
+    ThreadCount::from_env().expect("DLP_THREADS")
+}
 
 /// Monte Carlo fallout of the *actual extracted* c17 fault list with the
 /// *actual simulated* detection mask must match eq. 3 — the model and the
@@ -21,7 +29,14 @@ use dlp::sim::switchlevel::{SwitchConfig, SwitchSimulator};
 fn monte_carlo_agrees_with_eq3_on_extracted_faults() {
     let netlist = generators::c17();
     let chip = ChipLayout::generate(&netlist, &Default::default()).expect("layout");
-    let faults = extractor::extract(&chip, &DefectStatistics::maly_cmos()).expect("extract");
+    let faults = extractor::extract_obs(
+        &chip,
+        &DefectStatistics::maly_cmos(),
+        &ExtractionConfig::default(),
+        threads(),
+        Recorder::noop(),
+    )
+    .expect("extract");
     let weights = FaultWeights::new(faults.weights())
         .expect("weights")
         .scaled_to_yield(0.8)
@@ -33,18 +48,30 @@ fn monte_carlo_agrees_with_eq3_on_extracted_faults() {
         .to_switch_faults(&netlist, sim.netlist(), &OpenLevelModel::default())
         .expect("lowering");
     let vectors = random_vectors(5, 64, 77);
-    let record = sim.detect(&lowered, &vectors).expect("detect");
+    let record = sim
+        .detect_obs(
+            &lowered,
+            &vectors,
+            DetectionMode::Voltage,
+            threads(),
+            Recorder::noop(),
+        )
+        .expect("detect");
     let mask = record.detected_after(vectors.len());
 
     let theta = weights.theta(&mask).expect("theta");
     let formula = weights.defect_level(theta).expect("dl");
-    let estimate = simulate_fallout(
+    let estimate = simulate_fallout_resumable(
         &weights,
         &mask,
         &MonteCarloConfig {
             dies: 300_000,
             seed: 4,
         },
+        threads(),
+        Recorder::noop(),
+        &RunBudget::unlimited(),
+        None,
     )
     .expect("mc");
     assert!(
