@@ -8,12 +8,13 @@
 //! validate_trace --serve-trace <traces.json> # flight-recorder dump mode
 //! ```
 //!
-//! Run-report mode parses the report with the in-tree JSON parser and
+//! Run-report mode parses the report into a typed [`RunReport`] and
 //! checks that every pipeline stage left a span, the load-bearing
 //! counters are nonzero, the per-worker timeline telemetry is coherent
 //! (wall/slot accounting, utilization and imbalance gauges in range),
-//! the required histograms are well-formed, and the report round-trips
-//! through [`RunReport::from_json`] into a valid OpenMetrics exposition
+//! the required histograms are well-formed, the span tree passes the
+//! tree check below with `extract.{bridges,opens,cuts}` children of
+//! `extract`, and the report renders to a valid OpenMetrics exposition
 //! — the check.sh gate that keeps the `DLP_TRACE` path honest.
 //!
 //! Bench mode checks a `BENCH_*.json` file against the versioned
@@ -24,14 +25,18 @@
 //!
 //! Serve-trace mode checks a `GET /v1/traces` flight-recorder dump
 //! (`TRACE_serve_gate.json` in CI): unique well-formed trace ids, a
-//! single `request` root per trace, parent links that resolve, children
-//! contained in their parents (start and duration), the required stage
-//! spans on every recomputing trace, and a span tree that explains at
-//! least 90% of each recomputing request's wall time.
+//! single `request` root per trace that passes the tree check, the
+//! required stage spans on every recomputing trace with pipeline stages
+//! nested under `recompute`, and a root whose children explain at least
+//! 90% of each recomputing request's wall time.
+//!
+//! Both tree-carrying modes share one tree check: every parent id
+//! resolves, and every child lies inside its parent (it starts no
+//! earlier and ends no later).
 
 use std::process::ExitCode;
 
-use dlp_core::obs::{openmetrics, BenchReport, Json, RunReport};
+use dlp_core::obs::{openmetrics, BenchReport, Json, RunReport, SpanNode};
 
 /// Spans every full-flow run must produce.
 const REQUIRED_SPANS: &[&str] = &[
@@ -74,64 +79,33 @@ const REQUIRED_HISTS: &[&str] = &[
 /// Parallel regions that must leave worker-timeline telemetry.
 const TIMELINE_SCOPES: &[&str] = &["sim.gate", "sim.switch", "extract", "mc"];
 
-fn counter(counters: &[(String, Json)], name: &str) -> Option<f64> {
-    counters
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-fn check_spans_and_counters(report: &Json) -> Result<(), String> {
-    let spans = report
-        .get("spans")
-        .and_then(Json::as_object)
-        .ok_or("report has no spans object")?;
+fn check_spans_and_counters(report: &RunReport) -> Result<(), String> {
     for name in REQUIRED_SPANS {
-        let span = spans
+        let span = report
+            .spans
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+            .find(|s| s.name == *name)
             .ok_or_else(|| format!("missing span {name:?}"))?;
-        let nanos = span
-            .get("nanos")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("span {name:?} has no nanos"))?;
-        let count = span
-            .get("count")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("span {name:?} has no count"))?;
-        if count < 1.0 {
+        if span.count < 1 {
             return Err(format!("span {name:?} never entered"));
         }
-        if nanos < 0.0 {
-            return Err(format!("span {name:?} has negative time"));
-        }
     }
-    let counters = report
-        .get("counters")
-        .and_then(Json::as_object)
-        .ok_or("report has no counters object")?;
     for name in REQUIRED_COUNTERS {
-        let value = counter(counters, name)
-            .ok_or_else(|| format!("missing counter {name:?}"))?;
-        if value <= 0.0 {
-            return Err(format!("counter {name:?} is zero"));
+        match report.counter(name) {
+            None => return Err(format!("missing counter {name:?}")),
+            Some(0) => return Err(format!("counter {name:?} is zero")),
+            Some(_) => {}
         }
     }
     // Per-worker tallies must account for every gate-level fault
     // simulation: their sum equals the sum of the live-per-block series.
-    let worker_sum: f64 = counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("sim.gate.worker") && k.ends_with(".items"))
-        .filter_map(|(_, v)| v.as_f64())
-        .sum();
+    let worker_sum: u64 = counter_sum(report, "sim.gate.worker", ".items");
     let live_sum: f64 = report
-        .get("series")
-        .and_then(|s| s.get("sim.gate.live_per_block"))
-        .and_then(Json::as_array)
-        .map(|xs| xs.iter().filter_map(Json::as_f64).sum())
-        .ok_or("missing series sim.gate.live_per_block")?;
-    if worker_sum != live_sum {
+        .series("sim.gate.live_per_block")
+        .ok_or("missing series sim.gate.live_per_block")?
+        .iter()
+        .sum();
+    if worker_sum as f64 != live_sum {
         return Err(format!(
             "sim.gate worker tallies sum to {worker_sum}, \
              but {live_sum} fault simulations were performed"
@@ -140,65 +114,52 @@ fn check_spans_and_counters(report: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// The sum of every counter named `<prefix>…<suffix>`.
+fn counter_sum(report: &RunReport, prefix: &str, suffix: &str) -> u64 {
+    report
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with(prefix) && k.ends_with(suffix))
+        .map(|(_, v)| v)
+        .sum()
+}
+
 /// Worker-timeline coherence per parallel scope: wall/slot accounting,
 /// at least one worker timeline, and both balance gauges in range.
-fn check_timelines(report: &Json) -> Result<(), String> {
-    let counters = report
-        .get("counters")
-        .and_then(Json::as_object)
-        .ok_or("report has no counters object")?;
-    let gauges = report
-        .get("gauges")
-        .and_then(Json::as_object)
-        .ok_or("report has no gauges object")?;
-    let series = report
-        .get("series")
-        .and_then(Json::as_object)
-        .ok_or("report has no series object")?;
+fn check_timelines(report: &RunReport) -> Result<(), String> {
     for scope in TIMELINE_SCOPES {
-        let wall = counter(counters, &format!("{scope}.wall_nanos"))
-            .ok_or_else(|| format!("missing counter {scope}.wall_nanos"))?;
-        let slot = counter(counters, &format!("{scope}.slot_nanos"))
-            .ok_or_else(|| format!("missing counter {scope}.slot_nanos"))?;
-        if wall <= 0.0 || slot < wall {
+        let counter = |name: &str| {
+            let name = format!("{scope}.{name}");
+            report
+                .counter(&name)
+                .ok_or(format!("missing counter {name}"))
+        };
+        let gauge = |name: &str| {
+            let name = format!("{scope}.{name}");
+            report.gauge(&name).ok_or(format!("missing gauge {name}"))
+        };
+        let (wall, slot) = (counter("wall_nanos")?, counter("slot_nanos")?);
+        if wall == 0 || slot < wall {
             return Err(format!(
                 "{scope}: wall {wall} / slot {slot} nanos are incoherent \
                  (slot = wall x workers must be >= wall > 0)"
             ));
         }
-        let busy_sum: f64 = counters
-            .iter()
-            .filter(|(k, _)| {
-                k.starts_with(&format!("{scope}.worker")) && k.ends_with(".busy_nanos")
-            })
-            .filter_map(|(_, v)| v.as_f64())
-            .sum();
-        let timeline = series
-            .iter()
-            .find(|(k, _)| *k == format!("{scope}.worker0.timeline"))
-            .and_then(|(_, v)| v.as_array())
-            .ok_or_else(|| format!("missing series {scope}.worker0.timeline"))?;
-        if timeline.is_empty() {
-            return Err(format!("{scope}.worker0.timeline is empty"));
+        let busy_sum = counter_sum(report, &format!("{scope}.worker"), ".busy_nanos");
+        let timeline = format!("{scope}.worker0.timeline");
+        if report.series(&timeline).is_none_or(<[f64]>::is_empty) {
+            return Err(format!("missing or empty series {timeline}"));
         }
-        let utilization = gauges
-            .iter()
-            .find(|(k, _)| *k == format!("{scope}.utilization"))
-            .and_then(|(_, v)| v.as_f64())
-            .ok_or_else(|| format!("missing gauge {scope}.utilization"))?;
+        let utilization = gauge("utilization")?;
         // Busy time is measured inside the worker loop, so Σbusy can
         // only undershoot the slot budget (plus timer granularity).
-        if !(0.0..=1.001).contains(&utilization) || busy_sum > slot * 1.001 {
+        if !(0.0..=1.001).contains(&utilization) || busy_sum as f64 > slot as f64 * 1.001 {
             return Err(format!(
                 "{scope}: utilization {utilization} (busy {busy_sum} of slot {slot}) \
                  is out of range"
             ));
         }
-        let imbalance = gauges
-            .iter()
-            .find(|(k, _)| *k == format!("{scope}.imbalance"))
-            .and_then(|(_, v)| v.as_f64())
-            .ok_or_else(|| format!("missing gauge {scope}.imbalance"))?;
+        let imbalance = gauge("imbalance")?;
         if imbalance < 1.0 {
             return Err(format!(
                 "{scope}: imbalance {imbalance} < 1 (defined as max busy / mean busy)"
@@ -210,73 +171,89 @@ fn check_timelines(report: &Json) -> Result<(), String> {
 
 /// Histogram well-formedness: present, populated, strictly increasing
 /// bucket bounds, and bucket counts that sum to the observation count.
-fn check_hists(report: &Json) -> Result<(), String> {
-    let hists = report
-        .get("hists")
-        .and_then(Json::as_object)
-        .ok_or("report has no hists object")?;
+fn check_hists(report: &RunReport) -> Result<(), String> {
     for name in REQUIRED_HISTS {
-        let hist = hists
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        let hist = report
+            .hist(name)
             .ok_or_else(|| format!("missing histogram {name:?}"))?;
-        let count = hist
-            .get("count")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("histogram {name:?} has no count"))?;
-        if count < 1.0 {
+        if hist.count < 1 {
             return Err(format!("histogram {name:?} is empty"));
         }
-        let buckets = hist
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("histogram {name:?} has no buckets"))?;
-        let mut total = 0.0;
-        let mut last_bound = f64::NEG_INFINITY;
-        for bucket in buckets {
-            let pair = bucket
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("histogram {name:?} has a malformed bucket"))?;
-            let bound = pair[0]
-                .as_f64()
-                .ok_or_else(|| format!("histogram {name:?} has a non-numeric bound"))?;
-            if bound <= last_bound {
-                return Err(format!(
-                    "histogram {name:?} bucket bounds are not strictly increasing"
-                ));
-            }
-            last_bound = bound;
-            total += pair[1]
-                .as_f64()
-                .ok_or_else(|| format!("histogram {name:?} has a non-numeric count"))?;
+        if hist.buckets.windows(2).any(|w| w[1].0 <= w[0].0) {
+            return Err(format!(
+                "histogram {name:?} bucket bounds are not strictly increasing"
+            ));
         }
-        if total != count {
+        let total: u64 = hist.buckets.iter().map(|&(_, n)| n).sum();
+        if total != hist.count {
             return Err(format!(
                 "histogram {name:?}: bucket counts sum to {total}, \
-                 but count is {count}"
+                 but count is {}",
+                hist.count
             ));
         }
     }
     Ok(())
 }
 
-/// The report must round-trip through the typed [`RunReport`] parser and
-/// render to a valid OpenMetrics exposition.
-fn check_openmetrics(text: &str) -> Result<(), String> {
-    let report = RunReport::from_json(text)
-        .map_err(|e| format!("report does not parse as a RunReport: {e}"))?;
-    let exposition = report.to_openmetrics();
-    openmetrics::validate(&exposition)
-        .map_err(|e| format!("OpenMetrics exposition is invalid: {e}"))
+/// Extraction sub-passes that must nest under `extract` in the tree.
+const EXTRACT_SUBSPANS: &[&str] = &["extract.bridges", "extract.opens", "extract.cuts"];
+
+/// The one tree check: parent ids resolve, and each child lies inside
+/// its parent.
+fn check_tree(nodes: &[SpanNode]) -> Result<(), String> {
+    if nodes.is_empty() {
+        return Err("the span tree is empty".to_string());
+    }
+    for node in nodes {
+        let Some(parent) = parent_of(nodes, node)? else {
+            continue;
+        };
+        let end = node.start_nanos.saturating_add(node.nanos);
+        let parent_end = parent.start_nanos.saturating_add(parent.nanos);
+        if node.start_nanos < parent.start_nanos || end > parent_end {
+            return Err(format!(
+                "child {:?} [{}, {end}) is not inside its parent {:?} [{}, {parent_end})",
+                node.name, node.start_nanos, parent.name, parent.start_nanos
+            ));
+        }
+    }
+    Ok(())
 }
 
-fn check(report: &Json, text: &str) -> Result<(), String> {
-    check_spans_and_counters(report)?;
-    check_timelines(report)?;
-    check_hists(report)?;
-    check_openmetrics(text)
+fn parent_of<'a>(nodes: &'a [SpanNode], node: &SpanNode) -> Result<Option<&'a SpanNode>, String> {
+    node.parent
+        .map(|id| {
+            nodes
+                .iter()
+                .find(|p| p.id == id)
+                .ok_or_else(|| format!("span {} ({:?}) has a dangling parent", node.id, node.name))
+        })
+        .transpose()
+}
+
+/// Run-report mode: every check above, the span tree with the
+/// extraction sub-passes under `extract`, and a valid OpenMetrics
+/// rendering.
+fn check(text: &str) -> Result<(), String> {
+    let report = RunReport::from_json(text)
+        .map_err(|e| format!("report does not parse as a RunReport: {e}"))?;
+    check_spans_and_counters(&report)?;
+    check_timelines(&report)?;
+    check_hists(&report)?;
+    check_tree(&report.tree)?;
+    for sub in EXTRACT_SUBSPANS {
+        let node = report
+            .tree
+            .iter()
+            .find(|n| n.name == *sub)
+            .ok_or_else(|| format!("the span tree has no {sub:?} node"))?;
+        if parent_of(&report.tree, node)?.map(|p| p.name.as_str()) != Some("extract") {
+            return Err(format!("{sub:?} is not a child of \"extract\""));
+        }
+    }
+    openmetrics::validate(&report.to_openmetrics())
+        .map_err(|e| format!("OpenMetrics exposition is invalid: {e}"))
 }
 
 fn check_bench(text: &str) -> Result<String, String> {
@@ -310,46 +287,6 @@ fn check_bench(text: &str) -> Result<String, String> {
     ))
 }
 
-/// One span row lifted out of a trace's JSON for containment checks.
-struct SpanRow {
-    id: u64,
-    parent: Option<u64>,
-    name: String,
-    start: u64,
-    nanos: u64,
-}
-
-fn span_rows(trace: &Json) -> Result<Vec<SpanRow>, String> {
-    let spans = trace
-        .get("spans")
-        .and_then(Json::as_array)
-        .ok_or("trace has no spans array")?;
-    if spans.is_empty() {
-        return Err("trace has an empty span tree".to_string());
-    }
-    spans
-        .iter()
-        .map(|s| {
-            let field = |name: &str| {
-                s.get(name)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("span has no numeric {name}"))
-            };
-            Ok(SpanRow {
-                id: field("id")? as u64,
-                parent: s.get("parent").and_then(Json::as_f64).map(|p| p as u64),
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("span has no name")?
-                    .to_string(),
-                start: field("start_nanos")? as u64,
-                nanos: field("nanos")? as u64,
-            })
-        })
-        .collect()
-}
-
 /// Stage spans every recomputing (cache-miss) request must carry.
 const REQUIRED_SERVE_SPANS: &[&str] = &["route", "cache.probe", "recompute", "seal", "write"];
 
@@ -361,8 +298,16 @@ fn check_one_trace(trace: &Json) -> Result<(bool, String), String> {
     if trace_id.len() != 16 || !trace_id.chars().all(|c| c.is_ascii_hexdigit()) {
         return Err(format!("trace_id {trace_id:?} is not 16 hex digits"));
     }
-    let spans = span_rows(trace)?;
-    let roots: Vec<&SpanRow> = spans.iter().filter(|s| s.parent.is_none()).collect();
+    let spans = trace
+        .get("spans")
+        .and_then(Json::as_array)
+        .ok_or("trace has no spans array")?
+        .iter()
+        .map(SpanNode::from_json)
+        .collect::<Result<Vec<SpanNode>, _>>()
+        .map_err(|e| format!("{trace_id}: {e}"))?;
+    check_tree(&spans).map_err(|e| format!("{trace_id}: {e}"))?;
+    let roots: Vec<&SpanNode> = spans.iter().filter(|s| s.parent.is_none()).collect();
     if roots.len() != 1 || roots[0].name != "request" {
         return Err(format!(
             "{trace_id}: expected exactly one root span named \"request\", \
@@ -371,42 +316,18 @@ fn check_one_trace(trace: &Json) -> Result<(bool, String), String> {
         ));
     }
     let root = roots[0];
-    for span in &spans {
-        let Some(parent_id) = span.parent else {
-            continue;
-        };
-        let parent = spans
-            .iter()
-            .find(|s| s.id == parent_id)
-            .ok_or_else(|| format!("{trace_id}: span {} has a dangling parent", span.id))?;
-        if span.nanos > parent.nanos {
-            return Err(format!(
-                "{trace_id}: child {:?} ({} ns) outlasts its parent {:?} ({} ns)",
-                span.name, span.nanos, parent.name, parent.nanos
-            ));
-        }
-        if span.start < parent.start {
-            return Err(format!(
-                "{trace_id}: child {:?} starts before its parent {:?}",
-                span.name, parent.name
-            ));
-        }
-    }
-    let recomputed = spans.iter().any(|s| s.name == "recompute");
-    if recomputed {
+    let recompute = spans.iter().find(|s| s.name == "recompute");
+    if let Some(recompute) = recompute {
         for name in REQUIRED_SERVE_SPANS {
             if !spans.iter().any(|s| s.name == *name) {
-                return Err(format!("{trace_id}: recomputing trace has no {name:?} span"));
+                return Err(format!(
+                    "{trace_id}: recomputing trace has no {name:?} span"
+                ));
             }
         }
-        let recompute_id = spans
-            .iter()
-            .find(|s| s.name == "recompute")
-            .map(|s| s.id)
-            .unwrap_or_default();
-        if !spans.iter().any(|s| s.parent == Some(recompute_id)) {
+        if !spans.iter().any(|s| s.parent == Some(recompute.id)) {
             return Err(format!(
-                "{trace_id}: the recompute span adopted no pipeline stage spans"
+                "{trace_id}: no pipeline stage span nests under recompute"
             ));
         }
         let covered: u64 = spans
@@ -421,7 +342,7 @@ fn check_one_trace(trace: &Json) -> Result<(bool, String), String> {
             ));
         }
     }
-    Ok((recomputed, trace_id.to_string()))
+    Ok((recompute.is_some(), trace_id.to_string()))
 }
 
 fn check_serve_trace(text: &str) -> Result<String, String> {
@@ -472,33 +393,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if mode != "run" {
-        let checked = if mode == "bench" {
-            check_bench(&text)
-        } else {
-            check_serve_trace(&text)
-        };
-        return match checked {
-            Ok(summary) => {
-                println!("validate_trace: {path} OK — {summary}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("validate_trace: {path}: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let report = match Json::parse(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("validate_trace: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
+    let checked = match mode {
+        "run" => check(&text).map(|()| String::new()),
+        "bench" => check_bench(&text).map(|summary| format!(" — {summary}")),
+        _ => check_serve_trace(&text).map(|summary| format!(" — {summary}")),
     };
-    match check(&report, &text) {
-        Ok(()) => {
-            println!("validate_trace: {path} OK");
+    match checked {
+        Ok(summary) => {
+            println!("validate_trace: {path} OK{summary}");
             ExitCode::SUCCESS
         }
         Err(msg) => {

@@ -1,4 +1,4 @@
-//! Dependency-free pipeline observability: stage-scoped spans, named
+//! Dependency-free pipeline observability: a span tree, named
 //! counters/gauges/series, log-bucketed histograms, and a JSON
 //! [`RunReport`] with an OpenMetrics exposition.
 //!
@@ -9,8 +9,10 @@
 //! into:
 //!
 //! * **spans** — monotonic wall-clock timing of a named scope
-//!   ([`Recorder::span`] returns an RAII guard; nested/repeated spans
-//!   accumulate `nanos` and `count`);
+//!   ([`Recorder::span`] returns an RAII guard). Each span is recorded
+//!   once, as a node of the recorder's span tree (see below); the
+//!   per-name totals (`nanos`, `count`) are folded from the same node
+//!   when it closes;
 //! * **counters** — named monotonic `u64` tallies ([`Recorder::add`],
 //!   [`Recorder::incr`]) such as faults enumerated or dies simulated;
 //! * **gauges** — last-write-wins `f64` observations
@@ -28,7 +30,9 @@
 //! ([`RunReport::from_json`] — used by CI to validate emitted reports),
 //! and exports as OpenMetrics text ([`RunReport::to_openmetrics`]) for
 //! scraping. The bench bins share the schema discipline through
-//! [`bench::BenchReport`].
+//! [`bench::BenchReport`]. A request trace ([`trace::TraceContext`]) is
+//! a trace id over its own recorder, so run reports and `/v1/traces`
+//! share one span model: [`SpanNode`].
 //!
 //! # The `DLP_TRACE` contract
 //!
@@ -39,6 +43,23 @@
 //! honour tracing resolve [`TraceSetting::from_env`]: `DLP_TRACE`
 //! unset, empty, or `0` is off; `1` means "write the report to the
 //! caller's default path"; anything else is the report path itself.
+//!
+//! # The span tree
+//!
+//! An enabled span records a [`SpanNode`]: its name, its parent (the
+//! innermost span still open on the same recorder), its start offset
+//! from the recorder's origin (its first span, or a request's start),
+//! and its duration. Stages nest because
+//! they really ran inside each other — `extract` under `recompute` in a
+//! service miss, `extract.bridges` under `extract` everywhere. Spans
+//! are opened on the thread that drives a stage, never inside parallel
+//! workers, so the tree's shape is the same at every `DLP_THREADS`.
+//!
+//! The tree is bounded like a series: at most [`SPAN_CAP`] nodes are
+//! retained. A span opened past the cap still feeds its name's totals
+//! and is tallied in the `obs.spans_dropped` counter of the emitted
+//! report. [`Recorder::merge_from`] folds totals only, so a long-lived
+//! recorder that merges many per-request recorders keeps no tree.
 //!
 //! # Bounded series memory
 //!
@@ -81,7 +102,7 @@ pub use trace::{FlightRecorder, TraceContext, TraceOutcome, TraceRecord};
 use hist::Histogram as Hist;
 use json::{json_number, json_string};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// The environment variable that enables trace reports.
@@ -90,6 +111,10 @@ pub const TRACE_ENV: &str = "DLP_TRACE";
 /// Maximum retained points per series; see the module docs on bounded
 /// series memory.
 pub const SERIES_CAP: usize = 4096;
+
+/// Maximum retained span-tree nodes per recorder; see the module docs
+/// on the span tree.
+pub const SPAN_CAP: usize = 4096;
 
 /// Resolution of the `DLP_TRACE` environment variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +171,21 @@ impl TraceSetting {
             TraceSetting::Path(p) => Some(p.clone()),
         }
     }
+}
+
+/// Locks `m`, recovering the data of a poisoned mutex: recorded
+/// telemetry stays usable after a panicking worker.
+pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Nanoseconds from `start` to now, saturating.
+pub(crate) fn elapsed_nanos(start: Instant) -> u64 {
+    nanos_between(start, Instant::now())
+}
+
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Accumulated timing of one span name.
@@ -207,6 +247,15 @@ impl SeriesBuf {
 #[derive(Debug, Default)]
 struct State {
     spans: BTreeMap<String, SpanStats>,
+    /// Retained span-tree nodes in open order; at most [`SPAN_CAP`].
+    tree: Vec<SpanNode>,
+    /// Retained nodes still open, innermost last, with their start.
+    open: Vec<(usize, Instant)>,
+    /// Spans opened past [`SPAN_CAP`]: in the totals, not in the tree.
+    spans_dropped: u64,
+    /// The instant node offsets count from; the first span's start
+    /// unless set up front.
+    origin: Option<Instant>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     series: BTreeMap<String, SeriesBuf>,
@@ -217,23 +266,67 @@ impl State {
     const fn new() -> State {
         State {
             spans: BTreeMap::new(),
+            tree: Vec::new(),
+            open: Vec::new(),
+            spans_dropped: 0,
+            origin: None,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             series: BTreeMap::new(),
             hists: BTreeMap::new(),
         }
     }
-}
 
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn add_span(&mut self, name: &str, nanos: u64, count: u64) {
+        if let Some(s) = self.spans.get_mut(name) {
+            s.nanos = s.nanos.saturating_add(nanos);
+            s.count = s.count.saturating_add(count);
+        } else {
+            self.spans
+                .insert(name.to_string(), SpanStats { nanos, count });
+        }
+    }
+
+    fn add(&mut self, name: &str, delta: u64) {
+        if let Some(c) = self.counters.get_mut(name) {
+            *c = c.saturating_add(delta);
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
+    }
+
+    fn gauge(&mut self, name: &str, value: f64) {
+        if let Some(g) = self.gauges.get_mut(name) {
+            *g = value;
+        } else {
+            self.gauges.insert(name.to_string(), value);
+        }
+    }
+
+    fn push(&mut self, name: &str, value: f64) {
+        if let Some(s) = self.series.get_mut(name) {
+            s.push(value);
+        } else {
+            let mut buf = SeriesBuf::new();
+            buf.push(value);
+            self.series.insert(name.to_string(), buf);
+        }
+    }
+
+    fn merge_hist(&mut self, name: &str, h: &Hist) {
+        if let Some(existing) = self.hists.get_mut(name) {
+            existing.merge(h);
+        } else {
+            self.hists.insert(name.to_string(), h.clone());
+        }
+    }
 }
 
 /// The shared no-op recorder behind [`Recorder::noop`].
 static NOOP: Recorder = Recorder::disabled();
 
-/// Collects spans, counters, gauges, series, and histograms for one
-/// pipeline run.
+/// Collects the span tree, counters, gauges, series, and histograms for
+/// one pipeline run.
 ///
 /// `Recorder` is `Sync`: parallel workers may record concurrently (the
 /// state sits behind a mutex). A disabled recorder ([`Recorder::noop`] /
@@ -248,6 +341,7 @@ static NOOP: Recorder = Recorder::disabled();
 /// let obs = Recorder::enabled();
 /// {
 ///     let _span = obs.span("extract");
+///     let _bridges = obs.span("extract.bridges");
 ///     obs.add("extract.faults", 128);
 ///     obs.gauge("extract.weight.total", 0.29);
 ///     obs.push("sim.live_per_block", 128.0);
@@ -256,6 +350,8 @@ static NOOP: Recorder = Recorder::disabled();
 /// let report = obs.report("demo");
 /// assert_eq!(report.counter("extract.faults"), Some(128));
 /// assert!(report.span_nanos("extract").is_some());
+/// assert_eq!(report.tree[1].name, "extract.bridges");
+/// assert_eq!(report.tree[1].parent, Some(report.tree[0].id));
 /// assert_eq!(report.hist("sim.detects_per_block").map(|h| h.count), Some(1));
 /// ```
 #[derive(Debug)]
@@ -281,6 +377,17 @@ impl Recorder {
         }
     }
 
+    /// An enabled recorder whose span offsets count from `origin`.
+    fn enabled_from(origin: Instant) -> Recorder {
+        Recorder {
+            enabled: true,
+            state: Mutex::new(State {
+                origin: Some(origin),
+                ..State::new()
+            }),
+        }
+    }
+
     /// The process-wide shared no-op recorder, for callers that do not
     /// trace.
     pub fn noop() -> &'static Recorder {
@@ -303,26 +410,57 @@ impl Recorder {
         self.enabled
     }
 
-    /// Starts a named span; the returned guard records the elapsed
-    /// wall-clock time into the span's totals when dropped.
+    /// Starts a named span, a child of the innermost span still open on
+    /// this recorder. The returned guard closes it when dropped.
     pub fn span(&self, name: &'static str) -> Span<'_> {
+        self.open(name, self.enabled.then(Instant::now))
+    }
+
+    /// [`span`](Self::span) for an interval that began at `start`,
+    /// before the call — e.g. the transport's HTTP parse, timed before
+    /// the request was known.
+    pub fn span_since(&self, name: &'static str, start: Instant) -> Span<'_> {
+        self.open(name, self.enabled.then_some(start))
+    }
+
+    fn open(&self, name: &'static str, start: Option<Instant>) -> Span<'_> {
+        let node = start.and_then(|start| {
+            let mut state = lock_or_recover(&self.state);
+            let origin = *state.origin.get_or_insert(start);
+            let id = state.tree.len();
+            if id >= SPAN_CAP {
+                state.spans_dropped += 1;
+                return None;
+            }
+            let parent = state.open.last().map(|&(p, _)| p as u64);
+            state.tree.push(SpanNode {
+                id: id as u64,
+                parent,
+                name: name.to_string(),
+                start_nanos: nanos_between(origin, start),
+                nanos: 0,
+            });
+            state.open.push((id, start));
+            Some(id)
+        });
         Span {
             recorder: self,
             name,
-            start: self.enabled.then(Instant::now),
+            start,
+            node,
         }
+    }
+
+    /// When this recorder's span offsets start (`None` before the first
+    /// span).
+    fn origin(&self) -> Option<Instant> {
+        lock_or_recover(&self.state).origin
     }
 
     /// Adds `delta` to the named monotonic counter (created at 0).
     pub fn add(&self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        let mut state = lock_or_recover(&self.state);
-        if let Some(c) = state.counters.get_mut(name) {
-            *c = c.saturating_add(delta);
-        } else {
-            state.counters.insert(name.to_string(), delta);
+        if self.enabled {
+            lock_or_recover(&self.state).add(name, delta);
         }
     }
 
@@ -356,30 +494,16 @@ impl Recorder {
 
     /// Sets the named gauge (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let mut state = lock_or_recover(&self.state);
-        if let Some(g) = state.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            state.gauges.insert(name.to_string(), value);
+        if self.enabled {
+            lock_or_recover(&self.state).gauge(name, value);
         }
     }
 
     /// Appends `value` to the named series (bounded at [`SERIES_CAP`]
     /// retained points; see the module docs).
     pub fn push(&self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let mut state = lock_or_recover(&self.state);
-        if let Some(s) = state.series.get_mut(name) {
-            s.push(value);
-        } else {
-            let mut buf = SeriesBuf::new();
-            buf.push(value);
-            state.series.insert(name.to_string(), buf);
+        if self.enabled {
+            lock_or_recover(&self.state).push(name, value);
         }
     }
 
@@ -403,46 +527,19 @@ impl Recorder {
     /// once (bucket adds commute, so merge order cannot change the
     /// result).
     pub fn merge_hist(&self, name: &str, h: &Hist) {
-        if !self.enabled {
-            return;
-        }
-        let mut state = lock_or_recover(&self.state);
-        if let Some(existing) = state.hists.get_mut(name) {
-            existing.merge(h);
-        } else {
-            state.hists.insert(name.to_string(), h.clone());
+        if self.enabled {
+            lock_or_recover(&self.state).merge_hist(name, h);
         }
     }
 
-    /// Adds one completed execution of `nanos` to the named span's
-    /// totals — the dynamic-name twin of [`span`](Self::span), for
-    /// callers (trace merging, [`trace::TraceContext::attach`]) that
-    /// measured the interval themselves.
-    pub fn add_span(&self, name: &str, nanos: u64) {
-        self.add_span_runs(name, nanos, 1);
-    }
-
-    fn add_span_runs(&self, name: &str, nanos: u64, count: u64) {
-        if !self.enabled {
-            return;
-        }
-        let mut state = lock_or_recover(&self.state);
-        let stats = state.spans.entry(name.to_string()).or_default();
-        stats.nanos = stats.nanos.saturating_add(nanos);
-        stats.count = stats.count.saturating_add(count);
-    }
-
-    fn record_span(&self, name: &'static str, nanos: u64) {
-        self.add_span(name, nanos);
-    }
-
-    /// Folds everything `other` recorded into this recorder: counters
-    /// and span totals add, histograms merge bucket-wise, series
+    /// Folds the totals `other` recorded into this recorder: span
+    /// totals and counters add, histograms merge bucket-wise, series
     /// points append (dropped tallies carried over), gauges last-write
-    /// win. Addition commutes, so merging per-request recorders in any
-    /// completion order yields the same totals direct recording would
-    /// have — the property that keeps the service's `/metrics` stable
-    /// across worker counts.
+    /// win. The span tree is not merged — it stays with `other`. Addition
+    /// commutes, so merging per-request recorders in any completion
+    /// order yields the same totals direct recording would have — the
+    /// property that keeps the service's `/metrics` stable across
+    /// worker counts.
     ///
     /// A no-op when either side is disabled. `other` is snapshotted
     /// under its own lock before this recorder's lock is taken, so the
@@ -451,48 +548,36 @@ impl Recorder {
         if !self.enabled || !other.enabled {
             return;
         }
-        let report = other.report("");
-        let series: Vec<(String, Vec<f64>, u64)> = {
-            let state = lock_or_recover(&other.state);
-            state
+        let (spans, counters, gauges, series, hists) = {
+            let theirs = lock_or_recover(&other.state);
+            let series: Vec<(String, Vec<f64>, u64)> = theirs
                 .series
                 .iter()
                 .map(|(n, s)| (n.clone(), s.points.clone(), s.dropped))
-                .collect()
+                .collect();
+            (
+                theirs.spans.clone(),
+                theirs.counters.clone(),
+                theirs.gauges.clone(),
+                series,
+                theirs.hists.clone(),
+            )
         };
-        for s in &report.spans {
-            self.add_span_runs(&s.name, s.nanos, s.count);
-        }
-        for (name, value) in &report.counters {
-            // The dropped-points tally is synthesised at report time
-            // from the series buffers, whose `dropped` counts are
-            // carried over below — merging the synthetic counter too
-            // would double-count.
-            if name == "obs.series_dropped_points" {
-                continue;
-            }
-            self.add(name, *value);
-        }
-        for (name, value) in &report.gauges {
-            self.gauge(name, *value);
-        }
-        let hists: Vec<(String, Hist)> = {
-            let state = lock_or_recover(&other.state);
-            state
-                .hists
-                .iter()
-                .map(|(n, h)| (n.clone(), h.clone()))
-                .collect()
-        };
-        for (name, h) in &hists {
-            self.merge_hist(name, h);
-        }
         let mut state = lock_or_recover(&self.state);
+        for (name, s) in &spans {
+            state.add_span(name, s.nanos, s.count);
+        }
+        for (name, value) in &counters {
+            state.add(name, *value);
+        }
+        for (name, value) in &gauges {
+            state.gauge(name, *value);
+        }
+        for (name, h) in &hists {
+            state.merge_hist(name, h);
+        }
         for (name, points, dropped) in series {
-            let buf = state
-                .series
-                .entry(name)
-                .or_insert_with(SeriesBuf::new);
+            let buf = state.series.entry(name).or_insert_with(SeriesBuf::new);
             for p in points {
                 buf.push(p);
             }
@@ -500,16 +585,27 @@ impl Recorder {
         }
     }
 
-    /// Snapshots everything recorded so far into a [`RunReport`].
+    /// Snapshots everything recorded so far into a [`RunReport`]. A span
+    /// still open is reported with its duration so far.
     pub fn report(&self, name: &str) -> RunReport {
         let state = lock_or_recover(&self.state);
         let mut counters = state.counters.clone();
-        let dropped: u64 = state.series.values().map(|s| s.dropped).sum();
-        if dropped > 0 {
-            let c = counters
-                .entry("obs.series_dropped_points".to_string())
-                .or_insert(0);
-            *c = c.saturating_add(dropped);
+        let series_dropped: u64 = state.series.values().map(|s| s.dropped).sum();
+        for (counter, dropped) in [
+            ("obs.series_dropped_points", series_dropped),
+            ("obs.spans_dropped", state.spans_dropped),
+        ] {
+            if dropped > 0 {
+                let c = counters.entry(counter.to_string()).or_insert(0);
+                *c = c.saturating_add(dropped);
+            }
+        }
+        let mut tree = state.tree.clone();
+        let now = Instant::now();
+        for &(id, start) in &state.open {
+            if let Some(node) = tree.get_mut(id) {
+                node.nanos = nanos_between(start, now);
+            }
         }
         RunReport {
             name: name.to_string(),
@@ -530,23 +626,47 @@ impl Recorder {
                 .map(|(n, s)| (n.clone(), s.points.clone()))
                 .collect(),
             hists: state.hists.iter().map(|(n, h)| h.snapshot(n)).collect(),
+            tree,
         }
     }
 }
 
-/// RAII span guard from [`Recorder::span`]; records on drop.
+/// RAII span guard from [`Recorder::span`]; closes the span on drop.
 #[derive(Debug)]
 pub struct Span<'a> {
     recorder: &'a Recorder,
     name: &'static str,
+    /// `None` when the recorder is disabled or the span already closed.
     start: Option<Instant>,
+    /// The retained tree node; `None` past [`SPAN_CAP`].
+    node: Option<usize>,
+}
+
+impl Span<'_> {
+    /// Closes the span at `end`: fills in its tree node and folds its
+    /// duration into the name's totals.
+    fn close(&mut self, end: Instant) {
+        let Some(start) = self.start.take() else {
+            return;
+        };
+        let nanos = nanos_between(start, end);
+        let mut state = lock_or_recover(&self.recorder.state);
+        if let Some(id) = self.node {
+            if let Some(node) = state.tree.get_mut(id) {
+                node.nanos = nanos;
+            }
+            if let Some(pos) = state.open.iter().rposition(|&(i, _)| i == id) {
+                state.open.remove(pos);
+            }
+        }
+        state.add_span(self.name, nanos, 1);
+    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.recorder.record_span(self.name, nanos);
+        if self.start.is_some() {
+            self.close(Instant::now());
         }
     }
 }
@@ -560,6 +680,75 @@ pub struct SpanEntry {
     pub nanos: u64,
     /// How many times the span ran.
     pub count: u64,
+}
+
+/// One span of a recorded tree — the node type of both
+/// [`RunReport::tree`] and [`TraceRecord::spans`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanNode {
+    /// Node id: its index in open order.
+    pub id: u64,
+    /// The enclosing span's id; `None` for a top-level span.
+    pub parent: Option<u64>,
+    /// The span name (`extract`, `cache.probe`, …).
+    pub name: String,
+    /// Nanoseconds from the recorder's origin (a run's first span, a
+    /// request's start) to the span's start.
+    pub start_nanos: u64,
+    /// The span's duration in nanoseconds.
+    pub nanos: u64,
+}
+
+impl SpanNode {
+    /// The node as a JSON object with keys `id`, `parent` (`null` at
+    /// the top), `name`, `start_nanos` and `nanos`.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("id".to_string(), Json::Number(self.id as f64)),
+            (
+                "parent".to_string(),
+                self.parent.map_or(Json::Null, |p| Json::Number(p as f64)),
+            ),
+            ("name".to_string(), Json::String(self.name.clone())),
+            (
+                "start_nanos".to_string(),
+                Json::Number(self.start_nanos as f64),
+            ),
+            ("nanos".to_string(), Json::Number(self.nanos as f64)),
+        ])
+    }
+
+    /// Parses the shape [`to_json`](Self::to_json) writes.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] (offset 0) when a field is missing or is not a
+    /// non-negative integer.
+    pub fn from_json(v: &Json) -> Result<SpanNode, JsonError> {
+        let err = || JsonError {
+            offset: 0,
+            message: "malformed span node",
+        };
+        let int = |x: &Json| json_u64(x).ok_or_else(err);
+        let field = |key: &str| v.get(key).ok_or_else(err);
+        Ok(SpanNode {
+            id: int(field("id")?)?,
+            parent: match field("parent")? {
+                Json::Null => None,
+                p => Some(int(p)?),
+            },
+            name: field("name")?.as_str().ok_or_else(err)?.to_string(),
+            start_nanos: int(field("start_nanos")?)?,
+            nanos: int(field("nanos")?)?,
+        })
+    }
+}
+
+/// A non-negative integral JSON number as `u64`.
+fn json_u64(v: &Json) -> Option<u64> {
+    v.as_f64()
+        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+        .map(|x| x as u64)
 }
 
 /// An immutable snapshot of a [`Recorder`], serialisable to JSON and to
@@ -579,7 +768,10 @@ pub struct SpanEntry {
 ///       "count": 3, "invalid": 0, "sum": 61.0, "min": 4.0, "max": 38.0,
 ///       "buckets": [[4.5, 1], [20.0, 1], [40.0, 1]]
 ///     }
-///   }
+///   },
+///   "tree": [
+///     {"id":0.0,"parent":null,"name":"extract","start_nanos":0.0,"nanos":91342011.0}
+///   ]
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -596,6 +788,9 @@ pub struct RunReport {
     pub series: Vec<(String, Vec<f64>)>,
     /// Histogram snapshots, sorted by name.
     pub hists: Vec<HistEntry>,
+    /// The retained span tree, in open order (empty for reports written
+    /// before the tree existed).
+    pub tree: Vec<SpanNode>,
 }
 
 impl RunReport {
@@ -686,14 +881,21 @@ impl RunReport {
                 buckets.join(", ")
             ));
         }
-        out.push_str(if self.hists.is_empty() { "}\n" } else { "\n  }\n" });
+        out.push_str(if self.hists.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str("  \"tree\": [");
+        for (i, node) in self.tree.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            out.push_str(&crate::ckpt::render(&node.to_json()));
+        }
+        out.push_str(if self.tree.is_empty() { "]\n" } else { "\n  ]\n" });
         out.push_str("}\n");
         out
     }
 
     /// Parses a serialised report back (the inverse of
     /// [`to_json`](Self::to_json)). Reports written before histograms
-    /// existed (no `"hists"` key) parse with empty histogram sections;
+    /// or the span tree existed (no `"hists"` / `"tree"` key) parse with
+    /// those sections empty;
     /// `null` numbers deserialise as the non-finite sentinels they
     /// stood for (`NaN`, or ±∞ for an empty histogram's min/max).
     ///
@@ -709,12 +911,7 @@ impl RunReport {
             .and_then(Json::as_str)
             .ok_or_else(|| schema_err("missing report name"))?
             .to_string();
-        let as_u64 = |v: &Json, message| {
-            v.as_f64()
-                .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                .map(|x| x as u64)
-                .ok_or_else(|| schema_err(message))
-        };
+        let as_u64 = |v: &Json, message| json_u64(v).ok_or_else(|| schema_err(message));
         let num_or_null = |v: &Json, null_means: f64, message: &'static str| match v {
             Json::Null => Ok(null_means),
             v => v.as_f64().ok_or_else(|| schema_err(message)),
@@ -795,6 +992,15 @@ impl RunReport {
                 buckets,
             });
         }
+        let tree = match doc.get("tree") {
+            None => Vec::new(),
+            Some(v) => v
+                .as_array()
+                .ok_or_else(|| schema_err("tree must be an array"))?
+                .iter()
+                .map(SpanNode::from_json)
+                .collect::<Result<Vec<SpanNode>, JsonError>>()?,
+        };
         Ok(RunReport {
             name,
             spans,
@@ -802,6 +1008,7 @@ impl RunReport {
             gauges,
             series,
             hists,
+            tree,
         })
     }
 
@@ -843,6 +1050,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn trace_setting_parses() {
@@ -971,14 +1179,17 @@ mod tests {
     #[test]
     fn merge_from_matches_direct_recording() {
         // Record the same activity directly and via two per-request
-        // recorders merged in, and demand identical reports.
+        // recorders merged in, and demand identical reports except for
+        // the span tree, which merging does not carry.
         let direct = Recorder::enabled();
         let merged = Recorder::enabled();
+        let t0 = Instant::now();
         for part in 0..2u64 {
             let child = Recorder::enabled();
             for obs in [&direct, &child] {
                 obs.add("requests", 1 + part);
-                obs.add_span("stage", 100 * (part + 1));
+                let mut span = obs.span_since("stage", t0);
+                span.close(t0 + Duration::from_nanos(100 * (part + 1)));
                 obs.observe("latency", 2.0 * (part as f64 + 1.0));
                 obs.push("points", part as f64);
             }
@@ -986,7 +1197,77 @@ mod tests {
         }
         direct.gauge("g", 7.0);
         merged.gauge("g", 7.0);
-        assert_eq!(direct.report("x"), merged.report("x"));
+        let (direct, merged) = (direct.report("x"), merged.report("x"));
+        assert_eq!(direct.span_nanos("stage"), Some(300));
+        assert_eq!(direct.tree.len(), 2);
+        assert!(merged.tree.is_empty());
+        assert_eq!(
+            RunReport {
+                tree: Vec::new(),
+                ..direct
+            },
+            merged
+        );
+    }
+
+    #[test]
+    fn span_tree_nests_by_open_order() {
+        let obs = Recorder::enabled();
+        {
+            let _extract = obs.span("extract");
+            {
+                let _bridges = obs.span("extract.bridges");
+            }
+            let _opens = obs.span("extract.opens");
+        }
+        let _open = obs.span("sim.gate");
+        let tree = obs.report("t").tree;
+        let shape: Vec<(&str, Option<u64>)> =
+            tree.iter().map(|n| (n.name.as_str(), n.parent)).collect();
+        assert_eq!(
+            shape,
+            vec![
+                ("extract", None),
+                ("extract.bridges", Some(0)),
+                ("extract.opens", Some(0)),
+                ("sim.gate", None),
+            ]
+        );
+        // Children lie inside their parents; the still-open span is
+        // reported with its duration so far.
+        for n in &tree[1..3] {
+            assert!(n.start_nanos >= tree[0].start_nanos);
+            assert!(n.start_nanos + n.nanos <= tree[0].start_nanos + tree[0].nanos);
+        }
+        assert!(tree[3].start_nanos >= tree[0].start_nanos + tree[0].nanos);
+    }
+
+    #[test]
+    fn span_tree_is_bounded_with_visible_drops() {
+        let obs = Recorder::enabled();
+        {
+            let _outer = obs.span("outer");
+            for _ in 0..2 * SPAN_CAP {
+                let _s = obs.span("s");
+            }
+        }
+        let report = obs.report("bounded");
+        assert!(report.tree.len() <= SPAN_CAP);
+        let count = report.spans.iter().find(|s| s.name == "s").map(|s| s.count);
+        assert_eq!(count, Some(2 * SPAN_CAP as u64));
+        let dropped = report.counter("obs.spans_dropped").unwrap_or(0);
+        assert_eq!(dropped as usize + report.tree.len(), 2 * SPAN_CAP + 1);
+        // Merging carries the totals, not the tree or its drop tally.
+        let target = Recorder::enabled();
+        target.merge_from(&obs);
+        let merged = target.report("merged");
+        assert!(merged.tree.is_empty());
+        assert_eq!(merged.counter("obs.spans_dropped"), None);
+        assert_eq!(merged.spans, report.spans);
+        // A short run reports no drop counter.
+        let short = Recorder::enabled();
+        drop(short.span("s"));
+        assert_eq!(short.report("short").counter("obs.spans_dropped"), None);
     }
 
     #[test]
@@ -1187,6 +1468,7 @@ mod tests {
 }"#;
         let parsed = RunReport::from_json(legacy).expect("legacy parses");
         assert!(parsed.hists.is_empty());
+        assert!(parsed.tree.is_empty());
         assert_eq!(parsed.counter("c"), Some(2));
         // Malformed sections are typed errors, not panics.
         for bad in [
@@ -1195,6 +1477,9 @@ mod tests {
             r#"{"name": "x", "spans": {"s": {"nanos": 1}}}"#,
             r#"{"name": "x", "series": {"s": 5}}"#,
             r#"{"name": "x", "hists": {"h": {"count": 1}}}"#,
+            r#"{"name": "x", "tree": {}}"#,
+            r#"{"name": "x", "tree": [{"id": 0, "name": "s"}]}"#,
+            r#"{"name": "x", "tree": [{"id": -1, "parent": null, "name": "s", "start_nanos": 0, "nanos": 1}]}"#,
         ] {
             assert!(RunReport::from_json(bad).is_err(), "{bad} must not parse");
         }

@@ -1,40 +1,36 @@
-//! Request-scoped tracing: per-request span trees, a deterministic
-//! trace-id derivation, and the bounded flight recorder behind
-//! `dlp-serve`'s `/v1/traces`.
+//! Request-scoped tracing: a trace id over a per-request [`Recorder`],
+//! and the bounded flight recorder behind `dlp-serve`'s `/v1/traces`.
 //!
-//! A [`Recorder`] aggregates spans *by name* — perfect for a whole run,
-//! useless for answering "where did request #4173 spend its time?".
-//! A [`TraceContext`] complements it: one per request, carrying
+//! A [`TraceContext`] is one request's
 //!
-//! * a **trace id** derived with [`derive_trace_id`] from the request
+//! * **trace id**, derived with [`derive_trace_id`] from the request
 //!   target and a per-service sequence number — stable across worker
 //!   counts (no clocks, no randomness), unique within a service;
-//! * a **span tree** (parent/child ids, offsets from the request start)
-//!   built by RAII guards from [`TraceContext::span`];
-//! * a private child [`Recorder`] ([`TraceContext::obs`]) the request's
-//!   pipeline stages record into, so concurrent requests never
-//!   contaminate each other's counters.
+//! * **sequence number**;
+//! * private **[`Recorder`]** ([`TraceContext::obs`]), whose span
+//!   offsets count from the request start. The request's handlers and
+//!   pipeline stages record their spans there, so a miss's `extract`
+//!   nests under `recompute` because it ran there, and concurrent
+//!   requests never contaminate each other's counters.
 //!
-//! [`TraceContext::finish`] closes the tree, adopts the child
-//! recorder's stage-span aggregates as tree leaves (under the
-//! `recompute` node when one exists — that is where pipeline stages
-//! run), and returns a [`TraceRecord`] plus the child recorder. The
-//! caller merges the child into the service-global recorder with
-//! [`Recorder::merge_from`]; because counters add and histogram
-//! buckets add, the merged totals equal what direct recording would
-//! have produced, for any completion order — the property that keeps
-//! `/metrics` thread-count-invariant.
+//! [`TraceContext::finish`] returns a [`TraceRecord`] — a synthetic
+//! `request` root spanning the whole request, with the recorder's span
+//! tree under it — plus the recorder. The caller merges the recorder
+//! into the service-global one with [`Recorder::merge_from`]; because
+//! span totals, counters and histogram buckets add, the merged totals
+//! equal what direct recording would have produced, for any completion
+//! order — the property that keeps `/metrics` thread-count-invariant.
 //!
 //! The [`FlightRecorder`] retains completed [`TraceRecord`]s under a
 //! fixed capacity: the K slowest successes plus the K most recent
 //! errored requests, O(capacity) memory no matter how long the service
 //! runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use super::{Json, Recorder};
+use super::{elapsed_nanos, lock_or_recover, Json, Recorder, SpanNode};
 use crate::ckpt::KeyHasher;
 
 /// Derives a request's trace id from its raw target and the service's
@@ -52,37 +48,6 @@ pub fn derive_trace_id(target: &str, seq: u64) -> u64 {
 /// The canonical rendering of a trace id: 16 lowercase hex digits.
 pub fn trace_id_hex(id: u64) -> String {
     format!("{id:016x}")
-}
-
-/// One closed span in a finished trace: its id, parent, and offsets
-/// from the request start.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceSpanEntry {
-    /// Span id — the index of the node in creation order; the root is 0.
-    pub id: u64,
-    /// Parent span id; `None` only for the root `request` span.
-    pub parent: Option<u64>,
-    /// Span name (`route`, `cache.probe`, `recompute`, …).
-    pub name: String,
-    /// Nanoseconds from the request start to the span start.
-    pub start_nanos: u64,
-    /// The span's duration in nanoseconds.
-    pub nanos: u64,
-}
-
-struct TraceNode {
-    name: String,
-    parent: Option<u64>,
-    start_nanos: u64,
-    /// `None` while the span is still open.
-    nanos: Option<u64>,
-}
-
-struct TraceState {
-    nodes: Vec<TraceNode>,
-    /// Indices of currently-open nodes, innermost last. New spans become
-    /// children of the top.
-    stack: Vec<usize>,
 }
 
 /// What a request resolved to, for [`TraceContext::finish`].
@@ -106,54 +71,22 @@ pub struct TraceOutcome<'a> {
     pub error: Option<String>,
 }
 
-/// Per-request trace state: the span tree under construction plus the
-/// request's private [`Recorder`].
-///
-/// `Sync`: the tree sits behind a mutex, so a miss that fans out to
-/// worker threads may record concurrently.
+/// One request's trace: its id, sequence number, and private
+/// [`Recorder`].
 #[derive(Debug)]
 pub struct TraceContext {
     trace_id: u64,
     seq: u64,
-    start: Instant,
     obs: Recorder,
-    state: Mutex<TraceState>,
-}
-
-impl std::fmt::Debug for TraceState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceState")
-            .field("nodes", &self.nodes.len())
-            .field("open", &self.stack.len())
-            .finish()
-    }
-}
-
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn elapsed_nanos(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl TraceContext {
-    /// Opens a trace: the root `request` span starts now.
-    pub fn new(trace_id: u64, seq: u64) -> TraceContext {
+    /// Opens a trace for a request that began at `start`.
+    pub fn new(trace_id: u64, seq: u64, start: Instant) -> TraceContext {
         TraceContext {
             trace_id,
             seq,
-            start: Instant::now(),
-            obs: Recorder::enabled(),
-            state: Mutex::new(TraceState {
-                nodes: vec![TraceNode {
-                    name: "request".to_string(),
-                    parent: None,
-                    start_nanos: 0,
-                    nanos: None,
-                }],
-                stack: vec![0],
-            }),
+            obs: Recorder::enabled_from(start),
         }
     }
 
@@ -162,127 +95,34 @@ impl TraceContext {
         self.trace_id
     }
 
-    /// The request's private recorder. Pipeline stages record here;
-    /// the caller merges it into the global recorder after
-    /// [`finish`](Self::finish).
+    /// The request's private recorder. Handlers and pipeline stages
+    /// open their spans here; the caller merges it into the global
+    /// recorder after [`finish`](Self::finish).
     pub fn obs(&self) -> &Recorder {
         &self.obs
     }
 
-    /// Opens a named child span of the innermost open span. The guard
-    /// closes it on drop, recording both the tree node and the
-    /// name-aggregated span in the request recorder.
-    pub fn span(&self, name: &'static str) -> TraceSpan<'_> {
-        let start_nanos = elapsed_nanos(self.start);
-        let idx = {
-            let mut state = lock_or_recover(&self.state);
-            let parent = state.stack.last().map(|&i| i as u64);
-            let idx = state.nodes.len();
-            state.nodes.push(TraceNode {
-                name: name.to_string(),
-                parent,
-                start_nanos,
-                nanos: None,
-            });
-            state.stack.push(idx);
-            idx
-        };
-        TraceSpan {
-            ctx: self,
-            idx,
-            _obs: self.obs.span(name),
-        }
-    }
-
-    /// Attaches an already-measured span (e.g. HTTP parsing, timed
-    /// before the context existed) as a closed child of the innermost
-    /// open span, ending now.
-    pub fn attach(&self, name: &str, nanos: u64) {
-        let end = elapsed_nanos(self.start);
-        let mut state = lock_or_recover(&self.state);
-        let parent = state.stack.last().map(|&i| i as u64);
-        state.nodes.push(TraceNode {
-            name: name.to_string(),
-            parent,
-            start_nanos: end.saturating_sub(nanos),
-            nanos: Some(nanos),
-        });
-        drop(state);
-        self.obs.add_span(name, nanos);
-    }
-
-    /// Closes the trace: ends every still-open span (including the
-    /// root), adopts the recorder's stage-span aggregates as leaves of
-    /// the `recompute` node (or of the root when the request never
-    /// recomputed), and returns the finished [`TraceRecord`] together
-    /// with the request recorder for the caller to merge globally.
-    ///
-    /// Adopted leaves carry aggregate durations clamped to their
-    /// parent's duration, so the tree invariant (child nanos ≤ parent
-    /// nanos) holds even for stages whose executions overlap on worker
-    /// threads.
+    /// Closes the trace: the root `request` span ends now, and the
+    /// recorder's span tree hangs under it (ids shifted by one, its
+    /// top-level spans parented to the root). Returns the finished
+    /// [`TraceRecord`] together with the request recorder for the
+    /// caller to merge globally.
     pub fn finish(self, outcome: &TraceOutcome<'_>) -> (TraceRecord, Recorder) {
-        let total = elapsed_nanos(self.start);
-        let state = self
-            .state
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut nodes = state.nodes;
-        for node in &mut nodes {
-            if node.nanos.is_none() {
-                node.nanos = Some(total.saturating_sub(node.start_nanos));
-            }
-        }
-        // Contain every child in its parent. Attached intervals can be
-        // timed *before* the context existed (the transport's HTTP
-        // parse), so their raw durations may exceed the root's; parents
-        // precede children in creation order, so one forward pass
-        // clamps against already-clamped parents.
-        for i in 0..nodes.len() {
-            let Some(parent) = nodes[i].parent else {
-                continue;
-            };
-            let parent = parent as usize;
-            let p_start = nodes[parent].start_nanos;
-            let p_end = p_start.saturating_add(nodes[parent].nanos.unwrap_or(0));
-            let start = nodes[i].start_nanos.clamp(p_start, p_end);
-            let nanos = nodes[i]
-                .nanos
-                .unwrap_or(0)
-                .min(p_end.saturating_sub(start));
-            nodes[i].start_nanos = start;
-            nodes[i].nanos = Some(nanos);
-        }
-        let tree_names: BTreeSet<String> = nodes.iter().map(|n| n.name.clone()).collect();
-        let under = nodes
-            .iter()
-            .position(|n| n.name == "recompute")
-            .unwrap_or(0);
-        let under_parent = under as u64;
-        let under_start = nodes[under].start_nanos;
-        let under_nanos = nodes[under].nanos.unwrap_or(total);
         let report = self.obs.report("");
-        for span in &report.spans {
-            if tree_names.contains(&span.name) {
-                continue;
-            }
-            nodes.push(TraceNode {
-                name: span.name.clone(),
-                parent: Some(under_parent),
-                start_nanos: under_start,
-                nanos: Some(span.nanos.min(under_nanos)),
-            });
-        }
-        let spans = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| TraceSpanEntry {
-                id: i as u64,
-                parent: n.parent,
-                name: n.name.clone(),
-                start_nanos: n.start_nanos,
-                nanos: n.nanos.unwrap_or(0),
-            })
+        let nanos = self.obs.origin().map_or(0, elapsed_nanos);
+        let root = SpanNode {
+            id: 0,
+            parent: None,
+            name: "request".to_string(),
+            start_nanos: 0,
+            nanos,
+        };
+        let spans = std::iter::once(root)
+            .chain(report.tree.into_iter().map(|node| SpanNode {
+                id: node.id + 1,
+                parent: Some(node.parent.map_or(0, |p| p + 1)),
+                ..node
+            }))
             .collect();
         let record = TraceRecord {
             trace_id: self.trace_id,
@@ -294,34 +134,12 @@ impl TraceContext {
             status: outcome.status,
             cache: outcome.cache.to_string(),
             bytes: outcome.bytes,
-            nanos: total,
+            nanos,
             error: outcome.error.clone(),
             spans,
             counters: report.counters,
         };
         (record, self.obs)
-    }
-}
-
-/// RAII guard from [`TraceContext::span`]; closes the tree node (and
-/// the recorder aggregate, via the inner [`super::Span`]) on drop.
-#[derive(Debug)]
-pub struct TraceSpan<'a> {
-    ctx: &'a TraceContext,
-    idx: usize,
-    _obs: super::Span<'a>,
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        let end = elapsed_nanos(self.ctx.start);
-        let mut state = lock_or_recover(&self.ctx.state);
-        if let Some(node) = state.nodes.get_mut(self.idx) {
-            node.nanos = Some(end.saturating_sub(node.start_nanos));
-        }
-        if let Some(pos) = state.stack.iter().rposition(|&i| i == self.idx) {
-            state.stack.remove(pos);
-        }
     }
 }
 
@@ -351,22 +169,14 @@ pub struct TraceRecord {
     pub nanos: u64,
     /// Error message for non-2xx outcomes.
     pub error: Option<String>,
-    /// The span tree, root first, ids dense in creation order.
-    pub spans: Vec<TraceSpanEntry>,
+    /// The span tree: the `request` root (id 0) first, then the
+    /// request recorder's nodes in open order.
+    pub spans: Vec<SpanNode>,
     /// The request recorder's counters, sorted by name.
     pub counters: Vec<(String, u64)>,
 }
 
 impl TraceRecord {
-    /// Total nanoseconds across spans with this name (0 when absent).
-    pub fn span_nanos(&self, name: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.nanos)
-            .sum()
-    }
-
     /// The named counter's value (0 when never written).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
@@ -385,25 +195,7 @@ impl TraceRecord {
     /// The full trace as JSON: identity, outcome, the span tree, and
     /// the per-request counters — the `/v1/traces` element shape.
     pub fn to_json(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                Json::Object(vec![
-                    ("id".to_string(), Json::Number(s.id as f64)),
-                    (
-                        "parent".to_string(),
-                        s.parent.map_or(Json::Null, |p| Json::Number(p as f64)),
-                    ),
-                    ("name".to_string(), Json::String(s.name.clone())),
-                    (
-                        "start_nanos".to_string(),
-                        Json::Number(s.start_nanos as f64),
-                    ),
-                    ("nanos".to_string(), Json::Number(s.nanos as f64)),
-                ])
-            })
-            .collect();
+        let spans = self.spans.iter().map(SpanNode::to_json).collect();
         let counters = self
             .counters
             .iter()
@@ -658,86 +450,61 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_nests_with_coherent_offsets() {
-        let ctx = TraceContext::new(7, 0);
+    fn span_tree_nests_under_the_request_root() {
+        let parse_start = Instant::now();
+        let ctx = TraceContext::new(7, 0, parse_start);
+        drop(ctx.obs().span_since("http.parse", parse_start));
         {
-            let _route = ctx.span("route");
+            let _route = ctx.obs().span("route");
         }
         {
-            let _outer = ctx.span("recompute");
-            let _inner = ctx.span("sim");
+            let _outer = ctx.obs().span("recompute");
+            let _inner = ctx.obs().span("sim");
         }
-        ctx.attach("http.parse", 5);
-        let (record, _obs) = ctx.finish(&outcome(200));
+        let (record, obs) = ctx.finish(&outcome(200));
         assert_eq!(record.trace_id, 7);
-        assert_eq!(record.spans[0].name, "request");
-        assert_eq!(record.spans[0].parent, None);
-        let by_name = |name: &str| {
-            record
-                .spans
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("span {name}"))
-        };
-        // route and recompute are children of the root; sim nests
-        // inside recompute.
-        assert_eq!(by_name("route").parent, Some(0));
-        let recompute = by_name("recompute");
-        assert_eq!(recompute.parent, Some(0));
-        let sim = by_name("sim");
-        assert_eq!(sim.parent, Some(recompute.id));
-        assert!(sim.start_nanos >= recompute.start_nanos);
-        assert!(sim.nanos <= recompute.nanos);
-        assert!(recompute.nanos <= record.nanos);
-        // The attached span is a closed child of the root.
-        let parse = by_name("http.parse");
-        assert_eq!(parse.parent, Some(0));
-        assert_eq!(parse.nanos, 5);
-        // Tree spans also fed the request recorder's aggregates.
-        assert_eq!(record.counter("nope"), 0);
-        assert!(record.span_nanos("recompute") >= record.span_nanos("sim"));
-    }
-
-    #[test]
-    fn finish_adopts_recorder_stage_spans_under_recompute() {
-        let ctx = TraceContext::new(1, 0);
-        {
-            let _r = ctx.span("recompute");
-            // A pipeline stage that only the aggregate recorder saw.
-            ctx.obs().add_span("extract", 3);
+        let names: Vec<(&str, Option<u64>)> = record
+            .spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.parent))
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                ("request", None),
+                ("http.parse", Some(0)),
+                ("route", Some(0)),
+                ("recompute", Some(0)),
+                ("sim", Some(3)),
+            ]
+        );
+        // Ids are dense, children are contained in their parents, and
+        // the root's children run one after another.
+        let root = &record.spans[0];
+        assert_eq!(root.nanos, record.nanos);
+        for (i, s) in record.spans.iter().enumerate() {
+            assert_eq!(s.id, i as u64);
+            if let Some(p) = s.parent {
+                let p = &record.spans[p as usize];
+                assert!(s.start_nanos >= p.start_nanos);
+                assert!(s.start_nanos + s.nanos <= p.start_nanos + p.nanos);
+            }
         }
-        let (record, _obs) = ctx.finish(&outcome(200));
-        let recompute = record
-            .spans
-            .iter()
-            .find(|s| s.name == "recompute")
-            .expect("recompute span");
-        let extract = record
-            .spans
-            .iter()
-            .find(|s| s.name == "extract")
-            .expect("adopted extract span");
-        assert_eq!(extract.parent, Some(recompute.id));
-        assert_eq!(extract.start_nanos, recompute.start_nanos);
-        assert!(extract.nanos <= recompute.nanos, "clamped to the parent");
-    }
-
-    #[test]
-    fn finish_closes_spans_left_open() {
-        let ctx = TraceContext::new(2, 5);
-        let guard = ctx.span("route");
-        std::mem::forget(guard);
-        let (record, _obs) = ctx.finish(&outcome(200));
-        let route = record.spans.iter().find(|s| s.name == "route").expect("route");
-        assert!(route.nanos <= record.nanos);
-        assert_eq!(record.seq, 5);
+        assert_eq!(record.spans[1].start_nanos, 0);
+        for w in record.spans[1..4].windows(2) {
+            assert!(w[0].start_nanos + w[0].nanos <= w[1].start_nanos);
+        }
+        // The same spans fed the request recorder's totals.
+        let report = obs.report("");
+        assert_eq!(report.span_nanos("sim"), Some(record.spans[4].nanos));
+        assert_eq!(record.counter("nope"), 0);
     }
 
     #[test]
     fn record_json_renders_and_parses() {
-        let ctx = TraceContext::new(0xfeed, 3);
+        let ctx = TraceContext::new(0xfeed, 3, Instant::now());
         {
-            let _s = ctx.span("route");
+            let _s = ctx.obs().span("route");
         }
         let (record, _obs) = ctx.finish(&outcome(404));
         let text = crate::ckpt::render(&record.to_json());
@@ -749,7 +516,11 @@ mod tests {
         assert_eq!(doc.get("status").and_then(Json::as_f64), Some(404.0));
         assert_eq!(doc.get("dist"), Some(&Json::Null));
         let spans = doc.get("spans").and_then(Json::as_array).expect("spans");
-        assert_eq!(spans.len(), record.spans.len());
+        let parsed: Vec<SpanNode> = spans
+            .iter()
+            .map(|s| SpanNode::from_json(s).expect("span node"))
+            .collect();
+        assert_eq!(parsed, record.spans);
         // The access-log line parses too and aggregates stage nanos.
         let line = crate::ckpt::render(&record.to_access_json());
         let doc = Json::parse(&line).expect("access line parses");

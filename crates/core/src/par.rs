@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::budget::{BudgetExceeded, BudgetReason, RunBudget};
+use crate::obs::{elapsed_nanos, lock_or_recover};
 
 /// The environment variable that overrides the worker count.
 pub const THREADS_ENV: &str = "DLP_THREADS";
@@ -152,10 +153,6 @@ fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Deterministic parallel map over contiguous chunks of `items`.
 ///
 /// `items` is split into (at most) `chunks` contiguous slices — see
@@ -190,6 +187,29 @@ struct WorkerStats {
     chunk_hist: crate::obs::Histogram,
 }
 
+/// `<scope>.<suffix>` metric names built in one reused buffer, so a
+/// traced region formats its names without allocating each one.
+struct ScopedName {
+    buf: String,
+    scope_len: usize,
+}
+
+impl ScopedName {
+    fn new(scope: &str) -> ScopedName {
+        let buf = format!("{scope}.");
+        ScopedName {
+            scope_len: buf.len(),
+            buf,
+        }
+    }
+
+    fn get(&mut self, suffix: fmt::Arguments<'_>) -> &str {
+        self.buf.truncate(self.scope_len);
+        let _ = fmt::Write::write_fmt(&mut self.buf, suffix);
+        &self.buf
+    }
+}
+
 /// Records the per-worker timeline telemetry of one parallel region.
 ///
 /// `stats[w]` is worker `w`'s measurement; `wall` is the region's
@@ -202,59 +222,59 @@ fn record_region(
     workers: usize,
     stats: &[WorkerStats],
 ) {
+    let mut name = ScopedName::new(scope);
     let mut chunk_hist = crate::obs::Histogram::new();
     for (w, s) in stats.iter().enumerate() {
         if s.items > 0 {
-            obs.add(&format!("{scope}.worker{w}.items"), s.items);
+            obs.add(name.get(format_args!("worker{w}.items")), s.items);
         }
-        obs.add(&format!("{scope}.worker{w}.busy_nanos"), s.busy_nanos);
+        obs.add(name.get(format_args!("worker{w}.busy_nanos")), s.busy_nanos);
         obs.add(
-            &format!("{scope}.worker{w}.wait_nanos"),
+            name.get(format_args!("worker{w}.wait_nanos")),
             wall.saturating_sub(s.busy_nanos),
         );
-        obs.add(&format!("{scope}.worker{w}.chunks"), s.chunks);
-        obs.push(&format!("{scope}.worker{w}.timeline"), s.busy_nanos as f64);
+        obs.add(name.get(format_args!("worker{w}.chunks")), s.chunks);
+        obs.push(
+            name.get(format_args!("worker{w}.timeline")),
+            s.busy_nanos as f64,
+        );
         chunk_hist.merge(&s.chunk_hist);
     }
-    obs.merge_hist(&format!("{scope}.chunk_nanos"), &chunk_hist);
-    obs.add(&format!("{scope}.wall_nanos"), wall);
+    obs.merge_hist(name.get(format_args!("chunk_nanos")), &chunk_hist);
+    obs.add(name.get(format_args!("wall_nanos")), wall);
     obs.add(
-        &format!("{scope}.slot_nanos"),
+        name.get(format_args!("slot_nanos")),
         wall.saturating_mul(workers as u64),
     );
-    update_balance_gauges(obs, scope);
+    update_balance_gauges(obs, &mut name);
 }
 
 /// Recomputes the `<scope>.utilization` / `<scope>.imbalance` gauges
 /// from the cumulative per-worker counters, so repeated regions under
 /// one scope (e.g. one PPSFP call per 64-pattern block) aggregate into
 /// one run-level figure.
-fn update_balance_gauges(obs: &crate::obs::Recorder, scope: &str) {
+fn update_balance_gauges(obs: &crate::obs::Recorder, name: &mut ScopedName) {
     let busy: Vec<u64> = obs
-        .counters_with_prefix(&format!("{scope}.worker"))
+        .counters_with_prefix(name.get(format_args!("worker")))
         .into_iter()
         .filter(|(n, _)| n.ends_with(".busy_nanos"))
         .map(|(_, v)| v)
         .collect();
     let total_busy: u64 = busy.iter().sum();
     if let Some(slot) = obs
-        .counter_value(&format!("{scope}.slot_nanos"))
+        .counter_value(name.get(format_args!("slot_nanos")))
         .filter(|&s| s > 0)
     {
         obs.gauge(
-            &format!("{scope}.utilization"),
+            name.get(format_args!("utilization")),
             total_busy as f64 / slot as f64,
         );
     }
     if !busy.is_empty() && total_busy > 0 {
         let mean = total_busy as f64 / busy.len() as f64;
         let max = busy.iter().max().copied().unwrap_or(0) as f64;
-        obs.gauge(&format!("{scope}.imbalance"), max / mean);
+        obs.gauge(name.get(format_args!("imbalance")), max / mean);
     }
-}
-
-fn elapsed_nanos(start: std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// [`map_chunks`] with per-worker observability.

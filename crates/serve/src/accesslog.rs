@@ -111,13 +111,12 @@ mod tests {
 
     fn sample_record() -> TraceRecord {
         use dlp_core::obs::trace::{derive_trace_id, TraceContext, TraceOutcome};
-        let ctx = TraceContext::new(derive_trace_id("/v1/dl?circuit=c17", 0), 0);
-        {
-            let _route = ctx.span("route");
-        }
+        let target = "/v1/dl?circuit=c17";
+        let ctx = TraceContext::new(derive_trace_id(target, 0), 0, std::time::Instant::now());
+        drop(ctx.obs().span("route"));
         let (record, _obs) = ctx.finish(&TraceOutcome {
             endpoint: "dl",
-            target: "/v1/dl?circuit=c17",
+            target,
             circuit: Some("c17"),
             dist: None,
             status: 200,

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use dlp_core::ckpt::{self, CkptError};
-use dlp_core::obs::{Json, TraceContext};
+use dlp_core::obs::{Json, Recorder};
 
 use crate::error::ServeError;
 
@@ -140,12 +140,12 @@ impl ArtifactCache {
     /// single-flight property the cache-race test pins down). Returns
     /// the body and whether it was served from cache.
     ///
-    /// Counters on the request's recorder: `serve.cache.hit`,
+    /// Counters on the request's recorder `obs`: `serve.cache.hit`,
     /// `serve.cache.miss`, `serve.cache.corrupt` (typed misses),
     /// `serve.recompute` (actual pipeline executions — at most one per
-    /// key under any concurrency). The request's span tree gains
-    /// `cache.probe` around each probe, `recompute` around the compute
-    /// closure, and `seal` around the store.
+    /// key under any concurrency). Spans: `cache.probe` around each
+    /// probe, `recompute` around the compute closure (whose own spans
+    /// nest inside it), and `seal` around the store.
     ///
     /// # Errors
     ///
@@ -154,12 +154,11 @@ impl ArtifactCache {
     pub fn get_or_compute(
         &self,
         key: u64,
-        ctx: &TraceContext,
+        obs: &Recorder,
         compute: impl FnOnce() -> Result<Json, ServeError>,
     ) -> Result<(String, bool), ServeError> {
-        let obs = ctx.obs();
         let probed = {
-            let _probe = ctx.span("cache.probe");
+            let _probe = obs.span("cache.probe");
             self.lookup(key)
         };
         match probed {
@@ -179,7 +178,7 @@ impl ArtifactCache {
         // recomputed this key, replay its bytes instead of computing
         // again.
         let probed = {
-            let _probe = ctx.span("cache.probe");
+            let _probe = obs.span("cache.probe");
             self.lookup(key)
         };
         if let CacheLookup::Hit(body) = probed {
@@ -187,11 +186,11 @@ impl ArtifactCache {
         }
         obs.incr("serve.recompute");
         let body = {
-            let _recompute = ctx.span("recompute");
+            let _recompute = obs.span("recompute");
             compute()?
         };
         let rendered = {
-            let _seal = ctx.span("seal");
+            let _seal = obs.span("seal");
             self.store(key, &body)?
         };
         Ok((rendered, false))
@@ -288,22 +287,21 @@ mod tests {
     #[test]
     fn get_or_compute_counts_and_replays() {
         let cache = ArtifactCache::new(tmp_dir("counts")).expect("cache dir");
-        let ctx = TraceContext::new(1, 0);
+        let obs = Recorder::enabled();
         let (first, hit) = cache
-            .get_or_compute(5, &ctx, || Ok(body()))
+            .get_or_compute(5, &obs, || Ok(body()))
             .expect("compute");
         assert!(!hit);
         let (second, hit) = cache
-            .get_or_compute(5, &ctx, || panic!("must not recompute a hit"))
+            .get_or_compute(5, &obs, || panic!("must not recompute a hit"))
             .expect("replay");
         assert!(hit);
         assert_eq!(first, second);
-        let obs = ctx.obs();
         assert_eq!(obs.counter_value("serve.cache.miss"), Some(1));
         assert_eq!(obs.counter_value("serve.cache.hit"), Some(1));
         assert_eq!(obs.counter_value("serve.recompute"), Some(1));
         // The miss and the hit each probed, the miss recomputed and
-        // sealed — all visible as spans on the request's tree.
+        // sealed — all visible as spans on the request's recorder.
         let report = obs.report("cache");
         assert!(report.span_nanos("cache.probe").is_some());
         assert!(report.span_nanos("recompute").is_some());

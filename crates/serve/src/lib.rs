@@ -20,8 +20,9 @@
 //! - [`service`] — routing, the cache-key contract, and the projection
 //!   handlers; `/metrics` exposes the live [`dlp_core::obs::Recorder`]
 //!   as an OpenMetrics exposition. Every request runs under a
-//!   [`dlp_core::obs::TraceContext`] whose span tree lands in the
-//!   flight recorder behind `/v1/traces`.
+//!   [`dlp_core::obs::TraceContext`] — a trace id over the request's
+//!   own recorder — whose span tree lands in the flight recorder
+//!   behind `/v1/traces`.
 //! - [`accesslog`] — one canonical-JSON line per finished request,
 //!   on stderr or an append-only file.
 //! - [`server`] — a `TcpListener` accept loop feeding a fixed worker

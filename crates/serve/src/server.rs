@@ -91,10 +91,8 @@ fn handle_connection(service: &Service, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut reader = BufReader::new(stream);
     let parse_start = std::time::Instant::now();
-    let parsed = http::read_request(&mut reader);
-    let parse_nanos = u64::try_from(parse_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let response = match parsed {
-        Ok(req) => service.handle_traced(&req, Some(parse_nanos)),
+    let response = match http::read_request(&mut reader) {
+        Ok(req) => service.handle_traced(&req, Some(parse_start)),
         Err(e) => service.reject(&e),
     };
     let mut stream = reader.into_inner();

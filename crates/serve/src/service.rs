@@ -51,15 +51,17 @@
 //! ## Per-request tracing
 //!
 //! Every request runs under a [`TraceContext`] (DESIGN.md §16): a
-//! deterministically derived trace id, a span tree covering
-//! `http.parse` → `route` → `cache.probe` → (miss) `recompute` with
-//! the pipeline's stage spans attached → `seal` → `write`, and a
-//! private recorder whose counters/histograms merge into the service's
-//! global recorder when the request completes — so `/metrics` totals
-//! are identical to direct recording for any completion order. The
-//! finished [`dlp_core::obs::TraceRecord`] goes to the access log and
-//! the flight recorder behind `/v1/traces`; every 4xx/5xx body carries
-//! the trace id for correlation.
+//! deterministically derived trace id over a private recorder. The
+//! handlers open their spans on that recorder — `http.parse` → `route`
+//! → `cache.probe` → (miss) `recompute`, with the pipeline's stage
+//! spans nested inside it because they ran there → `seal` → `write` —
+//! so the trace is the recorder's span tree under a `request` root.
+//! When the request completes, the recorder's totals merge into the
+//! service's global recorder, so `/metrics` totals are identical to
+//! direct recording for any completion order. The finished
+//! [`dlp_core::obs::TraceRecord`] goes to the access log and the flight
+//! recorder behind `/v1/traces`; every 4xx/5xx body carries the trace
+//! id for correlation.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -551,18 +553,20 @@ impl Service {
         self.handle_traced(req, None)
     }
 
-    /// [`handle`](Self::handle) with the transport's measured HTTP
-    /// parse time attached to the trace as an `http.parse` span.
-    pub fn handle_traced(&self, req: &Request, parse_nanos: Option<u64>) -> Response {
+    /// [`handle`](Self::handle) for a request whose HTTP parse began at
+    /// `parse_start`: the trace starts there, and the parse is its first
+    /// span, `http.parse`.
+    pub fn handle_traced(&self, req: &Request, parse_start: Option<Instant>) -> Response {
         let started = Instant::now();
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let ctx = TraceContext::new(derive_trace_id(&req.target, seq), seq);
-        if let Some(nanos) = parse_nanos {
-            ctx.attach("http.parse", nanos);
+        let trace_id = derive_trace_id(&req.target, seq);
+        let ctx = TraceContext::new(trace_id, seq, parse_start.unwrap_or(started));
+        if let Some(start) = parse_start {
+            drop(ctx.obs().span_since("http.parse", start));
         }
         let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         self.obs.gauge("serve.in_flight", depth as f64);
-        let (response, endpoint, error) = match self.respond(req, &ctx) {
+        let (response, endpoint, error) = match self.respond(req, ctx.obs()) {
             Ok((response, endpoint)) => (response, endpoint, None),
             Err(e) => {
                 ctx.obs().incr("serve.errors");
@@ -615,7 +619,7 @@ impl Service {
     /// line and a flight-recorder entry.
     pub fn reject(&self, e: &crate::http::HttpError) -> Response {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let ctx = TraceContext::new(derive_trace_id("<unparsed>", seq), seq);
+        let ctx = TraceContext::new(derive_trace_id("<unparsed>", seq), seq, Instant::now());
         ctx.obs().incr("serve.requests");
         ctx.obs().incr("serve.errors");
         let (status, reason) = e.status();
@@ -639,23 +643,23 @@ impl Service {
     fn respond(
         &self,
         req: &Request,
-        ctx: &TraceContext,
+        obs: &Recorder,
     ) -> Result<(Response, &'static str), ServeError> {
         let endpoint = {
-            let _route = ctx.span("route");
+            let _route = obs.span("route");
             route(req.path())?
         };
         let params = query_params(req.query());
         let response = match endpoint {
             Endpoint::Health => {
-                let _write = ctx.span("write");
+                let _write = obs.span("write");
                 Response::ok_json(render_obj(vec![(
                     "status",
                     Json::String("ok".to_string()),
                 )]))
             }
             Endpoint::Circuits => {
-                let _write = ctx.span("write");
+                let _write = obs.span("write");
                 Response::ok_json(render_obj(vec![(
                     "circuits",
                     Json::Array(
@@ -674,11 +678,11 @@ impl Service {
             Endpoint::Traces => {
                 let limit = traces_limit_param(&params)?;
                 let dump = self.dump_traces(limit)?;
-                let _write = ctx.span("write");
+                let _write = obs.span("write");
                 Response::ok_json(dlp_core::ckpt::render(&dump))
             }
             Endpoint::Metrics => {
-                let _write = ctx.span("write");
+                let _write = obs.span("write");
                 Response {
                     status: 200,
                     reason: "OK",
@@ -690,7 +694,7 @@ impl Service {
                 let circuit = required(&params, "circuit")?;
                 let seed = u64_param(&params, "seed", 0)?;
                 let fallout = fallout_param(&params)?;
-                self.projection(endpoint, circuit, seed, &fallout, ctx)?
+                self.projection(endpoint, circuit, seed, &fallout, obs)?
             }
             Endpoint::Dln => {
                 let circuit = required(&params, "circuit")?;
@@ -701,7 +705,7 @@ impl Service {
                         what: format!("{n} is outside the supported range 1..={MAX_N}"),
                     });
                 }
-                self.dln(circuit, n as usize, ctx)?
+                self.dln(circuit, n as usize, obs)?
             }
         };
         Ok((response, endpoint_label(endpoint)))
@@ -714,7 +718,7 @@ impl Service {
         circuit: &str,
         seed: u64,
         fallout: &Fallout,
-        ctx: &TraceContext,
+        obs: &Recorder,
     ) -> Result<Response, ServeError> {
         let netlist = netlist_for(circuit)?;
         let class = circuit_class(circuit)?;
@@ -728,8 +732,7 @@ impl Service {
             Endpoint::Curve => curve_key,
             _ => faults_key,
         };
-        let (body, _hit) = self.cache.get_or_compute(want, ctx, || {
-            let obs = ctx.obs();
+        let (body, _hit) = self.cache.get_or_compute(want, obs, || {
             let (dl, curve, faults) = match class {
                 CircuitClass::Full => {
                     self.compute_projection(circuit, &netlist, seed, fallout, obs)
@@ -741,7 +744,7 @@ impl Service {
             .map_err(ServeError::from)?;
             // One execution feeds all three endpoints: seal the sibling
             // artifacts before returning the requested one.
-            let _seal = ctx.span("seal");
+            let _seal = obs.span("seal");
             for (key, sibling) in [(dl_key, &dl), (curve_key, &curve), (faults_key, &faults)]
             {
                 if key != want {
@@ -754,11 +757,11 @@ impl Service {
                 _ => faults,
             })
         })?;
-        let _write = ctx.span("write");
+        let _write = obs.span("write");
         Ok(Response::ok_json(body))
     }
 
-    fn dln(&self, circuit: &str, n: usize, ctx: &TraceContext) -> Result<Response, ServeError> {
+    fn dln(&self, circuit: &str, n: usize, obs: &Recorder) -> Result<Response, ServeError> {
         let netlist = netlist_for(circuit)?;
         if circuit_class(circuit)? == CircuitClass::Scale {
             // The n-detect schedule needs the full ATPG + switch-level
@@ -772,11 +775,11 @@ impl Service {
             });
         }
         let key = artifact_key("dln", &netlist, 0, n as u64, &Fallout::poisson());
-        let (body, _hit) = self.cache.get_or_compute(key, ctx, || {
-            self.compute_dln(circuit, &netlist, n, ctx.obs())
+        let (body, _hit) = self.cache.get_or_compute(key, obs, || {
+            self.compute_dln(circuit, &netlist, n, obs)
                 .map_err(ServeError::from)
         })?;
-        let _write = ctx.span("write");
+        let _write = obs.span("write");
         Ok(Response::ok_json(body))
     }
 

@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use dlp_core::par::ThreadCount;
 use dlp_serve::accesslog::AccessLogConfig;
@@ -206,10 +207,15 @@ fn concurrent_requests_keep_isolated_traces_and_additive_counters() {
             }
             "miss" => {
                 assert_eq!(r.counter("serve.recompute"), 1);
-                assert!(
-                    r.spans.iter().any(|s| s.name == "extract"),
-                    "a miss trace must adopt the pipeline stage spans"
-                );
+                // Pipeline stages nest where they ran: `extract` under
+                // `recompute`, its sub-passes under `extract`.
+                let parent_name = |name: &str| {
+                    let span = r.spans.iter().find(|s| s.name == name);
+                    let parent = span.and_then(|s| s.parent).expect("non-root span");
+                    r.spans[parent as usize].name.clone()
+                };
+                assert_eq!(parent_name("extract"), "recompute");
+                assert_eq!(parent_name("extract.bridges"), "extract");
                 // The root's direct children account for the request:
                 // the span tree explains at least 90% of the wall time.
                 let root = &r.spans[0];
@@ -245,6 +251,45 @@ fn concurrent_requests_keep_isolated_traces_and_additive_counters() {
             "{name}: global merge must equal the per-request sum"
         );
     }
+}
+
+#[test]
+fn http_parse_is_the_first_child_of_the_request_it_precedes() {
+    let service = service("parse", 1);
+    let target = "/v1/dl?circuit=c17&seed=13";
+    let _ = body_text(&service, target);
+    let parse_start = Instant::now() - Duration::from_millis(2);
+    let response = service.handle_traced(&get(target), Some(parse_start));
+    assert_eq!(response.status, 200);
+    let records = service.flight().snapshot();
+    let hit = records.iter().find(|r| r.seq == 1).expect("hit trace");
+    assert_eq!(hit.cache, "hit");
+    let root = &hit.spans[0];
+    let children: Vec<_> = hit
+        .spans
+        .iter()
+        .filter(|s| s.parent == Some(root.id))
+        .collect();
+    assert_eq!(children[0].name, "http.parse");
+    assert_eq!(children[0].start_nanos, 0);
+    assert!(children[0].nanos >= 2_000_000, "{} ns", children[0].nanos);
+    // The root's children run one after another inside the root, and
+    // the root's wall time includes the parse.
+    for pair in children.windows(2) {
+        assert!(
+            pair[0].start_nanos + pair[0].nanos <= pair[1].start_nanos,
+            "{} overlaps {}",
+            pair[0].name,
+            pair[1].name
+        );
+    }
+    let sum: u64 = children.iter().map(|s| s.nanos).sum();
+    assert!(
+        sum <= root.nanos,
+        "children sum {sum} > root {}",
+        root.nanos
+    );
+    assert_eq!(root.nanos, hit.nanos);
 }
 
 #[test]

@@ -56,7 +56,10 @@ cargo test --release -q -p dlp-layout --test route_digests c432_class_layout_is_
 
 # Observability gate (DESIGN.md §9): a traced full-flow run must produce
 # a run report that parses with the in-tree JSON parser and carries a
-# span for every stage plus nonzero work counters.
+# span for every stage plus nonzero work counters, and a span tree that
+# passes the shared tree check (parents resolve, children inside their
+# parents) with extract.{bridges,opens,cuts} nested under extract. This
+# step regenerates the committed TRACE_full_flow_c432.json.
 echo "== trace: full flow under DLP_TRACE, then validate the run report"
 DLP_TRACE=TRACE_full_flow_c432.json \
     cargo run --release -q --example full_flow_c432 > /dev/null
@@ -118,8 +121,8 @@ cargo run --release -q -p dlp-inject --bin chaos
 # exposition that passes the in-tree OpenMetrics validator. The gate
 # writes the /v1/traces flight-recorder dump to TRACE_serve_gate.json;
 # validate_trace --serve-trace then proves the span-tree contract of
-# DESIGN.md §16 (one request root, contained children, required stage
-# spans, >= 90% wall-time coverage). Then the latency smoke: serve_load
+# DESIGN.md §16 (the same tree check, one request root, required stage
+# spans nested under recompute, >= 90% wall-time coverage). Then the latency smoke: serve_load
 # regenerates BENCH_serve.json with tracing enabled, fails unless the
 # warm-hit p99 beats the best cold miss by >= 20x, and the report must
 # conform to the BenchReport schema and stay within the committed
