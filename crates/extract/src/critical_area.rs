@@ -12,6 +12,7 @@
 //! * a **missing cut** of size `c` requires the defect to cover the whole
 //!   cut: centre area `(x − c)²` for `x > c`.
 
+use dlp_geometry::sweep::union_area;
 use dlp_geometry::{Coord, Rect, Region};
 
 /// Critical area (λ²) for a short between two shape sets at defect size
@@ -34,11 +35,66 @@ pub fn short_area(a: &Region, b: &Region, x: Coord) -> i64 {
     if x <= 0 {
         return 0;
     }
-    // Dilation by x/2 on each side: use halves that sum to x so odd sizes
-    // don't lose a λ.
-    let ha = x / 2;
-    let hb = x - ha;
+    let (ha, hb) = halves(x);
     a.dilated(ha).overlap_area(&b.dilated(hb))
+}
+
+/// [`short_area`] between two fixed shape sets at many defect sizes no
+/// larger than `max_x`.
+///
+/// The rectangle pairs whose dilations overlap at `max_x` are found once;
+/// each size then unions only their intersections. Dilation grows with
+/// the defect size, so a pair that overlaps at a smaller size is never
+/// dropped, and areas are exact integers: every size gives exactly
+/// `short_area`'s value.
+#[derive(Debug, Clone)]
+pub(crate) struct ShortPairs {
+    pairs: Vec<(Rect, Rect)>,
+    pieces: Vec<Rect>,
+}
+
+impl ShortPairs {
+    /// Keeps the pairs of `a × b` whose dilations overlap at `max_x`.
+    pub(crate) fn new(a: &[Rect], b: &[Rect], max_x: Coord) -> Self {
+        let mut pairs = Vec::new();
+        if max_x > 0 {
+            let (ha, hb) = halves(max_x);
+            for ra in a {
+                for rb in b {
+                    if ra.dilated(ha).overlaps(&rb.dilated(hb)) {
+                        pairs.push((*ra, *rb));
+                    }
+                }
+            }
+        }
+        ShortPairs {
+            pairs,
+            pieces: Vec::new(),
+        }
+    }
+
+    /// The short critical area (λ²) at defect size `x ≤ max_x`.
+    pub(crate) fn area(&mut self, x: Coord) -> i64 {
+        if x <= 0 || self.pairs.is_empty() {
+            return 0;
+        }
+        let (ha, hb) = halves(x);
+        self.pieces.clear();
+        for (ra, rb) in &self.pairs {
+            if let Some(i) = ra.dilated(ha).intersection(&rb.dilated(hb)) {
+                if !i.is_degenerate() {
+                    self.pieces.push(i);
+                }
+            }
+        }
+        union_area(&self.pieces)
+    }
+}
+
+/// The dilations of the two sides at defect size `x`: halves that sum to
+/// `x`, so odd sizes don't lose a λ.
+fn halves(x: Coord) -> (Coord, Coord) {
+    (x / 2, x - x / 2)
 }
 
 /// Critical area (λ²) for an open severing a single wire rectangle at
@@ -143,6 +199,32 @@ mod tests {
                 let a = wire(0, 4);
                 let b = wire(4 + sep, 8 + sep);
                 assert_eq!(short_area(&a, &b, x), short_area(&b, &a, x), "sep={sep} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_pairs_match_short_area_at_every_sample() {
+        let mut rng = dlp_core::rng::Xorshift64Star::new(7);
+        let mut coord = |bound: usize| rng.next_below(bound) as Coord;
+        for _ in 0..400 {
+            let region = |coord: &mut dyn FnMut(usize) -> Coord| -> Vec<Rect> {
+                let n = 1 + coord(4) as usize;
+                (0..n)
+                    .map(|_| {
+                        let (x, y) = (coord(60), coord(60));
+                        // Degenerate rectangles included: they mark pins.
+                        Rect::new(x, y, x + coord(25), y + coord(25))
+                    })
+                    .collect()
+            };
+            let (a, b) = (region(&mut coord), region(&mut coord));
+            let max_x = coord(30);
+            let mut pairs = ShortPairs::new(&a, &b, max_x);
+            let ra = Region::from_rects(Layer::Metal1, a.iter().copied());
+            let rb = Region::from_rects(Layer::Metal1, b.iter().copied());
+            for x in 0..=max_x {
+                assert_eq!(pairs.area(x), short_area(&ra, &rb, x), "{a:?} {b:?} x={x}");
             }
         }
     }

@@ -21,10 +21,10 @@ use std::collections::HashMap;
 use dlp_circuit::switch::TransKind;
 use dlp_core::obs::Recorder;
 use dlp_core::par::{self, ThreadCount};
-use dlp_geometry::{Coord, Layer, Rect, Region};
+use dlp_geometry::{Coord, Layer, Rect};
 use dlp_layout::chip::{ChipLayout, ElecNet, ElecRole, ShapeOrigin, TerminalKind};
 
-use crate::critical_area::{missing_cut_area, open_area, short_area, weighted};
+use crate::critical_area::{missing_cut_area, open_area, weighted, ShortPairs};
 use crate::defects::{DefectStatistics, Mechanism};
 use crate::faults::{Detached, FaultKind, FaultSet, RealisticFault};
 use crate::ExtractError;
@@ -197,6 +197,7 @@ fn extract_bridges(
             continue;
         }
         let samples = class.size_samples(config.size_samples)?;
+        let max_sample = samples.iter().map(|&(x, _)| x).max().unwrap_or(0);
         // Gather shapes of this layer grouped by identity.
         let mut regions: HashMap<BridgeId, Vec<Rect>> = HashMap::new();
         for s in chip.shapes() {
@@ -245,9 +246,8 @@ fn extract_bridges(
             if matches!((a, b), (BridgeId::Rail(_), BridgeId::Rail(_))) {
                 return None;
             }
-            let ra = Region::from_rects(class.layer, regions[&a].iter().copied());
-            let rb = Region::from_rects(class.layer, regions[&b].iter().copied());
-            let w = weighted(&samples, |x| short_area(&ra, &rb, x));
+            let mut shorts = ShortPairs::new(&regions[&a], &regions[&b], max_sample);
+            let w = weighted(&samples, |x| shorts.area(x));
             if w <= 0.0 {
                 return None;
             }

@@ -31,8 +31,16 @@
 //! faulty machine diverges from the recorded good one, and the
 //! event-driven *reference* driver for the fault classes whose solves
 //! depend on more than gate values and charge (DESIGN.md §17).
+//!
+//! Each worker keeps solve tables in front of the solver: when a unit's
+//! solve is a pure function of its gate values (plus, under a fault, the
+//! few other values the fault adds), the outcome is stored once and
+//! replayed in the solver's own write order, so every record, counter and
+//! reference-driver quirk stays bit-identical (DESIGN.md §17, "Solve
+//! tables").
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::time::Instant;
 
 use dlp_circuit::switch::{SwitchNetlist, SwitchNodeId, TransKind, Transistor};
 use dlp_circuit::NodeId;
@@ -230,6 +238,9 @@ struct Component {
     /// Arena slots of each transistor's channel ends, parallel to
     /// `transistors`: 0 is VDD, 1 is GND, `2 + i` is `nodes[i]`.
     ends: Vec<(u32, u32)>,
+    /// The distinct gate nodes of `transistors`, in first-use order: the
+    /// digits of the component's solve-table key.
+    gates: Vec<u32>,
 }
 
 /// The switch-level simulator, preprocessed for a fixed netlist.
@@ -309,6 +320,7 @@ impl SwitchSimulator {
                     nodes: Vec::new(),
                     transistors: Vec::new(),
                     ends: Vec::new(),
+                    gates: Vec::new(),
                 });
                 components.len() - 1
             });
@@ -334,14 +346,14 @@ impl SwitchSimulator {
             }
         };
         for comp in &mut components {
-            comp.ends = comp
-                .transistors
-                .iter()
-                .map(|&ti| {
-                    let t = &netlist.transistors()[ti as usize];
-                    (slot(t.a), slot(t.b))
-                })
-                .collect();
+            for &ti in &comp.transistors {
+                let t = &netlist.transistors()[ti as usize];
+                comp.ends.push((slot(t.a), slot(t.b)));
+                let g = t.gate.index() as u32;
+                if !comp.gates.contains(&g) {
+                    comp.gates.push(g);
+                }
+            }
         }
         // Event fanout: which components must re-solve when a node's value
         // changes (the components whose devices it gates).
@@ -425,9 +437,13 @@ impl SwitchSimulator {
     /// count.
     ///
     /// When the recorder is enabled, the run is traced under the
-    /// `sim.switch` scope: a span over the whole detection pass, counters
+    /// `sim.switch` scope: a span over the whole detection pass with a
+    /// `sim.switch.good` child around the good-machine trace, counters
     /// for faults / vectors / detections / component solves / faults on
-    /// the reference driver, the first-detection-index histogram
+    /// the reference driver, the timing counters
+    /// `sim.switch.differential_nanos` / `sim.switch.reference_nanos`
+    /// (per-fault time in each driver, summed over workers), the
+    /// first-detection-index histogram
     /// `sim.switch.first_detect_index` (how early faults fall —
     /// deterministic percentiles at any thread count), the
     /// `sim.switch.divergence` histogram (nodes where a faulty machine
@@ -455,7 +471,10 @@ impl SwitchSimulator {
         }
         obs.add("sim.switch.faults", faults.len() as u64);
         obs.add("sim.switch.vectors", vectors.len() as u64);
-        let good = self.trace(None, vectors);
+        let good = {
+            let _good = obs.span("sim.switch.good");
+            self.trace(None, vectors)
+        };
         let workers = threads.get();
         let traced = obs.is_enabled();
         let chunks =
@@ -484,6 +503,8 @@ impl SwitchSimulator {
             }
             obs.add("sim.switch.solves", tally.solves);
             obs.add("sim.switch.reference_faults", tally.reference_faults);
+            obs.add("sim.switch.differential_nanos", tally.differential_nanos);
+            obs.add("sim.switch.reference_nanos", tally.reference_nanos);
             if let Some(h) = &tally.divergence {
                 obs.merge_hist("sim.switch.divergence", h);
             }
@@ -502,13 +523,20 @@ impl SwitchSimulator {
         mode: DetectionMode,
     ) -> Option<usize> {
         let compiled = self.compile_fault(fault);
+        let timed = w.tally.divergence.is_some();
         if !compiled.reference {
-            if let Some(found) = self.differential_detection(w, &compiled, good, mode) {
+            let start = timed.then(Instant::now);
+            let found = self.differential_detection(w, &compiled, good, mode);
+            w.tally.differential_nanos += nanos_since(start);
+            if let Some(found) = found {
                 return found;
             }
         }
         w.tally.reference_faults += 1;
-        self.first_detection(w, &compiled, vectors, good, mode)
+        let start = timed.then(Instant::now);
+        let found = self.first_detection(w, &compiled, vectors, good, mode);
+        w.tally.reference_nanos += nanos_since(start);
+        found
     }
 
     /// The reference driver: simulates one faulty machine from an all-`X`
@@ -522,6 +550,7 @@ impl SwitchSimulator {
         good: &Trace,
         mode: DetectionMode,
     ) -> Option<usize> {
+        w.scratch.tables.clear_fault();
         let state = &mut w.state;
         state.reset();
         for (k, v) in vectors.iter().enumerate() {
@@ -578,6 +607,7 @@ impl SwitchSimulator {
             tally,
             ..
         } = w;
+        scratch.tables.clear_fault();
         let partner = fault.welded().map(|(a, b)| a.max(b));
         let read = fault
             .output_read
@@ -610,7 +640,7 @@ impl SwitchSimulator {
                     prev: &d.prev,
                 };
                 let (comps, len) = unit_comps(Some(fault), unit);
-                d.fight[unit] = self.solve(&mut view, scratch, &comps[..len], Some(fault));
+                d.fight[unit] = self.solve_unit(&mut view, scratch, &comps[..len], Some(fault));
                 tally.solves += 1;
                 if !d.solved[unit] {
                     d.solved[unit] = true;
@@ -896,7 +926,7 @@ impl SwitchSimulator {
             }
             budget -= 1;
             let (comps, len) = unit_comps(fault, unit);
-            state.fight[unit] = self.solve(&mut state.full(), scratch, &comps[..len], fault);
+            state.fight[unit] = self.solve_unit(&mut state.full(), scratch, &comps[..len], fault);
             solves += 1;
             for &(n, _) in &scratch.changed {
                 for &dep in &self.dependents[n] {
@@ -926,7 +956,7 @@ impl SwitchSimulator {
                 }
             }
             for ci in 0..n_comps {
-                self.solve(&mut state.full(), scratch, &[ci], fault);
+                self.solve_unit(&mut state.full(), scratch, &[ci], fault);
                 solves += 1;
             }
         }
@@ -934,10 +964,152 @@ impl SwitchSimulator {
         solves
     }
 
+    /// Solves one unit like [`solve`](Self::solve), replaying a solve
+    /// table entry when the outcome is tabulated (DESIGN.md §17, "Solve
+    /// tables"). A replay writes the entry's members in arena order and
+    /// leaves exactly the general solve's `s.changed`, so wake order and
+    /// queue order are unchanged.
+    fn solve_unit<V: NodeValues>(
+        &self,
+        vals: &mut V,
+        s: &mut Scratch,
+        comps: &[usize],
+        fault: Option<&CompiledFault>,
+    ) -> bool {
+        let Some(key) = self.table_key(vals, &mut s.tables, comps, fault) else {
+            return self.solve(vals, s, comps, fault);
+        };
+        let Some(entry) = s.tables.get(key) else {
+            let fight = self.solve(vals, s, comps, fault);
+            s.tables.insert(key, &s.resolved, fight);
+            return fight;
+        };
+        #[cfg(test)]
+        self.check_hit(vals, s, comps, fault, key, entry);
+        let Scratch {
+            tables, changed, ..
+        } = s;
+        changed.clear();
+        for &r in tables.members(key, entry) {
+            let node = r.node();
+            let new_value = r.level().unwrap_or_else(|| vals.charge(node));
+            let old = vals.value(node);
+            if old != new_value {
+                vals.set(node, new_value);
+                changed.push((node, old));
+            }
+        }
+        entry.fight
+    }
+
+    /// The table that holds the outcome of solving `comps` under `fault`
+    /// with the current values, or `None` when the solve is not
+    /// tabulated.
+    ///
+    /// A single component outside the fault's `dirty_comps` solves as a
+    /// pure function of its gate values and, under a rail bridge, of the
+    /// bridged node's value: faults override conduction only inside
+    /// dirty components, a non-rail bridge between two nodes outside the
+    /// unit touches no member, and a rail bridge adds one source. Its
+    /// outcome lives in the worker's shared tables. Every other unit is
+    /// the fault's own; its key adds the pad values of an input bridge and
+    /// the bridge endpoints' values, and it lives in the per-fault table.
+    fn table_key<V: NodeValues>(
+        &self,
+        vals: &V,
+        tables: &mut SolveTables,
+        comps: &[usize],
+        fault: Option<&CompiledFault>,
+    ) -> Option<TableKey> {
+        let digit = |n: usize| vals.value(n) as u64;
+        let edges = fault.map_or(&[][..], |f| &f.extra_edges[..]);
+        let first = comps[0];
+        if comps.len() == 1 && !fault.is_some_and(|f| f.dirty_comps.contains(&first)) {
+            let context = match edges {
+                [] => 0,
+                [(x, y)] => match (x.is_rail(), y.is_rail()) {
+                    (false, false) => 0,
+                    (true, false) => 1 + 3 * x.index() + digit(y.index()) as usize,
+                    (false, true) => 1 + 3 * y.index() + digit(x.index()) as usize,
+                    (true, true) => return None,
+                },
+                _ => return None,
+            };
+            let gates = &self.components[first].gates;
+            if gates.len() > SHARED_GATE_CAP {
+                return None;
+            }
+            let key = gates.iter().fold(0, |k, &g| 3 * k + digit(g as usize));
+            let block = tables.block(
+                first * CONTEXTS + context,
+                self.components.len(),
+                gates.len(),
+            );
+            return Some(TableKey::Shared(block + key as usize));
+        }
+        let f = fault?;
+        let mut digits = 0;
+        let mut key = 0u64;
+        let mut push = |n: usize| {
+            digits += 1;
+            key = key.wrapping_mul(3).wrapping_add(digit(n));
+        };
+        for &c in comps {
+            for &g in &self.components[c].gates {
+                push(g as usize);
+            }
+        }
+        if let Some((a, b)) = f.input_bridge {
+            push(a.index());
+            push(b.index());
+        }
+        for &(x, y) in edges {
+            for z in [x, y] {
+                if !z.is_rail() {
+                    push(z.index());
+                }
+            }
+        }
+        let unit = (first as u32) << 1 | (comps.len() as u32 - 1);
+        (digits <= FAULT_DIGIT_CAP).then_some(TableKey::Fault(unit, key))
+    }
+
+    /// The table oracle: solves a hit again with the general solver on a
+    /// copy-on-write view of the values and requires the entry's members,
+    /// levels and static-current flag.
+    #[cfg(test)]
+    fn check_hit<V: NodeValues>(
+        &self,
+        vals: &V,
+        s: &mut Scratch,
+        comps: &[usize],
+        fault: Option<&CompiledFault>,
+        key: TableKey,
+        entry: Entry,
+    ) {
+        let mut copy = CopyOnWrite {
+            inner: vals,
+            written: Vec::new(),
+        };
+        let fight = self.solve(&mut copy, s, comps, fault);
+        let stored = s.tables.members(key, entry);
+        assert_eq!(
+            s.resolved, stored,
+            "table members for {comps:?} under {fault:?}"
+        );
+        assert_eq!(
+            fight, entry.fight,
+            "table fight flag for {comps:?} under {fault:?}"
+        );
+        s.tables.hits_checked[matches!(key, TableKey::Fault(..)) as usize] += 1;
+    }
+
     /// Solves one unit — a component, or the two components a bridge
     /// welds — with the current gate values and returns whether it draws
     /// static current. The nodes whose value changed are left in
-    /// `s.changed` with their previous values, in arena order.
+    /// `s.changed` with their previous values, in arena order, and every
+    /// resolved member with its level (or "keeps its charge") in
+    /// `s.resolved`, also in arena order.
     ///
     /// The arena holds the rails, the unit's members at fixed slots, and
     /// any node outside the unit that a bridge edge names. A member enters
@@ -1032,16 +1204,18 @@ impl SwitchSimulator {
             }
             let node = self.member_node(comps, l - 2);
             let st = s.strengths[l];
-            let new_value = if st.pos0 == 0 && st.pos1 == 0 {
+            let level = if st.pos0 == 0 && st.pos1 == 0 {
                 // Floating: retain charge.
-                vals.charge(node)
+                None
             } else if st.def1 > 0 && st.def1 > st.pos0 {
-                Logic::One
+                Some(Logic::One)
             } else if st.def0 > 0 && st.def0 > st.pos1 {
-                Logic::Zero
+                Some(Logic::Zero)
             } else {
-                Logic::X
+                Some(Logic::X)
             };
+            s.resolved.push(Resolved::pack(node, level));
+            let new_value = level.unwrap_or_else(|| vals.charge(node));
             // Static-current check: fight-definite paths toward both rails
             // (ordinary drives plus fault-forced half-on devices; a merely
             // propagated X does not count).
@@ -1452,13 +1626,15 @@ impl DiffState {
     }
 }
 
-/// Work tallies of one detection pass; the histogram exists only when
-/// tracing.
+/// Work tallies of one detection pass; the histogram exists, and the
+/// per-driver times are taken, only when tracing.
 #[derive(Debug)]
 struct Tally {
     solves: u64,
     reference_faults: u64,
     divergence: Option<Histogram>,
+    differential_nanos: u64,
+    reference_nanos: u64,
 }
 
 impl Tally {
@@ -1467,16 +1643,27 @@ impl Tally {
             solves: 0,
             reference_faults: 0,
             divergence: traced.then(Histogram::new),
+            differential_nanos: 0,
+            reference_nanos: 0,
         }
     }
 
     fn merge(&mut self, other: &Tally) {
         self.solves += other.solves;
         self.reference_faults += other.reference_faults;
+        self.differential_nanos += other.differential_nanos;
+        self.reference_nanos += other.reference_nanos;
         if let (Some(h), Some(o)) = (&mut self.divergence, &other.divergence) {
             h.merge(o);
         }
     }
+}
+
+/// Nanoseconds since `start`, or 0 when untimed.
+fn nanos_since(start: Option<Instant>) -> u64 {
+    start.map_or(0, |t| {
+        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    })
 }
 
 /// One worker's buffers, reused across the faults of its chunk.
@@ -1515,6 +1702,10 @@ struct Scratch {
     /// Nodes whose value the last solve changed, with their previous
     /// values.
     changed: Vec<(usize, Logic)>,
+    /// The members the last general solve resolved, in arena order.
+    resolved: Vec<Resolved>,
+    /// Solve outcomes to replay; a scratch serves one simulator.
+    tables: SolveTables,
 }
 
 impl Scratch {
@@ -1527,6 +1718,7 @@ impl Scratch {
         self.edges.clear();
         self.outside.clear();
         self.changed.clear();
+        self.resolved.clear();
         self.touch(SwitchNodeId::VDD.index() as u32);
         self.touch(SwitchNodeId::GND.index() as u32);
         self.strengths[SwitchNodeId::VDD.index()] = NodeStrength::source(Logic::One);
@@ -1547,6 +1739,163 @@ impl Scratch {
             self.touched[l as usize] = false;
         }
         self.order.clear();
+    }
+}
+
+/// Solve-table contexts of a component: none, or a rail bridge (VDD or
+/// GND) to a node outside it that holds 0, 1 or `X`.
+const CONTEXTS: usize = 7;
+
+/// Components with more distinct gate nodes take the general solve rather
+/// than a shared table (a shared table has 3^gates slots).
+const SHARED_GATE_CAP: usize = 8;
+
+/// Units of a fault whose key has more base-3 digits take the general
+/// solve.
+const FAULT_DIGIT_CAP: usize = 32;
+
+/// A member a solve resolved: its node and level, packed as
+/// `node << 2 | code` (code 0, 1, 2 is `Logic` 0, 1, `X`; 3 keeps the
+/// charge). Node indices fit in 30 bits: the good trace alone holds a
+/// byte per node per vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Resolved(u32);
+
+impl Resolved {
+    fn pack(node: usize, level: Option<Logic>) -> Resolved {
+        Resolved((node as u32) << 2 | level.map_or(3, |l| l as u32))
+    }
+
+    fn node(self) -> usize {
+        (self.0 >> 2) as usize
+    }
+
+    fn level(self) -> Option<Logic> {
+        match self.0 & 3 {
+            0 => Some(Logic::Zero),
+            1 => Some(Logic::One),
+            2 => Some(Logic::X),
+            _ => None,
+        }
+    }
+}
+
+/// Where a tabulated solve outcome lives: a slot of the shared tables, or
+/// the current fault's `(unit, key)`.
+#[derive(Debug, Clone, Copy)]
+enum TableKey {
+    Shared(usize),
+    Fault(u32, u64),
+}
+
+/// A stored solve outcome: `len` resolved members from `start` in its
+/// table's member arena, and the static-current flag.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    start: u32,
+    len: u32,
+    fight: bool,
+}
+
+/// One worker's solve tables (DESIGN.md §17, "Solve tables").
+///
+/// The shared tables hold, per (component, context), one slot per
+/// base-3 key of the component's gate values; they are filled lazily and
+/// serve every fault and the good machine. The per-fault table holds the
+/// fault's own units and is cleared before each fault.
+#[derive(Debug, Clone, Default)]
+struct SolveTables {
+    /// `component · CONTEXTS + context` → first slot of its table in
+    /// `slots`, or `u32::MAX` before its first use.
+    blocks: Vec<u32>,
+    slots: Vec<Option<Entry>>,
+    members: Vec<Resolved>,
+    fault: HashMap<(u32, u64), Entry>,
+    fault_members: Vec<Resolved>,
+    /// Hits the table oracle re-solved: shared, per-fault.
+    #[cfg(test)]
+    hits_checked: [u64; 2],
+}
+
+impl SolveTables {
+    /// The first slot of table `index`, allocating its `3^gates` slots on
+    /// first use.
+    fn block(&mut self, index: usize, components: usize, gates: usize) -> usize {
+        if self.blocks.is_empty() {
+            self.blocks = vec![u32::MAX; components * CONTEXTS];
+        }
+        if self.blocks[index] == u32::MAX {
+            self.blocks[index] = self.slots.len() as u32;
+            self.slots
+                .resize(self.slots.len() + 3usize.pow(gates as u32), None);
+        }
+        self.blocks[index] as usize
+    }
+
+    fn get(&self, key: TableKey) -> Option<Entry> {
+        match key {
+            TableKey::Shared(slot) => self.slots[slot],
+            TableKey::Fault(unit, k) => self.fault.get(&(unit, k)).copied(),
+        }
+    }
+
+    fn insert(&mut self, key: TableKey, resolved: &[Resolved], fight: bool) {
+        let arena = match key {
+            TableKey::Shared(_) => &mut self.members,
+            TableKey::Fault(..) => &mut self.fault_members,
+        };
+        let entry = Entry {
+            start: arena.len() as u32,
+            len: resolved.len() as u32,
+            fight,
+        };
+        arena.extend_from_slice(resolved);
+        match key {
+            TableKey::Shared(slot) => self.slots[slot] = Some(entry),
+            TableKey::Fault(unit, k) => {
+                self.fault.insert((unit, k), entry);
+            }
+        }
+    }
+
+    fn members(&self, key: TableKey, entry: Entry) -> &[Resolved] {
+        let arena = match key {
+            TableKey::Shared(_) => &self.members,
+            TableKey::Fault(..) => &self.fault_members,
+        };
+        &arena[entry.start as usize..(entry.start + entry.len) as usize]
+    }
+
+    /// Forgets the previous fault's entries.
+    fn clear_fault(&mut self) {
+        self.fault.clear();
+        self.fault_members.clear();
+    }
+}
+
+/// Values seen through a private write buffer: the table oracle's copy
+/// of a machine.
+#[cfg(test)]
+struct CopyOnWrite<'a, V> {
+    inner: &'a V,
+    written: Vec<(usize, Logic)>,
+}
+
+#[cfg(test)]
+impl<V: NodeValues> NodeValues for CopyOnWrite<'_, V> {
+    fn value(&self, n: usize) -> Logic {
+        match self.written.iter().rev().find(|&&(m, _)| m == n) {
+            Some(&(_, v)) => v,
+            None => self.inner.value(n),
+        }
+    }
+
+    fn charge(&self, n: usize) -> Logic {
+        self.inner.charge(n)
+    }
+
+    fn set(&mut self, n: usize, v: Logic) {
+        self.written.push((n, v));
     }
 }
 
@@ -2362,6 +2711,114 @@ mod oracle_tests {
                     "{} {mode:?} at {t} workers",
                     nl.name()
                 );
+            }
+        }
+    }
+
+    /// The table oracle: `solve_unit` re-solves every table hit with the
+    /// general solver under test, so driving both drivers over the zoo
+    /// checks each hit. Requires hits on the shared and the per-fault
+    /// tables of each driver in every mode, so the check is not vacuous.
+    fn assert_table_hits_checked(nl: &Netlist, n_vectors: usize, stride: usize) {
+        let sim = simulator(nl);
+        let faults = fault_zoo(&sim, nl, stride);
+        let vectors = random_vectors(nl.inputs().len(), n_vectors, 11);
+        let good = sim.trace(None, &vectors);
+        for mode in [
+            DetectionMode::Voltage,
+            DetectionMode::Iddq,
+            DetectionMode::VoltageAndIddq,
+        ] {
+            let mut differential = Worker::new(&sim, false);
+            let mut reference = Worker::new(&sim, false);
+            for f in &faults {
+                let cf = sim.compile_fault(f);
+                if !cf.reference {
+                    sim.differential_detection(&mut differential, &cf, &good, mode);
+                }
+                sim.first_detection(&mut reference, &cf, &vectors, &good, mode);
+            }
+            for (driver, w) in [("differential", differential), ("reference", reference)] {
+                let [shared, per_fault] = w.scratch.tables.hits_checked;
+                assert!(
+                    shared > 0 && per_fault > 0,
+                    "{} {mode:?} {driver}: {shared} shared and {per_fault} per-fault hits checked",
+                    nl.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_hits_match_the_general_solve_on_small_circuits() {
+        for (nl, stride) in [
+            (generators::c17(), 1),
+            (generators::alu_slice(), 1),
+            (generators::parity_tree(16), 2),
+            (generators::decoder(4), 2),
+            (generators::mux_tree(3), 1),
+            (generators::ripple_adder(8), 3),
+        ] {
+            assert_table_hits_checked(&nl, 32, stride);
+        }
+    }
+
+    #[test]
+    fn table_hits_match_the_general_solve_on_random_logic() {
+        for (seed, gates) in [(1u64, 30usize), (2, 40), (3, 50)] {
+            let nl = generators::random_logic(&RandomLogicConfig {
+                inputs: 10,
+                gates,
+                outputs: 6,
+                seed,
+            })
+            .unwrap();
+            assert_table_hits_checked(&nl, 32, 2);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow unoptimised; scripts/check.sh runs it in release"
+    )]
+    fn table_hits_match_the_general_solve_on_c432_class() {
+        assert_table_hits_checked(&generators::c432_class(), 64, 2);
+    }
+
+    #[test]
+    fn faults_back_to_back_on_one_worker_match_fresh_workers() {
+        // The per-fault table is cleared before each fault, so one fault's
+        // entries never answer another's solve; the shared tables carry
+        // over, as they may.
+        let random = generators::random_logic(&RandomLogicConfig {
+            inputs: 10,
+            gates: 40,
+            outputs: 6,
+            seed: 2,
+        })
+        .unwrap();
+        for nl in [generators::c17(), generators::alu_slice(), random] {
+            let sim = simulator(&nl);
+            let faults = fault_zoo(&sim, &nl, 1);
+            let vectors = random_vectors(nl.inputs().len(), 32, 5);
+            let good = sim.trace(None, &vectors);
+            for mode in [
+                DetectionMode::Voltage,
+                DetectionMode::Iddq,
+                DetectionMode::VoltageAndIddq,
+            ] {
+                let mut one = Worker::new(&sim, false);
+                for f in &faults {
+                    let fresh =
+                        sim.detect_one(&mut Worker::new(&sim, false), f, &vectors, &good, mode);
+                    assert_eq!(
+                        sim.detect_one(&mut one, f, &vectors, &good, mode),
+                        fresh,
+                        "{} {mode:?}: {f:?}",
+                        nl.name()
+                    );
+                }
             }
         }
     }

@@ -44,10 +44,13 @@ DLP_THREADS=4 cargo test --workspace -q
 echo "== benchmark: build the standalone crate, run its equivalence test"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
-# Differential oracle (DESIGN.md §17): the c432-class case is too slow
-# unoptimised, so debug builds ignore it and it runs here in release.
+# Differential and solve-table oracles (DESIGN.md §17): the c432-class
+# cases are too slow unoptimised, so debug builds ignore them and they
+# run here in release.
 echo "== oracle: differential vs reference switch-level drivers on c432-class"
 cargo test --release -q -p dlp-sim --lib differential_matches_reference_on_c432_class
+echo "== oracle: solve-table hits vs the general solve on c432-class"
+cargo test --release -q -p dlp-sim --lib table_hits_match_the_general_solve_on_c432_class
 
 # Router oracle (DESIGN.md §19): the c432-class layout must hash to the
 # digest pinned before the bucket-queue kernel; debug builds ignore it.
