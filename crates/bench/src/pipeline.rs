@@ -84,6 +84,7 @@ pub fn extract_netlist_obs(
     obs.add("layout.route.waves", route.waves);
     obs.add("layout.route.expanded", route.expanded);
     obs.add("layout.route.reroutes", route.reroutes);
+    obs.add("layout.route.unrouted", route.unrouted as u64);
     let violations = chip.verify_connectivity();
     obs.add("layout.violations", violations.len() as u64);
     if !violations.is_empty() {

@@ -17,7 +17,7 @@ use dlp_circuit::{Netlist, NodeId};
 use dlp_geometry::{Coord, Layer, Rect};
 
 use crate::cell::{CellSignal, LocalRole};
-use crate::grid::{GridPoint, PathNode, RouteLayer, RoutingGrid};
+use crate::grid::{GridPoint, PathNode, RouteLayer, RoutedPath, RoutingGrid};
 use crate::place::Placement;
 use crate::tech::Technology;
 use crate::LayoutError;
@@ -130,7 +130,8 @@ pub struct RouteStats {
     pub expanded: u64,
     /// Nets ripped up and requeued by the negotiation.
     pub reroutes: u64,
-    /// Net branches left unconnected (as [`ChipLayout::unrouted`]).
+    /// Net branches the final routes leave unconnected (as
+    /// [`ChipLayout::unrouted`]).
     pub unrouted: usize,
 }
 
@@ -198,10 +199,12 @@ impl ChipLayout {
         self.rows
     }
 
-    /// Number of net *branches* (terminals) left unconnected by the
-    /// router. Zero for healthy designs; a handful under extreme
-    /// congestion (the affected geometry is simply absent, which slightly
-    /// undercounts critical area but never creates shorts).
+    /// Number of net *branches* (terminals) the final routes leave
+    /// unconnected; a route ripped up by the negotiation no longer
+    /// counts. Zero for healthy designs; nonzero when the negotiation
+    /// runs out of rip-up budget under congestion (the affected geometry
+    /// is simply absent, which undercounts critical area but never
+    /// creates shorts).
     pub fn unrouted(&self) -> usize {
         self.route.unrouted
     }
@@ -349,7 +352,13 @@ impl Builder {
         }
     }
 
-    fn run(mut self) -> Result<ChipLayout, LayoutError> {
+    fn run(self) -> Result<ChipLayout, LayoutError> {
+        self.layout().map(|(chip, _)| chip)
+    }
+
+    /// Places and routes; also returns each net's final routes, in net
+    /// order, for tests that recount them.
+    fn layout(mut self) -> Result<(ChipLayout, Vec<Vec<RoutedPath>>), LayoutError> {
         let pitch = self.tech.grid_pitch;
         let cols = (self.chip_w / pitch) as usize + 1;
         let grows = (self.chip_h / pitch) as usize + 1;
@@ -413,13 +422,13 @@ impl Builder {
             .map(|o| (ElecNet::Signal(o), TerminalKind::OutputPad))
             .collect();
         self.place_pads(&mut grid, cols, pos, top_gy);
-        self.route(&mut grid)?;
+        let routes = self.route(&mut grid)?;
         let searched = grid.stats();
         self.route.waves = searched.waves;
         self.route.expanded = searched.expanded;
 
         let bbox = Rect::new(0, 0, self.chip_w, self.chip_h);
-        Ok(ChipLayout {
+        let chip = ChipLayout {
             netlist: self.netlist,
             tech: self.tech,
             shapes: self.shapes,
@@ -428,7 +437,8 @@ impl Builder {
             bbox,
             rows,
             route: self.route,
-        })
+        };
+        Ok((chip, routes))
     }
 
     /// Translates cell geometry into chip space with resolved roles.
@@ -612,7 +622,7 @@ impl Builder {
         base - self.tech.grid_pitch
     }
 
-    fn route(&mut self, grid: &mut RoutingGrid) -> Result<(), LayoutError> {
+    fn route(&mut self, grid: &mut RoutingGrid) -> Result<Vec<Vec<RoutedPath>>, LayoutError> {
         // Rip-up-and-reroute negotiation: route nets shortest-span first;
         // when a terminal is walled in, evict the nets claiming its
         // neighbourhood, route this net, and requeue the victims. A global
@@ -631,7 +641,9 @@ impl Builder {
         order.sort_by_key(|&i| span(&self.terminals[i]));
 
         let mut queue: std::collections::VecDeque<usize> = order.into_iter().collect();
-        let mut routed: Vec<Option<Vec<crate::grid::RoutedPath>>> = vec![None; self.nets.len()];
+        // Each net's current routes and the branches they left open; a
+        // rip-up clears both, so the open count is the final routes'.
+        let mut routed: Vec<Option<(Vec<RoutedPath>, usize)>> = vec![None; self.nets.len()];
         let mut budget = 20 * self.nets.len() + 300;
         while let Some(ni) = queue.pop_front() {
             if routed[ni].is_some() {
@@ -639,13 +651,12 @@ impl Builder {
             }
             let terminals = self.terminals[ni].clone();
             if terminals.len() < 2 {
-                routed[ni] = Some(Vec::new()); // degenerate net
+                routed[ni] = Some((Vec::new(), 0)); // degenerate net
                 continue;
             }
             let over_budget = budget == 0;
             let (paths, victims, skipped) = grid.route_net(ni as u32, &terminals, !over_budget);
-            routed[ni] = Some(paths);
-            self.route.unrouted += skipped;
+            routed[ni] = Some((paths, skipped));
             if over_budget {
                 // Negotiation diverged: keep whatever this net got and
                 // stop evicting others (their claims stand).
@@ -660,17 +671,19 @@ impl Builder {
                 queue.push_back(v);
             }
         }
+        self.route.unrouted = routed.iter().flatten().map(|(_, open)| open).sum();
+        let routes: Vec<Vec<RoutedPath>> = routed
+            .into_iter()
+            .map(|r| r.map(|(paths, _)| paths).unwrap_or_default())
+            .collect();
         let (half_m1, half_m2) = (self.tech.m1_width / 2, self.tech.m2_width / 2);
-        #[allow(clippy::needless_range_loop)] // emit_path borrows &mut self
-        for ni in 0..self.nets.len() {
+        for (ni, paths) in routes.iter().enumerate() {
             let net = self.nets[ni].net;
-            if let Some(paths) = &routed[ni] {
-                for path in paths.clone() {
-                    self.emit_path(ni, net, &path.nodes, path.terminal, grid, half_m1, half_m2);
-                }
+            for path in paths {
+                self.emit_path(ni, net, &path.nodes, path.terminal, grid, half_m1, half_m2);
             }
         }
-        Ok(())
+        Ok(routes)
     }
 
     /// Converts a grid path into wire and via shapes.
@@ -844,5 +857,35 @@ mod tests {
                 assert_eq!(d.kind, e.kind, "owner {owner:?} ordinal {}", d.ordinal);
             }
         }
+    }
+
+    #[test]
+    fn unrouted_counts_the_open_branches_of_the_final_routes() {
+        // Two-row channels congest c17 enough that the negotiation rips
+        // nets up, and some of the ripped routes had left branches open.
+        let tech = Technology {
+            channel_rows: 2,
+            ..Technology::default()
+        };
+        let (chip, routes) = Builder::new(generators::c17(), tech)
+            .and_then(Builder::layout)
+            .expect("generates");
+        assert!(
+            chip.route_stats().reroutes > 0,
+            "the fixture must rip nets up"
+        );
+        let open: usize = chip
+            .nets()
+            .iter()
+            .zip(&routes)
+            .filter(|(net, _)| net.terminals.len() >= 2)
+            .map(|(net, paths)| {
+                (1..net.terminals.len())
+                    .filter(|t| !paths.iter().any(|p| p.terminal == *t))
+                    .count()
+            })
+            .sum();
+        assert!(open > 0, "the fixture must leave branches open");
+        assert_eq!(chip.unrouted(), open);
     }
 }

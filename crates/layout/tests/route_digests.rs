@@ -52,6 +52,34 @@ fn small_circuit_layouts_are_pinned() {
     }
 }
 
+/// Every pinned or benchmarked circuit that routes to completion
+/// leaves no branch open. c432_class is not listed: at the default
+/// channel height its negotiation runs out of rip-up budget with open
+/// branches, which its pinned digest records.
+#[test]
+fn pinned_and_benchmarked_circuits_route_to_completion() {
+    let circuits = [
+        generators::c17(),
+        generators::alu_slice(),
+        generators::parity_tree(16),
+        generators::decoder(4),
+        generators::mux_tree(3),
+        generators::ripple_adder(8),
+        generators::parity_tree(48),
+        generators::ripple_adder(24),
+        generators::mux_tree(5),
+    ];
+    for netlist in &circuits {
+        let chip = ChipLayout::generate(netlist, &Default::default()).expect("layout");
+        assert_eq!(
+            chip.unrouted(),
+            0,
+            "{} leaves branches open",
+            netlist.name()
+        );
+    }
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,

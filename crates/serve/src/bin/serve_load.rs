@@ -3,24 +3,27 @@
 //!
 //! Starts the server on an ephemeral port with a fresh cache, then:
 //!
-//! 1. **cold** — `/v1/dl` on the c432-class circuit at three distinct
-//!    seeds, each a guaranteed miss that runs the full pipeline;
+//! 1. **cold** — `/v1/dl` on the c432-class circuit at distinct seeds,
+//!    each a guaranteed miss. The first (`serve/cold_miss/c432`) runs
+//!    the full pipeline, layout and extraction included; the later ones
+//!    (`serve/fresh_seed_miss/c432`) reuse the service's memoised
+//!    extraction and pay for ATPG and simulation only;
 //! 2. **warm** — concurrent client threads hammer one already-sealed
 //!    key and record per-request latency.
 //!
 //! Writes `BENCH_serve.json` at the workspace root in the versioned
 //! [`BenchReport`] schema — raw sample lists for the timed entries plus
 //! derived p50/p90/p99 and hit-rate scalars — and **fails** unless the
-//! warm-hit p99 beats the best cold miss by at least
+//! warm-hit p99 beats the first cold miss by at least
 //! [`REQUIRED_SPEEDUP`]x: a content-addressed cache whose replay is not
 //! dramatically cheaper than recomputation is mis-built. The report
 //! carries the standard `calibration/spin` entry, so `perf_regress
 //! --current BENCH_serve.json` can gate it against a committed
 //! baseline.
 //!
-//! `--smoke` shrinks the profile for CI — one cold seed instead of
-//! three, fewer warm requests; labels are unchanged, so smoke reports
-//! compare against the same baseline.
+//! `--smoke` shrinks the profile for CI — one fresh-seed miss instead
+//! of three, fewer warm requests; labels are unchanged, so smoke
+//! reports compare against the same baseline.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -33,14 +36,14 @@ use dlp_serve::server::{serve, ServerConfig, ServerHandle};
 use dlp_serve::service::ServiceConfig;
 
 /// The warm-hit p99 must be at least this many times cheaper than the
-/// best cold miss (the acceptance bar for the artifact cache).
+/// first cold miss (the acceptance bar for the artifact cache).
 pub const REQUIRED_SPEEDUP: f64 = 20.0;
 
-/// Distinct seeds driven cold; three repeats so the timed entry carries
-/// a noise floor for the regression gate. The smoke profile drives only
-/// the first — a c432-class cold miss is the full pipeline, minutes of
-/// work on a small CI box.
-const COLD_SEEDS: [u64; 3] = [11, 12, 13];
+/// Distinct seeds driven cold. The first seed's miss computes the
+/// extraction stage; the rest are fresh-seed misses that reuse it,
+/// three so their timed entry carries a noise floor. The smoke profile
+/// drives the first two.
+const COLD_SEEDS: [u64; 4] = [11, 12, 13, 14];
 
 fn workspace_report_path() -> String {
     format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR"))
@@ -129,7 +132,7 @@ fn quantile(samples: &[f64], q: f64) -> f64 {
 fn run(smoke: bool) -> Result<(), String> {
     let (clients, requests_per_client) = if smoke { (2, 16) } else { (4, 64) };
     let cold_seeds = if smoke {
-        &COLD_SEEDS[..1]
+        &COLD_SEEDS[..2]
     } else {
         &COLD_SEEDS[..]
     };
@@ -158,7 +161,7 @@ fn run(smoke: bool) -> Result<(), String> {
 
     let result = (|| {
         // Cold: each seed is a distinct cache key, so every request
-        // recomputes the full c432-class pipeline.
+        // recomputes; only the first lays out and extracts c432-class.
         let mut cold_ns = Vec::new();
         let mut warm_body = String::new();
         for &seed in cold_seeds {
@@ -169,6 +172,7 @@ fn run(smoke: bool) -> Result<(), String> {
                 warm_body = body;
             }
         }
+        let (first_ns, fresh_ns) = cold_ns.split_at(1);
 
         // Warm: concurrent clients replaying the first seed's artifact.
         let warm_target = format!("/v1/dl?circuit=c432&seed={}", COLD_SEEDS[0]);
@@ -208,15 +212,17 @@ fn run(smoke: bool) -> Result<(), String> {
         let misses = obs.counter_value("serve.cache.miss").unwrap_or(0) as f64;
         let hit_rate = hits / (hits + misses).max(1.0);
 
-        let cold_best = cold_ns.iter().copied().fold(f64::INFINITY, f64::min);
+        let first = first_ns[0];
+        let fresh_best = fresh_ns.iter().copied().fold(f64::INFINITY, f64::min);
         let p50 = quantile(&warm_ns, 0.50);
         let p90 = quantile(&warm_ns, 0.90);
         let p99 = quantile(&warm_ns, 0.99);
-        let speedup = cold_best / p99;
+        let speedup = first / p99;
 
         let mut report = BenchReport::new("serve_load");
         report.record_samples("calibration/spin", "ns/iter", &calibration_samples());
-        report.record_samples("serve/cold_miss/c432", "ns/iter", &cold_ns);
+        report.record_samples("serve/cold_miss/c432", "ns/iter", first_ns);
+        report.record_samples("serve/fresh_seed_miss/c432", "ns/iter", fresh_ns);
         report.record_samples("serve/warm_hit/c432", "ns/iter", &warm_ns);
         report.record("serve/warm_p50", "ns", p50);
         report.record("serve/warm_p90", "ns", p90);
@@ -229,9 +235,10 @@ fn run(smoke: bool) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
 
         println!(
-            "serve_load: cold best {:.1} ms | warm p50 {:.0} us, p90 {:.0} us, p99 {:.0} us | \
-             hit rate {:.3} | p99 speedup {speedup:.0}x",
-            cold_best / 1e6,
+            "serve_load: first miss {:.1} ms | fresh-seed best {:.1} ms | warm p50 {:.0} us, \
+             p90 {:.0} us, p99 {:.0} us | hit rate {:.3} | p99 speedup {speedup:.0}x",
+            first / 1e6,
+            fresh_best / 1e6,
             p50 / 1e3,
             p90 / 1e3,
             p99 / 1e3,
@@ -241,7 +248,7 @@ fn run(smoke: bool) -> Result<(), String> {
 
         if speedup < REQUIRED_SPEEDUP {
             return Err(format!(
-                "warm-hit p99 is only {speedup:.1}x cheaper than a cold miss \
+                "warm-hit p99 is only {speedup:.1}x cheaper than the first cold miss \
                  (required: {REQUIRED_SPEEDUP}x) — the artifact cache is not paying for itself"
             ));
         }

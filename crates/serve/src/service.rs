@@ -48,13 +48,24 @@
 //! default key), so the natural exploration order (project, then
 //! inspect the curve) pays for the pipeline once.
 //!
+//! Below the artifacts sits one in-memory stage memo. Layout and
+//! extraction depend only on the netlist and the defect statistics, so
+//! each circuit is extracted at most once per service, under a stage
+//! key that is the artifact-key recipe without the seed, `n` and
+//! fallout. Every later miss on the circuit, on any endpoint, and every
+//! scale-class miss (whose template is the c432-class extraction)
+//! reuses it. Each miss counts one of `serve.stage.compute` and
+//! `serve.stage.reuse`.
+//!
 //! ## Per-request tracing
 //!
 //! Every request runs under a [`TraceContext`] (DESIGN.md §16): a
 //! deterministically derived trace id over a private recorder. The
 //! handlers open their spans on that recorder — `http.parse` → `route`
 //! → `cache.probe` → (miss) `recompute`, with the pipeline's stage
-//! spans nested inside it because they ran there → `seal` → `write` —
+//! spans nested inside it because they ran there (`layout` and
+//! `extract` only on the miss that computes the stage) → `seal` →
+//! `write` —
 //! so the trace is the recorder's span tree under a `request` root.
 //! When the request completes, the recorder's totals merge into the
 //! service's global recorder, so `/metrics` totals are identical to
@@ -65,10 +76,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use dlp_bench::pipeline::{self, PAPER_YIELD};
+use dlp_bench::pipeline::{self, Extraction, PAPER_YIELD};
 use dlp_circuit::{generators, switch, GateKind, Netlist, NodeId};
 use dlp_core::ckpt::KeyHasher;
 use dlp_core::obs::trace::derive_trace_id;
@@ -86,7 +97,7 @@ use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 use dlp_yield::dist::Fallout;
 
 use crate::accesslog::{AccessLog, AccessLogConfig};
-use crate::cache::{ArtifactCache, ENGINE_VERSION};
+use crate::cache::{ArtifactCache, CacheLookup, ENGINE_VERSION};
 use crate::error::ServeError;
 use crate::http::{Request, Response, CONTENT_TYPE_OPENMETRICS};
 
@@ -416,6 +427,23 @@ pub fn artifact_key(
     h.finish()
 }
 
+/// The key of a circuit's seed-independent stage, layout + extraction:
+/// [`artifact_key`]'s recipe without the seed, `n` and fallout, none of
+/// which the stage reads.
+fn stage_key(netlist: &Netlist) -> u64 {
+    let mut h = KeyHasher::new();
+    h.write_bytes(b"stage.extract");
+    dlp_sim::ckpt::hash_netlist(&mut h, netlist);
+    h.write_bytes(format!("{:?}", DefectStatistics::maly_cmos()).as_bytes());
+    h.write_u64(ENGINE_VERSION);
+    h.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
+    h.finish()
+}
+
+/// A memoised stage: the extraction, or the stage and message of the
+/// error that stopped it.
+type StageResult = Result<Arc<Extraction>, (Stage, String)>;
+
 /// Kind-proxy site map for scale-class members (the `scale_sweep`
 /// semantics): every gate maps to the first template gate of the same
 /// [`GateKind`], primary inputs and unknown kinds to `None` (template
@@ -458,16 +486,8 @@ pub struct ServiceConfig {
     pub access_log: AccessLogConfig,
 }
 
-/// The c432-class template layout + extraction the scale-class members
-/// borrow their critical-area weight profile from — extracted once per
-/// process, on the first scale-class miss.
-struct ScaleTemplate {
-    netlist: Netlist,
-    tiled: TiledWeights,
-}
-
-/// The projection service: stateless request handling over an
-/// [`ArtifactCache`], with a live [`Recorder`] feeding `/metrics`.
+/// The projection service: request handling over an [`ArtifactCache`]
+/// and the stage memo, with a live [`Recorder`] feeding `/metrics`.
 pub struct Service {
     cache: ArtifactCache,
     obs: Recorder,
@@ -479,7 +499,12 @@ pub struct Service {
     seq: AtomicU64,
     flight: FlightRecorder,
     access_log: AccessLog,
-    scale: OnceLock<Result<ScaleTemplate, String>>,
+    /// The seed-independent stage memo: one single-flight slot per
+    /// [`stage_key`]. Bounded by the [`CIRCUITS`] catalogue.
+    stages: Mutex<HashMap<u64, Arc<OnceLock<StageResult>>>>,
+    /// The c432-class critical-area profile the scale-class members
+    /// borrow, tiled once from the memoised c432-class extraction.
+    scale: OnceLock<Result<TiledWeights, String>>,
 }
 
 impl Service {
@@ -500,6 +525,7 @@ impl Service {
             seq: AtomicU64::new(0),
             flight: FlightRecorder::new(config.flight_capacity),
             access_log: AccessLog::open(&config.access_log)?,
+            stages: Mutex::new(HashMap::new()),
             scale: OnceLock::new(),
         })
     }
@@ -743,11 +769,14 @@ impl Service {
             }
             .map_err(ServeError::from)?;
             // One execution feeds all three endpoints: seal the sibling
-            // artifacts before returning the requested one.
+            // artifacts before returning the requested one. A sibling
+            // already sealed intact holds these very bytes and is left
+            // alone, so the seed-independent fault report is sealed once
+            // per circuit rather than again on every fresh seed.
             let _seal = obs.span("seal");
             for (key, sibling) in [(dl_key, &dl), (curve_key, &curve), (faults_key, &faults)]
             {
-                if key != want {
+                if key != want && !matches!(self.cache.lookup(key), CacheLookup::Hit(_)) {
                     self.cache.store(key, sibling)?;
                 }
             }
@@ -790,6 +819,35 @@ impl Service {
         }
     }
 
+    /// The circuit's layout + extraction, computed at most once per
+    /// service: the stage depends on the netlist and the defect
+    /// statistics, never on the seed, `n` or the fallout model.
+    /// Concurrent callers on one key wait for a single computation, and
+    /// a failure is remembered. The call that computes counts
+    /// `serve.stage.compute` and records the `layout` and `extract`
+    /// spans; every other call counts `serve.stage.reuse`.
+    fn stage(&self, netlist: &Netlist, obs: &Recorder) -> Result<Arc<Extraction>, PipelineError> {
+        let slot = {
+            let mut stages = self.stages.lock().unwrap_or_else(|p| p.into_inner());
+            Arc::clone(stages.entry(stage_key(netlist)).or_default())
+        };
+        let mut computed = false;
+        let result = slot.get_or_init(|| {
+            computed = true;
+            pipeline::extract_netlist_obs(netlist.clone(), &DefectStatistics::maly_cmos(), obs)
+                .map(Arc::new)
+                .map_err(|e| (e.stage(), e.message().to_string()))
+        });
+        obs.incr(if computed {
+            "serve.stage.compute"
+        } else {
+            "serve.stage.reuse"
+        });
+        result
+            .clone()
+            .map_err(|(stage, message)| PipelineError::new(stage, message))
+    }
+
     /// Extraction + ATPG + both simulators, once; returns the
     /// `(dl, curve, faults)` bodies in artifact form.
     ///
@@ -806,8 +864,7 @@ impl Service {
         fallout: &Fallout,
         obs: &Recorder,
     ) -> Result<(Json, Json, Json), PipelineError> {
-        let stats = DefectStatistics::maly_cmos();
-        let extraction = pipeline::extract_netlist_obs(netlist.clone(), &stats, obs)?;
+        let extraction = self.stage(netlist, obs)?;
         let budget = self.miss_budget();
         let run = pipeline::simulate_budgeted(&extraction, seed, self.threads, &budget, obs)?;
         let samples = pipeline::curve_samples(&extraction, &run)?;
@@ -895,30 +952,29 @@ impl Service {
         Ok((dl_body, curve_body, faults_body))
     }
 
-    /// The lazily-extracted c432-class template every scale-class miss
-    /// shares. Extraction failure is remembered (the error string is
-    /// cached) so a broken template fails fast instead of re-running
-    /// layout per request.
-    fn scale_template(&self, obs: &Recorder) -> Result<&ScaleTemplate, PipelineError> {
-        let slot = self.scale.get_or_init(|| {
-            let stats = DefectStatistics::maly_cmos();
-            let extraction = pipeline::extract_netlist_obs(generators::c432_class(), &stats, obs)
-                .map_err(|e| e.to_string())?;
+    /// The c432-class template every scale-class miss borrows its
+    /// critical-area profile from: the memoised c432-class extraction
+    /// and its tiled weights, tiled once. A tiling failure is
+    /// remembered like a stage failure.
+    fn scale_template(
+        &self,
+        obs: &Recorder,
+    ) -> Result<(Arc<Extraction>, &TiledWeights), PipelineError> {
+        let extraction = self
+            .stage(&generators::c432_class(), obs)
+            .map_err(|e| e.context("scale template unavailable"))?;
+        let tiled = self.scale.get_or_init(|| {
             let sites = stuck_at::enumerate(&extraction.netlist).collapse();
-            let tiled =
-                TiledWeights::new(&extraction.netlist, &extraction.faults, sites.faults())
-                    .map_err(|e| e.to_string())?;
-            Ok(ScaleTemplate {
-                netlist: extraction.netlist,
-                tiled,
-            })
+            TiledWeights::new(&extraction.netlist, &extraction.faults, sites.faults())
+                .map_err(|e| e.to_string())
         });
-        slot.as_ref().map_err(|msg| {
+        let tiled = tiled.as_ref().map_err(|msg| {
             PipelineError::new(
                 Stage::Extraction,
                 format!("scale template unavailable: {msg}"),
             )
-        })
+        })?;
+        Ok((extraction, tiled))
     }
 
     /// The scale-class path (DESIGN.md §13): critical-area weights
@@ -935,11 +991,10 @@ impl Service {
         fallout: &Fallout,
         obs: &Recorder,
     ) -> Result<(Json, Json, Json), PipelineError> {
-        let template = self.scale_template(obs)?;
+        let (template, tiled) = self.scale_template(obs)?;
         let sites = stuck_at::enumerate(netlist).collapse();
         let map = kind_map(&template.netlist, netlist);
-        let w = template
-            .tiled
+        let w = tiled
             .expand(netlist, sites.faults(), &map)
             .map_err(|e| PipelineError::from(e).context(format!("{circuit} weights")))?;
         let lambda = fallout
@@ -1044,8 +1099,7 @@ impl Service {
         n: usize,
         obs: &Recorder,
     ) -> Result<Json, PipelineError> {
-        let stats = DefectStatistics::maly_cmos();
-        let extraction = pipeline::extract_netlist_obs(netlist.clone(), &stats, obs)?;
+        let extraction = self.stage(netlist, obs)?;
         let budget = self.miss_budget();
         let sa = stuck_at::enumerate(netlist).collapse();
         let schedule = build_schedule_resumable(
@@ -1185,6 +1239,13 @@ mod tests {
             artifact_key("dl", &c17, 0, 0, &nb2),
             artifact_key("dl", &c17, 0, 0, &hier),
             "distribution family"
+        );
+        // The stage key separates circuits.
+        assert_ne!(stage_key(&c17), stage_key(&c432), "stage netlist");
+        assert_eq!(
+            stage_key(&c17),
+            stage_key(&generators::c17()),
+            "stage stable"
         );
     }
 

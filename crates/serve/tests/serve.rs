@@ -10,7 +10,10 @@
 //!   recomputes to the original bytes (and `open_strict` surfaces the
 //!   typed error);
 //! - **sibling sealing**: one `/v1/dl` miss also seals `/v1/curve` and
-//!   `/v1/faults`.
+//!   `/v1/faults`;
+//! - **stage reuse**: misses after the first reuse the circuit's
+//!   memoised extraction and answer byte-for-byte what a fresh service
+//!   answers.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -207,15 +210,33 @@ fn concurrent_requests_keep_isolated_traces_and_additive_counters() {
             }
             "miss" => {
                 assert_eq!(r.counter("serve.recompute"), 1);
-                // Pipeline stages nest where they ran: `extract` under
-                // `recompute`, its sub-passes under `extract`.
+                // Pipeline stages nest where they ran: `atpg` under
+                // `recompute` on every miss; `extract` under `recompute`,
+                // its sub-passes under `extract`, only on the sequential
+                // seed-21 miss that computed the stage. The racing
+                // misses reuse it.
                 let parent_name = |name: &str| {
                     let span = r.spans.iter().find(|s| s.name == name);
                     let parent = span.and_then(|s| s.parent).expect("non-root span");
                     r.spans[parent as usize].name.clone()
                 };
-                assert_eq!(parent_name("extract"), "recompute");
-                assert_eq!(parent_name("extract.bridges"), "extract");
+                assert_eq!(parent_name("atpg"), "recompute");
+                if r.seq == 0 {
+                    assert_eq!(r.counter("serve.stage.compute"), 1);
+                    assert_eq!(r.counter("serve.stage.reuse"), 0);
+                    assert_eq!(parent_name("extract"), "recompute");
+                    assert_eq!(parent_name("extract.bridges"), "extract");
+                } else {
+                    assert_eq!(r.counter("serve.stage.compute"), 0);
+                    assert_eq!(r.counter("serve.stage.reuse"), 1);
+                    assert!(
+                        !r.spans
+                            .iter()
+                            .any(|s| s.name == "layout" || s.name == "extract"),
+                        "trace {}: a reusing miss must not lay out or extract",
+                        r.seq
+                    );
+                }
                 // The root's direct children account for the request:
                 // the span tree explains at least 90% of the wall time.
                 let root = &r.spans[0];
@@ -251,6 +272,66 @@ fn concurrent_requests_keep_isolated_traces_and_additive_counters() {
             "{name}: global merge must equal the per-request sum"
         );
     }
+}
+
+#[test]
+fn misses_reusing_the_stage_answer_what_a_fresh_service_answers() {
+    let reused = service("stage_reused", 1);
+    let targets = [
+        "/v1/dl?circuit=c17&seed=1",
+        "/v1/dl?circuit=c17&seed=2&dist=nb&alpha=2",
+        "/v1/curve?circuit=c17&seed=3",
+        "/v1/curve?circuit=c17&seed=4&dist=hier",
+        "/v1/faults?circuit=c17",
+        "/v1/dl?circuit=c17&seed=5",
+        "/v1/dln?circuit=c17&n=1",
+        "/v1/dln?circuit=c17&n=3",
+        "/v1/dln?circuit=c17&n=8",
+    ];
+    for (i, target) in targets.iter().enumerate() {
+        let fresh = service(&format!("stage_fresh{i}"), 1);
+        assert_eq!(
+            body_text(&reused, target),
+            body_text(&fresh, target),
+            "{target}: a reused stage must not change the response"
+        );
+        assert_eq!(fresh.obs().counter_value("serve.stage.compute"), Some(1));
+    }
+    // `/v1/faults` replays the artifact the seed-1 miss sealed; every
+    // other target misses, and only the first computes the stage.
+    let obs = reused.obs();
+    assert_eq!(obs.counter_value("serve.recompute"), Some(8));
+    assert_eq!(obs.counter_value("serve.stage.compute"), Some(1));
+    assert_eq!(obs.counter_value("serve.stage.reuse"), Some(7));
+    let report = obs.report("stage");
+    let runs = |name: &str| {
+        report
+            .spans
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.count)
+    };
+    assert_eq!(runs("layout"), Some(1));
+    assert_eq!(runs("extract"), Some(1));
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "lays out c432-class; scripts/check.sh runs it in release"
+)]
+fn c432_and_the_scale_path_share_one_extraction() {
+    let service = service("stage_c432", 2);
+    let _ = body_text(&service, "/v1/dl?circuit=c432&seed=1");
+    let _ = body_text(&service, "/v1/dl?circuit=c1355&seed=1");
+    let obs = service.obs();
+    assert_eq!(obs.counter_value("serve.recompute"), Some(2));
+    assert_eq!(
+        obs.counter_value("serve.stage.compute"),
+        Some(1),
+        "the scale template must reuse the c432 miss's extraction"
+    );
+    assert_eq!(obs.counter_value("serve.stage.reuse"), Some(1));
 }
 
 #[test]
@@ -303,6 +384,29 @@ fn one_dl_miss_seals_the_sibling_artifacts() {
         service.obs().counter_value("serve.recompute"),
         Some(1),
         "curve and faults must be served from the artifacts the dl miss sealed"
+    );
+    // Another seed's miss leaves the sealed, seed-independent fault
+    // report as it is instead of writing it again.
+    let netlist = netlist_for("c17").expect("catalogue circuit");
+    let faults = service.cache().path_for(artifact_key(
+        "faults",
+        &netlist,
+        0,
+        0,
+        &dlp_yield::Fallout::poisson(),
+    ));
+    let modified = || {
+        std::fs::metadata(&faults)
+            .and_then(|m| m.modified())
+            .expect("sealed fault report")
+    };
+    let sealed_at = modified();
+    let _ = body_text(&service, "/v1/dl?circuit=c17&seed=8");
+    assert_eq!(service.obs().counter_value("serve.recompute"), Some(2));
+    assert_eq!(
+        modified(),
+        sealed_at,
+        "the fault report must not be sealed again"
     );
 }
 

@@ -126,11 +126,15 @@ cargo run --release -q -p dlp-inject --bin chaos
 # validate_trace --serve-trace then proves the span-tree contract of
 # DESIGN.md §16 (the same tree check, one request root, required stage
 # spans nested under recompute, >= 90% wall-time coverage). Then the latency smoke: serve_load
-# regenerates BENCH_serve.json with tracing enabled, fails unless the
-# warm-hit p99 beats the best cold miss by >= 20x, and the report must
+# regenerates BENCH_serve.json with tracing enabled (one first miss, one
+# fresh-seed miss), fails unless the warm-hit p99 beats the first miss
+# by >= 20x, and the report must
 # conform to the BenchReport schema and stay within the committed
 # baseline.
 echo "== serve: end-to-end cache gate, then latency smoke (writes BENCH_serve.json)"
+# Stage memo (DESIGN.md §14): a c432-class miss and a scale-class miss
+# share one c432-class extraction; debug builds ignore the case.
+cargo test --release -q -p dlp-serve --test serve c432_and_the_scale_path_share_one_extraction
 cargo run --release -q -p dlp-serve --bin serve_gate
 cargo run --release -q -p dlp-bench --bin validate_trace -- \
     --serve-trace TRACE_serve_gate.json
