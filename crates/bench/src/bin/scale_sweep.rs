@@ -18,7 +18,8 @@
 //! the template's average per-fault weight.
 //!
 //! The collapsed stuck-at universe of each member is then simulated
-//! with the sharded PPSFP engine under the `DLP_BUDGET_*` knobs
+//! with the PPSFP engine (whose cone cache is bounded to one window of
+//! faults) under the `DLP_BUDGET_*` knobs
 //! ([`SIM_REPEATS`] timed repeats, so the perf gate sees raw samples
 //! rather than a single-shot wall time), and `faults/sec = collapsed
 //! faults / best PPSFP wall-clock` is recorded per member in
@@ -42,9 +43,8 @@ use dlp_core::par::ThreadCount;
 use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
 use dlp_extract::sharded::TiledWeights;
-use dlp_sim::sharded::{simulate_sharded_obs, DEFAULT_SHARD_FAULTS};
 use dlp_sim::detection::random_vectors;
-use dlp_sim::stuck_at;
+use dlp_sim::{ppsfp, stuck_at};
 
 /// Applied test length `T`: enough for the random-pattern-easy family
 /// members to saturate while keeping the million-fault run bounded.
@@ -200,14 +200,14 @@ fn run() -> Result<(), PipelineError> {
         let mut record = None;
         for _ in 0..SIM_REPEATS {
             let t0 = Instant::now();
-            let r = simulate_sharded_obs(
+            let r = ppsfp::simulate_resumable(
                 &m.netlist,
                 sites.faults(),
                 &vectors,
-                DEFAULT_SHARD_FAULTS,
                 threads,
                 &obs,
                 &budget,
+                None,
             )
             .map_err(|e| PipelineError::from(e).context(format!("simulating {}", m.name)))?;
             sim_samples.push(t0.elapsed().as_secs_f64());

@@ -365,20 +365,11 @@ impl Netlist {
     }
 
     /// The transitive fanout cone of `seed` (inclusive), as a sorted list.
-    /// Fault simulators resimulate only this cone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is stale; see [`fanout`](Netlist::fanout).
-    pub fn fanout_cone(&self, seed: NodeId) -> Vec<NodeId> {
-        self.fanout_cone_with(seed, &mut ConeScratch::new())
-    }
-
-    /// [`fanout_cone`](Netlist::fanout_cone) with caller-owned scratch
-    /// state. Repeated cone queries (a fault simulator precomputing one
-    /// cone per fault site) reuse the scratch's visited marks instead of
-    /// zeroing a node-count array per call, so the cost per cone is
-    /// proportional to the cone, not the netlist.
+    /// Fault simulators resimulate only this cone. Repeated queries (a
+    /// fault simulator building one cone per fault site) reuse the
+    /// caller-owned scratch's visited marks instead of zeroing a
+    /// node-count array per call, so the cost per cone is proportional
+    /// to the cone, not the netlist.
     ///
     /// # Panics
     ///
@@ -547,7 +538,12 @@ mod tests {
     fn fanout_cone_includes_seed_and_descendants() {
         let n = mux();
         let a = n.find("a").unwrap();
-        let cone: Vec<&str> = n.fanout_cone(a).iter().map(|&x| n.node_name(x)).collect();
+        let mut scratch = ConeScratch::new();
+        let cone: Vec<&str> = n
+            .fanout_cone_with(a, &mut scratch)
+            .iter()
+            .map(|&x| n.node_name(x))
+            .collect();
         assert_eq!(cone, ["a", "t0", "y"]);
     }
 

@@ -1,12 +1,12 @@
 //! The chaos sweep: randomized kills at chunk boundaries and randomized
-//! artifact corruption, applied to real runs of the four long stages.
+//! artifact corruption, applied to real runs of the three checkpointed
+//! long stages.
 //!
 //! Two families of checks, both driven by one seeded RNG so a red run is
 //! reproducible from its seed:
 //!
 //! * **Kill/resume** — each long stage (count-capped PPSFP simulation,
-//!   sharded million-fault simulation, n-detect schedule construction,
-//!   Monte-Carlo fallout) is run under a
+//!   n-detect schedule construction, Monte-Carlo fallout) is run under a
 //!   [`RunBudget`] fuse that cancels after a randomized number of chunk
 //!   boundaries. The interruption must surface as the stage's typed
 //!   `Interrupted` error carrying a checkpoint; the checkpoint must
@@ -39,7 +39,6 @@ use dlp_ndetect::ckpt::NDetectCheckpoint;
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig, NDetectError};
 use dlp_sim::ckpt::SimCheckpoint;
 use dlp_sim::detection::random_vectors;
-use dlp_sim::sharded::ShardedCheckpoint;
 use dlp_sim::{ppsfp, stuck_at, SimError};
 
 /// Worker counts every resume must reproduce the reference under.
@@ -130,18 +129,15 @@ pub fn run_chaos(seed: u64, dir: &str) -> ChaosReport {
     if let Some(t) = sim_sweep(&mut rng, dir, &mut report) {
         targets.push(t);
     }
-    if let Some(t) = sharded_sweep(&mut rng, dir, &mut report) {
-        targets.push(t);
-    }
     if let Some(t) = ndetect_sweep(&mut rng, dir, &mut report) {
         targets.push(t);
     }
     if let Some(t) = mc_sweep(&mut rng, dir, &mut report) {
         targets.push(t);
     }
-    report.check("chaos/targets", targets.len() == 4, || {
+    report.check("chaos/targets", targets.len() == 3, || {
         format!(
-            "only {} of 4 stages produced a checkpoint artifact",
+            "only {} of 3 stages produced a checkpoint artifact",
             targets.len()
         )
     });
@@ -253,118 +249,6 @@ fn sim_sweep(
             SimCheckpoint::load_from(p, &netlist, faults.faults(), &vectors, n_cap).map(|_| ())
         });
         ("sim.ppsfp", path, loader)
-    })
-}
-
-/// Kill/resume sweep over *sharded* PPSFP simulation — the
-/// million-fault path, where the budget fuse can trip between fault
-/// shards (outer checks) or between pattern blocks inside a shard
-/// (inner checks). Either way the interruption must surface as
-/// [`SimError::ShardedInterrupted`] carrying a [`ShardedCheckpoint`]
-/// whose sealed envelope round-trips, and resuming from it — from a
-/// completed-shard boundary or better — must be bit-identical to the
-/// uninterrupted reference at every worker count.
-fn sharded_sweep(
-    rng: &mut Xorshift64Star,
-    dir: &str,
-    report: &mut ChaosReport,
-) -> Option<(&'static str, String, Loader)> {
-    let netlist = generators::c432_class();
-    let faults = stuck_at::enumerate(&netlist).collapse();
-    let width = netlist.inputs().len();
-    let vectors = random_vectors(width, 128, 0x5AD);
-    let shard_faults = 64usize;
-    let reference = match dlp_sim::sharded::simulate_sharded_resumable(
-        &netlist,
-        faults.faults(),
-        &vectors,
-        shard_faults,
-        ThreadCount::Auto,
-        Recorder::noop(),
-        &RunBudget::unlimited(),
-        None,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            report.fail("sharded/reference", format!("uninterrupted run failed: {e}"));
-            return None;
-        }
-    };
-    // Budget checks happen once per shard plus once per pattern block
-    // inside each shard, so this bounds the randomized kill points.
-    let total_shards = faults.faults().len().div_ceil(shard_faults) as u64;
-    let blocks_per_shard = vectors.len().div_ceil(64) as u64;
-    let max_checks = total_shards * (1 + blocks_per_shard);
-    let path = format!("{dir}/sim.sharded.ckpt.json");
-    let mut wrote = false;
-    let kills: Vec<u64> = std::iter::once(1)
-        .chain((0..3).map(|_| rng.next_u64() % (max_checks + 1)))
-        .collect();
-    for kill in kills {
-        let leg = CHAOS_THREADS[(rng.next_u64() % 3) as usize];
-        let scenario = format!("sharded/kill@{kill}/threads={leg}");
-        let budget = RunBudget::unlimited().cancel_after_checks(kill);
-        let outcome = dlp_sim::sharded::simulate_sharded_resumable(
-            &netlist,
-            faults.faults(),
-            &vectors,
-            shard_faults,
-            threads(leg),
-            Recorder::noop(),
-            &budget,
-            None,
-        );
-        match outcome {
-            Ok(record) => {
-                report.check(&scenario, record == reference, || {
-                    "run completed under the fuse but diverged from the reference".to_string()
-                });
-            }
-            Err(SimError::ShardedInterrupted { checkpoint, .. }) => {
-                if let Err(e) = checkpoint.save_to(&path, &netlist, faults.faults(), &vectors) {
-                    report.fail(&scenario, format!("checkpoint save failed: {e}"));
-                    continue;
-                }
-                wrote = true;
-                let restored = match ShardedCheckpoint::load_from(
-                    &path,
-                    &netlist,
-                    faults.faults(),
-                    &vectors,
-                    shard_faults,
-                ) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        report.fail(&scenario, format!("own checkpoint did not verify: {e}"));
-                        continue;
-                    }
-                };
-                for t in CHAOS_THREADS {
-                    let resumed = dlp_sim::sharded::simulate_sharded_resumable(
-                        &netlist,
-                        faults.faults(),
-                        &vectors,
-                        shard_faults,
-                        threads(t),
-                        Recorder::noop(),
-                        &RunBudget::unlimited(),
-                        Some(&restored),
-                    );
-                    let ok = matches!(&resumed, Ok(r) if *r == reference);
-                    report.check(&format!("{scenario}/resume@{t}"), ok, || {
-                        format!("resume diverged or failed: {:?}", resumed.err())
-                    });
-                }
-            }
-            Err(other) => report.fail(&scenario, format!("expected ShardedInterrupted, got: {other}")),
-        }
-    }
-    wrote.then(|| {
-        let loader: Loader = Box::new(move |p: &str| {
-            ShardedCheckpoint::load_from(p, &netlist, faults.faults(), &vectors, shard_faults)
-                .map(|_| ())
-        });
-        ("sim.sharded", path, loader)
     })
 }
 

@@ -818,23 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn c432_class_routes_and_verifies() {
-        let c = chip(&generators::c432_class());
-        assert!(c.rows() >= 2);
-        let violations = c.verify_connectivity();
-        assert!(
-            violations.is_empty(),
-            "{} violations, first: {:?}",
-            violations.len(),
-            violations.first()
-        );
-        // Conductor area exists on every routed layer.
-        for layer in [Layer::Metal1, Layer::Metal2, Layer::Poly] {
-            assert!(c.conductor_area(layer) > 0, "{layer} empty");
-        }
-    }
-
-    #[test]
     fn transistor_ordinals_cover_switch_netlist() {
         let nl = generators::c17();
         let c = chip(&nl);

@@ -23,8 +23,6 @@ pub enum LayoutError {
     /// The technology's design rules are mutually inconsistent
     /// (see [`crate::tech::Technology::validate`]).
     BadTechnology,
-    /// A tiled layout was asked for zero instances.
-    EmptyArray,
 }
 
 impl fmt::Display for LayoutError {
@@ -36,7 +34,6 @@ impl fmt::Display for LayoutError {
                 write!(f, "floorplan too small: {overflow} cells left over")
             }
             LayoutError::BadTechnology => write!(f, "inconsistent technology design rules"),
-            LayoutError::EmptyArray => write!(f, "tiled layout needs at least one instance"),
         }
     }
 }

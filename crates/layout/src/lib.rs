@@ -43,6 +43,5 @@ mod grid;
 pub mod place;
 pub mod svg;
 pub mod tech;
-pub mod tiled;
 
 pub use error::LayoutError;

@@ -7,10 +7,14 @@
 
 use dlp_circuit::{generators, Netlist};
 use dlp_core::ckpt::KeyHasher;
+use dlp_geometry::Layer;
 use dlp_layout::chip::ChipLayout;
 
 fn layout_digest(netlist: &Netlist) -> u64 {
-    let chip = ChipLayout::generate(netlist, &Default::default()).expect("layout");
+    chip_digest(&ChipLayout::generate(netlist, &Default::default()).expect("layout"))
+}
+
+fn chip_digest(chip: &ChipLayout) -> u64 {
     let mut h = KeyHasher::new();
     h.write_usize(chip.shapes().len());
     for s in chip.shapes() {
@@ -86,7 +90,21 @@ fn pinned_and_benchmarked_circuits_route_to_completion() {
     ignore = "slow unoptimised; scripts/check.sh runs it in release"
 )]
 fn c432_class_layout_is_pinned() {
-    let d = layout_digest(&generators::c432_class());
+    let chip = ChipLayout::generate(&generators::c432_class(), &Default::default())
+        .expect("layout");
+    assert!(chip.rows() >= 2);
+    let violations = chip.verify_connectivity();
+    assert!(
+        violations.is_empty(),
+        "{} violations, first: {:?}",
+        violations.len(),
+        violations.first()
+    );
+    // Conductor area exists on every routed layer.
+    for layer in [Layer::Metal1, Layer::Metal2, Layer::Poly] {
+        assert!(chip.conductor_area(layer) > 0, "{layer} empty");
+    }
+    let d = chip_digest(&chip);
     assert_eq!(
         d, 0x8200_7e8f_dc05_674b,
         "c432_class layout digest drifted: now {d:#018x}"

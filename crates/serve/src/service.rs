@@ -25,7 +25,7 @@
 //! pipeline; the ISCAS-85-class analogues beyond monolithic
 //! place-and-route reach are served through the tiled template path of
 //! DESIGN.md §13 (kind-proxy critical-area weights from a cached
-//! c432-class template, sharded PPSFP under a seeded random test set).
+//! c432-class template, PPSFP under a seeded random test set).
 //!
 //! ## The cache-key contract
 //!
@@ -91,8 +91,7 @@ use dlp_extract::faults::OpenLevelModel;
 use dlp_extract::sharded::TiledWeights;
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
 use dlp_sim::detection::random_vectors;
-use dlp_sim::sharded::{simulate_sharded_obs, DEFAULT_SHARD_FAULTS};
-use dlp_sim::stuck_at;
+use dlp_sim::{ppsfp, stuck_at};
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 use dlp_yield::dist::Fallout;
 
@@ -109,7 +108,7 @@ pub enum CircuitClass {
     Full,
     /// The tiled template path (DESIGN.md §13): kind-proxy
     /// critical-area weights expanded from the cached c432-class
-    /// template, sharded PPSFP under a seeded random test set.
+    /// template, PPSFP under a seeded random test set.
     Scale,
 }
 
@@ -978,7 +977,7 @@ impl Service {
     }
 
     /// The scale-class path (DESIGN.md §13): critical-area weights
-    /// expanded from the cached template by gate kind, one sharded
+    /// expanded from the cached template by gate kind, one
     /// PPSFP pass over the collapsed stuck-at universe under a seeded
     /// random test set. No switch-level stage runs, so `t` and `gamma`
     /// both report the plain stuck-at coverage and θ is the
@@ -1003,14 +1002,14 @@ impl Service {
             .map_err(|e| PipelineError::from(e).context("fixed-yield calibration"))?;
         let vectors = random_vectors(netlist.inputs().len(), SCALE_VECTORS, seed);
         let budget = self.miss_budget();
-        let record = simulate_sharded_obs(
+        let record = ppsfp::simulate_resumable(
             netlist,
             sites.faults(),
             &vectors,
-            DEFAULT_SHARD_FAULTS,
             self.threads,
             obs,
             &budget,
+            None,
         )
         .map_err(|e| PipelineError::from(e).context(format!("simulating {circuit}")))?;
 

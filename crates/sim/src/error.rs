@@ -29,7 +29,7 @@ pub enum SimError {
         /// Index of the offending weight.
         index: usize,
     },
-    /// A switch-level fault references a transistor, node, or output the
+    /// A fault references a node, gate pin, transistor, or output the
     /// netlist does not have.
     FaultOutOfRange {
         /// Index of the fault in the supplied list.
@@ -56,24 +56,12 @@ pub enum SimError {
         /// Resume state for the `*_resumable` simulation entry points.
         checkpoint: Box<crate::ckpt::SimCheckpoint>,
     },
-    /// The run budget tripped during a sharded simulation; `checkpoint`
-    /// captures the completed-shard prefix (plus the interrupted
-    /// shard's block-level state), and resuming from it reproduces the
-    /// uninterrupted run bit-identically.
-    ShardedInterrupted {
-        /// What tripped, with shard-level progress attached.
-        budget: dlp_core::BudgetExceeded,
-        /// Resume state for [`crate::sharded::simulate_sharded_resumable`].
-        checkpoint: Box<crate::sharded::ShardedCheckpoint>,
-    },
     /// A supplied resume checkpoint is inconsistent with this run's
     /// inputs (wrong shape, wrong cap, or impossible progress).
     BadCheckpoint {
         /// What is inconsistent.
         what: &'static str,
     },
-    /// A sharded simulation was asked for zero faults per shard.
-    BadShardSize,
 }
 
 impl fmt::Display for SimError {
@@ -105,14 +93,8 @@ impl fmt::Display for SimError {
             SimError::Interrupted { budget, .. } => {
                 write!(f, "{budget}; a resume checkpoint was captured")
             }
-            SimError::ShardedInterrupted { budget, .. } => {
-                write!(f, "{budget}; a sharded resume checkpoint was captured")
-            }
             SimError::BadCheckpoint { what } => {
                 write!(f, "resume checkpoint is unusable: {what}")
-            }
-            SimError::BadShardSize => {
-                write!(f, "sharded simulation needs at least one fault per shard")
             }
         }
     }
@@ -123,7 +105,6 @@ impl Error for SimError {
         match self {
             SimError::Budget(b) => Some(b),
             SimError::Interrupted { budget, .. } => Some(budget),
-            SimError::ShardedInterrupted { budget, .. } => Some(budget),
             _ => None,
         }
     }

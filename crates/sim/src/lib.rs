@@ -7,16 +7,16 @@
 //! * [`stuck_at`] — the single-stuck-at fault universe (stem and branch
 //!   faults) with equivalence collapsing,
 //! * [`ppsfp`] — 64-way parallel-pattern single-fault-propagation stuck-at
-//!   simulation producing `T(k)` curves,
-//! * [`sharded`] — bounded-memory PPSFP over fixed-size fault shards,
-//!   bit-identical to the unsharded record at every shard size and
-//!   thread count (the million-fault scale path),
+//!   simulation producing `T(k)` curves; its fanout-cone cache is bounded
+//!   to one window of faults, so the same engine runs million-fault lists
+//!   (the scale path),
 //! * [`switchlevel`] — a strength-based switch-level simulator with charge
 //!   retention and an I_DDQ observation mode, simulating bridging faults,
 //!   transistor stuck-opens/ons and floating (open-interconnect) inputs —
 //!   producing `θ(k)` and `Γ(k)`,
 //! * [`transition`] — two-pattern gate-delay (transition) fault simulation
-//!   (the paper's other "more sophisticated" test technique),
+//!   (the paper's other "more sophisticated" test technique) on the
+//!   PPSFP block kernel,
 //! * [`detection`] — shared bookkeeping: first-detection records and
 //!   coverage curves,
 //! * [`ckpt`] — sealed resume checkpoints for the interruptible
@@ -53,7 +53,6 @@ pub mod ckpt;
 pub mod detection;
 mod error;
 pub mod ppsfp;
-pub mod sharded;
 pub mod stuck_at;
 pub mod switchlevel;
 pub mod transition;

@@ -5,8 +5,16 @@
 //! fault is then injected and only its fanout cone re-evaluated. A fault is
 //! detected when any primary-output word differs from the fault-free word;
 //! detected faults are dropped from subsequent blocks.
+//!
+//! Fanout cones are cached per fault site, and the cache is bounded:
+//! within a block the live faults are walked in windows of at most
+//! 32,768 faults, and the cache is cleared before a window's cones would
+//! overflow it. A fault list no longer than one window builds each cone
+//! once; a million-fault list keeps one window's cones resident, so its
+//! memory stays proportional to the window, not to the list. The same
+//! block kernel serves [`transition`](crate::transition) simulation.
 
-use dlp_circuit::{GateKind, Netlist, NodeId};
+use dlp_circuit::{ConeScratch, GateKind, Netlist, NodeId};
 use dlp_core::obs::Recorder;
 use dlp_core::par::{self, ThreadCount};
 use dlp_core::{BudgetExceeded, RunBudget};
@@ -21,6 +29,12 @@ use crate::stuck_at::{FaultSite, StuckAtFault};
 /// indices) stops being a profiling structure and becomes an unbounded
 /// transcript.
 pub const MAX_DETECTION_CAP: usize = 1 << 16;
+
+/// Faults per window of the block kernel, and the most cones the cache
+/// holds: large enough that every shipped circuit's collapsed list fits
+/// one window, small enough that one window's cones stay in the tens of
+/// megabytes even when every cone spans a few hundred nodes.
+pub(crate) const WINDOW_FAULTS: usize = 32_768;
 
 /// Validates every fault site against the netlist: the stem node, or the
 /// branch's gate and pin index, must exist.
@@ -47,13 +61,30 @@ fn validate_faults(netlist: &Netlist, faults: &[StuckAtFault]) -> Result<(), Sim
     Ok(())
 }
 
-/// Validated per-run state shared by the first-detect and counted modes:
-/// the fault list with its precomputed fanout cones.
-struct SimSetup<'a> {
+/// Validated per-run state of the block kernel: the fault list and a
+/// bounded cache of its fanout cones.
+pub(crate) struct SimSetup<'a> {
     netlist: &'a Netlist,
     faults: &'a [StuckAtFault],
-    cones: std::collections::HashMap<NodeId, Vec<NodeId>>,
     n_in: usize,
+    /// Fanout cones (sorted, so in topological order) indexed by seed
+    /// node; empty where not built, since a cone holds its seed.
+    cones: Vec<Vec<NodeId>>,
+    /// The seeds whose cones are built; never more than `window`.
+    cached: Vec<NodeId>,
+    /// One shared scratch keeps cone building O(Σ cone) instead of
+    /// O(seeds × nodes).
+    scratch: ConeScratch,
+    window: usize,
+}
+
+/// The fault-free words of one packed 64-pattern block.
+pub(crate) struct GoodBlock {
+    /// One word per node: bit `p` is the node's value under pattern `p`.
+    pub(crate) words: Vec<u64>,
+    /// The bits of the block's patterns: all 64 except in a partial
+    /// final block.
+    pub(crate) used_mask: u64,
 }
 
 fn cone_seed(f: &StuckAtFault) -> NodeId {
@@ -64,54 +95,52 @@ fn cone_seed(f: &StuckAtFault) -> NodeId {
 }
 
 impl<'a> SimSetup<'a> {
-    fn new(
+    /// Validates the vector widths and fault sites; cones are built on
+    /// demand, `window` faults at a time.
+    pub(crate) fn new(
         netlist: &'a Netlist,
         faults: &'a [StuckAtFault],
         vectors: &[Vec<bool>],
+        window: usize,
     ) -> Result<Self, SimError> {
         let n_in = netlist.inputs().len();
         crate::error::check_widths(vectors, n_in)?;
         validate_faults(netlist, faults)?;
-        // Precompute fanout cones (sorted in topological order because
-        // node IDs are topological) for each distinct fault seed node.
-        // One shared scratch keeps this O(Σ cone) instead of
-        // O(seeds × nodes) — the difference between seconds and minutes
-        // on million-fault shard streams.
-        let mut scratch = dlp_circuit::ConeScratch::new();
-        let mut cones: std::collections::HashMap<NodeId, Vec<NodeId>> =
-            std::collections::HashMap::new();
-        for f in faults {
-            let seed = cone_seed(f);
-            cones
-                .entry(seed)
-                .or_insert_with(|| netlist.fanout_cone_with(seed, &mut scratch));
-        }
         Ok(SimSetup {
             netlist,
             faults,
-            cones,
             n_in,
+            cones: vec![Vec::new(); netlist.node_count()],
+            cached: Vec::new(),
+            scratch: ConeScratch::new(),
+            window,
         })
     }
 
-    /// Simulates one 64-pattern block over the live faults and returns, in
-    /// chunk order, `(fault index, masked output-difference word)` pairs
-    /// for every live fault the block detects.
-    ///
-    /// The live-fault list is partitioned across the workers; each worker
-    /// owns its scratch `faulty` array. A fault's detection word is a pure
-    /// function of (fault, block), so the merged outcome cannot depend on
-    /// the partition — the bit-identical-merge foundation both simulation
-    /// modes build on.
-    fn block_detections(
-        &self,
-        block: &[Vec<bool>],
-        live: &[usize],
-        workers: usize,
-        obs: &Recorder,
-        scope: &'static str,
-    ) -> Vec<Vec<(usize, u64)>> {
-        // Pack the block: word i = input i across patterns.
+    /// Builds the cones of `window` that the cache lacks, clearing the
+    /// cache first when they would overflow it.
+    fn cover(&mut self, window: &[usize]) {
+        let missing = window
+            .iter()
+            .filter(|&&fi| self.cones[cone_seed(&self.faults[fi]).index()].is_empty())
+            .count();
+        if self.cached.len() + missing > self.window {
+            for seed in self.cached.drain(..) {
+                self.cones[seed.index()] = Vec::new();
+            }
+        }
+        for &fi in window {
+            let seed = cone_seed(&self.faults[fi]);
+            if self.cones[seed.index()].is_empty() {
+                self.cones[seed.index()] = self.netlist.fanout_cone_with(seed, &mut self.scratch);
+                self.cached.push(seed);
+            }
+        }
+    }
+
+    /// Packs a block (word `i` = input `i` across patterns) and evaluates
+    /// the fault-free circuit on it.
+    pub(crate) fn good_block(&self, block: &[Vec<bool>]) -> GoodBlock {
         let mut input_words = vec![0u64; self.n_in];
         for (p, v) in block.iter().enumerate() {
             for (i, &bit) in v.iter().enumerate() {
@@ -120,61 +149,154 @@ impl<'a> SimSetup<'a> {
                 }
             }
         }
-        let used_mask: u64 = if block.len() == 64 {
+        let used_mask = if block.len() == 64 {
             u64::MAX
         } else {
             (1u64 << block.len()) - 1
         };
+        GoodBlock {
+            words: self.netlist.eval_words_all(&input_words),
+            used_mask,
+        }
+    }
 
-        let good = self.netlist.eval_words_all(&input_words);
+    /// Hands `detected` the fault index and masked output-difference
+    /// word of every fault of `live` that the block detects, in `live`
+    /// order, one window at a time.
+    ///
+    /// Each window's faults are partitioned across the workers, and each
+    /// worker owns its scratch `faulty` array. A fault's detection word
+    /// is a pure function of (fault, block), so the outcome cannot depend
+    /// on the window or the partition — the bit-identical-merge
+    /// foundation every caller builds on.
+    pub(crate) fn detection_words(
+        &mut self,
+        good: &GoodBlock,
+        live: &[usize],
+        workers: usize,
+        obs: &Recorder,
+        scope: &'static str,
+        mut detected: impl FnMut(usize, u64),
+    ) {
+        for window in live.chunks(self.window) {
+            self.cover(window);
+            let this = &*self;
+            let chunks = par::map_chunks_counted(workers, window, workers, obs, scope, |_, chunk| {
+                this.propagate(good, chunk)
+            });
+            for (fi, word) in chunks.into_iter().flatten() {
+                detected(fi, word);
+            }
+        }
+    }
 
-        par::map_chunks_counted(workers, live, workers, obs, scope, |_, chunk| {
-            let mut faulty = good.clone();
-            let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
-            let mut found: Vec<(usize, u64)> = Vec::new();
-            for &fi in chunk {
-                let fault = &self.faults[fi];
-                let seed = cone_seed(fault);
-                let cone = &self.cones[&seed];
-
-                // Inject and propagate through the cone only.
-                let mut diff_word_at_outputs = 0u64;
-                for &node in cone {
-                    let kind = self.netlist.kind(node);
-                    let mut value = if kind == GateKind::Input {
-                        good[node.index()]
-                    } else {
-                        fanin_buf.clear();
-                        for (pin, &f) in self.netlist.fanin(node).iter().enumerate() {
-                            let mut v = faulty[f.index()];
-                            if let FaultSite::Branch { gate, pin: fpin } = fault.site {
-                                if gate == node && fpin == pin {
-                                    v = if fault.stuck_at_one { u64::MAX } else { 0 };
-                                }
+    /// Injects each fault of `chunk` and propagates it through its cone.
+    fn propagate(&self, good: &GoodBlock, chunk: &[usize]) -> Vec<(usize, u64)> {
+        let good_words = &good.words;
+        let mut faulty = good_words.clone();
+        let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
+        let mut found = Vec::new();
+        for &fi in chunk {
+            let fault = &self.faults[fi];
+            let cone = &self.cones[cone_seed(fault).index()];
+            let mut diff_word_at_outputs = 0u64;
+            for &node in cone {
+                let kind = self.netlist.kind(node);
+                let mut value = if kind == GateKind::Input {
+                    good_words[node.index()]
+                } else {
+                    fanin_buf.clear();
+                    for (pin, &f) in self.netlist.fanin(node).iter().enumerate() {
+                        let mut v = faulty[f.index()];
+                        if let FaultSite::Branch { gate, pin: fpin } = fault.site {
+                            if gate == node && fpin == pin {
+                                v = if fault.stuck_at_one { u64::MAX } else { 0 };
                             }
-                            fanin_buf.push(v);
                         }
-                        kind.eval_words(&fanin_buf)
-                    };
-                    if fault.site == FaultSite::Stem(node) {
-                        value = if fault.stuck_at_one { u64::MAX } else { 0 };
+                        fanin_buf.push(v);
                     }
-                    faulty[node.index()] = value;
-                    if self.netlist.is_output(node) {
-                        diff_word_at_outputs |= (value ^ good[node.index()]) & used_mask;
-                    }
+                    kind.eval_words(&fanin_buf)
+                };
+                if fault.site == FaultSite::Stem(node) {
+                    value = if fault.stuck_at_one { u64::MAX } else { 0 };
                 }
-                // Restore the scratch array for the next fault.
-                for &node in cone {
-                    faulty[node.index()] = good[node.index()];
-                }
-
-                if diff_word_at_outputs != 0 {
-                    found.push((fi, diff_word_at_outputs));
+                faulty[node.index()] = value;
+                if self.netlist.is_output(node) {
+                    diff_word_at_outputs |= (value ^ good_words[node.index()]) & good.used_mask;
                 }
             }
-            found
-        })
+            // Restore the scratch array for the next fault.
+            for &node in cone {
+                faulty[node.index()] = good_words[node.index()];
+            }
+            if diff_word_at_outputs != 0 {
+                found.push((fi, diff_word_at_outputs));
+            }
+        }
+        found
+    }
+}
+
+/// Per-fault detection indices in one flat `faults × n_cap` array:
+/// fault `fi` holds `counts[fi]` ascending vector indices from
+/// `ranks[fi * n_cap]` on. One allocation instead of one per fault is
+/// what keeps a million-fault run's state small.
+struct Ranks {
+    n_cap: usize,
+    ranks: Vec<usize>,
+    counts: Vec<u32>,
+}
+
+impl Ranks {
+    fn new(faults: usize, n_cap: usize) -> Ranks {
+        Ranks {
+            n_cap,
+            ranks: vec![0; faults.saturating_mul(n_cap)],
+            counts: vec![0; faults],
+        }
+    }
+
+    /// Packs per-fault lists already checked to hold at most `n_cap`
+    /// indices each.
+    fn from_lists(lists: &[Vec<usize>], n_cap: usize) -> Ranks {
+        let mut out = Ranks::new(lists.len(), n_cap);
+        for (fi, list) in lists.iter().enumerate() {
+            out.ranks[fi * n_cap..][..list.len()].copy_from_slice(list);
+            out.counts[fi] = list.len() as u32;
+        }
+        out
+    }
+
+    fn of(&self, fi: usize) -> &[usize] {
+        &self.ranks[fi * self.n_cap..][..self.counts[fi] as usize]
+    }
+
+    fn is_live(&self, fi: usize) -> bool {
+        (self.counts[fi] as usize) < self.n_cap
+    }
+
+    /// Credits the set bits of `diff` (bit `b` is vector `base + b`) to
+    /// fault `fi` in ascending order, up to the cap; returns how many.
+    fn credit(&mut self, fi: usize, base: usize, mut diff: u64) -> u64 {
+        let mut credited = 0;
+        while diff != 0 && self.is_live(fi) {
+            self.ranks[fi * self.n_cap + self.counts[fi] as usize] =
+                base + diff.trailing_zeros() as usize;
+            self.counts[fi] += 1;
+            diff &= diff - 1;
+            credited += 1;
+        }
+        credited
+    }
+
+    fn to_lists(&self) -> Vec<Vec<usize>> {
+        (0..self.counts.len()).map(|fi| self.of(fi).to_vec()).collect()
+    }
+
+    fn first_detect(&self) -> Vec<Option<usize>> {
+        (0..self.counts.len())
+            .map(|fi| self.of(fi).first().copied())
+            .collect()
     }
 }
 
@@ -251,10 +373,19 @@ pub fn simulate_resumable(
     // its first credit, and the per-block credit count equals the
     // per-block retirement count — so both the record and the trace are
     // exactly what the dedicated first-detect loop produced.
-    let profile = run_counted(
-        "sim.gate", netlist, faults, vectors, 1, threads, obs, budget, resume,
+    let ranks = run_counted(
+        "sim.gate",
+        netlist,
+        faults,
+        vectors,
+        1,
+        threads,
+        obs,
+        budget,
+        resume,
+        WINDOW_FAULTS,
     )?;
-    Ok(profile.first_detect_record())
+    Ok(DetectionRecord::new(ranks.first_detect(), vectors.len()))
 }
 
 /// Count-capped simulation: like [`simulate_resumable`], but each fault
@@ -320,7 +451,7 @@ pub fn simulate_counted_resumable(
     budget: &RunBudget,
     resume: Option<&SimCheckpoint>,
 ) -> Result<DetectionProfile, SimError> {
-    run_counted(
+    let ranks = run_counted(
         "sim.gate.counted",
         netlist,
         faults,
@@ -330,7 +461,9 @@ pub fn simulate_counted_resumable(
         obs,
         budget,
         resume,
-    )
+        WINDOW_FAULTS,
+    )?;
+    Ok(DetectionProfile::new(ranks.to_lists(), n_cap, vectors.len()))
 }
 
 /// Per-scope trace names, built once per run instead of per block.
@@ -364,7 +497,7 @@ fn restore_checkpoint(
     n_cap: usize,
     obs: &Recorder,
     names: &ScopeNames,
-) -> Result<(Vec<Vec<usize>>, usize), SimError> {
+) -> Result<(Ranks, usize), SimError> {
     let bad = |what: &'static str| SimError::BadCheckpoint { what };
     if ckpt.n_cap != n_cap {
         return Err(bad("detection cap differs from the run's"));
@@ -414,18 +547,20 @@ fn restore_checkpoint(
         obs.observe(&names.detects, credits[b] as f64);
         live_count -= leavers[b];
     }
-    Ok((ckpt.detections.clone(), ckpt.next_block))
+    Ok((Ranks::from_lists(&ckpt.detections, n_cap), ckpt.next_block))
 }
 
 /// Shared engine of both simulation modes: count-capped detection
 /// (first-detect is the cap-1 instance) with cooperative budget checks
-/// and optional resume.
+/// and optional resume, walking each block's live faults in windows of
+/// `window` faults.
 ///
 /// Exactly one budget check guards each freshly simulated block, in the
 /// serial outer loop — so the set of possible interruption points, and
-/// the checkpoint captured at each, is identical at every worker count.
+/// the checkpoint captured at each, is identical at every worker count
+/// and every window.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_counted(
+fn run_counted(
     scope: &'static str,
     netlist: &Netlist,
     faults: &[StuckAtFault],
@@ -435,24 +570,27 @@ pub(crate) fn run_counted(
     obs: &Recorder,
     budget: &RunBudget,
     resume: Option<&SimCheckpoint>,
-) -> Result<DetectionProfile, SimError> {
+    window: usize,
+) -> Result<Ranks, SimError> {
     let _span = obs.span(scope);
     if n_cap == 0 || n_cap > MAX_DETECTION_CAP {
         return Err(SimError::BadDetectionCap { cap: n_cap });
     }
-    let setup = SimSetup::new(netlist, faults, vectors)?;
+    let mut setup = SimSetup::new(netlist, faults, vectors, window)?;
     let workers = threads.get();
     let total_blocks = vectors.len().div_ceil(64);
 
-    // Up-front footprint estimate: the detection profile's worst case
+    // Up-front footprint estimate: the detection state's worst case
     // (faults × n_cap indices) plus the good-circuit words, each
-    // worker's scratch copy, and the precomputed cone cache (measured,
-    // not guessed — it dominates on large fault lists, which is what
-    // the sharded driver bounds by splitting the list).
+    // worker's scratch copy, and the first window's cone cache —
+    // measured, not guessed, and built now so that a fresh run's first
+    // block reuses it.
+    let first: Vec<usize> = (0..faults.len().min(setup.window)).collect();
+    setup.cover(&first);
     let cone_bytes: u64 = setup
-        .cones
-        .values()
-        .map(|c| 4 * c.len() as u64)
+        .cached
+        .iter()
+        .map(|seed| 4 * setup.cones[seed.index()].len() as u64)
         .sum();
     let estimate = (faults.len() as u64)
         .saturating_mul(n_cap as u64)
@@ -474,13 +612,11 @@ pub(crate) fn run_counted(
     let names = ScopeNames::new(scope);
     obs.add(&format!("{scope}.faults"), faults.len() as u64);
     obs.add(&format!("{scope}.vectors"), vectors.len() as u64);
-    let (mut detections, start_block) = match resume {
+    let (mut ranks, start_block) = match resume {
         Some(ckpt) => restore_checkpoint(ckpt, faults.len(), vectors.len(), n_cap, obs, &names)?,
-        None => (vec![Vec::new(); faults.len()], 0),
+        None => (Ranks::new(faults.len(), n_cap), 0),
     };
-    let mut live: Vec<usize> = (0..faults.len())
-        .filter(|&fi| detections[fi].len() < n_cap)
-        .collect();
+    let mut live: Vec<usize> = (0..faults.len()).filter(|&fi| ranks.is_live(fi)).collect();
 
     for (block_idx, block) in vectors.chunks(64).enumerate().skip(start_block) {
         if live.is_empty() {
@@ -497,32 +633,26 @@ pub(crate) fn run_counted(
                     n_cap,
                     next_block: block_idx,
                     vectors_len: vectors.len(),
-                    detections,
+                    detections: ranks.to_lists(),
                 }),
             });
         }
         let block_start = obs.is_enabled().then(std::time::Instant::now);
         obs.incr(&names.blocks);
         obs.push(&names.live, live.len() as f64);
-        let found = setup.block_detections(block, &live, workers, obs, scope);
+        let good = setup.good_block(block);
 
         // Count-merge determinism rule: the masked difference word is a
         // pure function of (fault, block), and its set bits are consumed
         // in ascending bit order, so the rank-k detection index is the
         // global k-th smallest detecting vector index — `block_idx * 64`
-        // plus the bit — for every worker count. A fault leaves the live
-        // set only once its count reaches `n_cap`.
+        // plus the bit — for every worker count and window. A fault
+        // leaves the live set only once its count reaches `n_cap`.
         let mut credited = 0u64;
-        for (fi, mut diff) in found.into_iter().flatten() {
-            let ranks = &mut detections[fi];
-            while diff != 0 && ranks.len() < n_cap {
-                let bit = diff.trailing_zeros() as usize;
-                ranks.push(block_idx * 64 + bit);
-                diff &= diff - 1;
-                credited += 1;
-            }
-        }
-        live.retain(|&fi| detections[fi].len() < n_cap);
+        setup.detection_words(&good, &live, workers, obs, scope, |fi, diff| {
+            credited += ranks.credit(fi, block_idx * 64, diff);
+        });
+        live.retain(|&fi| ranks.is_live(fi));
         obs.push(&names.detects, credited as f64);
         obs.observe(&names.detects, credited as f64);
         if let Some(start) = block_start {
@@ -532,9 +662,9 @@ pub(crate) fn run_counted(
 
     obs.add(
         &format!("{scope}.detected"),
-        detections.iter().filter(|d| !d.is_empty()).count() as u64,
+        ranks.counts.iter().filter(|&&c| c > 0).count() as u64,
     );
-    Ok(DetectionProfile::new(detections, n_cap, vectors.len()))
+    Ok(ranks)
 }
 
 #[cfg(test)]
@@ -1256,6 +1386,74 @@ mod tests {
             Err(dlp_core::CkptError::KeyMismatch { .. })
         ));
         std::fs::remove_file(path).ok();
+    }
+
+    /// The engine at an explicit window, as per-fault detection lists.
+    #[allow(clippy::too_many_arguments)]
+    fn windowed(
+        nl: &Netlist,
+        faults: &[StuckAtFault],
+        vectors: &[Vec<bool>],
+        n_cap: usize,
+        workers: usize,
+        budget: &RunBudget,
+        resume: Option<&SimCheckpoint>,
+        window: usize,
+    ) -> Result<Vec<Vec<usize>>, SimError> {
+        let threads = ThreadCount::fixed(workers).unwrap();
+        let obs = Recorder::noop();
+        let ranks = run_counted(
+            "sim.gate", nl, faults, vectors, n_cap, threads, obs, budget, resume, window,
+        )?;
+        Ok(ranks.to_lists())
+    }
+
+    #[test]
+    fn every_window_matches_the_single_window_run() {
+        let nl = generators::c432_class();
+        let faults = stuck_at::enumerate(&nl).collapse();
+        let f = faults.faults();
+        let vectors = random_vectors(36, 192, 5);
+        let unlimited = RunBudget::unlimited();
+        for n_cap in [1, 3] {
+            let reference = windowed(&nl, f, &vectors, n_cap, 1, &unlimited, None, WINDOW_FAULTS)
+                .unwrap();
+            assert!(f.len() < WINDOW_FAULTS, "the reference must be one window");
+            for window in [1, 7, 64, f.len(), f.len() + 100] {
+                for workers in [1, 2, 4] {
+                    let got = windowed(&nl, f, &vectors, n_cap, workers, &unlimited, None, window)
+                        .unwrap();
+                    assert_eq!(got, reference, "cap {n_cap} window {window} workers {workers}");
+                }
+            }
+        }
+        let empty = windowed(&nl, &[], &vectors, 1, 2, &unlimited, None, 7).unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn windowed_interrupt_and_resume_is_bit_identical() {
+        let nl = generators::c432_class();
+        let faults = stuck_at::enumerate(&nl).collapse();
+        let f = faults.faults();
+        let vectors = random_vectors(36, 256, 33);
+        let (n_cap, window) = (2, 7);
+        let unlimited = RunBudget::unlimited();
+        let reference = windowed(&nl, f, &vectors, n_cap, 1, &unlimited, None, window).unwrap();
+        for kill in 0..vectors.len().div_ceil(64) as u64 {
+            for workers in [1, 2, 4] {
+                let fuse = RunBudget::unlimited().cancel_after_checks(kill);
+                let ckpt = match windowed(&nl, f, &vectors, n_cap, workers, &fuse, None, window) {
+                    Err(SimError::Interrupted { checkpoint, .. }) => checkpoint,
+                    other => panic!("kill={kill} workers={workers}: got {other:?}"),
+                };
+                assert_eq!(ckpt.next_block, kill as usize);
+                let resumed =
+                    windowed(&nl, f, &vectors, n_cap, workers, &unlimited, Some(&ckpt), window)
+                        .unwrap();
+                assert_eq!(resumed, reference, "kill={kill} workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //! Operationally, a slow-to-rise fault at node `n` is detected by vector
 //! `k` iff `n` is 0 under vector `k−1`, 1 under vector `k`, and the
 //! stuck-at-0 fault at `n` is detected by vector `k` — which lets the
-//! simulator reuse the parallel-pattern cone propagation of
-//! [`ppsfp`](crate::ppsfp).
+//! simulator run on the block kernel of [`ppsfp`](crate::ppsfp).
 
-use dlp_circuit::{GateKind, Netlist, NodeId};
+use dlp_circuit::{Netlist, NodeId};
+use dlp_core::obs::Recorder;
 
 use crate::detection::DetectionRecord;
+use crate::ppsfp::{SimSetup, WINDOW_FAULTS};
+use crate::stuck_at::{FaultSite, StuckAtFault};
 use crate::SimError;
 
 /// A transition fault at a node.
@@ -70,9 +72,10 @@ pub fn enumerate(netlist: &Netlist) -> Vec<TransitionFault> {
 /// (order matters: detection is two-pattern). Returns first detections;
 /// vector 0 can never detect (no predecessor).
 ///
-/// # Panics
-///
-/// Panics if a vector's width differs from the netlist's input count.
+/// Each block runs on the [`ppsfp`](crate::ppsfp) block kernel: a
+/// transition fault is the stem stuck-at fault of its old value, and
+/// its detection word is that fault's word ANDed with the block's
+/// launch word.
 ///
 /// # Example
 ///
@@ -92,124 +95,73 @@ pub fn enumerate(netlist: &Netlist) -> Vec<TransitionFault> {
 /// # Errors
 ///
 /// [`SimError::VectorWidthMismatch`] if a vector's width differs from the
-/// netlist's input count.
+/// netlist's input count; [`SimError::FaultOutOfRange`] if a fault's
+/// node is not in the netlist.
 pub fn simulate(
     netlist: &Netlist,
     faults: &[TransitionFault],
     vectors: &[Vec<bool>],
 ) -> Result<DetectionRecord, SimError> {
-    let n_in = netlist.inputs().len();
-    crate::error::check_widths(vectors, n_in)?;
+    // The node holds its *old* value in the launch cycle: slow-to-rise
+    // is stuck-at-0 there, slow-to-fall stuck-at-1.
+    let stuck: Vec<StuckAtFault> = faults
+        .iter()
+        .map(|f| StuckAtFault {
+            site: FaultSite::Stem(f.node),
+            stuck_at_one: !f.slow_to_rise,
+        })
+        .collect();
+    let mut setup = SimSetup::new(netlist, &stuck, vectors, WINDOW_FAULTS)?;
     let mut first_detect: Vec<Option<usize>> = vec![None; faults.len()];
     if vectors.len() < 2 {
         return Ok(DetectionRecord::new(first_detect, vectors.len()));
     }
     let mut live: Vec<usize> = (0..faults.len()).collect();
-
-    let mut cones: std::collections::HashMap<NodeId, Vec<NodeId>> =
-        std::collections::HashMap::new();
-    for f in faults {
-        cones
-            .entry(f.node)
-            .or_insert_with(|| netlist.fanout_cone(f.node));
-    }
-
-    // Carry the last pattern of the previous block so transitions across
-    // block boundaries are seen.
-    let mut prev_last_values: Option<Vec<u64>> = None;
-    let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
+    let mut launch = vec![0u64; faults.len()];
+    // Per node, the value under the previous block's last pattern, so
+    // transitions across block boundaries are seen.
+    let mut carry: Vec<u64> = vec![0; netlist.node_count()];
 
     for (block_idx, block) in vectors.chunks(64).enumerate() {
         if live.is_empty() {
             break;
         }
-        let mut input_words = vec![0u64; n_in];
-        for (p, v) in block.iter().enumerate() {
-            for (i, &bit) in v.iter().enumerate() {
-                if bit {
-                    input_words[i] |= 1 << p;
-                }
-            }
-        }
-        let used_mask: u64 = if block.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << block.len()) - 1
-        };
-        let good = netlist.eval_words_all(&input_words);
-
-        // prev[n] bit p = value of node n at pattern p-1 (pattern 0 takes
-        // the last bit of the previous block; invalid for the very first
-        // vector of the run).
+        let good = setup.good_block(block);
+        // Bit p of a node's `prev` word is its value at pattern p-1;
+        // the run's very first vector has no predecessor.
         let valid_mask = if block_idx == 0 {
-            used_mask & !1
+            good.used_mask & !1
         } else {
-            used_mask
+            good.used_mask
         };
-        let prev: Vec<u64> = good
+        // Launch condition: node at old value before, new value now.
+        let launched: Vec<usize> = live
             .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                let carry = match &prev_last_values {
-                    Some(p) => (p[i] >> 63) & 1,
-                    None => 0,
+            .copied()
+            .filter(|&fi| {
+                let idx = faults[fi].node.index();
+                let now = good.words[idx];
+                let prev = (now << 1) | carry[idx];
+                let edge = if faults[fi].slow_to_rise {
+                    !prev & now
+                } else {
+                    prev & !now
                 };
-                (w << 1) | carry
+                launch[fi] = edge & valid_mask;
+                launch[fi] != 0
             })
             .collect();
-
-        let mut faulty = good.clone();
-        live.retain(|&fi| {
-            let fault = &faults[fi];
-            let idx = fault.node.index();
-            // Launch condition: node at old value before, new value now.
-            let launch = if fault.slow_to_rise {
-                !prev[idx] & good[idx]
-            } else {
-                prev[idx] & !good[idx]
-            } & valid_mask;
-            if launch == 0 {
-                return true;
-            }
-            // Propagation: the node holds its *old* value this cycle —
-            // exactly a stuck-at(old) for these patterns.
-            let forced = if fault.slow_to_rise { 0u64 } else { u64::MAX };
-            let cone = &cones[&fault.node];
-            let mut diff_at_outputs = 0u64;
-            for &node in cone {
-                let kind = netlist.kind(node);
-                let value = if node == fault.node {
-                    forced
-                } else if kind == GateKind::Input {
-                    good[node.index()]
-                } else {
-                    fanin_buf.clear();
-                    fanin_buf.extend(netlist.fanin(node).iter().map(|f| faulty[f.index()]));
-                    kind.eval_words(&fanin_buf)
-                };
-                faulty[node.index()] = value;
-                if netlist.is_output(node) {
-                    diff_at_outputs |= (value ^ good[node.index()]) & launch;
-                }
-            }
-            for &node in cone {
-                faulty[node.index()] = good[node.index()];
-            }
-            if diff_at_outputs != 0 {
-                let bit = diff_at_outputs.trailing_zeros() as usize;
-                first_detect[fi] = Some(block_idx * 64 + bit);
-                false
-            } else {
-                true
+        let obs = Recorder::noop();
+        setup.detection_words(&good, &launched, 1, obs, "sim.transition", |fi, word| {
+            let hit = word & launch[fi];
+            if hit != 0 {
+                first_detect[fi] = Some(block_idx * 64 + hit.trailing_zeros() as usize);
             }
         });
-        // Park the block's last pattern in bit 63 to carry into the next
-        // block's pattern 0.
-        prev_last_values = Some(
-            good.iter()
-                .map(|&w| (w >> (block.len() - 1)) << 63)
-                .collect(),
-        );
+        live.retain(|&fi| first_detect[fi].is_none());
+        for (c, &w) in carry.iter_mut().zip(&good.words) {
+            *c = (w >> (block.len() - 1)) & 1;
+        }
     }
 
     Ok(DetectionRecord::new(first_detect, vectors.len()))
@@ -219,7 +171,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use crate::detection::random_vectors;
-    use dlp_circuit::generators;
+    use dlp_circuit::{generators, GateKind};
 
     /// Naive two-pattern reference: per pair (k-1, k), compute good values
     /// and check launch + propagation with a full faulty evaluation.
@@ -303,6 +255,43 @@ mod tests {
             let expect = naive_first_detect(&nl, fault, &vectors);
             assert_eq!(record.first_detect()[fi], expect, "{}", fault.describe(&nl));
         }
+    }
+
+    #[test]
+    fn agrees_with_naive_at_block_boundaries() {
+        for nl in [generators::c17(), generators::ripple_adder(3)] {
+            let faults = enumerate(&nl);
+            for n in [1, 2, 63, 64, 65] {
+                let vectors = random_vectors(nl.inputs().len(), n, 40 + n as u64);
+                let record = simulate(&nl, &faults, &vectors).unwrap();
+                for (fi, fault) in faults.iter().enumerate() {
+                    let expect = naive_first_detect(&nl, fault, &vectors);
+                    assert_eq!(
+                        record.first_detect()[fi],
+                        expect,
+                        "{} at {n} vectors: {}",
+                        nl.name(),
+                        fault.describe(&nl)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_nodes_are_typed_errors() {
+        let c17 = generators::c17();
+        let beyond = TransitionFault {
+            node: NodeId::from_index(c17.node_count()),
+            slow_to_rise: true,
+        };
+        assert_eq!(
+            simulate(&c17, &[beyond], &random_vectors(5, 8, 1)),
+            Err(SimError::FaultOutOfRange {
+                fault: 0,
+                what: "node"
+            })
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Two pins: the collapsed fault universe of every family member is
 //! exactly what the scale-sweep numbers were recorded against, and the
-//! sharded PPSFP record over family members is bit-identical at 1, 2,
-//! and 4 workers — and equal to the unsharded engine's.
+//! PPSFP record over family members is bit-identical at 1, 2, and 4
+//! workers.
 
 use dlp_circuit::generators;
 use dlp_circuit::Netlist;
@@ -12,7 +12,6 @@ use dlp_core::budget::RunBudget;
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_sim::detection::random_vectors;
-use dlp_sim::sharded::simulate_sharded_obs;
 use dlp_sim::{ppsfp, stuck_at};
 
 #[test]
@@ -51,47 +50,38 @@ fn tiled_fault_growth_reaches_a_million() {
     assert!(f4 + 668 * per_tile > 1_000_000, "672 tiles must cross 10^6");
 }
 
-/// Sharded first-detect records at 1/2/4 workers, plus the unsharded
-/// reference, must all be bit-identical.
-fn assert_thread_invariant(name: &str, nl: &Netlist, shard: usize) {
+/// First-detect records at 1/2/4 workers must all be bit-identical.
+fn assert_thread_invariant(name: &str, nl: &Netlist) {
     let faults = stuck_at::enumerate(nl).collapse();
     let vectors = random_vectors(nl.inputs().len(), 192, 0xFA117);
-    let reference = ppsfp::simulate_resumable(
-        nl,
-        faults.faults(),
-        &vectors,
-        ThreadCount::from_env().expect("DLP_THREADS"),
-        Recorder::noop(),
-        &RunBudget::unlimited(),
-        None,
-    )
-    .expect(name);
-    for workers in [1usize, 2, 4] {
-        let threads = ThreadCount::fixed(workers).expect("positive");
-        let record = simulate_sharded_obs(
+    let run = |workers: usize| {
+        ppsfp::simulate_resumable(
             nl,
             faults.faults(),
             &vectors,
-            shard,
-            threads,
+            ThreadCount::fixed(workers).expect("positive"),
             Recorder::noop(),
             &RunBudget::unlimited(),
+            None,
         )
-        .expect(name);
+        .expect(name)
+    };
+    let reference = run(1);
+    for workers in [2usize, 4] {
         assert_eq!(
-            record.first_detect(),
+            run(workers).first_detect(),
             reference.first_detect(),
-            "{name} diverged at {workers} workers (shard {shard})"
+            "{name} diverged at {workers} workers"
         );
     }
 }
 
 #[test]
-fn c1355_sharded_record_is_thread_invariant() {
-    assert_thread_invariant("c1355_class", &generators::c1355_class(), 257);
+fn c1355_record_is_thread_invariant() {
+    assert_thread_invariant("c1355_class", &generators::c1355_class());
 }
 
 #[test]
-fn tiled_multiplier_sharded_record_is_thread_invariant() {
-    assert_thread_invariant("tiledmul4", &generators::tiled_multiplier(4), 1000);
+fn tiled_multiplier_record_is_thread_invariant() {
+    assert_thread_invariant("tiledmul4", &generators::tiled_multiplier(4));
 }

@@ -79,10 +79,11 @@ cargo run --release -q -p dlp-bench --bin validate_trace -- \
     --bench BENCH_ndetect.json
 
 # Scale-path gate (DESIGN.md §13): the scale_sweep flow — template
-# layout → extraction → tiled weight distribution → sharded PPSFP →
-# DL(T) — on its smallest member, writing BENCH_scale_sweep_smoke.json
-# (the committed full-family report stays put) and validating it
-# against the BenchReport schema.
+# layout → extraction → tiled weight distribution → PPSFP (its cone
+# cache bounded to one window of faults) → DL(T) — on its smallest
+# member, writing BENCH_scale_sweep_smoke.json (the committed
+# full-family report stays put) and validating it against the
+# BenchReport schema.
 echo "== scale: scale_sweep smoke (smallest family member)"
 cargo run --release -q -p dlp-bench --bin scale_sweep -- --smoke > /dev/null
 cargo run --release -q -p dlp-bench --bin validate_trace -- \
