@@ -20,8 +20,10 @@
 //! The collapsed stuck-at universe of each member is then simulated
 //! with the PPSFP engine (whose cone cache is bounded to one window of
 //! faults) under the `DLP_BUDGET_*` knobs
-//! ([`SIM_REPEATS`] timed repeats, so the perf gate sees raw samples
-//! rather than a single-shot wall time), and `faults/sec = collapsed
+//! (one untimed warm-up, then timed repeats until [`MIN_SAMPLES`]
+//! samples and [`MIN_SAMPLE_SECONDS`] in total, at most [`MAX_SAMPLES`],
+//! so the perf gate sees raw samples rather than a single-shot wall
+//! time, even for millisecond members), and `faults/sec = collapsed
 //! faults / best PPSFP wall-clock` is recorded per member in
 //! `BENCH_scale_sweep.json` (BenchReport schema v1), together with
 //! θ(T) and `DL(T) = 1 − Y^(1−θ)` at the paper's `Y = 0.75`.
@@ -58,10 +60,18 @@ const SEED: u64 = 0x5CA1_E5EE;
 /// puts 672 tiles safely past 10^6.
 const BIG_TILES: usize = 672;
 
-/// Timed repeats per member (smoke included): `regress::best_ns`
+/// Fewest timed repeats per member (smoke included): `regress::best_ns`
 /// compares the minimum sample, so single-shot wall times would give
 /// the perf gate no noise floor and let it flap on scheduler jitter.
-const SIM_REPEATS: usize = 3;
+const MIN_SAMPLES: usize = 3;
+
+/// Members keep repeating until their samples add up to this many
+/// seconds: three millisecond-scale samples are too few for a stable
+/// minimum.
+const MIN_SAMPLE_SECONDS: f64 = 0.2;
+
+/// Most timed repeats per member.
+const MAX_SAMPLES: usize = 30;
 
 /// One family member: a netlist plus its site → template-node map.
 struct Member {
@@ -194,13 +204,11 @@ fn run() -> Result<(), PipelineError> {
             .map_err(|e| PipelineError::from(e).context(format!("{} yield scaling", m.name)))?;
         let vectors = random_vectors(m.netlist.inputs().len(), VECTORS, SEED);
 
-        // Every repeat produces the same record bit for bit (determinism
-        // contract), so the first one feeds θ/DL and the rest only time.
-        let mut sim_samples = Vec::with_capacity(SIM_REPEATS);
-        let mut record = None;
-        for _ in 0..SIM_REPEATS {
-            let t0 = Instant::now();
-            let r = ppsfp::simulate_resumable(
+        // Every run produces the same record bit for bit (determinism
+        // contract), so the untimed warm-up feeds θ/DL and the repeats
+        // only time.
+        let simulate = || {
+            ppsfp::simulate_resumable(
                 &m.netlist,
                 sites.faults(),
                 &vectors,
@@ -209,11 +217,18 @@ fn run() -> Result<(), PipelineError> {
                 &budget,
                 None,
             )
-            .map_err(|e| PipelineError::from(e).context(format!("simulating {}", m.name)))?;
+            .map_err(|e| PipelineError::from(e).context(format!("simulating {}", m.name)))
+        };
+        let record = simulate()?;
+        let mut sim_samples: Vec<f64> = Vec::new();
+        while sim_samples.len() < MAX_SAMPLES
+            && (sim_samples.len() < MIN_SAMPLES
+                || sim_samples.iter().sum::<f64>() < MIN_SAMPLE_SECONDS)
+        {
+            let t0 = Instant::now();
+            simulate()?;
             sim_samples.push(t0.elapsed().as_secs_f64());
-            record.get_or_insert(r);
         }
-        let record = record.ok_or_else(|| model_err("no simulation repeats ran".to_string()))?;
         let sim_s = sim_samples.iter().copied().fold(f64::INFINITY, f64::min);
         let faults_per_sec = sites.len() as f64 / sim_s.max(1e-9);
         max_faults = max_faults.max(sites.len());

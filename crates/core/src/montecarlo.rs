@@ -30,7 +30,9 @@
 //! unit-mix kernel relies on this: it splits a shard into four lanes of
 //! 1024 dies and starts lane `l` at `J^l · s0`, where `s0` is the shard
 //! stream's state and `J = T^(1024·F)` is the xorshift state update
-//! raised to one lane's draws (`rng::Jump`). The lanes advance
+//! raised to one lane's draws (`rng::Jump`); a short last shard of `n`
+//! dies splits into lanes of `⌈n/4⌉` dies under its own jump, so the
+//! lanes draw for at most three dies they do not count. The lanes advance
 //! in lock-step, so four independent shift/xor chains overlap, and each
 //! draw is compared against an integer threshold
 //! (`rng::unit_threshold`) that is exact. Every tally is
@@ -562,7 +564,16 @@ impl<'a> Kernel<'a> {
     fn shard(&self, stream: u64, dies: usize) -> Tally {
         let rng = Xorshift64Star::split(self.seed, stream);
         match &self.lanes {
-            Some((faults, jump)) => shard_lanes(rng, jump, faults, dies),
+            Some((faults, jump)) if dies == SHARD_DIES => {
+                shard_lanes(rng, jump, LANE_DIES, faults, dies)
+            }
+            // A short (last) shard splits evenly over the lanes, with a
+            // jump of its own lane length.
+            Some((faults, _)) => {
+                let lane_dies = dies.div_ceil(LANES);
+                let jump = Jump::steps((lane_dies * faults.len()) as u64);
+                shard_lanes(rng, &jump, lane_dies, faults, dies)
+            }
             None => self.shard_serial(rng, stream * SHARD_DIES as u64, dies),
         }
     }
@@ -605,17 +616,25 @@ impl<'a> Kernel<'a> {
 }
 
 /// The unit-mix kernel: [`LANES`] dies advanced in lock-step over the
-/// fault list, lane `l` drawing from `jump^l · rng` — the stream position
-/// of its first die (see the module docs). A short last shard runs the
-/// same loop with ragged lanes: a lane past its last die keeps drawing,
-/// but its dies are not counted.
+/// fault list, lane `l` covering dies `[l · lane_dies, (l+1) · lane_dies)`
+/// of the shard and drawing from `jump^l · rng` — the stream position of
+/// its first die, so `jump` must advance `lane_dies` dies (see the module
+/// docs). When `dies` is not a multiple of `LANES`, the last lanes also
+/// draw for the `LANES · lane_dies − dies` dies past the shard's end,
+/// which are not counted.
 ///
 /// `faults` holds `(threshold, mask)` per fault ([`Kernel::new`]). For a
 /// draw `k < 2^53` and a threshold `t ≤ 2^53`, `k − t` wraps to a word
 /// with its top bits set exactly when the fault strikes, so OR-ing
 /// `(k − t) & mask` into one word per lane collects bit 63 ("some fault
 /// struck") and bit 62 ("some detected fault struck") without a branch.
-fn shard_lanes(rng: Xorshift64Star, jump: &Jump, faults: &[(u64, u64)], dies: usize) -> Tally {
+fn shard_lanes(
+    rng: Xorshift64Star,
+    jump: &Jump,
+    lane_dies: usize,
+    faults: &[(u64, u64)],
+    dies: usize,
+) -> Tally {
     let mut next = rng;
     let mut lanes: [Xorshift64Star; LANES] = std::array::from_fn(|l| {
         if l > 0 {
@@ -624,7 +643,7 @@ fn shard_lanes(rng: Xorshift64Star, jump: &Jump, faults: &[(u64, u64)], dies: us
         next.clone()
     });
     let live: [usize; LANES] =
-        std::array::from_fn(|l| dies.saturating_sub(l * LANE_DIES).min(LANE_DIES));
+        std::array::from_fn(|l| dies.saturating_sub(l * lane_dies).min(lane_dies));
     let mut tally = (0, 0, 0);
     for i in 0..live[0] {
         let mut struck = [0u64; LANES];
@@ -1013,6 +1032,26 @@ mod tests {
                     let resumed = run(&UnitMix, t1, &unlimited, Some(&checkpoint)).unwrap();
                     assert_eq!(resumed, oracle, "{case} kill={kill}");
                 }
+            }
+        }
+    }
+
+    /// Every short last shard, 1–4095 dies, splits evenly over the lanes
+    /// with its own jump and still tallies exactly the serial loop.
+    #[test]
+    fn lane_kernel_matches_the_serial_oracle_on_every_short_shard() {
+        for faults in [1usize, 3] {
+            let (w, d) = oracle_inputs(faults, 0x5407 + faults as u64);
+            let lanes = Kernel::new(&w, &d, 0x5EED, &UnitMix);
+            let serial = Kernel::new(&w, &d, 0x5EED, &SerialUnit);
+            assert!(lanes.lanes.is_some() && serial.lanes.is_none());
+            for dies in 1..SHARD_DIES {
+                let stream = dies as u64 % 5;
+                assert_eq!(
+                    lanes.shard(stream, dies),
+                    serial.shard(stream, dies),
+                    "F={faults} dies={dies}"
+                );
             }
         }
     }

@@ -26,6 +26,7 @@
 //! compare across schema versions.
 
 use super::json::{json_number, json_string, Json, JsonError};
+use std::path::{Path, PathBuf};
 
 /// The bench-report schema version this crate reads and writes.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -37,7 +38,8 @@ pub struct BenchEnv {
     pub threads: usize,
     /// The machine's available parallelism.
     pub cpus: usize,
-    /// Abbreviated git revision, or `"unknown"` outside a checkout.
+    /// Abbreviated git revision of the checkout the binary was built
+    /// from, or `"unknown"` when it was not built from one.
     pub git_rev: String,
 }
 
@@ -82,20 +84,25 @@ impl BenchEnv {
     }
 }
 
-/// Best-effort abbreviated git revision: walks up from the current
-/// directory to a `.git`, follows `HEAD` one level of indirection. No
+/// The `.git` directory of the checkout this crate was built from: the
+/// nearest one above the build's source tree, so a binary records its
+/// own revision from whatever directory it runs in.
+fn git_dir() -> Option<PathBuf> {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .map(|dir| dir.join(".git"))
+        .find(|git| git.is_dir())
+}
+
+/// Best-effort abbreviated git revision of the build's checkout. No
 /// subprocess, no dependency.
 fn git_rev() -> Option<String> {
-    let mut dir = std::env::current_dir().ok()?;
-    let git = loop {
-        let candidate = dir.join(".git");
-        if candidate.is_dir() {
-            break candidate;
-        }
-        if !dir.pop() {
-            return None;
-        }
-    };
+    head_rev(&git_dir()?)
+}
+
+/// The abbreviated commit `HEAD` names in the `.git` directory `git`,
+/// following one level of indirection.
+fn head_rev(git: &Path) -> Option<String> {
     let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
     let head = head.trim();
     let full = if let Some(reference) = head.strip_prefix("ref: ") {
@@ -110,13 +117,15 @@ fn git_rev() -> Option<String> {
     Some(full[..12].to_string())
 }
 
-/// Best-effort worktree-modification check via `git status --porcelain`
-/// (the one question the `.git` files alone cannot answer); `None` when
-/// git is unavailable or the command fails — absence of evidence never
-/// marks a report dirty.
+/// Best-effort worktree-modification check of the build's checkout via
+/// `git status --porcelain` (the one question the `.git` files alone
+/// cannot answer); `None` when git is unavailable or the command fails —
+/// absence of evidence never marks a report dirty.
 fn worktree_dirty() -> Option<bool> {
+    let worktree = git_dir()?.parent()?.to_path_buf();
     let out = std::process::Command::new("git")
         .args(["status", "--porcelain", "--untracked-files=no"])
+        .current_dir(worktree)
         .output()
         .ok()?;
     if !out.status.success() {
@@ -407,6 +416,29 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn git_rev_comes_from_the_build_checkout() {
+        // Whatever the current directory, the `.git` found is the one
+        // above this crate's source tree.
+        if let Some(git) = git_dir() {
+            let worktree = git.parent().expect("a .git has a parent");
+            assert!(Path::new(env!("CARGO_MANIFEST_DIR")).starts_with(worktree));
+            assert_eq!(git_rev(), head_rev(&git));
+        }
+        // HEAD through a ref, a detached HEAD, and a malformed one.
+        let git = std::env::temp_dir().join(format!("dlp-git-rev-{}", std::process::id()));
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        let commit = "0123456789abcdef0123456789abcdef01234567";
+        std::fs::write(git.join("refs/heads/main"), format!("{commit}\n")).unwrap();
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        assert_eq!(head_rev(&git).as_deref(), Some("0123456789ab"));
+        std::fs::write(git.join("HEAD"), commit).unwrap();
+        assert_eq!(head_rev(&git).as_deref(), Some("0123456789ab"));
+        std::fs::write(git.join("HEAD"), "not a commit").unwrap();
+        assert_eq!(head_rev(&git), None);
+        std::fs::remove_dir_all(&git).unwrap();
+    }
 
     #[test]
     fn median_of_samples() {

@@ -12,7 +12,7 @@
 //! * a **missing cut** of size `c` requires the defect to cover the whole
 //!   cut: centre area `(x − c)²` for `x > c`.
 
-use dlp_geometry::sweep::union_area;
+use dlp_geometry::sweep::UnionScratch;
 use dlp_geometry::{Coord, Rect, Region};
 
 /// Critical area (λ²) for a short between two shape sets at defect size
@@ -42,35 +42,53 @@ pub fn short_area(a: &Region, b: &Region, x: Coord) -> i64 {
 /// [`short_area`] between two fixed shape sets at many defect sizes no
 /// larger than `max_x`.
 ///
-/// The rectangle pairs whose dilations overlap at `max_x` are found once;
-/// each size then unions only their intersections. Dilation grows with
-/// the defect size, so a pair that overlaps at a smaller size is never
-/// dropped, and areas are exact integers: every size gives exactly
-/// `short_area`'s value.
-#[derive(Debug, Clone)]
+/// The caller keeps the rectangle pairs whose dilations overlap at
+/// `max_x` (`dilations_overlap`); each size then unions only their
+/// intersections. Dilation grows with the defect size, so a pair that
+/// overlaps at a smaller size is never dropped, and areas are exact
+/// integers: every size gives exactly `short_area`'s value. The union of
+/// a set of rectangles does not depend on their order or multiplicity,
+/// so only the *set* of kept pairs matters. One value is reused across
+/// shape-set pairs, so its buffers are allocated once.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ShortPairs {
     pairs: Vec<(Rect, Rect)>,
     pieces: Vec<Rect>,
+    union: UnionScratch,
 }
 
 impl ShortPairs {
-    /// Keeps the pairs of `a × b` whose dilations overlap at `max_x`.
+    /// Keeps the pairs of `a × b` whose dilations overlap at `max_x`,
+    /// testing all `|a|·|b|` of them: the reference for the extractor's
+    /// indexed search.
+    #[cfg(test)]
     pub(crate) fn new(a: &[Rect], b: &[Rect], max_x: Coord) -> Self {
-        let mut pairs = Vec::new();
-        if max_x > 0 {
-            let (ha, hb) = halves(max_x);
-            for ra in a {
-                for rb in b {
-                    if ra.dilated(ha).overlaps(&rb.dilated(hb)) {
-                        pairs.push((*ra, *rb));
-                    }
+        let mut pairs = ShortPairs::default();
+        for ra in a {
+            for rb in b {
+                if dilations_overlap(ra, rb, max_x) {
+                    pairs.push(*ra, *rb);
                 }
             }
         }
-        ShortPairs {
-            pairs,
-            pieces: Vec::new(),
-        }
+        pairs
+    }
+
+    /// Forgets every kept pair.
+    pub(crate) fn clear(&mut self) {
+        self.pairs.clear();
+    }
+
+    /// Keeps the pair `(ra, rb)`: `ra` from the first shape set, `rb`
+    /// from the second.
+    pub(crate) fn push(&mut self, ra: Rect, rb: Rect) {
+        self.pairs.push((ra, rb));
+    }
+
+    /// The kept pairs, in the order they were pushed.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self) -> &[(Rect, Rect)] {
+        &self.pairs
     }
 
     /// The short critical area (λ²) at defect size `x ≤ max_x`.
@@ -87,8 +105,23 @@ impl ShortPairs {
                 }
             }
         }
-        union_area(&self.pieces)
+        self.union.area(&self.pieces)
     }
+}
+
+/// True if `a` and `b`, dilated by the two halves of `max_x`, share
+/// interior points: the pair can short at some defect size up to
+/// `max_x`. For `max_x > 0` this is exactly `a.dilated(max_x).overlaps(b)`
+/// (and `b.dilated(max_x).overlaps(a)`): each side of the strict overlap
+/// test moves by `ha + hb = max_x`. The extractor's index asks the
+/// window form; this one is its test reference.
+#[cfg(test)]
+pub(crate) fn dilations_overlap(a: &Rect, b: &Rect, max_x: Coord) -> bool {
+    if max_x <= 0 {
+        return false;
+    }
+    let (ha, hb) = halves(max_x);
+    a.dilated(ha).overlaps(&b.dilated(hb))
 }
 
 /// The dilations of the two sides at defect size `x`: halves that sum to
@@ -225,6 +258,24 @@ mod tests {
             let rb = Region::from_rects(Layer::Metal1, b.iter().copied());
             for x in 0..=max_x {
                 assert_eq!(pairs.area(x), short_area(&ra, &rb, x), "{a:?} {b:?} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn dilations_overlap_is_a_window_test() {
+        let mut rng = dlp_core::rng::Xorshift64Star::new(8);
+        let mut rect = || {
+            let (x, y) = (rng.next_below(60) as Coord, rng.next_below(60) as Coord);
+            let (w, h) = (rng.next_below(20) as Coord, rng.next_below(20) as Coord);
+            Rect::new(x, y, x + w, y + h)
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (rect(), rect());
+            for max_x in 1..30 {
+                let want = dilations_overlap(&a, &b, max_x);
+                assert_eq!(a.dilated(max_x).overlaps(&b), want, "{a:?} {b:?} {max_x}");
+                assert_eq!(b.dilated(max_x).overlaps(&a), want, "{a:?} {b:?} {max_x}");
             }
         }
     }

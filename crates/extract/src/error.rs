@@ -18,6 +18,8 @@ pub enum ExtractError {
     },
     /// The extraction config asked for zero size-integration samples.
     NoSizeSamples,
+    /// The extraction config's bridge-candidate bin is not positive.
+    NonPositiveBin(dlp_geometry::Coord),
     /// An output-pad shape references a net that is not a primary output.
     MissingOutputNet(String),
     /// A stage-internal net has no node in the switch netlist (the switch
@@ -55,6 +57,9 @@ impl fmt::Display for ExtractError {
             }
             ExtractError::NoSizeSamples => {
                 write!(f, "extraction config requests zero size samples")
+            }
+            ExtractError::NonPositiveBin(bin) => {
+                write!(f, "extraction config bin {bin} is not positive")
             }
             ExtractError::MissingOutputNet(n) => {
                 write!(f, "output pad net `{n}` is not a primary output")

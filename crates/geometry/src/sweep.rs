@@ -3,15 +3,17 @@
 //! The extractor needs *exact* union areas (critical areas of dilated
 //! shapes overlap heavily, so summing rectangle areas would overcount).
 //! [`union_area`] implements the classic coordinate-compressed sweep:
-//! O(n log n) events, O(n) strip accounting per event — plenty for the
-//! tens of thousands of rectangles a standard-cell block produces.
+//! O(n log n) events, O(n) segment accounting per event — plenty for
+//! the tens of thousands of rectangles a standard-cell block produces.
+//! [`UnionScratch`] runs the same sweep in reused buffers.
 
 use crate::Rect;
 
 /// Exact area of the union of `rects`, ignoring degenerate rectangles.
 ///
-/// Runs a vertical scanline over x-sorted edge events; at each strip the
-/// covered y-length is computed from the active interval set.
+/// Runs a vertical scanline over x-sorted edge events; each distinct
+/// y-segment counts the open rectangles covering it, so the covered
+/// y-length is kept up to date as counts leave or reach zero.
 ///
 /// # Example
 ///
@@ -23,69 +25,95 @@ use crate::Rect;
 /// assert_eq!(area, 150);
 /// ```
 pub fn union_area(rects: &[Rect]) -> i64 {
-    let mut events: Vec<(i64, bool, i64, i64)> = Vec::with_capacity(rects.len() * 2);
-    for r in rects {
-        if r.is_degenerate() {
-            continue;
-        }
-        events.push((r.x0(), true, r.y0(), r.y1()));
-        events.push((r.x1(), false, r.y0(), r.y1()));
-    }
-    if events.is_empty() {
-        return 0;
-    }
-    events.sort_unstable();
-
-    // Active y-intervals, kept as a simple Vec (removal by value). The
-    // interval population at any instant is bounded by the number of
-    // rectangles crossing the scanline, which is small for layout data
-    // (channel-shaped geometry).
-    let mut active: Vec<(i64, i64)> = Vec::new();
-    let mut area: i64 = 0;
-    let mut prev_x = events[0].0;
-
-    for (x, is_open, y0, y1) in events {
-        if x > prev_x && !active.is_empty() {
-            area += (x - prev_x) * covered_length(&mut active);
-            prev_x = x;
-        } else if active.is_empty() {
-            prev_x = x;
-        }
-        if is_open {
-            active.push((y0, y1));
-        } else if let Some(pos) = active.iter().position(|&iv| iv == (y0, y1)) {
-            active.swap_remove(pos);
-        }
-        // A close event always matches an open interval (events come in
-        // pairs from the same rectangle), so the `else` branch is
-        // unreachable; dropping through keeps the sweep total-function.
-    }
-    area
+    UnionScratch::default().sweep(rects)
 }
 
-/// Total y-length covered by the union of the given intervals.
-/// Sorts `intervals` in place as a side effect.
-fn covered_length(intervals: &mut [(i64, i64)]) -> i64 {
-    intervals.sort_unstable();
-    let mut total = 0;
-    let mut cur: Option<(i64, i64)> = None;
-    for &(a, b) in intervals.iter() {
-        match cur {
-            None => cur = Some((a, b)),
-            Some((ca, cb)) => {
-                if a <= cb {
-                    cur = Some((ca, cb.max(b)));
+/// Reusable buffers for repeated union areas: [`UnionScratch::area`]
+/// gives exactly [`union_area`]'s value without allocating once its
+/// buffers have grown, and answers one or two rectangles in closed form.
+///
+/// # Example
+///
+/// ```
+/// use dlp_geometry::{Rect, sweep::{union_area, UnionScratch}};
+///
+/// let mut scratch = UnionScratch::default();
+/// let rs = [Rect::new(0, 0, 10, 10), Rect::new(5, 0, 15, 10)];
+/// assert_eq!(scratch.area(&rs), union_area(&rs));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct UnionScratch {
+    /// `(x, opens, y-segment range)` per vertical rectangle edge.
+    events: Vec<(i64, bool, u32, u32)>,
+    /// The distinct y coordinates, bounding the y-segments.
+    ys: Vec<i64>,
+    /// How many open rectangles cover each y-segment.
+    cover: Vec<u32>,
+}
+
+impl UnionScratch {
+    /// Exact area of the union of `rects`, ignoring degenerate
+    /// rectangles.
+    ///
+    /// A degenerate rectangle has zero area and meets anything in zero
+    /// area, so one rectangle is its own area and two are inclusion–
+    /// exclusion; larger sets run the sweep.
+    pub fn area(&mut self, rects: &[Rect]) -> i64 {
+        match rects {
+            [] => 0,
+            [a] => a.area(),
+            [a, b] => a.area() + b.area() - a.intersection(b).map_or(0, |i| i.area()),
+            _ => self.sweep(rects),
+        }
+    }
+
+    /// The scanline: x-sorted edge events over the distinct y-segments,
+    /// each segment counting the open rectangles that cover it, so the
+    /// covered y-length changes only where a count leaves or reaches 0.
+    fn sweep(&mut self, rects: &[Rect]) -> i64 {
+        let UnionScratch { events, ys, cover } = self;
+        let solid = || rects.iter().filter(|r| !r.is_degenerate());
+        ys.clear();
+        ys.extend(solid().flat_map(|r| [r.y0(), r.y1()]));
+        if ys.is_empty() {
+            return 0;
+        }
+        ys.sort_unstable();
+        ys.dedup();
+        let segment = |y: i64| ys.partition_point(|&v| v < y) as u32;
+        events.clear();
+        for r in solid() {
+            let (lo, hi) = (segment(r.y0()), segment(r.y1()));
+            events.push((r.x0(), true, lo, hi));
+            events.push((r.x1(), false, lo, hi));
+        }
+        // Events at one x may come in any order: the strip before them is
+        // counted first, and the strip they open has zero width until the
+        // next x.
+        events.sort_unstable_by_key(|e| e.0);
+        cover.clear();
+        cover.resize(ys.len() - 1, 0);
+        let (mut area, mut covered, mut prev_x) = (0i64, 0i64, events[0].0);
+        for &(x, opens, lo, hi) in events.iter() {
+            area += (x - prev_x) * covered;
+            prev_x = x;
+            for k in lo as usize..hi as usize {
+                let len = ys[k + 1] - ys[k];
+                if opens {
+                    cover[k] += 1;
+                    if cover[k] == 1 {
+                        covered += len;
+                    }
                 } else {
-                    total += cb - ca;
-                    cur = Some((a, b));
+                    cover[k] -= 1;
+                    if cover[k] == 0 {
+                        covered -= len;
+                    }
                 }
             }
         }
+        area
     }
-    if let Some((ca, cb)) = cur {
-        total += cb - ca;
-    }
-    total
 }
 
 /// Exact area of `union(a) ∩ union(b)`: pairwise-intersect then union.
@@ -225,6 +253,47 @@ mod tests {
             }
             let raster: i64 = grid.iter().flatten().filter(|&&b| b).count() as i64;
             assert_eq!(union_area(&rs), raster);
+        }
+    }
+
+    /// The closed forms for one and two rectangles, and the reused
+    /// sweep buffers, agree with a fresh sweep on degenerate, touching,
+    /// nested and duplicate rectangles.
+    #[test]
+    fn scratch_area_matches_union_area() {
+        let mut rng = crate::test_rng::TestRng::new(14);
+        let mut scratch = UnionScratch::default();
+        let rect = |rng: &mut crate::test_rng::TestRng| {
+            let (x, y) = (rng.range(0, 12), rng.range(0, 12));
+            // Zero sizes make degenerate rectangles (points and segments).
+            Rect::with_size(x, y, rng.range(0, 8), rng.range(0, 8))
+        };
+        for round in 0..3000 {
+            let a = rect(&mut rng);
+            let b = match round % 5 {
+                0 => a,                                                 // duplicate
+                1 => Rect::new(a.x1(), a.y0(), a.x1() + 3, a.y1()),     // touching edge
+                2 => Rect::new(a.x1(), a.y1(), a.x1() + 2, a.y1() + 2), // touching corner
+                3 => {
+                    // nested, possibly degenerate
+                    let (dx, dy) = (rng.range(0, 3), rng.range(0, 3));
+                    Rect::new(
+                        (a.x0() + dx).min(a.x1()),
+                        (a.y0() + dy).min(a.y1()),
+                        (a.x1() - dx).max(a.x0()),
+                        (a.y1() - dy).max(a.y0()),
+                    )
+                }
+                _ => rect(&mut rng),
+            };
+            for rs in [
+                vec![a],
+                vec![a, b],
+                vec![b, a],
+                vec![a, b, rect(&mut rng), b],
+            ] {
+                assert_eq!(scratch.area(&rs), union_area(&rs), "{rs:?}");
+            }
         }
     }
 

@@ -75,28 +75,61 @@ const STEAL_COST: u32 = 3000;
 /// Extra cost of a via on top of the unit step.
 const VIA_COST: u32 = 2;
 
-/// One (node, layer) state of the fabric.
+/// [`Cell::flags`] bit: the state is usable.
+const OK: u8 = 1;
+/// [`Cell::flags`] bit: a permanent claim (terminal landing, pad), which
+/// survives [`RoutingGrid::release`] and cannot be stolen.
+const PERM: u8 = 2;
+/// [`Cell::flags`] bits holding the search's step into the state: the
+/// predecessor is the state plus the step's offset.
+const STEP_SHIFT: u32 = 2;
+const STEP_MASK: u8 = 0b111 << STEP_SHIFT;
+
+/// Search steps: how the cheapest arrival at a state moved.
+const FROM_START: u8 = 0;
+const FROM_WEST: u8 = 1;
+const FROM_EAST: u8 = 2;
+const FROM_SOUTH: u8 = 3;
+const FROM_NORTH: u8 = 4;
+const FROM_VIA: u8 = 5;
+
+/// One (node, layer) state of the fabric and its search scratch, in one
+/// 16-byte record so a relaxation touches one cache line. `best` and the
+/// step hold only while `wave` equals the current wave epoch; the state
+/// is in the net's route tree while `tree` equals the current tree epoch.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     owner: u32,
+    best: u32,
+    wave: u32,
     /// PathFinder-style history cost: congested spots accumulate
     /// penalties so rerouted nets learn to detour.
     history: u16,
-    ok: bool,
-    /// Permanent claims (terminal landings, pads) survive
-    /// [`RoutingGrid::release`] and cannot be stolen.
-    perm: bool,
+    /// [`OK`], [`PERM`] and the step (`STEP_MASK`).
+    flags: u8,
+    tree: u8,
 }
 
-/// Per-state search scratch. `best` and `prev` hold only while `wave`
-/// equals the current wave epoch; the state is in the net's route tree
-/// while `tree` equals the current tree epoch.
-#[derive(Debug, Clone, Copy, Default)]
-struct Mark {
-    wave: u32,
-    best: u32,
-    prev: u32,
-    tree: u32,
+impl Cell {
+    fn ok(&self) -> bool {
+        self.flags & OK != 0
+    }
+
+    fn perm(&self) -> bool {
+        self.flags & PERM != 0
+    }
+
+    fn set(&mut self, bit: u8, on: bool) {
+        self.flags = if on {
+            self.flags | bit
+        } else {
+            self.flags & !bit
+        };
+    }
+
+    fn step(&self) -> u8 {
+        (self.flags & STEP_MASK) >> STEP_SHIFT
+    }
 }
 
 /// Router work counters, accumulated over the grid's lifetime.
@@ -116,10 +149,9 @@ pub(crate) struct RoutingGrid {
     rows: usize,
     pitch: Coord,
     cells: Vec<Cell>,
-    marks: Vec<Mark>,
     queue: BucketQueue,
     wave_epoch: u32,
-    tree_epoch: u32,
+    tree_epoch: u8,
     stats: WaveStats,
 }
 
@@ -135,9 +167,11 @@ impl RoutingGrid {
         let cells = (0..cols * rows * 2)
             .map(|s| Cell {
                 owner: FREE,
+                best: 0,
+                wave: 0,
                 history: 0,
-                ok: !s.is_multiple_of(2),
-                perm: false,
+                flags: if s.is_multiple_of(2) { 0 } else { OK },
+                tree: 0,
             })
             .collect();
         RoutingGrid {
@@ -145,7 +179,6 @@ impl RoutingGrid {
             rows,
             pitch,
             cells,
-            marks: vec![Mark::default(); cols * rows * 2],
             queue: BucketQueue::new(cols * rows * 2),
             wave_epoch: 0,
             tree_epoch: 0,
@@ -170,12 +203,12 @@ impl RoutingGrid {
 
     /// Marks a node usable (or not) for m1.
     pub(crate) fn set_m1_ok(&mut self, p: GridPoint, ok: bool) {
-        self.cell(p, RouteLayer::M1).ok = ok;
+        self.cell(p, RouteLayer::M1).set(OK, ok);
     }
 
     /// Marks a node usable (or not) for m2.
     pub(crate) fn set_m2_ok(&mut self, p: GridPoint, ok: bool) {
-        self.cell(p, RouteLayer::M2).ok = ok;
+        self.cell(p, RouteLayer::M2).set(OK, ok);
     }
 
     /// Claims a node's layer for a net without routing (used for pin
@@ -187,7 +220,7 @@ impl RoutingGrid {
     /// different net.
     pub(crate) fn claim(&mut self, p: GridPoint, layer: RouteLayer, net: u32) {
         let c = self.cell(p, layer);
-        assert!(c.ok, "claiming an unusable node {p:?} {layer:?}");
+        assert!(c.ok(), "claiming an unusable node {p:?} {layer:?}");
         assert!(
             c.owner == FREE || c.owner == net,
             "node {p:?} {layer:?} already owned by net {}",
@@ -205,14 +238,14 @@ impl RoutingGrid {
     /// As [`claim`](Self::claim).
     pub(crate) fn claim_permanent(&mut self, p: GridPoint, layer: RouteLayer, net: u32) {
         self.claim(p, layer, net);
-        self.cell(p, layer).perm = true;
+        self.cell(p, layer).set(PERM, true);
     }
 
     /// Frees every non-permanent node owned by `net` (rip-up for
     /// rerouting). Permanent claims (terminals, pads) stay.
     pub(crate) fn release(&mut self, net: u32) {
         for c in &mut self.cells {
-            if c.owner == net && !c.perm {
+            if c.owner == net && !c.perm() {
                 c.owner = FREE;
             }
         }
@@ -253,7 +286,7 @@ impl RoutingGrid {
         let c = &mut self.cells[s];
         let prev = c.owner;
         assert!(
-            prev == FREE || prev == net || !c.perm,
+            prev == FREE || prev == net || !c.perm(),
             "cannot steal a permanent claim at state {s}"
         );
         c.owner = net;
@@ -275,21 +308,22 @@ impl RoutingGrid {
         }
     }
 
-    /// Starts a new, empty route tree; [`Self::connect`] adds to it.
+    /// Starts a new, empty route tree; [`Self::connect`] adds to it. The
+    /// one-byte tree stamps are cleared each time the epoch wraps.
     fn begin_tree(&mut self) {
         self.tree_epoch = self.tree_epoch.wrapping_add(1);
         if self.tree_epoch == 0 {
-            self.marks.iter_mut().for_each(|m| m.tree = 0);
+            self.cells.iter_mut().for_each(|c| c.tree = 0);
             self.tree_epoch = 1;
         }
     }
 
     fn connect(&mut self, s: usize) {
-        self.marks[s].tree = self.tree_epoch;
+        self.cells[s].tree = self.tree_epoch;
     }
 
     fn connected(&self, s: usize) -> bool {
-        self.marks[s].tree == self.tree_epoch
+        self.cells[s].tree == self.tree_epoch
     }
 
     /// Routes `net` by connecting each terminal (after the first) to the
@@ -391,7 +425,7 @@ impl RoutingGrid {
         self.stats.waves += 1;
         self.wave_epoch = self.wave_epoch.wrapping_add(1);
         if self.wave_epoch == 0 {
-            self.marks.iter_mut().for_each(|m| m.wave = 0);
+            self.cells.iter_mut().for_each(|c| c.wave = 0);
             self.wave_epoch = 1;
         }
         let epoch = self.wave_epoch;
@@ -407,18 +441,15 @@ impl RoutingGrid {
 
         let RoutingGrid {
             cells,
-            marks,
             queue,
             stats,
             ..
         } = self;
         let f0 = hx(start.gx as u32) + hy(start.gy as u32);
-        marks[s0] = Mark {
-            wave: epoch,
-            best: 0,
-            prev: s0 as u32,
-            tree: marks[s0].tree,
-        };
+        let c0 = &mut cells[s0];
+        c0.wave = epoch;
+        c0.best = 0;
+        c0.flags = (c0.flags & !STEP_MASK) | (FROM_START << STEP_SHIFT);
         queue.reset(f0);
         queue.push(f0, s0 as u32);
 
@@ -429,60 +460,63 @@ impl RoutingGrid {
             let (gy, gx) = (node / cols, node % cols);
             let (hx0, hy0) = (hx(gx), hy(gy));
             let cost = f - hx0 - hy0;
-            let m = marks[s];
-            if cost > m.best {
+            let c = cells[s];
+            if cost > c.best {
                 continue;
             }
-            if m.tree == tree {
+            if c.tree == tree {
                 goal = Some(s);
                 break;
             }
             stats.expanded += 1;
-            let mut relax = |st: usize, h: u32, extra: u32| {
-                let c = cells[st];
-                if !c.ok {
+            // `from` is the step into the neighbour, seen from it.
+            let mut relax = |st: usize, h: u32, extra: u32, from: u8| {
+                let c = &mut cells[st];
+                if !c.ok() {
                     return;
                 }
                 let steal = if c.owner == FREE || c.owner == net {
                     0
-                } else if c.perm || !allow_steal {
+                } else if c.perm() || !allow_steal {
                     return;
                 } else {
                     STEAL_COST
                 };
                 let cost = cost + 1 + extra + steal + c.history as u32;
-                let mk = &mut marks[st];
-                if mk.wave != epoch || cost < mk.best {
-                    mk.wave = epoch;
-                    mk.best = cost;
-                    mk.prev = s as u32;
+                if c.wave != epoch || cost < c.best {
+                    c.wave = epoch;
+                    c.best = cost;
+                    c.flags = (c.flags & !STEP_MASK) | (from << STEP_SHIFT);
                     queue.push(cost + h, st as u32);
                 }
             };
             if gx > 0 {
-                relax(s - 2, hx(gx - 1) + hy0, 0);
+                relax(s - 2, hx(gx - 1) + hy0, 0, FROM_EAST);
             }
             if gx + 1 < cols {
-                relax(s + 2, hx(gx + 1) + hy0, 0);
+                relax(s + 2, hx(gx + 1) + hy0, 0, FROM_WEST);
             }
             if gy > 0 {
-                relax(s - row, hx0 + hy(gy - 1), 0);
+                relax(s - row, hx0 + hy(gy - 1), 0, FROM_NORTH);
             }
             if gy + 1 < rows {
-                relax(s + row, hx0 + hy(gy + 1), 0);
+                relax(s + row, hx0 + hy(gy + 1), 0, FROM_SOUTH);
             }
-            relax(s ^ 1, hx0 + hy0, VIA_COST);
+            relax(s ^ 1, hx0 + hy0, VIA_COST, FROM_VIA);
         }
 
         let mut cur = goal?;
         let mut path = Vec::new();
         loop {
             path.push(self.decode(cur));
-            let p = self.marks[cur].prev as usize;
-            if p == cur {
-                return Some(path);
-            }
-            cur = p;
+            cur = match self.cells[cur].step() {
+                FROM_WEST => cur - 2,
+                FROM_EAST => cur + 2,
+                FROM_SOUTH => cur - row,
+                FROM_NORTH => cur + row,
+                FROM_VIA => cur ^ 1,
+                _ => return Some(path), // FROM_START
+            };
         }
     }
 }
@@ -713,11 +747,11 @@ mod tests {
         };
         let traverse_cost = |st: usize| -> Option<u32> {
             let c = g.cells[st];
-            if !c.ok {
+            if !c.ok() {
                 None
             } else if c.owner == FREE || c.owner == net {
                 Some(0)
-            } else if c.perm {
+            } else if c.perm() {
                 None
             } else {
                 Some(STEAL_COST)
@@ -794,10 +828,10 @@ mod tests {
         let rows = 1 + rng.next_below(24);
         let mut g = RoutingGrid::new(cols, rows, 6);
         for c in &mut g.cells {
-            c.ok = rng.next_below(10) < 6;
+            c.set(OK, rng.next_below(10) < 6);
             if rng.next_below(4) == 0 {
                 c.owner = rng.next_below(4) as u32;
-                c.perm = rng.next_bool();
+                c.set(PERM, rng.next_bool());
             }
             c.history = match rng.next_below(8) {
                 0..=3 => 0,
@@ -818,7 +852,7 @@ mod tests {
             if round % 3 == 0 {
                 // Exercise the epoch wrap-around on a grid with live stamps.
                 g.wave_epoch = u32::MAX - 5;
-                g.tree_epoch = u32::MAX - 1;
+                g.tree_epoch = u8::MAX - 1;
             }
             let n_states = g.cells.len();
             for _ in 0..20 {
@@ -859,6 +893,24 @@ mod tests {
             found * 5 > queries && found * 5 < queries * 4,
             "{found}/{queries} found"
         );
+    }
+
+    #[test]
+    fn a_state_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
+    }
+
+    #[test]
+    fn tree_stamps_clear_when_the_epoch_wraps() {
+        let mut g = open_grid(4, 4);
+        g.begin_tree();
+        g.connect(5);
+        // 255 more trees bring the one-byte epoch back to the same value.
+        for _ in 0..255 {
+            g.begin_tree();
+            assert!(!g.connected(5));
+        }
+        assert_eq!(g.tree_epoch, 1);
     }
 
     #[test]

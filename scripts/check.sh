@@ -57,6 +57,12 @@ cargo test --release -q -p dlp-sim --lib table_hits_match_the_general_solve_on_c
 echo "== oracle: pinned c432-class layout digest"
 cargo test --release -q -p dlp-layout --test route_digests c432_class_layout_is_pinned
 
+# Extraction oracle (DESIGN.md §20): the c432-class fault set (labels,
+# kinds, weight bits, candidate pairs) must hash to the digest pinned
+# before the indexed bridge-candidate search; debug builds ignore it.
+echo "== oracle: pinned c432-class extraction digest"
+cargo test --release -q -p dlp-extract --test extract_digests c432_class_extraction_is_pinned
+
 # Observability gate (DESIGN.md §9): a traced full-flow run must produce
 # a run report that parses with the in-tree JSON parser and carries a
 # span for every stage plus nonzero work counters, and a span tree that
