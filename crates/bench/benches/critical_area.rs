@@ -59,7 +59,10 @@ fn main() {
         if workers == 1 {
             serial = ns;
         } else {
-            report.record(&format!("critical_area/s12/speedup_t{workers}"), serial / ns);
+            report.record(
+                &format!("critical_area/s12/speedup_t{workers}"),
+                serial / ns,
+            );
         }
     }
     report.write();

@@ -17,6 +17,7 @@
 //! EXPERIMENTS.md, "DL vs n").
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
+use dlp_circuit::{generators, switch};
 use dlp_core::ndetect::fit_ndetect_growth;
 use dlp_core::obs::BenchReport;
 use dlp_core::par::ThreadCount;
@@ -24,9 +25,8 @@ use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
 use dlp_extract::faults::OpenLevelModel;
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
-use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 use dlp_sim::stuck_at;
-use dlp_circuit::{generators, switch};
+use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
 
 const MAX_N: usize = 8;
 
@@ -68,11 +68,10 @@ fn run() -> Result<(), PipelineError> {
     let sw = switch::expand(netlist)
         .map_err(|e| PipelineError::from(e).context("expanding to switch level"))?;
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let lowered = extraction.faults.to_switch_faults(
-        netlist,
-        sim.netlist(),
-        &OpenLevelModel::default(),
-    )?;
+    let lowered =
+        extraction
+            .faults
+            .to_switch_faults(netlist, sim.netlist(), &OpenLevelModel::default())?;
     let record_theta = sim.detect_obs(
         &lowered,
         &schedule.vectors,
@@ -135,10 +134,7 @@ fn run() -> Result<(), PipelineError> {
         schedule.pool_selected,
         schedule.below_target.len()
     );
-    dlp_bench::print_table(
-        &["n", "|T(n)|", "theta(n)", "gamma(n)", "DL ppm"],
-        &rows,
-    );
+    dlp_bench::print_table(&["n", "|T(n)|", "theta(n)", "gamma(n)", "DL ppm"], &rows);
     println!(
         "fitted growth law: theta_max = {:.4}, theta_1 = {:.4}, miss ratio rho = {:.4}",
         growth.theta_max(),
@@ -164,9 +160,17 @@ fn run() -> Result<(), PipelineError> {
         "faults",
         schedule.below_target.len() as f64,
     );
-    report.record(&format!("{base}/fit_theta_max"), "fraction", growth.theta_max());
+    report.record(
+        &format!("{base}/fit_theta_max"),
+        "fraction",
+        growth.theta_max(),
+    );
     report.record(&format!("{base}/fit_theta_1"), "fraction", growth.theta1());
-    report.record(&format!("{base}/fit_miss_ratio"), "fraction", growth.miss_ratio());
+    report.record(
+        &format!("{base}/fit_miss_ratio"),
+        "fraction",
+        growth.miss_ratio(),
+    );
     for &(n, k, theta, gamma, dl) in &samples {
         report.record(&format!("{base}/n{n}/vectors"), "vectors", k as f64);
         report.record(&format!("{base}/n{n}/theta"), "fraction", theta);

@@ -262,10 +262,18 @@ fn print_comparison(cmp: &regress::Comparison) {
         eprintln!("warning: baseline workload {label} was not measured — coverage shrank");
     }
     for f in cmp.flagged() {
-        let what = if f.verdict == Verdict::Fail { "regression" } else { "drift" };
+        let what = if f.verdict == Verdict::Fail {
+            "regression"
+        } else {
+            "drift"
+        };
         eprintln!(
             "{}: {what}: {} is {:.2}x its baseline cost (warn at {:.1}x, fail at {:.1}x)",
-            if f.verdict == Verdict::Fail { "error" } else { "warning" },
+            if f.verdict == Verdict::Fail {
+                "error"
+            } else {
+                "warning"
+            },
             f.label,
             f.ratio,
             regress::WARN_RATIO,
@@ -279,8 +287,8 @@ fn self_test() -> Result<bool, PipelineError> {
 
     // (a) Unchanged baseline: comparing a measurement against itself
     // must pass with exactly unit ratios.
-    let unchanged = regress::compare(&current, &current)
-        .map_err(|e| pipeline_err(&e.to_string()))?;
+    let unchanged =
+        regress::compare(&current, &current).map_err(|e| pipeline_err(&e.to_string()))?;
     let clean = unchanged.passed()
         && !unchanged.findings.is_empty()
         && unchanged
@@ -304,13 +312,8 @@ fn self_test() -> Result<bool, PipelineError> {
             }
         }
     }
-    let slowed = regress::compare(&doctored, &current)
-        .map_err(|e| pipeline_err(&e.to_string()))?;
-    let detected = !slowed.passed()
-        && slowed
-            .findings
-            .iter()
-            .all(|f| f.verdict == Verdict::Fail);
+    let slowed = regress::compare(&doctored, &current).map_err(|e| pipeline_err(&e.to_string()))?;
+    let detected = !slowed.passed() && slowed.findings.iter().all(|f| f.verdict == Verdict::Fail);
     println!(
         "self-test: synthetic 2x slowdown {} ({} workloads flagged)",
         if detected { "detected" } else { "NOT DETECTED" },
@@ -329,8 +332,8 @@ fn self_test() -> Result<bool, PipelineError> {
         .ok_or_else(|| pipeline_err("self-test needs at least one timed workload"))?;
     let mut pruned = current.clone();
     pruned.entries.retain(|e| e.label != dropped);
-    let stale_baseline = regress::compare(&pruned, &current)
-        .map_err(|e| pipeline_err(&e.to_string()))?;
+    let stale_baseline =
+        regress::compare(&pruned, &current).map_err(|e| pipeline_err(&e.to_string()))?;
     let names_new = stale_baseline.passed()
         && stale_baseline.missing_in_baseline == [dropped.clone()]
         && stale_baseline.missing_in_current.is_empty();
@@ -338,8 +341,8 @@ fn self_test() -> Result<bool, PipelineError> {
         "self-test: workload absent from the baseline {} ({dropped:?} flagged, non-fatal)",
         if names_new { "is named" } else { "NOT NAMED" },
     );
-    let shrunk_current = regress::compare(&current, &pruned)
-        .map_err(|e| pipeline_err(&e.to_string()))?;
+    let shrunk_current =
+        regress::compare(&current, &pruned).map_err(|e| pipeline_err(&e.to_string()))?;
     let names_lost = shrunk_current.passed()
         && shrunk_current.missing_in_current == [dropped.clone()]
         && shrunk_current.missing_in_baseline.is_empty();
@@ -354,14 +357,18 @@ fn self_test() -> Result<bool, PipelineError> {
     // cancels core speed, not core count.
     let mut other_env = current.clone();
     other_env.env.cpus = current.env.cpus + 1;
-    let drifted = regress::compare(&other_env, &current)
-        .map_err(|e| pipeline_err(&e.to_string()))?;
-    let cpus_named = drifted.passed()
-        && drifted.cpu_mismatch == Some((current.env.cpus + 1, current.env.cpus));
+    let drifted =
+        regress::compare(&other_env, &current).map_err(|e| pipeline_err(&e.to_string()))?;
+    let cpus_named =
+        drifted.passed() && drifted.cpu_mismatch == Some((current.env.cpus + 1, current.env.cpus));
     println!(
         "self-test: baseline from a {}-CPU machine {} (non-fatal)",
         current.env.cpus + 1,
-        if cpus_named { "is flagged" } else { "NOT FLAGGED" },
+        if cpus_named {
+            "is flagged"
+        } else {
+            "NOT FLAGGED"
+        },
     );
 
     Ok(clean && detected && names_new && names_lost && cpus_named)
@@ -439,8 +446,7 @@ fn run() -> Result<bool, PipelineError> {
         }
         None => measure()?,
     };
-    let cmp = regress::compare(&baseline, &current)
-        .map_err(|e| pipeline_err(&e.to_string()))?;
+    let cmp = regress::compare(&baseline, &current).map_err(|e| pipeline_err(&e.to_string()))?;
     println!(
         "perf_regress: current git_rev {} vs baseline git_rev {}",
         current.env.git_rev, baseline.env.git_rev

@@ -91,7 +91,9 @@ fn tiled_map(template: &Netlist, tiles: usize) -> Box<dyn Fn(NodeId) -> Option<N
         if i < TILE_INPUTS || i >= TILE_INPUTS + tiles * tpl_gates {
             return None;
         }
-        Some(NodeId::from_index(tpl_inputs + (i - TILE_INPUTS) % tpl_gates))
+        Some(NodeId::from_index(
+            tpl_inputs + (i - TILE_INPUTS) % tpl_gates,
+        ))
     })
 }
 
@@ -156,7 +158,11 @@ fn run() -> Result<(), PipelineError> {
     let members: Vec<Member> = if smoke {
         let nl = generators::c1355_class();
         let map = kind_map(template, &nl);
-        vec![Member { name: "c1355_class", netlist: nl, map }]
+        vec![Member {
+            name: "c1355_class",
+            netlist: nl,
+            map,
+        }]
     } else {
         let mut out = Vec::new();
         for (name, nl) in [
@@ -167,7 +173,11 @@ fn run() -> Result<(), PipelineError> {
             ("c7552_class", generators::c7552_class()),
         ] {
             let map = kind_map(template, &nl);
-            out.push(Member { name, netlist: nl, map });
+            out.push(Member {
+                name,
+                netlist: nl,
+                map,
+            });
         }
         for (name, tiles) in [("tiledmul16", 16usize), ("tiledmul672", BIG_TILES)] {
             let map = tiled_map(template, tiles);
@@ -250,8 +260,16 @@ fn run() -> Result<(), PipelineError> {
             format!("{:.1}", Ppm::from_fraction(dl).value()),
         ]);
         let base = format!("scale/{}", m.name);
-        report.record(&format!("{base}/gates"), "gates", m.netlist.gate_count() as f64);
-        report.record(&format!("{base}/collapsed_faults"), "faults", sites.len() as f64);
+        report.record(
+            &format!("{base}/gates"),
+            "gates",
+            m.netlist.gate_count() as f64,
+        );
+        report.record(
+            &format!("{base}/collapsed_faults"),
+            "faults",
+            sites.len() as f64,
+        );
         report.record(&format!("{base}/vectors"), "vectors", VECTORS as f64);
         report.record_samples(&format!("{base}/sim_seconds"), "s", &sim_samples);
         let rate_samples: Vec<f64> = sim_samples

@@ -204,7 +204,9 @@ fn run() -> Result<(), PipelineError> {
             .map_err(model_err)?
             .scaled_to_yield((-lambda).exp())
             .map_err(model_err)?;
-        let theta_full = run.record_theta.weighted_coverage_after(total_vectors, &raw_w)?;
+        let theta_full = run
+            .record_theta
+            .weighted_coverage_after(total_vectors, &raw_w)?;
         let analytic_dl_at_mask = dist.defect_level(lambda, theta_full).map_err(model_err)?;
         let cfg = MonteCarloConfig {
             dies: MC_DIES,
@@ -316,7 +318,10 @@ fn run() -> Result<(), PipelineError> {
                 "clustered DL ordering violated (expected DL to fall as clustering grows)",
             ),
         )
-        .context(format!("mid-curve DLs: {ordered:?}, hier {}", dl_of("hier"))));
+        .context(format!(
+            "mid-curve DLs: {ordered:?}, hier {}",
+            dl_of("hier")
+        )));
     }
 
     println!(

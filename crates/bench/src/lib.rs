@@ -30,9 +30,7 @@ pub fn report_diagnostics(diags: &Diagnostics) {
 /// Runs a figure binary's fallible body: a stage-tagged error is rendered
 /// to stderr and the process exits nonzero, instead of unwinding through
 /// a panic.
-pub fn run_main(
-    body: impl FnOnce() -> Result<(), PipelineError>,
-) -> std::process::ExitCode {
+pub fn run_main(body: impl FnOnce() -> Result<(), PipelineError>) -> std::process::ExitCode {
     match body() {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {

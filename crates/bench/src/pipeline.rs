@@ -107,9 +107,7 @@ pub fn extract_netlist_obs(
     if faults.is_empty() && before > 0 {
         diagnostics.warn(
             Stage::Extraction,
-            format!(
-                "pruning would drop all {before} faults; keeping the unpruned list"
-            ),
+            format!("pruning would drop all {before} faults; keeping the unpruned list"),
         );
         faults = extractor::extract_obs(&chip, stats, &config, threads, obs)?;
     } else if dropped > 0 && dropped * 4 > before {
@@ -222,11 +220,10 @@ pub fn simulate_budgeted(
     let sw = switch::expand(netlist)
         .map_err(|e| PipelineError::from(e).context("expanding to switch level"))?;
     let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let lowered = extraction.faults.to_switch_faults(
-        netlist,
-        sim.netlist(),
-        &OpenLevelModel::default(),
-    )?;
+    let lowered =
+        extraction
+            .faults
+            .to_switch_faults(netlist, sim.netlist(), &OpenLevelModel::default())?;
     let record_theta = sim.detect_obs(
         &lowered,
         &atpg.vectors,
@@ -267,10 +264,7 @@ pub fn write_run_report(obs: &Recorder, name: &str) -> std::io::Result<Option<St
     if !obs.is_enabled() || !setting.is_on() {
         return Ok(None);
     }
-    let default = format!(
-        "{}/../../TRACE_{name}.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
+    let default = format!("{}/../../TRACE_{name}.json", env!("CARGO_MANIFEST_DIR"));
     let Some(path) = setting.resolve(&default) else {
         return Ok(None);
     };

@@ -57,7 +57,10 @@ impl std::fmt::Display for RegressError {
                  reports without calibration cannot be compared across machines"
             ),
             RegressError::BadCalibration { which } => {
-                write!(f, "{which} report's calibration value is not a positive number")
+                write!(
+                    f,
+                    "{which} report's calibration value is not a positive number"
+                )
             }
         }
     }
@@ -184,13 +187,14 @@ fn verdict_for(ratio: f64) -> Verdict {
 pub fn compare(baseline: &BenchReport, current: &BenchReport) -> Result<Comparison, RegressError> {
     let base_cal = calibration_of(baseline, "baseline")?;
     let cur_cal = calibration_of(current, "current")?;
-    let timed =
-        |e: &&BenchEntry| e.unit == TIMED_UNIT && e.label != CALIBRATION_LABEL;
+    let timed = |e: &&BenchEntry| e.unit == TIMED_UNIT && e.label != CALIBRATION_LABEL;
     let mut findings = Vec::new();
     let mut missing_in_baseline = Vec::new();
     let mut low_confidence = Vec::new();
     for entry in current.entries.iter().filter(timed) {
-        let Some(base) = baseline.entry(&entry.label).filter(|e| e.unit == TIMED_UNIT)
+        let Some(base) = baseline
+            .entry(&entry.label)
+            .filter(|e| e.unit == TIMED_UNIT)
         else {
             missing_in_baseline.push(entry.label.clone());
             continue;
@@ -220,8 +224,8 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport) -> Result<Comparis
         .filter(|e| current.entry(&e.label).is_none())
         .map(|e| e.label.clone())
         .collect();
-    let cpu_mismatch = (baseline.env.cpus != current.env.cpus)
-        .then_some((baseline.env.cpus, current.env.cpus));
+    let cpu_mismatch =
+        (baseline.env.cpus != current.env.cpus).then_some((baseline.env.cpus, current.env.cpus));
     Ok(Comparison {
         findings,
         missing_in_baseline,
@@ -269,8 +273,16 @@ mod tests {
 
     #[test]
     fn a_2x_slowdown_fails_and_1_6x_warns() {
-        let base = report(&[(CALIBRATION_LABEL, 100.0), ("w/slow", 1000.0), ("w/meh", 1000.0)]);
-        let cur = report(&[(CALIBRATION_LABEL, 100.0), ("w/slow", 2000.0), ("w/meh", 1600.0)]);
+        let base = report(&[
+            (CALIBRATION_LABEL, 100.0),
+            ("w/slow", 1000.0),
+            ("w/meh", 1000.0),
+        ]);
+        let cur = report(&[
+            (CALIBRATION_LABEL, 100.0),
+            ("w/slow", 2000.0),
+            ("w/meh", 1600.0),
+        ]);
         let cmp = compare(&base, &cur).expect("comparable");
         assert!(!cmp.passed());
         let flagged = cmp.flagged();
@@ -291,7 +303,12 @@ mod tests {
         cur.record_samples(CALIBRATION_LABEL, TIMED_UNIT, &[100.0]);
         cur.record_samples("w/a", TIMED_UNIT, &[10_000.0, 1005.0, 9900.0]);
         let cmp = compare(&base, &cur).expect("comparable");
-        assert_eq!(cmp.findings[0].verdict, Verdict::Pass, "{:?}", cmp.findings[0]);
+        assert_eq!(
+            cmp.findings[0].verdict,
+            Verdict::Pass,
+            "{:?}",
+            cmp.findings[0]
+        );
     }
 
     #[test]

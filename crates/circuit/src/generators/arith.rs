@@ -124,9 +124,7 @@ pub fn alu_slice() -> Netlist {
     let and_ab = nl.add_gate("and_ab", GateKind::And, vec![a, b]).must();
     let or_ab = nl.add_gate("or_ab", GateKind::Or, vec![a, b]).must();
     let xor_ab = nl.add_gate("xor_ab", GateKind::Xor, vec![a, b]).must();
-    let sum = nl
-        .add_gate("sum", GateKind::Xor, vec![xor_ab, cin])
-        .must();
+    let sum = nl.add_gate("sum", GateKind::Xor, vec![xor_ab, cin]).must();
     let t = nl.add_gate("t", GateKind::And, vec![xor_ab, cin]).must();
     let cout = nl.add_gate("cout", GateKind::Or, vec![and_ab, t]).must();
 
@@ -143,9 +141,7 @@ pub fn alu_slice() -> Netlist {
         .add_gate("m2", GateKind::And, vec![xor_ab, s1, ns0])
         .must();
     let m3 = nl.add_gate("m3", GateKind::And, vec![sum, s1, s0]).must();
-    let y = nl
-        .add_gate("y", GateKind::Or, vec![m0, m1, m2, m3])
-        .must();
+    let y = nl.add_gate("y", GateKind::Or, vec![m0, m1, m2, m3]).must();
 
     nl.mark_output(y);
     nl.mark_output(cout);

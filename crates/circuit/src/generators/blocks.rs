@@ -133,12 +133,7 @@ impl<'n> Emit<'n> {
     /// opcode: add, and, or, xor, nand, nor, xnor, and borrow-style
     /// subtract (`a + !b`). Returns the result bus plus carry, compare,
     /// and parity flags.
-    pub(super) fn alu(
-        &mut self,
-        a: &[NodeId],
-        b: &[NodeId],
-        op: &[NodeId; 3],
-    ) -> AluOut {
+    pub(super) fn alu(&mut self, a: &[NodeId], b: &[NodeId], op: &[NodeId; 3]) -> AluOut {
         let w = a.len();
         assert_eq!(b.len(), w, "alu operands must match");
         assert!(w >= 2, "alu width must be at least 2");

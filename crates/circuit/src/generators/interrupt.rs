@@ -52,8 +52,7 @@ pub fn c432_class() -> Netlist {
     let mut fresh = 0usize;
     let mut gate = |n: &mut Netlist, kind: GateKind, fanin: Vec<NodeId>| -> NodeId {
         fresh += 1;
-        n.add_gate(format!("g{fresh}"), kind, fanin)
-            .must()
+        n.add_gate(format!("g{fresh}"), kind, fanin).must()
     };
     /// Balanced tree of 2-input `kind` gates (kind must be associative).
     fn tree(

@@ -243,8 +243,8 @@ pub fn c7552_class() -> Netlist {
         .chain(wsum.iter())
         .copied()
         .chain([
-            xu.cout, xu.eq, xu.gt, yu.cout, yu.eq, yu.gt, zu.cout, zu.eq, zu.gt,
-            wcout, weq, wgt, chk,
+            xu.cout, xu.eq, xu.gt, yu.cout, yu.eq, yu.gt, zu.cout, zu.eq, zu.gt, wcout, weq, wgt,
+            chk,
         ])
     {
         nl.mark_output(o);
@@ -279,11 +279,7 @@ mod tests {
                 let mut bits: Vec<bool> = (0..m).map(|i| a >> i & 1 == 1).collect();
                 bits.extend((0..m).map(|i| b >> i & 1 == 1));
                 let out = eval_bits(&nl, &bits);
-                let product: u64 = out
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| (x as u64) << i)
-                    .sum();
+                let product: u64 = out.iter().enumerate().map(|(i, &x)| (x as u64) << i).sum();
                 assert_eq!(product, a * b, "{m}x{m}: {a} * {b}");
             }
         }
@@ -305,11 +301,7 @@ mod tests {
         let mut bits: Vec<bool> = (0..16).map(|i| a >> i & 1 == 1).collect();
         bits.extend((0..16).map(|i| b >> i & 1 == 1));
         let out = eval_bits(&nl, &bits);
-        let product: u64 = out
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x as u64) << i)
-            .sum();
+        let product: u64 = out.iter().enumerate().map(|(i, &x)| (x as u64) << i).sum();
         assert_eq!(product, a * b);
     }
 
@@ -354,11 +346,7 @@ mod tests {
             bits.extend((0..8).map(|j| check >> j & 1 == 1));
             bits.push(en);
             let out = eval_bits(&nl, &bits);
-            let got: u32 = out
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (x as u32) << i)
-                .sum();
+            let got: u32 = out.iter().enumerate().map(|(i, &x)| (x as u32) << i).sum();
             assert_eq!(got, c1355_reference(data, check, en), "trial {trial}");
         }
         // The headline property: flipping one data bit of a consistent
@@ -381,11 +369,7 @@ mod tests {
             bits.extend((0..8).map(|j| check >> j & 1 == 1));
             bits.push(true);
             let out = eval_bits(&nl, &bits);
-            let got: u32 = out
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (x as u32) << i)
-                .sum();
+            let got: u32 = out.iter().enumerate().map(|(i, &x)| (x as u32) << i).sum();
             assert_eq!(got, data, "circuit did not correct bit {flip}");
         }
     }
@@ -443,7 +427,11 @@ mod tests {
                 .node_ids()
                 .filter(|&id| matches!(nl.kind(id), GateKind::Xor | GateKind::Xnor))
                 .count();
-            assert!(xors >= 100, "{}: expected XOR content, got {xors}", nl.name());
+            assert!(
+                xors >= 100,
+                "{}: expected XOR content, got {xors}",
+                nl.name()
+            );
         }
     }
 

@@ -253,14 +253,20 @@ mod tests {
     fn degenerate_shapes_are_typed_errors() {
         let base = RandomLogicConfig::default();
         for bad in [
-            RandomLogicConfig { inputs: 0, ..base.clone() },
-            RandomLogicConfig { gates: 0, ..base.clone() },
-            RandomLogicConfig { outputs: base.gates + 1, ..base.clone() },
+            RandomLogicConfig {
+                inputs: 0,
+                ..base.clone()
+            },
+            RandomLogicConfig {
+                gates: 0,
+                ..base.clone()
+            },
+            RandomLogicConfig {
+                outputs: base.gates + 1,
+                ..base.clone()
+            },
         ] {
-            assert!(matches!(
-                random_logic(&bad),
-                Err(NetlistError::BadShape(_))
-            ));
+            assert!(matches!(random_logic(&bad), Err(NetlistError::BadShape(_))));
         }
     }
 }

@@ -313,20 +313,21 @@ impl RunBudget {
         mb: Option<&str>,
         cancel_after: Option<&str>,
     ) -> Result<RunBudget, BudgetConfigError> {
-        let parse = |var: &'static str, setting: Option<&str>| -> Result<Option<u64>, BudgetConfigError> {
-            match setting.map(str::trim) {
-                None | Some("") => Ok(None),
-                Some(s) => s
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&v| v > 0)
-                    .map(Some)
-                    .ok_or_else(|| BudgetConfigError {
-                        var,
-                        value: s.to_string(),
-                    }),
-            }
-        };
+        let parse =
+            |var: &'static str, setting: Option<&str>| -> Result<Option<u64>, BudgetConfigError> {
+                match setting.map(str::trim) {
+                    None | Some("") => Ok(None),
+                    Some(s) => s
+                        .parse::<u64>()
+                        .ok()
+                        .filter(|&v| v > 0)
+                        .map(Some)
+                        .ok_or_else(|| BudgetConfigError {
+                            var,
+                            value: s.to_string(),
+                        }),
+                }
+            };
         let mut budget = RunBudget::unlimited();
         if let Some(ms) = parse(BUDGET_MS_ENV, ms)? {
             budget = budget.with_deadline(Duration::from_millis(ms));

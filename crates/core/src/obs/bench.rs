@@ -243,7 +243,10 @@ impl BenchReport {
                 Json::Object(vec![
                     ("threads".to_string(), Json::Number(self.env.threads as f64)),
                     ("cpus".to_string(), Json::Number(self.env.cpus as f64)),
-                    ("git_rev".to_string(), Json::String(self.env.git_rev.clone())),
+                    (
+                        "git_rev".to_string(),
+                        Json::String(self.env.git_rev.clone()),
+                    ),
                 ]),
             ),
             ("entries".to_string(), Json::Array(entries)),
@@ -260,7 +263,10 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"schema_version\": {BENCH_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"checksum\": {},\n", json_string(&self.checksum())));
+        out.push_str(&format!(
+            "  \"checksum\": {},\n",
+            json_string(&self.checksum())
+        ));
         out.push_str(&format!("  \"name\": {},\n", json_string(&self.name)));
         out.push_str(&format!(
             "  \"env\": {{ \"threads\": {}, \"cpus\": {}, \"git_rev\": {} }},\n",
@@ -280,7 +286,11 @@ impl BenchReport {
                 samples.join(", ")
             ));
         }
-        out.push_str(if self.entries.is_empty() { "]\n" } else { "\n  ]\n" });
+        out.push_str(if self.entries.is_empty() {
+            "]\n"
+        } else {
+            "\n  ]\n"
+        });
         out.push_str("}\n");
         out
     }
@@ -343,7 +353,9 @@ impl BenchReport {
                 .to_string();
             let value = match item.get("value") {
                 Some(Json::Null) => f64::NAN,
-                Some(v) => v.as_f64().ok_or_else(|| schema_err("entry without a value"))?,
+                Some(v) => v
+                    .as_f64()
+                    .ok_or_else(|| schema_err("entry without a value"))?,
                 None => return Err(schema_err("entry without a value")),
             };
             let samples = item
@@ -495,7 +507,11 @@ mod tests {
         assert_eq!(loaded.env.threads, report.env.threads);
         assert_eq!(loaded.env.cpus, report.env.cpus);
         let rev = loaded.env.git_rev.trim_end_matches("-dirty");
-        assert!(rev == "unknown" || rev.len() == 12, "{}", loaded.env.git_rev);
+        assert!(
+            rev == "unknown" || rev.len() == 12,
+            "{}",
+            loaded.env.git_rev
+        );
         // Corrupt the file on disk: load is a typed error.
         let text = std::fs::read_to_string(path).expect("read");
         std::fs::write(path, &text[..text.len() / 2]).expect("truncate");
@@ -518,7 +534,10 @@ mod tests {
         assert_eq!(report.value("stage_a"), Some(110.0), "median of samples");
         let parsed = BenchReport::from_json(&report.to_json()).expect("round-trips");
         assert_eq!(parsed, report);
-        assert_eq!(parsed.entry("speedup_t2").map(|e| e.unit.as_str()), Some("ratio"));
+        assert_eq!(
+            parsed.entry("speedup_t2").map(|e| e.unit.as_str()),
+            Some("ratio")
+        );
         assert_eq!(parsed.value("missing"), None);
     }
 

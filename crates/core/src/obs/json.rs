@@ -478,10 +478,7 @@ mod tests {
             Ok(Json::String("Aé中".to_string()))
         );
         // Escaped and literal forms agree.
-        assert_eq!(
-            Json::parse(r#""é中""#),
-            Ok(Json::String("é中".to_string()))
-        );
+        assert_eq!(Json::parse(r#""é中""#), Ok(Json::String("é中".to_string())));
     }
 
     #[test]
@@ -506,15 +503,15 @@ mod tests {
     #[test]
     fn lone_and_malformed_surrogates_are_rejected() {
         for bad in [
-            r#""\uD83D""#,          // lone high surrogate, end of string
-            r#""\uD83Dx""#,         // high surrogate followed by a plain char
-            r#""\uD83D\n""#,        // high surrogate followed by another escape
-            r#""\uD83D\uD83D""#,    // high surrogate followed by a high surrogate
-            r#""\uDC00""#,          // lone low surrogate
-            r#""\uDE00\uD83D""#,    // pair in the wrong order
-            r#""\uD83Dé""#,    // high surrogate + non-surrogate escape
-            r#""\u12G4""#,          // bad hex digit
-            r#""\u123""#,           // truncated hex
+            r#""\uD83D""#,       // lone high surrogate, end of string
+            r#""\uD83Dx""#,      // high surrogate followed by a plain char
+            r#""\uD83D\n""#,     // high surrogate followed by another escape
+            r#""\uD83D\uD83D""#, // high surrogate followed by a high surrogate
+            r#""\uDC00""#,       // lone low surrogate
+            r#""\uDE00\uD83D""#, // pair in the wrong order
+            r#""\uD83Dé""#,      // high surrogate + non-surrogate escape
+            r#""\u12G4""#,       // bad hex digit
+            r#""\u123""#,        // truncated hex
         ] {
             assert!(Json::parse(bad).is_err(), "{bad} must not parse");
         }
@@ -526,7 +523,11 @@ mod tests {
         let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok(), "depth == MAX_DEPTH must parse");
         // One past the limit: typed error, no stack overflow.
-        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         let err = Json::parse(&deep).expect_err("too deep");
         assert_eq!(err.message, "nesting deeper than MAX_DEPTH");
         // An adversarial pile of brackets (far past the limit, unclosed —

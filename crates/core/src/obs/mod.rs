@@ -809,10 +809,7 @@ impl RunReport {
 
     /// The named gauge's value, if recorded.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// The named series, if recorded.
@@ -842,26 +839,42 @@ impl RunReport {
                 s.count
             ));
         }
-        out.push_str(if self.spans.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.spans.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"counters\": {");
         for (i, (n, v)) in self.counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!("    {}: {v}", json_string(n)));
         }
-        out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.counters.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"gauges\": {");
         for (i, (n, v)) in self.gauges.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!("    {}: {}", json_string(n), json_number(*v)));
         }
-        out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.gauges.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"series\": {");
         for (i, (n, vs)) in self.series.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let body: Vec<String> = vs.iter().map(|&v| json_number(v)).collect();
             out.push_str(&format!("    {}: [{}]", json_string(n), body.join(", ")));
         }
-        out.push_str(if self.series.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.series.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"hists\": {");
         for (i, h) in self.hists.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -881,13 +894,21 @@ impl RunReport {
                 buckets.join(", ")
             ));
         }
-        out.push_str(if self.hists.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.hists.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"tree\": [");
         for (i, node) in self.tree.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
             out.push_str(&crate::ckpt::render(&node.to_json()));
         }
-        out.push_str(if self.tree.is_empty() { "]\n" } else { "\n  ]\n" });
+        out.push_str(if self.tree.is_empty() {
+            "]\n"
+        } else {
+            "\n  ]\n"
+        });
         out.push_str("}\n");
         out
     }
@@ -938,7 +959,10 @@ impl RunReport {
         }
         let mut gauges = Vec::new();
         for (n, v) in doc.get("gauges").and_then(Json::as_object).unwrap_or(&[]) {
-            gauges.push((n.clone(), num_or_null(v, f64::NAN, "malformed gauge value")?));
+            gauges.push((
+                n.clone(),
+                num_or_null(v, f64::NAN, "malformed gauge value")?,
+            ));
         }
         let mut series = Vec::new();
         for (n, v) in doc.get("series").and_then(Json::as_object).unwrap_or(&[]) {
@@ -973,12 +997,19 @@ impl RunReport {
             }
             hists.push(HistEntry {
                 name: n.clone(),
-                count: as_u64(field("count", "hist without count")?, "malformed hist count")?,
+                count: as_u64(
+                    field("count", "hist without count")?,
+                    "malformed hist count",
+                )?,
                 invalid: as_u64(
                     field("invalid", "hist without invalid")?,
                     "malformed hist invalid",
                 )?,
-                sum: num_or_null(field("sum", "hist without sum")?, f64::NAN, "malformed hist sum")?,
+                sum: num_or_null(
+                    field("sum", "hist without sum")?,
+                    f64::NAN,
+                    "malformed hist sum",
+                )?,
                 min: num_or_null(
                     field("min", "hist without min")?,
                     f64::INFINITY,
@@ -1170,10 +1201,7 @@ mod tests {
         }
         merged.merge_hist("h", &local);
         merged.merge_hist("h", &Histogram::new());
-        assert_eq!(
-            direct.report("a").hist("h"),
-            merged.report("b").hist("h")
-        );
+        assert_eq!(direct.report("a").hist("h"), merged.report("b").hist("h"));
     }
 
     #[test]

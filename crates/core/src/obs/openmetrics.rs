@@ -34,7 +34,11 @@ pub struct OmError {
 
 impl std::fmt::Display for OmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid OpenMetrics at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "invalid OpenMetrics at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -231,7 +235,10 @@ struct Sample {
 
 /// Parses `name{label="v",...} value [timestamp]`.
 fn parse_sample(line: &str, line_no: usize) -> Result<Sample, OmError> {
-    let err = |message| OmError { line: line_no, message };
+    let err = |message| OmError {
+        line: line_no,
+        message,
+    };
     let name_end = line
         .find(['{', ' '])
         .ok_or_else(|| err("sample line has no value"))?;
@@ -299,7 +306,10 @@ fn parse_sample(line: &str, line_no: usize) -> Result<Sample, OmError> {
 
 /// Splits `a="x",b="y"` into pairs, unescaping the values.
 fn split_label_pairs(body: &str, line_no: usize) -> Result<Vec<(String, String)>, OmError> {
-    let err = |message| OmError { line: line_no, message };
+    let err = |message| OmError {
+        line: line_no,
+        message,
+    };
     let mut pairs = Vec::new();
     let mut rest = body;
     loop {
@@ -377,7 +387,10 @@ pub fn validate(text: &str) -> Result<(), OmError> {
     let mut saw_eof = false;
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
-        let err = |message| OmError { line: line_no, message };
+        let err = |message| OmError {
+            line: line_no,
+            message,
+        };
         if saw_eof {
             return Err(err("content after '# EOF'"));
         }
@@ -396,17 +409,28 @@ pub fn validate(text: &str) -> Result<(), OmError> {
                     }
                     if !matches!(
                         kind,
-                        "counter" | "gauge" | "histogram" | "summary" | "info" | "stateset"
-                            | "unknown" | "gaugehistogram"
+                        "counter"
+                            | "gauge"
+                            | "histogram"
+                            | "summary"
+                            | "info"
+                            | "stateset"
+                            | "unknown"
+                            | "gaugehistogram"
                     ) {
                         return Err(err("unknown metric type"));
                     }
-                    if families.insert(name.to_string(), kind.to_string()).is_some() {
+                    if families
+                        .insert(name.to_string(), kind.to_string())
+                        .is_some()
+                    {
                         return Err(err("family declared twice"));
                     }
                 }
                 Some("HELP") | Some("UNIT") => {
-                    let name = tokens.next().ok_or_else(|| err("directive without a name"))?;
+                    let name = tokens
+                        .next()
+                        .ok_or_else(|| err("directive without a name"))?;
                     if !is_valid_metric_name(name) {
                         return Err(err("invalid metric name in directive"));
                     }
@@ -429,7 +453,9 @@ pub fn validate(text: &str) -> Result<(), OmError> {
             match kind.as_str() {
                 "counter" => return Err(err("counter sample must end in '_total'")),
                 "histogram" => {
-                    return Err(err("histogram sample must end in '_bucket'/'_count'/'_sum'"))
+                    return Err(err(
+                        "histogram sample must end in '_bucket'/'_count'/'_sum'",
+                    ))
                 }
                 _ => (sample.name.clone(), kind.clone()),
             }
@@ -578,17 +604,17 @@ mod tests {
         // Names that merely resemble the labeled shape must round-trip
         // as one escaped `name` value, not as broken label syntax.
         let cases = [
-            "plain{",             // unterminated
-            "{endpoint=dl}",      // empty base
-            "x{}",                // empty body
-            "x{endpoint}",        // no value
-            "x{le=1}",            // reserved key
-            "x{name=y}",          // reserved key
-            "x{a=1,a=2}",         // duplicate key
-            "x{9bad=1}",          // invalid key
-            "x{a=}",              // empty value
-            "x{a=b\"c}",          // quote in value
-            "x{a=b}{c=d}",        // second group
+            "plain{",        // unterminated
+            "{endpoint=dl}", // empty base
+            "x{}",           // empty body
+            "x{endpoint}",   // no value
+            "x{le=1}",       // reserved key
+            "x{name=y}",     // reserved key
+            "x{a=1,a=2}",    // duplicate key
+            "x{9bad=1}",     // invalid key
+            "x{a=}",         // empty value
+            "x{a=b\"c}",     // quote in value
+            "x{a=b}{c=d}",   // second group
         ];
         let obs = Recorder::enabled();
         for (i, name) in cases.iter().enumerate() {
@@ -616,7 +642,12 @@ mod tests {
         let cums: Vec<u64> = text
             .lines()
             .filter(|l| l.starts_with("dlp_hist_bucket"))
-            .map(|l| l.rsplit(' ').next().and_then(|v| v.parse().ok()).unwrap_or(0))
+            .map(|l| {
+                l.rsplit(' ')
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(0)
+            })
             .collect();
         assert_eq!(*cums.last().expect("has buckets"), 4, "+Inf == count");
         assert!(cums.windows(2).all(|w| w[0] <= w[1]), "{cums:?}");

@@ -391,10 +391,7 @@ impl FlightRecorder {
             traces.truncate(limit);
         }
         Json::Object(vec![
-            (
-                "name".to_string(),
-                Json::String("serve.traces".to_string()),
-            ),
+            ("name".to_string(), Json::String("serve.traces".to_string())),
             ("capacity".to_string(), Json::Number(self.capacity as f64)),
             ("recorded".to_string(), Json::Number(recorded as f64)),
             ("dropped".to_string(), Json::Number(dropped as f64)),
@@ -538,11 +535,11 @@ mod tests {
         for (seq, status, nanos) in [
             (0, 200, 5),
             (1, 200, 10),
-            (2, 200, 1),  // fastest: dropped
-            (3, 200, 7),  // displaces the 5ns trace
+            (2, 200, 1), // fastest: dropped
+            (3, 200, 7), // displaces the 5ns trace
             (4, 404, 1),
             (5, 500, 1),
-            (6, 400, 1),  // evicts the oldest error (seq 4)
+            (6, 400, 1), // evicts the oldest error (seq 4)
         ] {
             flight.record(record_with(seq, status, nanos));
         }
@@ -552,13 +549,18 @@ mod tests {
         assert_eq!(dump.get("recorded").and_then(Json::as_f64), Some(7.0));
         assert_eq!(dump.get("dropped").and_then(Json::as_f64), Some(3.0));
         assert_eq!(
-            dump.get("traces").and_then(Json::as_array).map(<[Json]>::len),
+            dump.get("traces")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
             Some(4)
         );
         // A limit truncates the dump but not the store.
         let limited = flight.dump(Some(1));
         assert_eq!(
-            limited.get("traces").and_then(Json::as_array).map(<[Json]>::len),
+            limited
+                .get("traces")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
             Some(1)
         );
         assert_eq!(flight.len(), 4);

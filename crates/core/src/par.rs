@@ -175,7 +175,14 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    map_chunks_counted(threads, items, chunks, crate::obs::Recorder::noop(), "par", f)
+    map_chunks_counted(
+        threads,
+        items,
+        chunks,
+        crate::obs::Recorder::noop(),
+        "par",
+        f,
+    )
 }
 
 /// What one worker measured about itself during a parallel region.
@@ -427,8 +434,9 @@ where
     let trip_flag = std::sync::atomic::AtomicBool::new(false);
     let trip_reason: Mutex<Option<BudgetReason>> = Mutex::new(None);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let stats_slots: Vec<Mutex<WorkerStats>> =
-        (0..workers).map(|_| Mutex::new(WorkerStats::default())).collect();
+    let stats_slots: Vec<Mutex<WorkerStats>> = (0..workers)
+        .map(|_| Mutex::new(WorkerStats::default()))
+        .collect();
     std::thread::scope(|thread_scope| {
         for w in 0..workers {
             let next = &next;
@@ -650,15 +658,16 @@ mod tests {
                 .series(&format!("t.worker{w}.timeline"))
                 .unwrap_or_else(|| panic!("worker{w} timeline"));
             assert_eq!(timeline.len(), 2);
-            assert!(report
-                .counter(&format!("t.worker{w}.wait_nanos"))
-                .is_some());
+            assert!(report.counter(&format!("t.worker{w}.wait_nanos")).is_some());
         }
         // The serial path reports a single fully-utilised worker.
         let serial = Recorder::enabled();
         let _ = map_chunks_counted(1, &items, 8, &serial, "s", |_, c| c.len());
         let report = serial.report("serial");
-        assert_eq!(report.counter("s.slot_nanos"), report.counter("s.wall_nanos"));
+        assert_eq!(
+            report.counter("s.slot_nanos"),
+            report.counter("s.wall_nanos")
+        );
         assert_eq!(report.hist("s.chunk_nanos").map(|h| h.count), Some(8));
         assert_eq!(report.gauge("s.imbalance"), Some(1.0));
         // A disabled recorder gets no telemetry at all.

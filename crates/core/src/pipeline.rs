@@ -95,10 +95,7 @@ impl PipelineError {
     }
 
     /// Wraps a per-crate error, keeping it as [`Error::source`].
-    pub fn with_source(
-        stage: Stage,
-        source: impl Error + Send + Sync + 'static,
-    ) -> Self {
+    pub fn with_source(stage: Stage, source: impl Error + Send + Sync + 'static) -> Self {
         PipelineError {
             stage,
             message: source.to_string(),
@@ -147,9 +144,7 @@ impl fmt::Display for PipelineError {
 
 impl Error for PipelineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
-        self.source
-            .as_deref()
-            .map(|e| e as &(dyn Error + 'static))
+        self.source.as_deref().map(|e| e as &(dyn Error + 'static))
     }
 }
 

@@ -358,7 +358,10 @@ mod tests {
             let back = m.required_coverage(dl).unwrap();
             let dl_back = m.defect_level(back).unwrap();
             // DL round-trips even where T is numerically flat near the floor.
-            assert!((dl_back - dl).abs() < 1e-9, "y={y} r={r} tm={theta_max} t={t}");
+            assert!(
+                (dl_back - dl).abs() < 1e-9,
+                "y={y} r={r} tm={theta_max} t={t}"
+            );
         }
     }
 

@@ -20,9 +20,9 @@ fn param_grid(seed: u64, count: usize) -> Vec<(f64, f64, f64, f64)> {
     (0..count)
         .map(|_| {
             (
-                0.05 + rng.next_f64() * 0.9,  // yield in (0, 1)
-                0.25 + rng.next_f64() * 4.0,  // susceptibility ratio R
-                0.5 + rng.next_f64() * 0.5,   // theta_max in (0.5, 1]
+                0.05 + rng.next_f64() * 0.9,        // yield in (0, 1)
+                0.25 + rng.next_f64() * 4.0,        // susceptibility ratio R
+                0.5 + rng.next_f64() * 0.5,         // theta_max in (0.5, 1]
                 (1.0 + rng.next_f64() * 9.0).exp(), // tau = e^(1..10)
             )
         })

@@ -231,7 +231,11 @@ mod tests {
             for x in 1i64..30 {
                 let a = wire(0, 4);
                 let b = wire(4 + sep, 8 + sep);
-                assert_eq!(short_area(&a, &b, x), short_area(&b, &a, x), "sep={sep} x={x}");
+                assert_eq!(
+                    short_area(&a, &b, x),
+                    short_area(&b, &a, x),
+                    "sep={sep} x={x}"
+                );
             }
         }
     }

@@ -262,12 +262,48 @@ mod tests {
         };
         assert!(good.validate().is_ok());
         for (bad, reason) in [
-            (DefectClass { density: f64::NAN, ..good.clone() }, "NaN"),
-            (DefectClass { density: f64::INFINITY, ..good.clone() }, "infinite"),
-            (DefectClass { density: 0.0, ..good.clone() }, "positive"),
-            (DefectClass { density: -2.0, ..good.clone() }, "positive"),
-            (DefectClass { x_min: 0, ..good.clone() }, "x_min"),
-            (DefectClass { x_max: 1, ..good.clone() }, "x_max"),
+            (
+                DefectClass {
+                    density: f64::NAN,
+                    ..good.clone()
+                },
+                "NaN",
+            ),
+            (
+                DefectClass {
+                    density: f64::INFINITY,
+                    ..good.clone()
+                },
+                "infinite",
+            ),
+            (
+                DefectClass {
+                    density: 0.0,
+                    ..good.clone()
+                },
+                "positive",
+            ),
+            (
+                DefectClass {
+                    density: -2.0,
+                    ..good.clone()
+                },
+                "positive",
+            ),
+            (
+                DefectClass {
+                    x_min: 0,
+                    ..good.clone()
+                },
+                "x_min",
+            ),
+            (
+                DefectClass {
+                    x_max: 1,
+                    ..good.clone()
+                },
+                "x_max",
+            ),
         ] {
             let err = bad.validate().unwrap_err();
             assert!(err.to_string().contains(reason), "{err}");
@@ -279,7 +315,10 @@ mod tests {
         ));
         let stats = DefectStatistics::new(vec![
             good.clone(),
-            DefectClass { density: f64::NAN, ..good },
+            DefectClass {
+                density: f64::NAN,
+                ..good
+            },
         ]);
         assert!(stats.validate().is_err());
         assert!(DefectStatistics::maly_cmos().validate().is_ok());

@@ -80,7 +80,10 @@ impl fmt::Display for ExtractError {
                 write!(f, "no extra-material defect class on layer {layer}")
             }
             ExtractError::StuckAtSiteOutOfRange { gate } => {
-                write!(f, "stuck-at site references node {gate} outside the netlist")
+                write!(
+                    f,
+                    "stuck-at site references node {gate} outside the netlist"
+                )
             }
             ExtractError::EmptyTemplate => {
                 write!(f, "tiled weights need a non-empty template stuck-at list")

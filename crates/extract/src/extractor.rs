@@ -796,10 +796,10 @@ fn extract_cut_and_device_defects(
                                         .iter()
                                         .position(|o| o == n)
                                         .ok_or_else(|| {
-                                            ExtractError::MissingOutputNet(
-                                                chip.netlist().node_name(*n).to_string(),
-                                            )
-                                        })?;
+                                        ExtractError::MissingOutputNet(
+                                            chip.netlist().node_name(*n).to_string(),
+                                        )
+                                    })?;
                                     Detached::Observation(oi)
                                 }
                             };

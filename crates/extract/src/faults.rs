@@ -200,8 +200,7 @@ impl FaultSet {
         // Per-owner transistor index base: expansion order is per-gate
         // contiguous, so (owner, ordinal) -> global index is base + ordinal.
         let mut base: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-        let mut counts: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
+        let mut counts: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
         for (i, t) in sw.transistors().iter().enumerate() {
             base.entry(t.owner).or_insert(i);
             *counts.entry(t.owner).or_insert(0) += 1;
@@ -214,14 +213,13 @@ impl FaultSet {
                     .ok_or(ExtractError::MissingStageNode(name))
             }
         };
-        let device_of = |owner: &NodeId, ordinal: usize| {
-            match (base.get(owner), counts.get(owner)) {
-                (Some(&b), Some(&n)) if ordinal < n => Ok(b + ordinal),
-                _ => Err(ExtractError::UnknownTransistor {
-                    owner: netlist.node_name(*owner).to_string(),
-                    ordinal,
-                }),
-            }
+        let device_of = |owner: &NodeId, ordinal: usize| match (base.get(owner), counts.get(owner))
+        {
+            (Some(&b), Some(&n)) if ordinal < n => Ok(b + ordinal),
+            _ => Err(ExtractError::UnknownTransistor {
+                owner: netlist.node_name(*owner).to_string(),
+                ordinal,
+            }),
         };
         self.faults
             .iter()
@@ -237,9 +235,7 @@ impl FaultSet {
                             Some(true) => dlp_circuit::switch::SwitchNodeId::VDD,
                             Some(false) => dlp_circuit::switch::SwitchNodeId::GND,
                             None => {
-                                return Err(ExtractError::RailBridgeWithoutLevel(
-                                    f.label.clone(),
-                                ))
+                                return Err(ExtractError::RailBridgeWithoutLevel(f.label.clone()))
                             }
                         },
                     },
@@ -369,7 +365,9 @@ mod tests {
                 label: "op:10:all".into(),
             },
         ]);
-        let lowered = set.to_switch_faults(&nl, &sw, &OpenLevelModel::default()).unwrap();
+        let lowered = set
+            .to_switch_faults(&nl, &sw, &OpenLevelModel::default())
+            .unwrap();
         assert_eq!(lowered.len(), 4);
         assert!(matches!(lowered[0], SwitchFault::Bridge { .. }));
         match &lowered[1] {
@@ -403,7 +401,9 @@ mod tests {
             weight: 1e-6,
             label: "so:16:1".into(),
         }]);
-        let lowered = set.to_switch_faults(&nl, &sw, &OpenLevelModel::default()).unwrap();
+        let lowered = set
+            .to_switch_faults(&nl, &sw, &OpenLevelModel::default())
+            .unwrap();
         match lowered[0] {
             SwitchFault::StuckOpen { transistor } => {
                 assert_eq!(sw.transistors()[transistor].owner, g);
@@ -434,7 +434,10 @@ mod tests {
         let err = set
             .to_switch_faults(&nl, &sw, &OpenLevelModel::default())
             .unwrap_err();
-        assert!(matches!(err, ExtractError::UnknownTransistor { .. }), "{err}");
+        assert!(
+            matches!(err, ExtractError::UnknownTransistor { .. }),
+            "{err}"
+        );
         // Rail bridge missing its level.
         let set = FaultSet::new(vec![RealisticFault {
             kind: FaultKind::Bridge {
@@ -448,7 +451,10 @@ mod tests {
         let err = set
             .to_switch_faults(&nl, &sw, &OpenLevelModel::default())
             .unwrap_err();
-        assert!(matches!(err, ExtractError::RailBridgeWithoutLevel(_)), "{err}");
+        assert!(
+            matches!(err, ExtractError::RailBridgeWithoutLevel(_)),
+            "{err}"
+        );
         // Stage net that the switch netlist does not know.
         let set = FaultSet::new(vec![RealisticFault {
             kind: FaultKind::Break {

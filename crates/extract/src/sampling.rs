@@ -185,15 +185,12 @@ mod tests {
     #[test]
     fn missing_class_is_a_typed_error() {
         let chip = ChipLayout::generate(&generators::c17(), &Default::default()).unwrap();
-        let err = throw_defects(
-            &chip,
-            &DefectStatistics::new(vec![]),
-            Layer::Metal1,
-            100,
-            3,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ExtractError::NoExtraMaterialClass(_)), "{err}");
+        let err = throw_defects(&chip, &DefectStatistics::new(vec![]), Layer::Metal1, 100, 3)
+            .unwrap_err();
+        assert!(
+            matches!(err, ExtractError::NoExtraMaterialClass(_)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -427,7 +427,10 @@ mod property_tests {
             let d = rng.range(0, 10);
             let dx = rng.range(-20, 20);
             let dy = rng.range(-20, 20);
-            assert_eq!(r.translated(dx, dy).dilated(d), r.dilated(d).translated(dx, dy));
+            assert_eq!(
+                r.translated(dx, dy).dilated(d),
+                r.dilated(d).translated(dx, dy)
+            );
         }
     }
 

@@ -15,9 +15,8 @@ fn main() {
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(0xC4A0_55ED);
-    let dir = std::env::var("DLP_CHAOS_DIR").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/chaos").to_string()
-    });
+    let dir = std::env::var("DLP_CHAOS_DIR")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/chaos").to_string());
 
     let cases = corpus();
     let corpus_report = verify_all(&cases);
@@ -35,10 +34,7 @@ fn main() {
     }
 
     let chaos_report = run_chaos(seed, &dir);
-    print!(
-        "chaos: sweeps (seed {seed}) — {}",
-        chaos_report
-    );
+    print!("chaos: sweeps (seed {seed}) — {}", chaos_report);
 
     if corpus_failures.is_empty() && chaos_report.passed() {
         println!("chaos: all clear");

@@ -277,7 +277,10 @@ fn ndetect_sweep(
     ) {
         Ok(s) => s,
         Err(e) => {
-            report.fail("ndetect/reference", format!("uninterrupted build failed: {e}"));
+            report.fail(
+                "ndetect/reference",
+                format!("uninterrupted build failed: {e}"),
+            );
             return None;
         }
     };
@@ -289,14 +292,8 @@ fn ndetect_sweep(
     for kill in kills {
         let scenario = format!("ndetect/kill@{kill}");
         let budget = RunBudget::unlimited().cancel_after_checks(kill);
-        let outcome = build_schedule_resumable(
-            &netlist,
-            faults.faults(),
-            max_n,
-            &config,
-            &budget,
-            None,
-        );
+        let outcome =
+            build_schedule_resumable(&netlist, faults.faults(), max_n, &config, &budget, None);
         match outcome {
             Ok(schedule) => {
                 report.check(&scenario, schedule == reference, || {
@@ -304,8 +301,7 @@ fn ndetect_sweep(
                 });
             }
             Err(NDetectError::Interrupted { checkpoint, .. }) => {
-                if let Err(e) =
-                    checkpoint.save_to(&path, &netlist, faults.faults(), max_n, &config)
+                if let Err(e) = checkpoint.save_to(&path, &netlist, faults.faults(), max_n, &config)
                 {
                     report.fail(&scenario, format!("checkpoint save failed: {e}"));
                     continue;
@@ -413,15 +409,13 @@ fn mc_sweep(
                     continue;
                 }
                 wrote = true;
-                let restored =
-                    match McCheckpoint::load_from(&path, &weights, &detected, &config) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            report
-                                .fail(&scenario, format!("own checkpoint did not verify: {e}"));
-                            continue;
-                        }
-                    };
+                let restored = match McCheckpoint::load_from(&path, &weights, &detected, &config) {
+                    Ok(c) => c,
+                    Err(e) => {
+                        report.fail(&scenario, format!("own checkpoint did not verify: {e}"));
+                        continue;
+                    }
+                };
                 for t in CHAOS_THREADS {
                     let resumed = simulate_fallout_resumable(
                         &weights,
@@ -466,7 +460,10 @@ fn corruption_sweep(
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
-            report.fail(&format!("{label}/read"), format!("cannot read artifact: {e}"));
+            report.fail(
+                &format!("{label}/read"),
+                format!("cannot read artifact: {e}"),
+            );
             return;
         }
     };
@@ -553,8 +550,7 @@ mod tests {
         ckpt::save(&path, "chaos.tiny", 0xBEEF, &payload).expect("seed artifact");
 
         // A well-behaved loader: every corruption must be a typed error.
-        let strict: Loader =
-            Box::new(|p: &str| ckpt::load(p, "chaos.tiny", 0xBEEF).map(|_| ()));
+        let strict: Loader = Box::new(|p: &str| ckpt::load(p, "chaos.tiny", 0xBEEF).map(|_| ()));
         let mut rng = Xorshift64Star::new(7);
         let mut report = ChaosReport::default();
         corruption_sweep(&mut rng, &mut report, "tiny", &path, &strict);

@@ -30,11 +30,11 @@ use dlp_serve::service::{
     fallout_param, netlist_for, query_params, route, traces_limit_param, Service, ServiceConfig,
 };
 use dlp_serve::ServeError;
-use dlp_yield::Fallout;
 use dlp_sim::ckpt::SimCheckpoint;
 use dlp_sim::detection::DetectionRecord;
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator};
 use dlp_sim::{ppsfp, stuck_at};
+use dlp_yield::Fallout;
 
 /// One adversarial input and the stage whose typed error it must produce.
 pub struct Case {
@@ -509,18 +509,12 @@ pub fn corpus() -> Vec<Case> {
 // -- netlist --------------------------------------------------------------
 
 fn netlist_dangling_net() -> Result<(), PipelineError> {
-    bench::parse(
-        "dangling",
-        "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n",
-    )?;
+    bench::parse("dangling", "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n")?;
     Ok(())
 }
 
 fn netlist_combinational_loop() -> Result<(), PipelineError> {
-    bench::parse(
-        "loop",
-        "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n",
-    )?;
+    bench::parse("loop", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n")?;
     Ok(())
 }
 
@@ -538,10 +532,7 @@ fn netlist_undriven_output() -> Result<(), PipelineError> {
 }
 
 fn netlist_bad_arity() -> Result<(), PipelineError> {
-    bench::parse(
-        "arity",
-        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n",
-    )?;
+    bench::parse("arity", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n")?;
     Ok(())
 }
 
@@ -685,7 +676,10 @@ fn lower_single(kind: FaultKind) -> Result<(), PipelineError> {
 
 fn faultset_mismatched_lowering() -> Result<(), PipelineError> {
     let owner = first_gate(&generators::c17());
-    lower_single(FaultKind::StuckOpen { owner, ordinal: 999 })
+    lower_single(FaultKind::StuckOpen {
+        owner,
+        ordinal: 999,
+    })
 }
 
 fn faultset_rail_bridge_without_level() -> Result<(), PipelineError> {
@@ -1033,8 +1027,7 @@ fn artifact_ckpt_bit_flipped() -> Result<(), PipelineError> {
 fn artifact_ckpt_checksum_garbage() -> Result<(), PipelineError> {
     let payload = Json::Object(vec![("progress".to_string(), Json::Number(7.0))]);
     let real = format!("{:016x}", ckpt::fnv64(ckpt::render(&payload).as_bytes()));
-    let garbled =
-        ckpt::seal("inject.sample", 0xD1CE, &payload).replace(&real, "deadbeefdeadbeef");
+    let garbled = ckpt::seal("inject.sample", 0xD1CE, &payload).replace(&real, "deadbeefdeadbeef");
     ckpt::open(&garbled, "inject.sample", 0xD1CE)?;
     Ok(())
 }
@@ -1154,10 +1147,7 @@ fn serve_negative_cluster_parameter() -> Result<(), PipelineError> {
 }
 
 fn serve_corrupted_cache_envelope() -> Result<(), PipelineError> {
-    let dir = std::env::temp_dir().join(format!(
-        "dlp_inject_serve_cache_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("dlp_inject_serve_cache_{}", std::process::id()));
     let result = (|| {
         let cache = ArtifactCache::new(&dir).map_err(ServeError::from)?;
         let key = 0xC0FFEE;
@@ -1167,8 +1157,7 @@ fn serve_corrupted_cache_envelope() -> Result<(), PipelineError> {
         // matches, so the strict probe must reject the artifact.
         let path = cache.path_for(key);
         let sealed = std::fs::read_to_string(&path).map_err(ServeError::from)?;
-        std::fs::write(&path, sealed.replace("\"dl\"", "\"dL\""))
-            .map_err(ServeError::from)?;
+        std::fs::write(&path, sealed.replace("\"dl\"", "\"dL\"")).map_err(ServeError::from)?;
         cache.open_strict(key).map_err(ServeError::from)?;
         Ok(())
     })();
@@ -1187,16 +1176,12 @@ fn serve_traces_limit_oversized() -> Result<(), PipelineError> {
 }
 
 fn serve_traces_recorder_disabled() -> Result<(), PipelineError> {
-    let dir = std::env::temp_dir().join(format!(
-        "dlp_inject_serve_traces_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("dlp_inject_serve_traces_{}", std::process::id()));
     let result = (|| {
         let service = Service::new(&ServiceConfig {
             cache_dir: dir.to_string_lossy().into_owned(),
-            threads: ThreadCount::fixed(1).map_err(|e| {
-                PipelineError::new(Stage::Serve, format!("thread count: {e}"))
-            })?,
+            threads: ThreadCount::fixed(1)
+                .map_err(|e| PipelineError::new(Stage::Serve, format!("thread count: {e}")))?,
             miss_budget_ms: None,
             flight_capacity: 0,
             access_log: AccessLogConfig::Off,

@@ -345,8 +345,10 @@ impl Builder {
         // The cell library caches one layout per (kind, arity); stage count
         // equals the template's. Placement already template-mapped every
         // gate (propagating LayoutError::Cell), so failure here is a bug.
-        match dlp_circuit::cells::template_for(self.netlist.kind(gate), self.netlist.fanin(gate).len())
-        {
+        match dlp_circuit::cells::template_for(
+            self.netlist.kind(gate),
+            self.netlist.fanin(gate).len(),
+        ) {
             Ok(t) => t.stages().len(),
             Err(e) => panic!("placed gate lost its cell template: {e}"),
         }

@@ -90,8 +90,8 @@ fn pinned_and_benchmarked_circuits_route_to_completion() {
     ignore = "slow unoptimised; scripts/check.sh runs it in release"
 )]
 fn c432_class_layout_is_pinned() {
-    let chip = ChipLayout::generate(&generators::c432_class(), &Default::default())
-        .expect("layout");
+    let chip =
+        ChipLayout::generate(&generators::c432_class(), &Default::default()).expect("layout");
     assert!(chip.rows() >= 2);
     let violations = chip.verify_connectivity();
     assert!(

@@ -124,7 +124,14 @@ pub fn build_schedule(
     max_n: usize,
     config: &NDetectConfig,
 ) -> Result<NDetectSchedule, NDetectError> {
-    build_schedule_resumable(netlist, faults, max_n, config, &RunBudget::unlimited(), None)
+    build_schedule_resumable(
+        netlist,
+        faults,
+        max_n,
+        config,
+        &RunBudget::unlimited(),
+        None,
+    )
 }
 
 /// Validates a resume checkpoint against this build's shape and returns
@@ -245,10 +252,8 @@ pub fn build_schedule_resumable(
         None => 1,
     };
     let mut vectors: Vec<Vec<bool>> = resume.map_or_else(Vec::new, |c| c.vectors.clone());
-    let mut len_at: Vec<usize> = resume.map_or_else(
-        || Vec::with_capacity(max_n),
-        |c| c.len_at.clone(),
-    );
+    let mut len_at: Vec<usize> =
+        resume.map_or_else(|| Vec::with_capacity(max_n), |c| c.len_at.clone());
     // counts[j]: detections of fault j by the chosen sequence so far.
     // Pool picks credit their recorded pairs; top-ups credit through a
     // truth simulation — both only ever undercount the real sequence, so
@@ -330,9 +335,8 @@ pub fn build_schedule_resumable(
                         }
                         // Credit the new vector against every fault still
                         // below the final target.
-                        let live: Vec<usize> = (0..faults.len())
-                            .filter(|&k| counts[k] < max_n)
-                            .collect();
+                        let live: Vec<usize> =
+                            (0..faults.len()).filter(|&k| counts[k] < max_n).collect();
                         let live_faults: Vec<StuckAtFault> =
                             live.iter().map(|&k| faults[k]).collect();
                         let rec = ppsfp::simulate_resumable(
@@ -489,8 +493,7 @@ mod tests {
         n.mark_output(z);
         n.freeze();
         let faults = stuck_at::enumerate(&n);
-        let schedule =
-            build_schedule(&n, faults.faults(), 2, &NDetectConfig::default()).unwrap();
+        let schedule = build_schedule(&n, faults.faults(), 2, &NDetectConfig::default()).unwrap();
         assert!(
             !schedule.below_target.is_empty(),
             "the redundant fault cannot reach any detection count"
@@ -621,9 +624,27 @@ mod tests {
         };
         assert!(run(&good).is_ok(), "an empty target-1 checkpoint resumes");
         for (label, bad) in [
-            ("target zero", NDetectCheckpoint { next_target: 0, ..good.clone() }),
-            ("target range", NDetectCheckpoint { next_target: 4, ..good.clone() }),
-            ("prefix count", NDetectCheckpoint { len_at: vec![0], ..good.clone() }),
+            (
+                "target zero",
+                NDetectCheckpoint {
+                    next_target: 0,
+                    ..good.clone()
+                },
+            ),
+            (
+                "target range",
+                NDetectCheckpoint {
+                    next_target: 4,
+                    ..good.clone()
+                },
+            ),
+            (
+                "prefix count",
+                NDetectCheckpoint {
+                    len_at: vec![0],
+                    ..good.clone()
+                },
+            ),
             (
                 "fault count",
                 NDetectCheckpoint {
@@ -706,9 +727,7 @@ mod tests {
         };
         assert!(matches!(
             build_schedule(&c17, &[foreign], 2, &NDetectConfig::default()),
-            Err(NDetectError::Sim(
-                dlp_sim::SimError::FaultOutOfRange { .. }
-            ))
+            Err(NDetectError::Sim(dlp_sim::SimError::FaultOutOfRange { .. }))
         ));
     }
 }

@@ -54,10 +54,7 @@ impl std::fmt::Debug for NDetectCheckpoint {
             .field("len_at", &self.len_at)
             .field("faults", &self.counts.len())
             .field("pool_selected", &self.pool_selected)
-            .field(
-                "hopeless",
-                &self.hopeless.iter().filter(|&&h| h).count(),
-            )
+            .field("hopeless", &self.hopeless.iter().filter(|&&h| h).count())
             .finish()
     }
 }
@@ -126,11 +123,21 @@ impl NDetectCheckpoint {
             ),
             (
                 "len_at".to_string(),
-                Json::Array(self.len_at.iter().map(|&l| Json::Number(l as f64)).collect()),
+                Json::Array(
+                    self.len_at
+                        .iter()
+                        .map(|&l| Json::Number(l as f64))
+                        .collect(),
+                ),
             ),
             (
                 "counts".to_string(),
-                Json::Array(self.counts.iter().map(|&c| Json::Number(c as f64)).collect()),
+                Json::Array(
+                    self.counts
+                        .iter()
+                        .map(|&c| Json::Number(c as f64))
+                        .collect(),
+                ),
             ),
             ("selected".to_string(), bits_to_string(&self.selected)),
             (

@@ -97,7 +97,9 @@ impl AccessLog {
         };
         let mut line = dlp_core::ckpt::render(doc);
         line.push('\n');
-        let mut sink = sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut sink = sink
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let _ = match &mut *sink {
             Sink::Stderr => std::io::stderr().write_all(line.as_bytes()),
             Sink::File(f) => f.write_all(line.as_bytes()),
@@ -136,10 +138,8 @@ mod tests {
 
     #[test]
     fn file_log_appends_parseable_lines() {
-        let path = std::env::temp_dir().join(format!(
-            "dlp_access_log_test_{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("dlp_access_log_test_{}.jsonl", std::process::id()));
         let path_str = path.to_string_lossy().into_owned();
         let _ = std::fs::remove_file(&path);
         let log = AccessLog::open(&AccessLogConfig::Path(path_str.clone())).expect("opens");
@@ -168,10 +168,8 @@ mod tests {
             .join(format!("dlp_access_log_missing_{}", std::process::id()))
             .join("sub")
             .join("access.log");
-        let err = AccessLog::open(&AccessLogConfig::Path(
-            path.to_string_lossy().into_owned(),
-        ))
-        .expect_err("missing parent directory must not open");
+        let err = AccessLog::open(&AccessLogConfig::Path(path.to_string_lossy().into_owned()))
+            .expect_err("missing parent directory must not open");
         assert!(matches!(err, ServeError::Io(_)));
     }
 }

@@ -38,8 +38,7 @@ use dlp_serve::server::{serve, ServerConfig};
 use dlp_serve::service::ServiceConfig;
 
 /// The exact exposition media type the OpenMetrics spec requires.
-const OPENMETRICS_CONTENT_TYPE: &str =
-    "application/openmetrics-text; version=1.0.0; charset=utf-8";
+const OPENMETRICS_CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
 fn workspace_trace_path() -> String {
     format!("{}/../../TRACE_serve_gate.json", env!("CARGO_MANIFEST_DIR"))
@@ -47,8 +46,7 @@ fn workspace_trace_path() -> String {
 
 /// One blocking HTTP/1.1 exchange; returns `(status, headers, body)`.
 fn http_get(addr: SocketAddr, target: &str) -> Result<(u16, String, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .write_all(format!("GET {target} HTTP/1.1\r\nHost: gate\r\n\r\n").as_bytes())
         .map_err(|e| format!("send {target}: {e}"))?;
@@ -68,14 +66,12 @@ fn http_get(addr: SocketAddr, target: &str) -> Result<(u16, String, String), Str
     Ok((status, headers, body))
 }
 
-fn expect_status(
-    addr: SocketAddr,
-    target: &str,
-    want: u16,
-) -> Result<String, String> {
+fn expect_status(addr: SocketAddr, target: &str, want: u16) -> Result<String, String> {
     let (status, _headers, body) = http_get(addr, target)?;
     if status != want {
-        return Err(format!("{target}: expected status {want}, got {status} ({body})"));
+        return Err(format!(
+            "{target}: expected status {want}, got {status} ({body})"
+        ));
     }
     Ok(body)
 }
@@ -213,7 +209,11 @@ fn run() -> Result<(), String> {
             ));
         }
         openmetrics::validate(&metrics).map_err(|e| format!("/metrics is invalid: {e}"))?;
-        for needle in ["serve.cache.hit", "serve.cache.miss", "serve.request_seconds"] {
+        for needle in [
+            "serve.cache.hit",
+            "serve.cache.miss",
+            "serve.request_seconds",
+        ] {
             if !metrics.contains(needle) {
                 return Err(format!("/metrics does not expose {needle}"));
             }
@@ -222,8 +222,8 @@ fn run() -> Result<(), String> {
         // The flight recorder saw everything above: dump it, check the
         // 404's trace id round-trips, persist for validate_trace.
         let dump_body = expect_status(addr, "/v1/traces", 200)?;
-        let dump = Json::parse(&dump_body)
-            .map_err(|e| format!("/v1/traces body is not JSON: {e}"))?;
+        let dump =
+            Json::parse(&dump_body).map_err(|e| format!("/v1/traces body is not JSON: {e}"))?;
         let traces = dump
             .get("traces")
             .and_then(Json::as_array)

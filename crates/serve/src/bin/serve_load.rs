@@ -165,8 +165,7 @@ fn run(smoke: bool) -> Result<(), String> {
         let mut cold_ns = Vec::new();
         let mut warm_body = String::new();
         for &seed in cold_seeds {
-            let (nanos, body) =
-                timed_get(addr, &format!("/v1/dl?circuit=c432&seed={seed}"))?;
+            let (nanos, body) = timed_get(addr, &format!("/v1/dl?circuit=c432&seed={seed}"))?;
             cold_ns.push(nanos);
             if seed == COLD_SEEDS[0] {
                 warm_body = body;
@@ -187,10 +186,8 @@ fn run(smoke: bool) -> Result<(), String> {
                         for _ in 0..requests_per_client {
                             let (nanos, body) = timed_get(addr, &target)?;
                             if body != *warm_body {
-                                return Err(
-                                    "warm hit did not replay the cold miss byte-for-byte"
-                                        .to_string(),
-                                );
+                                return Err("warm hit did not replay the cold miss byte-for-byte"
+                                    .to_string());
                             }
                             latencies.push(nanos);
                         }

@@ -190,16 +190,19 @@ fn read_line_limited(
         line.pop();
     }
     String::from_utf8(line).map_err(|e| {
-        HttpError::MalformedHeader(format!("non-UTF-8 bytes at offset {}", e.utf8_error().valid_up_to()))
+        HttpError::MalformedHeader(format!(
+            "non-UTF-8 bytes at offset {}",
+            e.utf8_error().valid_up_to()
+        ))
     })
 }
 
 /// A valid HTTP field name: RFC 9110 token characters only.
 fn is_token(name: &str) -> bool {
     !name.is_empty()
-        && name.bytes().all(|b| {
-            b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
-        })
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
 }
 
 /// Reads and parses one request from a buffered transport.
@@ -215,8 +218,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
         limit: MAX_REQUEST_LINE,
     })?;
     let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() && !v.is_empty() => {
             (m.to_string(), t.to_string(), v.to_string())
         }
@@ -406,8 +408,8 @@ mod tests {
 
     #[test]
     fn parses_a_body_when_content_length_is_honest() {
-        let req = parse_request(b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
-            .expect("parses");
+        let req =
+            parse_request(b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").expect("parses");
         assert_eq!(req.body, b"hello");
     }
 
@@ -462,8 +464,8 @@ mod tests {
 
     #[test]
     fn rejects_dishonest_content_lengths() {
-        let err = parse_request(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
-            .expect_err("rejected");
+        let err =
+            parse_request(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n").expect_err("rejected");
         assert!(matches!(err, HttpError::BadContentLength(_)));
 
         let err = parse_request(b"GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort")
@@ -476,7 +478,10 @@ mod tests {
             }
         ));
 
-        let over = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let over = format!(
+            "GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
         let err = parse_request(over.as_bytes()).expect_err("rejected");
         assert!(matches!(err, HttpError::BodyTooLarge { .. }));
         assert_eq!(err.status().0, 413);

@@ -170,10 +170,8 @@ mod tests {
     use std::io::{Read, Write};
 
     fn ephemeral_config(tag: &str) -> ServerConfig {
-        let dir = std::env::temp_dir().join(format!(
-            "dlp_serve_server_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dlp_serve_server_{tag}_{}", std::process::id()));
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             service: ServiceConfig {

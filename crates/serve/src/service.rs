@@ -91,8 +91,8 @@ use dlp_extract::faults::OpenLevelModel;
 use dlp_extract::sharded::TiledWeights;
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
 use dlp_sim::detection::random_vectors;
-use dlp_sim::{ppsfp, stuck_at};
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
+use dlp_sim::{ppsfp, stuck_at};
 use dlp_yield::dist::Fallout;
 
 use crate::accesslog::{AccessLog, AccessLogConfig};
@@ -281,10 +281,7 @@ pub fn query_params(query: Option<&str>) -> Vec<(String, String)> {
         .collect()
 }
 
-fn required<'a>(
-    params: &'a [(String, String)],
-    name: &'static str,
-) -> Result<&'a str, ServeError> {
+fn required<'a>(params: &'a [(String, String)], name: &'static str) -> Result<&'a str, ServeError> {
     params
         .iter()
         .find(|(k, _)| k == name)
@@ -383,9 +380,7 @@ pub fn fallout_param(params: &[(String, String)]) -> Result<Fallout, ServeError>
 /// [`ServeError::BadParam`] when `limit` is not an integer, is zero
 /// (an empty dump is never what the caller meant), or exceeds
 /// [`MAX_TRACES_LIMIT`].
-pub fn traces_limit_param(
-    params: &[(String, String)],
-) -> Result<Option<usize>, ServeError> {
+pub fn traces_limit_param(params: &[(String, String)]) -> Result<Option<usize>, ServeError> {
     match params.iter().find(|(k, _)| k == "limit") {
         None => Ok(None),
         Some((_, v)) => {
@@ -562,8 +557,7 @@ impl Service {
     /// server calls this on clean shutdown so the retained slow/error
     /// traces outlive the process without any signal handling.
     pub fn shutdown_dump(&self) {
-        if self.flight.is_enabled() && self.access_log.is_enabled() && !self.flight.is_empty()
-        {
+        if self.flight.is_enabled() && self.access_log.is_enabled() && !self.flight.is_empty() {
             self.access_log.write_json(&self.flight.dump(None));
         }
     }
@@ -678,10 +672,7 @@ impl Service {
         let response = match endpoint {
             Endpoint::Health => {
                 let _write = obs.span("write");
-                Response::ok_json(render_obj(vec![(
-                    "status",
-                    Json::String("ok".to_string()),
-                )]))
+                Response::ok_json(render_obj(vec![("status", Json::String("ok".to_string()))]))
             }
             Endpoint::Circuits => {
                 let _write = obs.span("write");
@@ -773,8 +764,7 @@ impl Service {
             // alone, so the seed-independent fault report is sealed once
             // per circuit rather than again on every fresh seed.
             let _seal = obs.span("seal");
-            for (key, sibling) in [(dl_key, &dl), (curve_key, &curve), (faults_key, &faults)]
-            {
+            for (key, sibling) in [(dl_key, &dl), (curve_key, &curve), (faults_key, &faults)] {
                 if key != want && !matches!(self.cache.lookup(key), CacheLookup::Hit(_)) {
                     self.cache.store(key, sibling)?;
                 }
@@ -1252,10 +1242,7 @@ mod tests {
     fn fallout_parsing_covers_the_three_families() {
         let parse = |q: &str| fallout_param(&query_params(Some(q)));
         assert_eq!(parse("circuit=c17").expect("default"), Fallout::poisson());
-        assert_eq!(
-            parse("dist=poisson").expect("poisson"),
-            Fallout::poisson()
-        );
+        assert_eq!(parse("dist=poisson").expect("poisson"), Fallout::poisson());
         assert_eq!(
             parse("dist=nb&alpha=0.5").expect("nb 0.5").label(),
             "nb(alpha=0.5)"
@@ -1307,14 +1294,20 @@ mod tests {
         };
         assert_eq!(service.handle(&req("/healthz")).status, 200);
         assert_eq!(service.handle(&req("/v1/nope")).status, 404);
-        assert_eq!(service.handle(&req("/v1/dl")).status, 400, "missing circuit");
+        assert_eq!(
+            service.handle(&req("/v1/dl")).status,
+            400,
+            "missing circuit"
+        );
         assert_eq!(
             service.handle(&req("/v1/dl?circuit=c9999")).status,
             404,
             "unknown circuit"
         );
         assert_eq!(
-            service.handle(&req("/v1/dl?circuit=c17&seed=banana")).status,
+            service
+                .handle(&req("/v1/dl?circuit=c17&seed=banana"))
+                .status,
             400,
             "bad seed"
         );
@@ -1329,7 +1322,9 @@ mod tests {
             "n above range"
         );
         assert_eq!(
-            service.handle(&req("/v1/dl?circuit=c17&dist=weibull")).status,
+            service
+                .handle(&req("/v1/dl?circuit=c17&dist=weibull"))
+                .status,
             400,
             "unknown distribution"
         );

@@ -77,7 +77,10 @@ fn concurrent_misses_recompute_exactly_once_with_identical_bytes() {
             .map(|h| h.join().expect("client thread"))
             .collect()
     });
-    assert_eq!(bodies[0], bodies[1], "racing requests must agree byte-for-byte");
+    assert_eq!(
+        bodies[0], bodies[1],
+        "racing requests must agree byte-for-byte"
+    );
     assert_eq!(
         service.obs().counter_value("serve.recompute"),
         Some(1),
@@ -97,7 +100,9 @@ fn hits_replay_misses_byte_for_byte() {
     // The body is well-formed JSON with the projection fields.
     let parsed = dlp_core::obs::Json::parse(&hit).expect("valid JSON");
     assert_eq!(
-        parsed.get("circuit").and_then(|c| c.as_str().map(String::from)),
+        parsed
+            .get("circuit")
+            .and_then(|c| c.as_str().map(String::from)),
         Some("c17".to_string())
     );
     for field in ["theta", "dl", "dl_ppm", "vectors"] {
@@ -420,20 +425,32 @@ fn corrupted_artifacts_are_typed_misses_that_recompute_to_the_same_bytes() {
     let key = artifact_key("dl", &netlist, 9, 0, &dlp_yield::Fallout::poisson());
     let path = service.cache().path_for(key);
     let sealed = std::fs::read_to_string(&path).expect("artifact exists");
-    std::fs::write(&path, sealed.replace("\"circuit\":\"c17\"", "\"circuit\":\"c18\""))
-        .expect("corrupt artifact");
+    std::fs::write(
+        &path,
+        sealed.replace("\"circuit\":\"c17\"", "\"circuit\":\"c18\""),
+    )
+    .expect("corrupt artifact");
 
     // The strict probe surfaces the typed error...
-    let err = service.cache().open_strict(key).expect_err("must fail verification");
+    let err = service
+        .cache()
+        .open_strict(key)
+        .expect_err("must fail verification");
     assert!(
         matches!(err, dlp_core::CkptError::ChecksumMismatch { .. }),
         "expected a checksum mismatch, got {err}"
     );
     // ...while the serving path degrades it to a typed miss.
-    assert!(matches!(service.cache().lookup(key), CacheLookup::Miss(Some(_))));
+    assert!(matches!(
+        service.cache().lookup(key),
+        CacheLookup::Miss(Some(_))
+    ));
 
     let recomputed = body_text(&service, "/v1/dl?circuit=c17&seed=9");
-    assert_eq!(original, recomputed, "recompute must reproduce the original bytes");
+    assert_eq!(
+        original, recomputed,
+        "recompute must reproduce the original bytes"
+    );
     assert_eq!(service.obs().counter_value("serve.cache.corrupt"), Some(1));
     assert_eq!(service.obs().counter_value("serve.recompute"), Some(2));
 }

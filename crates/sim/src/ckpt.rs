@@ -164,12 +164,13 @@ impl SimCheckpoint {
         let n_cap = field("n_cap", "missing or non-integer n_cap")?;
         let next_block = field("next_block", "missing or non-integer next_block")?;
         let vectors_len = field("vectors_len", "missing or non-integer vectors_len")?;
-        let rows = payload
-            .get("detections")
-            .and_then(Json::as_array)
-            .ok_or(CkptError::Malformed {
-                what: "missing detections array",
-            })?;
+        let rows =
+            payload
+                .get("detections")
+                .and_then(Json::as_array)
+                .ok_or(CkptError::Malformed {
+                    what: "missing detections array",
+                })?;
         let mut detections = Vec::with_capacity(rows.len());
         for row in rows {
             let row = row.as_array().ok_or(CkptError::Malformed {
@@ -290,10 +291,7 @@ mod tests {
         flipped[7][2] = !flipped[7][2];
         assert_ne!(base, SimCheckpoint::key(&c17, faults, &flipped, 2));
         // Different fault list (one fault dropped).
-        assert_ne!(
-            base,
-            SimCheckpoint::key(&c17, &faults[1..], &vectors, 2)
-        );
+        assert_ne!(base, SimCheckpoint::key(&c17, &faults[1..], &vectors, 2));
         // Different netlist.
         let other = generators::c432_class();
         let wide = crate::detection::random_vectors(other.inputs().len(), 16, 1);

@@ -142,10 +142,7 @@ mod tests {
             got: 4,
         };
         assert!(e.to_string().contains("vector 3"));
-        assert_eq!(
-            PipelineError::from(e).stage(),
-            Stage::Simulation
-        );
+        assert_eq!(PipelineError::from(e).stage(), Stage::Simulation);
     }
 
     #[test]

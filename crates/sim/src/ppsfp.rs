@@ -21,8 +21,8 @@ use dlp_core::{BudgetExceeded, RunBudget};
 
 use crate::ckpt::SimCheckpoint;
 use crate::detection::{DetectionProfile, DetectionRecord};
-use crate::SimError;
 use crate::stuck_at::{FaultSite, StuckAtFault};
+use crate::SimError;
 
 /// Upper bound on the detection cap of [`simulate_counted_resumable`]:
 /// beyond this the per-fault index storage (`faults × n_cap` vector
@@ -181,9 +181,10 @@ impl<'a> SimSetup<'a> {
         for window in live.chunks(self.window) {
             self.cover(window);
             let this = &*self;
-            let chunks = par::map_chunks_counted(workers, window, workers, obs, scope, |_, chunk| {
-                this.propagate(good, chunk)
-            });
+            let chunks =
+                par::map_chunks_counted(workers, window, workers, obs, scope, |_, chunk| {
+                    this.propagate(good, chunk)
+                });
             for (fi, word) in chunks.into_iter().flatten() {
                 detected(fi, word);
             }
@@ -290,7 +291,9 @@ impl Ranks {
     }
 
     fn to_lists(&self) -> Vec<Vec<usize>> {
-        (0..self.counts.len()).map(|fi| self.of(fi).to_vec()).collect()
+        (0..self.counts.len())
+            .map(|fi| self.of(fi).to_vec())
+            .collect()
     }
 
     fn first_detect(&self) -> Vec<Option<usize>> {
@@ -463,7 +466,11 @@ pub fn simulate_counted_resumable(
         resume,
         WINDOW_FAULTS,
     )?;
-    Ok(DetectionProfile::new(ranks.to_lists(), n_cap, vectors.len()))
+    Ok(DetectionProfile::new(
+        ranks.to_lists(),
+        n_cap,
+        vectors.len(),
+    ))
 }
 
 /// Per-scope trace names, built once per run instead of per block.
@@ -1260,8 +1267,20 @@ mod tests {
         };
         assert!(run(&good).is_ok(), "an empty one-block checkpoint resumes");
         for (label, bad) in [
-            ("cap", SimCheckpoint { n_cap: 3, ..good.clone() }),
-            ("vectors", SimCheckpoint { vectors_len: 64, ..good.clone() }),
+            (
+                "cap",
+                SimCheckpoint {
+                    n_cap: 3,
+                    ..good.clone()
+                },
+            ),
+            (
+                "vectors",
+                SimCheckpoint {
+                    vectors_len: 64,
+                    ..good.clone()
+                },
+            ),
             (
                 "faults",
                 SimCheckpoint {
@@ -1269,7 +1288,13 @@ mod tests {
                     ..good.clone()
                 },
             ),
-            ("blocks", SimCheckpoint { next_block: 3, ..good.clone() }),
+            (
+                "blocks",
+                SimCheckpoint {
+                    next_block: 3,
+                    ..good.clone()
+                },
+            ),
             (
                 "index range",
                 SimCheckpoint {
@@ -1376,8 +1401,7 @@ mod tests {
             detections: vec![Vec::new(); faults.len()],
         };
         ckpt.save_to(path, &c17, faults.faults(), &vectors).unwrap();
-        let loaded =
-            SimCheckpoint::load_from(path, &c17, faults.faults(), &vectors, 2).unwrap();
+        let loaded = SimCheckpoint::load_from(path, &c17, faults.faults(), &vectors, 2).unwrap();
         assert_eq!(loaded, ckpt);
         // A different cap derives a different key: the stale file must
         // be rejected, not silently reinterpreted.
@@ -1416,14 +1440,17 @@ mod tests {
         let vectors = random_vectors(36, 192, 5);
         let unlimited = RunBudget::unlimited();
         for n_cap in [1, 3] {
-            let reference = windowed(&nl, f, &vectors, n_cap, 1, &unlimited, None, WINDOW_FAULTS)
-                .unwrap();
+            let reference =
+                windowed(&nl, f, &vectors, n_cap, 1, &unlimited, None, WINDOW_FAULTS).unwrap();
             assert!(f.len() < WINDOW_FAULTS, "the reference must be one window");
             for window in [1, 7, 64, f.len(), f.len() + 100] {
                 for workers in [1, 2, 4] {
                     let got = windowed(&nl, f, &vectors, n_cap, workers, &unlimited, None, window)
                         .unwrap();
-                    assert_eq!(got, reference, "cap {n_cap} window {window} workers {workers}");
+                    assert_eq!(
+                        got, reference,
+                        "cap {n_cap} window {window} workers {workers}"
+                    );
                 }
             }
         }
@@ -1448,9 +1475,17 @@ mod tests {
                     other => panic!("kill={kill} workers={workers}: got {other:?}"),
                 };
                 assert_eq!(ckpt.next_block, kill as usize);
-                let resumed =
-                    windowed(&nl, f, &vectors, n_cap, workers, &unlimited, Some(&ckpt), window)
-                        .unwrap();
+                let resumed = windowed(
+                    &nl,
+                    f,
+                    &vectors,
+                    n_cap,
+                    workers,
+                    &unlimited,
+                    Some(&ckpt),
+                    window,
+                )
+                .unwrap();
                 assert_eq!(resumed, reference, "kill={kill} workers={workers}");
             }
         }

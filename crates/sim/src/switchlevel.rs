@@ -2125,7 +2125,8 @@ mod tests {
             }],
             &[vec![false], vec![true]],
             DetectionMode::Voltage,
-        ).unwrap();
+        )
+        .unwrap();
         assert_eq!(record.first_detect()[0], Some(1));
     }
 
@@ -2415,7 +2416,8 @@ mod input_bridge_tests {
             &[SwitchFault::Bridge { a, b }],
             &crate::detection::random_vectors(5, 64, 9),
             DetectionMode::Voltage,
-        ).unwrap();
+        )
+        .unwrap();
         assert!(record.first_detect()[0].is_some());
     }
 }
@@ -2454,7 +2456,8 @@ mod iddq_tests {
             &[SwitchFault::StuckOpen { transistor: 0 }],
             &random_vectors(1, 16, 3),
             DetectionMode::Iddq,
-        ).unwrap();
+        )
+        .unwrap();
         assert_eq!(rec.first_detect()[0], None);
         let _ = sim;
     }
@@ -2484,7 +2487,13 @@ mod iddq_tests {
         // a=1, b=0: x=0, y=1 -> fight. Wired-AND gives (0,0); good (0,1).
         // z good = AND(0,1)=0, faulty = AND(0,0)=0: voltage-silent.
         let v = vec![vec![true, false]];
-        let volt = detect(&sim, std::slice::from_ref(&fault), &v, DetectionMode::Voltage).unwrap();
+        let volt = detect(
+            &sim,
+            std::slice::from_ref(&fault),
+            &v,
+            DetectionMode::Voltage,
+        )
+        .unwrap();
         assert_eq!(volt.first_detect()[0], None, "voltage test is blind here");
         let iddq = detect(&sim, std::slice::from_ref(&fault), &v, DetectionMode::Iddq).unwrap();
         assert_eq!(iddq.first_detect()[0], Some(0), "IDDQ sees the fight");
@@ -2508,7 +2517,13 @@ mod iddq_tests {
         // fight); IDDQ catches it on the first a=1 vector.
         let fault = SwitchFault::StuckOn { transistor: pmos };
         let vs = vec![vec![false], vec![true]];
-        let volt = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Voltage).unwrap();
+        let volt = detect(
+            &sim,
+            std::slice::from_ref(&fault),
+            &vs,
+            DetectionMode::Voltage,
+        )
+        .unwrap();
         assert_eq!(volt.first_detect()[0], None);
         let iddq = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Iddq).unwrap();
         assert_eq!(iddq.first_detect()[0], Some(1));
@@ -2531,7 +2546,13 @@ mod iddq_tests {
             level: Logic::X,
         };
         let vs = random_vectors(1, 8, 5);
-        let volt = detect(&sim, std::slice::from_ref(&fault), &vs, DetectionMode::Voltage).unwrap();
+        let volt = detect(
+            &sim,
+            std::slice::from_ref(&fault),
+            &vs,
+            DetectionMode::Voltage,
+        )
+        .unwrap();
         assert_eq!(
             volt.first_detect()[0],
             None,

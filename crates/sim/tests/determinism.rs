@@ -13,9 +13,7 @@ use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_core::RunBudget;
 use dlp_sim::detection::random_vectors;
-use dlp_sim::switchlevel::{
-    DetectionMode, Logic, SwitchConfig, SwitchFault, SwitchSimulator,
-};
+use dlp_sim::switchlevel::{DetectionMode, Logic, SwitchConfig, SwitchFault, SwitchSimulator};
 use dlp_sim::{ppsfp, stuck_at};
 
 fn threads(n: usize) -> ThreadCount {
@@ -89,7 +87,8 @@ fn assert_counted_invariant(netlist: &Netlist, n_vectors: usize, seed: u64, n_ca
         )
         .expect("parallel counted PPSFP");
         assert_eq!(
-            got, reference,
+            got,
+            reference,
             "{} with {t} workers, cap {n_cap}",
             netlist.name()
         );
@@ -237,7 +236,8 @@ fn assert_switch_invariant(netlist: &Netlist, n_vectors: usize, seed: u64) {
                 .detect_obs(&faults, &vectors, mode, threads(t), Recorder::noop())
                 .expect("parallel switch-level");
             assert_eq!(
-                got, reference,
+                got,
+                reference,
                 "{} with {t} workers ({mode:?})",
                 netlist.name()
             );

@@ -584,7 +584,11 @@ mod tests {
     fn hierarchical_yield_is_deterministic_and_monotone() {
         let h = Hierarchical::production_default().unwrap();
         let y1 = h.expected_yield(0.3).unwrap();
-        assert_eq!(y1, h.expected_yield(0.3).unwrap(), "quadrature must be deterministic");
+        assert_eq!(
+            y1,
+            h.expected_yield(0.3).unwrap(),
+            "quadrature must be deterministic"
+        );
         assert_eq!(h.expected_yield(0.0).unwrap(), 1.0);
         let mut last = 1.0;
         for lambda in [0.1, 0.3, 1.0, 3.0, 10.0] {
@@ -604,7 +608,10 @@ mod tests {
         let mut a = Xorshift64Star::split(99, 5);
         let mut b = Xorshift64Star::split(99, 5);
         for die in [0u64, 6, 7, 20, 21, 1000] {
-            assert_eq!(h.multiplier(4242, die, &mut a), h.multiplier(4242, die, &mut b));
+            assert_eq!(
+                h.multiplier(4242, die, &mut a),
+                h.multiplier(4242, die, &mut b)
+            );
         }
         // Dies on the same wafer share the group multiplier; different
         // wafers (almost surely) do not.

@@ -59,10 +59,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.redundant
     );
 
-    let ks: Vec<usize> = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, run.vectors.len()]
-        .into_iter()
-        .filter(|&k| k <= run.vectors.len())
-        .collect();
+    let ks: Vec<usize> = [
+        1,
+        2,
+        4,
+        8,
+        16,
+        32,
+        64,
+        128,
+        256,
+        512,
+        1024,
+        run.vectors.len(),
+    ]
+    .into_iter()
+    .filter(|&k| k <= run.vectors.len())
+    .collect();
     let w = extraction.faults.weights();
     println!(
         "      {:>6} {:>9} {:>9} {:>9} {:>12}",

@@ -31,7 +31,10 @@ fn main() -> Result<(), PipelineError> {
         None,
     )
     .map_err(PipelineError::from)?;
-    println!("random 32-vector profile ({} faults, counts capped at 8):", faults.len());
+    println!(
+        "random 32-vector profile ({} faults, counts capped at 8):",
+        faults.len()
+    );
     for n in [1usize, 2, 4, 8] {
         println!(
             "  detected >= {n} times: {:>5.1} %",
@@ -64,7 +67,11 @@ fn main() -> Result<(), PipelineError> {
     );
     for n in 1..=6u32 {
         let dl = growth.defect_level(0.75, n).map_err(PipelineError::from)?;
-        println!("  n = {n}: theta = {:.4}  DL = {}", growth.at(n), Ppm::from_fraction(dl));
+        println!(
+            "  n = {n}: theta = {:.4}  DL = {}",
+            growth.at(n),
+            Ppm::from_fraction(dl)
+        );
     }
     println!("\nFor the measured c432-class table, run the `ndetect_dl` binary.");
     Ok(())

@@ -73,7 +73,9 @@ fn c17_full_physical_flow() {
         )
         .expect("detect");
 
-    let theta = record.weighted_coverage_after(atpg.vectors.len(), &faults.weights()).unwrap();
+    let theta = record
+        .weighted_coverage_after(atpg.vectors.len(), &faults.weights())
+        .unwrap();
     let gamma = record.coverage_after(atpg.vectors.len());
     assert!(theta > 0.6, "theta = {theta}");
     assert!(gamma > 0.5, "gamma = {gamma}");
