@@ -47,7 +47,8 @@
 //! # Ok::<(), dlp_core::ModelError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod agrawal;

@@ -9,6 +9,30 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== fmt: the workspace is rustfmt-clean"
+cargo fmt --all --check
+
+# Unsafe guard (DESIGN.md §18): dlp-core denies `unsafe` and lets one
+# item through, the call into its AVX-512 Monte-Carlo kernel; every
+# other library forbids it outright.
+echo "== unsafe: forbid in every library but dlp-core, one exception there"
+for lib in src/lib.rs crates/*/src/lib.rs; do
+    [ "$lib" = crates/core/src/lib.rs ] && continue
+    if ! grep -q '^#!\[forbid(unsafe_code)\]' "$lib"; then
+        echo "$lib must keep #![forbid(unsafe_code)]"
+        exit 1
+    fi
+done
+if ! grep -q '^#!\[deny(unsafe_code)\]' crates/core/src/lib.rs; then
+    echo "crates/core/src/lib.rs must keep #![deny(unsafe_code)]"
+    exit 1
+fi
+allows=$(grep -rn 'allow(unsafe_code)' crates --include='*.rs' | wc -l)
+if [ "$allows" -ne 1 ]; then
+    echo "crates/ must hold exactly one allow(unsafe_code), found $allows"
+    exit 1
+fi
+
 echo "== clippy: deny unwrap/expect in library code"
 for crate in dlp-geometry dlp-circuit dlp-core dlp-sim dlp-layout \
              dlp-extract dlp-atpg dlp-ndetect dlp-yield dlp-bench \
