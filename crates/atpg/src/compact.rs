@@ -24,90 +24,16 @@ pub struct CompactionResult {
     pub kept: Vec<usize>,
 }
 
-/// Compacts `vectors` against `faults` with reverse-order fault
-/// simulation. The returned set detects exactly the same faults.
-///
-/// # Errors
-///
-/// [`AtpgError::Sim`] if vector widths mismatch the netlist (see
-/// [`ppsfp::simulate_resumable`]).
-///
-/// # Example
-///
-/// ```
-/// use dlp_atpg::compact::compact;
-/// use dlp_circuit::generators;
-/// use dlp_sim::{detection, stuck_at};
-///
-/// let c17 = generators::c17();
-/// let faults = stuck_at::enumerate(&c17).collapse();
-/// let vectors = detection::random_vectors(5, 128, 3);
-/// let compacted = compact(&c17, faults.faults(), &vectors)?;
-/// assert!(compacted.vectors.len() < vectors.len() / 2);
-/// # Ok::<(), dlp_atpg::AtpgError>(())
-/// ```
-pub fn compact(
-    netlist: &Netlist,
-    faults: &[StuckAtFault],
-    vectors: &[Vec<bool>],
-) -> Result<CompactionResult, AtpgError> {
-    let (threads, obs, budget) = (ThreadCount::Auto, Recorder::noop(), &RunBudget::unlimited());
-    let simulate = |faults: &[StuckAtFault], vectors: &[Vec<bool>]| {
-        ppsfp::simulate_resumable(netlist, faults, vectors, threads, obs, budget, None)
-    };
-    // Which faults does the full sequence detect at all?
-    let full = simulate(faults, vectors)?;
-    let mut remaining: Vec<usize> = full
-        .first_detect()
-        .iter()
-        .enumerate()
-        .filter_map(|(j, d)| d.map(|_| j))
-        .collect();
-
-    let mut kept_rev: Vec<usize> = Vec::new();
-    for idx in (0..vectors.len()).rev() {
-        if remaining.is_empty() {
-            break;
-        }
-        let live: Vec<StuckAtFault> = remaining.iter().map(|&j| faults[j]).collect();
-        let rec = simulate(&live, std::slice::from_ref(&vectors[idx]))?;
-        let detected: Vec<usize> = rec
-            .first_detect()
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, d)| d.map(|_| pos))
-            .collect();
-        if detected.is_empty() {
-            continue;
-        }
-        kept_rev.push(idx);
-        // Remove the newly covered faults (indices into `remaining`).
-        let mut keep_mask = vec![true; remaining.len()];
-        for &pos in &detected {
-            keep_mask[pos] = false;
-        }
-        remaining = remaining
-            .into_iter()
-            .zip(keep_mask)
-            .filter_map(|(j, keep)| keep.then_some(j))
-            .collect();
-    }
-    kept_rev.reverse();
-    Ok(CompactionResult {
-        vectors: kept_rev.iter().map(|&i| vectors[i].clone()).collect(),
-        kept: kept_rev,
-    })
-}
-
 /// n-detect-aware compaction: reverse-order fault simulation that
 /// preserves detection *counts*, not just the detected set.
 ///
 /// Every fault the full sequence detects `c` times keeps at least
 /// `min(c, n)` detections in the compacted set: scanning the vectors in
 /// reverse, a vector is kept iff it detects a fault whose kept-detection
-/// tally is still below its requirement. With `n = 1` this degenerates to
-/// [`compact`]'s discipline (the kept set may differ where several vectors
-/// tie, because the counted requirement credits every kept detection).
+/// tally is still below its requirement. With `n = 1` this is classic
+/// static compaction: a vector is kept iff it detects a fault no later
+/// kept vector detects, and the compacted set detects exactly the faults
+/// the full sequence detects.
 ///
 /// # Errors
 ///
@@ -219,7 +145,7 @@ mod tests {
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(36, 512, 17);
         let before = record(&nl, faults.faults(), &vectors).detected_count();
-        let compacted = compact(&nl, faults.faults(), &vectors).unwrap();
+        let compacted = compact_counted(&nl, faults.faults(), &vectors, 1).unwrap();
         let after = record(&nl, faults.faults(), &compacted.vectors).detected_count();
         assert_eq!(before, after);
         assert!(compacted.vectors.len() < vectors.len());
@@ -230,7 +156,7 @@ mod tests {
         let nl = generators::ripple_adder(4);
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(9, 200, 5);
-        let compacted = compact(&nl, faults.faults(), &vectors).unwrap();
+        let compacted = compact_counted(&nl, faults.faults(), &vectors, 1).unwrap();
         assert!(compacted.kept.windows(2).all(|w| w[0] < w[1]));
         assert!(compacted.kept.iter().all(|&i| i < vectors.len()));
         for (pos, &i) in compacted.kept.iter().enumerate() {
@@ -243,8 +169,8 @@ mod tests {
         let nl = generators::c17();
         let faults = stuck_at::enumerate(&nl).collapse();
         let vectors = detection::random_vectors(5, 64, 7);
-        let once = compact(&nl, faults.faults(), &vectors).unwrap();
-        let twice = compact(&nl, faults.faults(), &once.vectors).unwrap();
+        let once = compact_counted(&nl, faults.faults(), &vectors, 1).unwrap();
+        let twice = compact_counted(&nl, faults.faults(), &once.vectors, 1).unwrap();
         // A second pass may reorder marginally but never grows.
         assert!(twice.vectors.len() <= once.vectors.len());
         let cov_once = record(&nl, faults.faults(), &once.vectors).detected_count();
@@ -256,9 +182,9 @@ mod tests {
     fn empty_inputs_are_handled() {
         let nl = generators::c17();
         let faults = stuck_at::enumerate(&nl).collapse();
-        let r = compact(&nl, faults.faults(), &[]).unwrap();
+        let r = compact_counted(&nl, faults.faults(), &[], 1).unwrap();
         assert!(r.vectors.is_empty());
-        let r = compact(&nl, &[], &detection::random_vectors(5, 8, 1)).unwrap();
+        let r = compact_counted(&nl, &[], &detection::random_vectors(5, 8, 1), 1).unwrap();
         assert!(r.vectors.is_empty());
     }
 

@@ -197,35 +197,6 @@ pub fn generate_tests(
     })
 }
 
-/// Convenience: the paper's vector recipe for a netlist, over its full
-/// collapsed fault list.
-///
-/// # Example
-///
-/// # Errors
-///
-/// See [`generate_tests`].
-///
-/// ```
-/// use dlp_circuit::generators;
-///
-/// let c17 = generators::c17();
-/// let result = dlp_atpg::generate::for_netlist(&c17, 7)?;
-/// assert_eq!(result.coverage, 1.0);
-/// # Ok::<(), dlp_atpg::AtpgError>(())
-/// ```
-pub fn for_netlist(netlist: &Netlist, seed: u64) -> Result<AtpgResult, AtpgError> {
-    let faults = dlp_sim::stuck_at::enumerate(netlist).collapse();
-    generate_tests(
-        netlist,
-        faults.faults(),
-        &AtpgConfig {
-            seed,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 //! full sequence detects — not merely the same count — and the counted
 //! generalization must preserve per-fault detection tallies.
 
-use dlp_atpg::compact::{compact, compact_counted};
+use dlp_atpg::compact::compact_counted;
 use dlp_circuit::generators::{random_logic, RandomLogicConfig};
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
@@ -51,7 +51,7 @@ fn compact_preserves_the_exact_detected_set_on_random_netlists() {
             )
         };
         let full = simulate(&vectors).expect("full sim");
-        let compacted = compact(&nl, faults.faults(), &vectors).expect("compaction");
+        let compacted = compact_counted(&nl, faults.faults(), &vectors, 1).expect("compaction");
         let reduced = simulate(&compacted.vectors).expect("compacted sim");
 
         // The exact per-fault detected set, not just its cardinality.

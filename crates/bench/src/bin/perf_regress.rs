@@ -32,9 +32,10 @@
 //! decorative.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use dlp_bench::regress::{self, Verdict, CALIBRATION_LABEL, TIMED_UNIT};
+use dlp_bench::regress::{
+    self, calibration_spin, sample_ns, Verdict, CALIBRATION_LABEL, TIMED_UNIT,
+};
 use dlp_circuit::{generators, switch};
 use dlp_core::montecarlo::{simulate_fallout_resumable, MonteCarloConfig};
 use dlp_core::obs::{BenchReport, Recorder};
@@ -48,54 +49,11 @@ use dlp_sim::detection::random_vectors;
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator};
 use dlp_sim::{ppsfp, stuck_at};
 
-/// Timed batches per workload; the gate compares the best one.
-const BATCHES: usize = 5;
-
 fn default_baseline_path() -> String {
     format!(
         "{}/../../baselines/perf_baseline.json",
         env!("CARGO_MANIFEST_DIR")
     )
-}
-
-/// Times `f` over [`BATCHES`] batches after a short warm-up and returns
-/// each batch's ns/iter. Batches are auto-sized to ≥ 5 ms so the numbers
-/// are above timer noise without making the gate slow.
-fn sample_ns<R>(mut f: impl FnMut() -> R) -> Vec<f64> {
-    let mut iters = 1usize;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        if t0.elapsed().as_millis() >= 5 || iters >= 1 << 20 {
-            break;
-        }
-        iters *= 4;
-    }
-    let mut samples = vec![0f64; BATCHES];
-    for s in &mut samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        *s = t0.elapsed().as_nanos() as f64 / iters as f64;
-    }
-    samples
-}
-
-/// The fixed CPU-bound calibration loop: integer xorshift, no memory
-/// traffic, so it tracks raw core speed and nothing else.
-fn calibration_spin() -> u64 {
-    let mut x = 0x9E3779B97F4A7C15u64;
-    let mut acc = 0u64;
-    for _ in 0..4096 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        acc = acc.wrapping_add(x);
-    }
-    acc
 }
 
 /// Measures every gated workload into a fresh report.

@@ -12,10 +12,11 @@
 //! every family member. For tiled members the node map is exact — each
 //! tile is emitted by the very routine that built the template, so tile
 //! gate `j` *is* template gate `j`. For the ISCAS-85-class analogues
-//! each gate maps to a template gate of the same [`GateKind`]
-//! (kind-proxy), which preserves per-cell-kind critical-area ratios;
-//! unmapped sites (primary inputs, kinds absent from the template) take
-//! the template's average per-fault weight.
+//! each gate maps to a template gate of the same
+//! [`GateKind`](dlp_circuit::GateKind) ([`kind_map`], the kind proxy),
+//! which preserves per-cell-kind critical-area ratios; unmapped sites
+//! (primary inputs, kinds absent from the template) take the template's
+//! average per-fault weight.
 //!
 //! The collapsed stuck-at universe of each member is then simulated
 //! with the PPSFP engine (whose cone cache is bounded to one window of
@@ -34,17 +35,16 @@
 //! `tiled_multiplier` member whose collapsed universe exceeds 10^6
 //! faults (enforced, not assumed).
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_circuit::generators::{self, TILE_INPUTS};
-use dlp_circuit::{GateKind, Netlist, NodeId};
+use dlp_circuit::{Netlist, NodeId};
 use dlp_core::obs::BenchReport;
 use dlp_core::par::ThreadCount;
 use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::sharded::TiledWeights;
+use dlp_extract::sharded::{kind_map, TiledWeights};
 use dlp_sim::detection::random_vectors;
 use dlp_sim::{ppsfp, stuck_at};
 
@@ -95,28 +95,6 @@ fn tiled_map(template: &Netlist, tiles: usize) -> Box<dyn Fn(NodeId) -> Option<N
             tpl_inputs + (i - TILE_INPUTS) % tpl_gates,
         ))
     })
-}
-
-/// Kind-proxy map for non-tiled members: every gate maps to the first
-/// template gate of the same kind, primary inputs to `None`.
-fn kind_map(template: &Netlist, member: &Netlist) -> Box<dyn Fn(NodeId) -> Option<NodeId>> {
-    let mut rep: HashMap<GateKind, NodeId> = HashMap::new();
-    for id in template.node_ids() {
-        if !template.fanin(id).is_empty() {
-            rep.entry(template.kind(id)).or_insert(id);
-        }
-    }
-    let kinds: Vec<Option<NodeId>> = member
-        .node_ids()
-        .map(|id| {
-            if member.fanin(id).is_empty() {
-                None
-            } else {
-                rep.get(&member.kind(id)).copied()
-            }
-        })
-        .collect();
-    Box::new(move |n: NodeId| kinds.get(n.index()).copied().flatten())
 }
 
 fn model_err(msg: String) -> PipelineError {

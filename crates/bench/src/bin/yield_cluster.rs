@@ -32,6 +32,7 @@
 use std::time::Instant;
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
+use dlp_bench::regress::{calibration_spin, sample_ns, CALIBRATION_LABEL, TIMED_UNIT};
 use dlp_circuit::generators;
 use dlp_core::fit::fit_sousa;
 use dlp_core::montecarlo::{simulate_fallout_mixed_resumable, MonteCarloConfig};
@@ -55,43 +56,6 @@ const MC_TOLERANCE: f64 = 0.02;
 
 fn workspace_path(file: &str) -> String {
     format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Same fixed CPU-bound loop as `perf_regress`: cancels machine speed
-/// when reports are compared across runs.
-fn calibration_spin() -> u64 {
-    let mut x = 0x9E3779B97F4A7C15u64;
-    let mut acc = 0u64;
-    for _ in 0..4096 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        acc = acc.wrapping_add(x);
-    }
-    acc
-}
-
-fn calibration_samples() -> Vec<f64> {
-    let mut iters = 1usize;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(calibration_spin());
-        }
-        if t0.elapsed().as_millis() >= 5 || iters >= 1 << 20 {
-            break;
-        }
-        iters *= 4;
-    }
-    (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(calibration_spin());
-            }
-            t0.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect()
 }
 
 /// The swept distributions with short report-label names. The
@@ -165,7 +129,7 @@ fn run() -> Result<(), PipelineError> {
         .unwrap_or(curve[curve.len() / 2]);
 
     let mut report = BenchReport::new("yield_cluster");
-    report.record_samples("calibration/spin", "ns/iter", &calibration_samples());
+    report.record_samples(CALIBRATION_LABEL, TIMED_UNIT, &sample_ns(calibration_spin));
     let base = format!("yield/{circuit}");
     report.record(&format!("{base}/target_yield"), "fraction", PAPER_YIELD);
     report.record(&format!("{base}/vectors"), "vectors", total_vectors as f64);

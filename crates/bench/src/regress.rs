@@ -19,6 +19,8 @@
 //! `[WARN_RATIO, FAIL_RATIO)` is reported but non-fatal, and only a
 //! normalized slowdown of [`FAIL_RATIO`] or worse fails the gate.
 
+use std::time::Instant;
+
 use dlp_core::obs::{BenchEntry, BenchReport};
 
 /// Normalized slowdown at which a finding is reported (non-fatal).
@@ -32,6 +34,49 @@ pub const CALIBRATION_LABEL: &str = "calibration/spin";
 
 /// The unit of timed entries; only these are compared.
 pub const TIMED_UNIT: &str = "ns/iter";
+
+/// Timed batches per workload; the gate compares the best one.
+const BATCHES: usize = 5;
+
+/// Times `f` over `BATCHES` (5) batches after a short warm-up and returns
+/// each batch's ns/iter. Batches are auto-sized to ≥ 5 ms so the numbers
+/// are above timer noise without making the gate slow.
+pub fn sample_ns<R>(mut f: impl FnMut() -> R) -> Vec<f64> {
+    let mut iters = 1usize;
+    loop {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        if t0.elapsed().as_millis() >= 5 || iters >= 1 << 20 {
+            break;
+        }
+        iters *= 4;
+    }
+    let mut samples = vec![0f64; BATCHES];
+    for s in &mut samples {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        *s = t0.elapsed().as_nanos() as f64 / iters as f64;
+    }
+    samples
+}
+
+/// The fixed CPU-bound calibration loop: integer xorshift, no memory
+/// traffic, so it tracks raw core speed and nothing else.
+pub fn calibration_spin() -> u64 {
+    let mut x = 0x9E3779B97F4A7C15u64;
+    let mut acc = 0u64;
+    for _ in 0..4096 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        acc = acc.wrapping_add(x);
+    }
+    acc
+}
 
 /// Why two reports could not be compared at all.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -398,6 +398,50 @@ pub fn load(path: &str, kind: &str, key: u64) -> Result<Json, CkptError> {
     open(&text, kind, key)
 }
 
+/// A long stage's resume state, sealed on disk as an envelope of kind
+/// [`Checkpoint::KIND`].
+///
+/// The implementor owns the payload codec; the caller supplies the
+/// input `key`, which each stage derives from its own inputs (its
+/// type's `key(…)` function), so a checkpoint only ever resumes the run
+/// it was cut from.
+pub trait Checkpoint: Sized {
+    /// The envelope `kind` this stage writes and accepts.
+    const KIND: &'static str;
+
+    /// The checkpoint payload, rendered into the envelope by [`seal`].
+    fn to_payload(&self) -> Json;
+
+    /// Decodes a payload produced by [`Checkpoint::to_payload`].
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Malformed`] if the payload does not have the
+    /// stage's expected shape.
+    fn from_payload(payload: &Json) -> Result<Self, CkptError>;
+
+    /// Seals this checkpoint under `key` and writes it to `path`
+    /// atomically.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Io`] if the atomic write fails.
+    fn save(&self, path: &str, key: u64) -> Result<(), CkptError> {
+        save(path, Self::KIND, key, &self.to_payload())
+    }
+
+    /// Reads `path`, verifies the envelope against [`Checkpoint::KIND`]
+    /// and `key` (see [`open`]), and decodes the payload.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CkptError`]: unreadable file, corrupt envelope, wrong
+    /// version/kind/key, checksum mismatch, or malformed payload.
+    fn load(path: &str, key: u64) -> Result<Self, CkptError> {
+        Self::from_payload(&load(path, Self::KIND, key)?)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,7 +44,7 @@
 //! oracle.
 
 use crate::budget::{BudgetExceeded, RunBudget};
-use crate::ckpt::{self, CkptError, KeyHasher};
+use crate::ckpt::{Checkpoint, CkptError, KeyHasher};
 use crate::obs::{Json, Recorder};
 use crate::par::{self, ThreadCount};
 use crate::rng::{unit_threshold, Jump, Xorshift64Star};
@@ -195,21 +195,13 @@ impl std::fmt::Debug for McCheckpoint {
     }
 }
 
-/// The envelope `kind` of Monte-Carlo checkpoints.
-pub const MC_CKPT_KIND: &str = "mc.fallout";
-
 impl McCheckpoint {
     /// The checkpoint key binding this run's inputs: per-fault strike
-    /// probabilities, detection mask, die count, and seed.
-    pub fn key(weights: &FaultWeights, detected: &[bool], config: &MonteCarloConfig) -> u64 {
-        McCheckpoint::key_mixed(weights, detected, config, &UnitMix)
-    }
-
-    /// [`McCheckpoint::key`] for a compound run: the [`DieMix`]'s
-    /// identity and parameters are folded in after the base inputs, so a
-    /// clustered checkpoint never resumes a Poisson run (or vice versa).
-    /// For [`UnitMix`] this equals [`McCheckpoint::key`] exactly.
-    pub fn key_mixed(
+    /// probabilities, detection mask, die count, seed, and — folded in
+    /// last — the [`DieMix`]'s identity and parameters, so a clustered
+    /// checkpoint never resumes a Poisson run (or vice versa).
+    /// [`UnitMix`] writes no key bytes.
+    pub fn key(
         weights: &FaultWeights,
         detected: &[bool],
         config: &MonteCarloConfig,
@@ -229,9 +221,13 @@ impl McCheckpoint {
         mix.write_key(&mut h);
         h.finish()
     }
+}
 
-    /// The checkpoint payload: `{"tallies": [[good, shipped, escapes], ...]}`.
-    pub fn to_payload(&self) -> Json {
+impl Checkpoint for McCheckpoint {
+    const KIND: &'static str = "mc.fallout";
+
+    /// `{"tallies": [[good, shipped, escapes], ...]}`.
+    fn to_payload(&self) -> Json {
         let tallies = self
             .tallies
             .iter()
@@ -246,13 +242,8 @@ impl McCheckpoint {
         Json::Object(vec![("tallies".to_string(), Json::Array(tallies))])
     }
 
-    /// Decodes a payload produced by [`McCheckpoint::to_payload`].
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Malformed`] if the payload does not have the
-    /// expected shape (non-array tallies, non-integer counts).
-    pub fn from_payload(payload: &Json) -> Result<McCheckpoint, CkptError> {
+    /// Rejects non-array tallies and non-integer counts.
+    fn from_payload(payload: &Json) -> Result<McCheckpoint, CkptError> {
         let tallies =
             payload
                 .get("tallies")
@@ -280,40 +271,6 @@ impl McCheckpoint {
             out.push((counts[0], counts[1], counts[2]));
         }
         Ok(McCheckpoint { tallies: out })
-    }
-
-    /// Seals and atomically writes this checkpoint for the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] if the atomic write fails.
-    pub fn save_to(
-        &self,
-        path: &str,
-        weights: &FaultWeights,
-        detected: &[bool],
-        config: &MonteCarloConfig,
-    ) -> Result<(), CkptError> {
-        let key = McCheckpoint::key(weights, detected, config);
-        ckpt::save(path, MC_CKPT_KIND, key, &self.to_payload())
-    }
-
-    /// Loads and fully verifies a checkpoint written by
-    /// [`McCheckpoint::save_to`] against the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CkptError`]: unreadable file, corrupt envelope, wrong
-    /// version/kind/key, checksum mismatch, or malformed payload.
-    pub fn load_from(
-        path: &str,
-        weights: &FaultWeights,
-        detected: &[bool],
-        config: &MonteCarloConfig,
-    ) -> Result<McCheckpoint, CkptError> {
-        let key = McCheckpoint::key(weights, detected, config);
-        let payload = ckpt::load(path, MC_CKPT_KIND, key)?;
-        McCheckpoint::from_payload(&payload)
     }
 }
 
@@ -398,7 +355,7 @@ pub fn simulate_fallout_resumable(
 /// count, budget checks run at shard boundaries, and an interrupted run
 /// resumes bit-identically from the embedded [`McCheckpoint`] — provided
 /// the same `mix` is supplied (bind checkpoints to it via
-/// [`McCheckpoint::key_mixed`]). With [`UnitMix`] this *is*
+/// [`McCheckpoint::key`]). With [`UnitMix`] this *is*
 /// [`simulate_fallout_resumable`], bit for bit.
 ///
 /// # Errors
@@ -997,14 +954,16 @@ mod tests {
             dies: 2 * SHARD_DIES + 77,
             seed: 0xD1E5,
         };
+        // The Poisson key is pinned: UnitMix writes no key bytes, so
+        // checkpoints written before the key bound its mix still load.
         assert_eq!(
-            McCheckpoint::key(&w, &d, &cfg),
-            McCheckpoint::key_mixed(&w, &d, &cfg, &UnitMix),
-            "UnitMix must not perturb legacy checkpoint keys"
+            McCheckpoint::key(&w, &d, &cfg, &UnitMix),
+            0x18da_8b46_6ccc_f37a,
+            "UnitMix must not perturb Poisson checkpoint keys"
         );
         assert_ne!(
-            McCheckpoint::key(&w, &d, &cfg),
-            McCheckpoint::key_mixed(&w, &d, &cfg, &DoubleOddDies),
+            McCheckpoint::key(&w, &d, &cfg, &UnitMix),
+            McCheckpoint::key(&w, &d, &cfg, &DoubleOddDies),
             "a non-unit mix must move the key"
         );
         let legacy = fallout(&w, &d, &cfg, ThreadCount::fixed(1).unwrap()).unwrap();
@@ -1325,14 +1284,9 @@ mod tests {
                 assert_eq!(budget_info.total, 6);
                 assert_eq!(checkpoint.tallies.len(), kill as usize);
                 // Round-trip the checkpoint through its sealed envelope.
-                let sealed = crate::ckpt::seal(
-                    MC_CKPT_KIND,
-                    McCheckpoint::key(&w, &d, &cfg),
-                    &checkpoint.to_payload(),
-                );
-                let payload =
-                    crate::ckpt::open(&sealed, MC_CKPT_KIND, McCheckpoint::key(&w, &d, &cfg))
-                        .unwrap();
+                let key = McCheckpoint::key(&w, &d, &cfg, &UnitMix);
+                let sealed = crate::ckpt::seal(McCheckpoint::KIND, key, &checkpoint.to_payload());
+                let payload = crate::ckpt::open(&sealed, McCheckpoint::KIND, key).unwrap();
                 let restored = McCheckpoint::from_payload(&payload).unwrap();
                 assert_eq!(restored, *checkpoint);
                 // Resume at a possibly different thread count.
@@ -1433,12 +1387,16 @@ mod tests {
             seed: 2,
         };
         let sealed = crate::ckpt::seal(
-            MC_CKPT_KIND,
-            McCheckpoint::key(&w, &d, &other_cfg),
+            McCheckpoint::KIND,
+            McCheckpoint::key(&w, &d, &other_cfg, &UnitMix),
             &McCheckpoint { tallies: vec![] }.to_payload(),
         );
         assert!(matches!(
-            crate::ckpt::open(&sealed, MC_CKPT_KIND, McCheckpoint::key(&w, &d, &cfg)),
+            crate::ckpt::open(
+                &sealed,
+                McCheckpoint::KIND,
+                McCheckpoint::key(&w, &d, &cfg, &UnitMix)
+            ),
             Err(crate::ckpt::CkptError::KeyMismatch { .. })
         ));
     }

@@ -171,15 +171,6 @@ impl FaultSet {
             .sum()
     }
 
-    /// Scales all weights by a common factor (yield scaling is done by the
-    /// caller through `dlp-core`'s `FaultWeights::scaled_to_yield`; this
-    /// is the raw mechanism).
-    pub fn scale_weights(&mut self, factor: f64) {
-        for f in &mut self.faults {
-            f.weight *= factor;
-        }
-    }
-
     /// Lowers every fault onto the switch netlist for simulation.
     ///
     /// The returned vector is parallel to [`faults`](Self::faults).
@@ -503,7 +494,5 @@ mod tests {
         assert!((set.open_weight() - 0.1).abs() < 1e-7);
         assert_eq!(set.prune_below(1e-6), 1);
         assert_eq!(set.len(), 2);
-        set.scale_weights(2.0);
-        assert!((set.weights()[0] - 1.8).abs() < 1e-12);
     }
 }

@@ -18,7 +18,8 @@
 //!   profile across `n` identical instances: extraction runs once on
 //!   the template, and each instance fault inherits its structural
 //!   counterpart's weight through a caller-supplied site map. Peak
-//!   memory is the template's, independent of `n`.
+//!   memory is the template's, independent of `n`. Members that are
+//!   not tiled copies use the [`kind_map`] proxy.
 //!
 //! Both are documented approximations (see `DESIGN.md` §13): a bridge
 //! between two nets becomes weight on *both* nets' stuck-at faults
@@ -27,7 +28,9 @@
 //! load-bearing structure — a heavy-tailed, layout-derived weight
 //! distribution over a simulable fault universe.
 
-use dlp_circuit::{Netlist, NodeId};
+use std::collections::HashMap;
+
+use dlp_circuit::{GateKind, Netlist, NodeId};
 use dlp_layout::chip::ElecNet;
 use dlp_sim::stuck_at::{FaultSite, StuckAtFault};
 
@@ -203,6 +206,30 @@ impl TiledWeights {
             .map(|s| Ok(self.weight_for(map(site_node(netlist, s)?))))
             .collect()
     }
+}
+
+/// Kind-proxy site map for members that are not tiled copies of the
+/// template: every gate maps to the first template gate of the same
+/// [`GateKind`], primary inputs and kinds the template lacks to `None`
+/// (the template's average weight under [`TiledWeights::weight_for`]).
+pub fn kind_map(template: &Netlist, member: &Netlist) -> Box<dyn Fn(NodeId) -> Option<NodeId>> {
+    let mut rep: HashMap<GateKind, NodeId> = HashMap::new();
+    for id in template.node_ids() {
+        if !template.fanin(id).is_empty() {
+            rep.entry(template.kind(id)).or_insert(id);
+        }
+    }
+    let kinds: Vec<Option<NodeId>> = member
+        .node_ids()
+        .map(|id| {
+            if member.fanin(id).is_empty() {
+                None
+            } else {
+                rep.get(&member.kind(id)).copied()
+            }
+        })
+        .collect();
+    Box::new(move |n: NodeId| kinds.get(n.index()).copied().flatten())
 }
 
 #[cfg(test)]

@@ -41,12 +41,6 @@ impl Rect {
         }
     }
 
-    /// Creates a rectangle from two opposite corner points.
-    #[inline]
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        Rect::new(a.x, a.y, b.x, b.y)
-    }
-
     /// Creates a rectangle from its lower-left corner plus a size.
     ///
     /// # Panics

@@ -28,8 +28,8 @@
 use std::panic::{self, AssertUnwindSafe};
 
 use dlp_circuit::generators;
-use dlp_core::ckpt::CkptError;
-use dlp_core::montecarlo::{simulate_fallout_resumable, McCheckpoint, MonteCarloConfig};
+use dlp_core::ckpt::{Checkpoint, CkptError};
+use dlp_core::montecarlo::{simulate_fallout_resumable, McCheckpoint, MonteCarloConfig, UnitMix};
 use dlp_core::obs::Recorder;
 use dlp_core::par::ThreadCount;
 use dlp_core::rng::Xorshift64Star;
@@ -114,6 +114,10 @@ impl std::fmt::Display for ChaosReport {
 /// Loads and decodes one stage's checkpoint file against its inputs.
 type Loader = Box<dyn Fn(&str) -> Result<(), CkptError>>;
 
+/// A checkpoint artifact for the corruption sweep: its label (the
+/// envelope kind), its path, and the loader that must reject corruption.
+type Target = (&'static str, String, Loader);
+
 /// Runs the full chaos sweep: kill/resume for each long stage, then
 /// corruption of the checkpoint artifacts those kills produced.
 /// Deterministic in `seed`; scratch files go under `dir` (the caller
@@ -125,16 +129,10 @@ pub fn run_chaos(seed: u64, dir: &str) -> ChaosReport {
         return report;
     }
     let mut rng = Xorshift64Star::new(seed);
-    let mut targets: Vec<(&'static str, String, Loader)> = Vec::new();
-    if let Some(t) = sim_sweep(&mut rng, dir, &mut report) {
-        targets.push(t);
-    }
-    if let Some(t) = ndetect_sweep(&mut rng, dir, &mut report) {
-        targets.push(t);
-    }
-    if let Some(t) = mc_sweep(&mut rng, dir, &mut report) {
-        targets.push(t);
-    }
+    let mut targets: Vec<Target> = Vec::new();
+    targets.extend(sim_sweep(&mut rng, dir, &mut report));
+    targets.extend(ndetect_sweep(&mut rng, dir, &mut report));
+    targets.extend(mc_sweep(&mut rng, dir, &mut report));
     report.check("chaos/targets", targets.len() == 3, || {
         format!(
             "only {} of 3 stages produced a checkpoint artifact",
@@ -147,119 +145,169 @@ pub fn run_chaos(seed: u64, dir: &str) -> ChaosReport {
     report
 }
 
-/// Kill/resume sweep over count-capped PPSFP simulation. The fuse
-/// cancels after a randomized number of 64-pattern blocks; the first
-/// kill point is pinned to 1 so at least one checkpoint always lands
-/// on disk for the corruption sweep.
-fn sim_sweep(
+/// How a stage run under a fuse stopped short of a result.
+enum Stop<C> {
+    /// The stage's typed interruption, carrying its resume checkpoint.
+    Interrupted(Box<C>),
+    /// Any other error, rendered.
+    Failed(String),
+}
+
+impl<C> std::fmt::Display for Stop<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Stop::Interrupted(_) => f.write_str("interrupted"),
+            Stop::Failed(e) => f.write_str(e),
+        }
+    }
+}
+
+/// One long stage as the kill/resume sweep drives it.
+struct Stage {
+    /// The scenario prefix.
+    name: &'static str,
+    /// The pinned first kill point, so at least one checkpoint lands on
+    /// disk for the corruption sweep.
+    first_kill: u64,
+    /// How many further kill points are drawn, each in `0..=kill_bound`.
+    random_kills: usize,
+    /// The stage's chunk count: a fuse at it outlives the work.
+    kill_bound: u64,
+    /// Whether the stage spreads over workers: it then runs each kill at
+    /// a drawn worker leg and resumes at every count in
+    /// [`CHAOS_THREADS`]; a serial stage resumes once.
+    parallel: bool,
+}
+
+/// The generic kill/resume sweep. `run` executes the stage at a worker
+/// count under a budget, optionally resuming; `key` binds its checkpoint
+/// to the stage's inputs. Each kill interrupts a fresh run; its
+/// checkpoint is saved to and loaded back from `dir`, and every resume
+/// must reproduce the uninterrupted reference bit-identically. Returns
+/// the artifact for the corruption sweep if any kill wrote one.
+fn kill_resume_sweep<C, R>(
     rng: &mut Xorshift64Star,
     dir: &str,
     report: &mut ChaosReport,
-) -> Option<(&'static str, String, Loader)> {
-    let netlist = generators::c432_class();
-    let faults = stuck_at::enumerate(&netlist).collapse();
-    let width = netlist.inputs().len();
-    let vectors = random_vectors(width, 256, 0xC0FFEE);
-    let n_cap = 2;
-    let reference = match ppsfp::simulate_counted_resumable(
-        &netlist,
-        faults.faults(),
-        &vectors,
-        n_cap,
-        ThreadCount::Auto,
-        Recorder::noop(),
-        &RunBudget::unlimited(),
-        None,
-    ) {
-        Ok(p) => p,
+    stage: &Stage,
+    key: u64,
+    run: impl Fn(ThreadCount, &RunBudget, Option<&C>) -> Result<R, Stop<C>>,
+) -> Option<Target>
+where
+    C: Checkpoint + 'static,
+    R: PartialEq,
+{
+    let name = stage.name;
+    let reference = match run(ThreadCount::Auto, &RunBudget::unlimited(), None) {
+        Ok(r) => r,
         Err(e) => {
-            report.fail("sim/reference", format!("uninterrupted run failed: {e}"));
+            report.fail(
+                &format!("{name}/reference"),
+                format!("uninterrupted run failed: {e}"),
+            );
             return None;
         }
     };
-    let total_blocks = vectors.len().div_ceil(64) as u64;
-    let path = format!("{dir}/sim.ppsfp.ckpt.json");
+    let path = format!("{dir}/{}.ckpt.json", C::KIND);
     let mut wrote = false;
-    let kills: Vec<u64> = std::iter::once(1)
-        .chain((0..3).map(|_| rng.next_u64() % (total_blocks + 1)))
+    let kills: Vec<u64> = std::iter::once(stage.first_kill)
+        .chain((0..stage.random_kills).map(|_| rng.next_u64() % (stage.kill_bound + 1)))
         .collect();
     for kill in kills {
-        let leg = CHAOS_THREADS[(rng.next_u64() % 3) as usize];
-        let scenario = format!("sim/kill@{kill}/threads={leg}");
+        let (scenario, leg) = if stage.parallel {
+            let leg = CHAOS_THREADS[(rng.next_u64() % 3) as usize];
+            (format!("{name}/kill@{kill}/threads={leg}"), threads(leg))
+        } else {
+            (format!("{name}/kill@{kill}"), ThreadCount::Auto)
+        };
         let budget = RunBudget::unlimited().cancel_after_checks(kill);
-        let outcome = ppsfp::simulate_counted_resumable(
+        let checkpoint = match run(leg, &budget, None) {
+            Ok(r) => {
+                // The fuse outlived the work: a completed run must still
+                // match the reference exactly.
+                report.check(&scenario, r == reference, || {
+                    "run completed under the fuse but diverged from the reference".to_string()
+                });
+                continue;
+            }
+            Err(Stop::Interrupted(checkpoint)) => checkpoint,
+            Err(Stop::Failed(e)) => {
+                report.fail(&scenario, format!("expected Interrupted, got: {e}"));
+                continue;
+            }
+        };
+        if let Err(e) = checkpoint.save(&path, key) {
+            report.fail(&scenario, format!("checkpoint save failed: {e}"));
+            continue;
+        }
+        wrote = true;
+        let restored = match C::load(&path, key) {
+            Ok(c) => c,
+            Err(e) => {
+                report.fail(&scenario, format!("own checkpoint did not verify: {e}"));
+                continue;
+            }
+        };
+        let resumes: Vec<(String, ThreadCount)> = if stage.parallel {
+            CHAOS_THREADS
+                .iter()
+                .map(|t| (format!("{scenario}/resume@{t}"), threads(t)))
+                .collect()
+        } else {
+            vec![(format!("{scenario}/resume"), ThreadCount::Auto)]
+        };
+        for (label, workers) in resumes {
+            let resumed = run(workers, &RunBudget::unlimited(), Some(&restored));
+            let ok = matches!(&resumed, Ok(r) if *r == reference);
+            report.check(&label, ok, || match resumed {
+                Ok(_) => "resume diverged from the reference".to_string(),
+                Err(e) => format!("resume failed: {e}"),
+            });
+        }
+    }
+    wrote.then(|| {
+        let loader: Loader = Box::new(move |p: &str| C::load(p, key).map(|_| ()));
+        (C::KIND, path, loader)
+    })
+}
+
+/// Kill/resume sweep over count-capped PPSFP simulation. The fuse
+/// cancels after a randomized number of 64-pattern blocks.
+fn sim_sweep(rng: &mut Xorshift64Star, dir: &str, report: &mut ChaosReport) -> Option<Target> {
+    let netlist = generators::c432_class();
+    let faults = stuck_at::enumerate(&netlist).collapse();
+    let vectors = random_vectors(netlist.inputs().len(), 256, 0xC0FFEE);
+    let n_cap = 2;
+    let stage = Stage {
+        name: "sim",
+        first_kill: 1,
+        random_kills: 3,
+        kill_bound: vectors.len().div_ceil(64) as u64,
+        parallel: true,
+    };
+    let key = SimCheckpoint::key(&netlist, faults.faults(), &vectors, n_cap);
+    kill_resume_sweep(rng, dir, report, &stage, key, |workers, budget, resume| {
+        ppsfp::simulate_counted_resumable(
             &netlist,
             faults.faults(),
             &vectors,
             n_cap,
-            threads(leg),
+            workers,
             Recorder::noop(),
-            &budget,
-            None,
-        );
-        match outcome {
-            Ok(profile) => {
-                // The fuse outlived the work: a completed run must still
-                // match the reference exactly.
-                report.check(&scenario, profile == reference, || {
-                    "run completed under the fuse but diverged from the reference".to_string()
-                });
-            }
-            Err(SimError::Interrupted { checkpoint, .. }) => {
-                if let Err(e) = checkpoint.save_to(&path, &netlist, faults.faults(), &vectors) {
-                    report.fail(&scenario, format!("checkpoint save failed: {e}"));
-                    continue;
-                }
-                wrote = true;
-                let restored = match SimCheckpoint::load_from(
-                    &path,
-                    &netlist,
-                    faults.faults(),
-                    &vectors,
-                    n_cap,
-                ) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        report.fail(&scenario, format!("own checkpoint did not verify: {e}"));
-                        continue;
-                    }
-                };
-                for t in CHAOS_THREADS {
-                    let resumed = ppsfp::simulate_counted_resumable(
-                        &netlist,
-                        faults.faults(),
-                        &vectors,
-                        n_cap,
-                        threads(t),
-                        Recorder::noop(),
-                        &RunBudget::unlimited(),
-                        Some(&restored),
-                    );
-                    let ok = matches!(&resumed, Ok(p) if *p == reference);
-                    report.check(&format!("{scenario}/resume@{t}"), ok, || {
-                        format!("resume diverged or failed: {:?}", resumed.err())
-                    });
-                }
-            }
-            Err(other) => report.fail(&scenario, format!("expected Interrupted, got: {other}")),
-        }
-    }
-    wrote.then(|| {
-        let loader: Loader = Box::new(move |p: &str| {
-            SimCheckpoint::load_from(p, &netlist, faults.faults(), &vectors, n_cap).map(|_| ())
-        });
-        ("sim.ppsfp", path, loader)
+            budget,
+            resume,
+        )
+        .map_err(|e| match e {
+            SimError::Interrupted { checkpoint, .. } => Stop::Interrupted(checkpoint),
+            other => Stop::Failed(other.to_string()),
+        })
     })
 }
 
 /// Kill/resume sweep over n-detect schedule construction. The builder
 /// is serial and checks its budget once per target, so kill points are
 /// target indices.
-fn ndetect_sweep(
-    rng: &mut Xorshift64Star,
-    dir: &str,
-    report: &mut ChaosReport,
-) -> Option<(&'static str, String, Loader)> {
+fn ndetect_sweep(rng: &mut Xorshift64Star, dir: &str, report: &mut ChaosReport) -> Option<Target> {
     let netlist = generators::ripple_adder(3);
     let faults = stuck_at::enumerate(&netlist).collapse();
     let config = NDetectConfig {
@@ -267,90 +315,27 @@ fn ndetect_sweep(
         ..NDetectConfig::default()
     };
     let max_n = 4usize;
-    let reference = match build_schedule_resumable(
-        &netlist,
-        faults.faults(),
-        max_n,
-        &config,
-        &RunBudget::unlimited(),
-        None,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            report.fail(
-                "ndetect/reference",
-                format!("uninterrupted build failed: {e}"),
-            );
-            return None;
-        }
+    let stage = Stage {
+        name: "ndetect",
+        first_kill: 1,
+        random_kills: 2,
+        kill_bound: max_n as u64,
+        parallel: false,
     };
-    let path = format!("{dir}/ndetect.schedule.ckpt.json");
-    let mut wrote = false;
-    let kills: Vec<u64> = std::iter::once(1)
-        .chain((0..2).map(|_| rng.next_u64() % (max_n as u64 + 1)))
-        .collect();
-    for kill in kills {
-        let scenario = format!("ndetect/kill@{kill}");
-        let budget = RunBudget::unlimited().cancel_after_checks(kill);
-        let outcome =
-            build_schedule_resumable(&netlist, faults.faults(), max_n, &config, &budget, None);
-        match outcome {
-            Ok(schedule) => {
-                report.check(&scenario, schedule == reference, || {
-                    "build completed under the fuse but diverged from the reference".to_string()
-                });
-            }
-            Err(NDetectError::Interrupted { checkpoint, .. }) => {
-                if let Err(e) = checkpoint.save_to(&path, &netlist, faults.faults(), max_n, &config)
-                {
-                    report.fail(&scenario, format!("checkpoint save failed: {e}"));
-                    continue;
-                }
-                wrote = true;
-                let restored = match NDetectCheckpoint::load_from(
-                    &path,
-                    &netlist,
-                    faults.faults(),
-                    max_n,
-                    &config,
-                ) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        report.fail(&scenario, format!("own checkpoint did not verify: {e}"));
-                        continue;
-                    }
-                };
-                let resumed = build_schedule_resumable(
-                    &netlist,
-                    faults.faults(),
-                    max_n,
-                    &config,
-                    &RunBudget::unlimited(),
-                    Some(&restored),
-                );
-                let ok = matches!(&resumed, Ok(s) if *s == reference);
-                report.check(&format!("{scenario}/resume"), ok, || {
-                    format!("resume diverged or failed: {:?}", resumed.err())
-                });
-            }
-            Err(other) => report.fail(&scenario, format!("expected Interrupted, got: {other}")),
-        }
-    }
-    wrote.then(|| {
-        let loader: Loader = Box::new(move |p: &str| {
-            NDetectCheckpoint::load_from(p, &netlist, faults.faults(), max_n, &config).map(|_| ())
-        });
-        ("ndetect.schedule", path, loader)
+    let key = NDetectCheckpoint::key(&netlist, faults.faults(), max_n, &config);
+    kill_resume_sweep(rng, dir, report, &stage, key, |_, budget, resume| {
+        build_schedule_resumable(&netlist, faults.faults(), max_n, &config, budget, resume).map_err(
+            |e| match e {
+                NDetectError::Interrupted { checkpoint, .. } => Stop::Interrupted(checkpoint),
+                other => Stop::Failed(other.to_string()),
+            },
+        )
     })
 }
 
 /// Kill/resume sweep over Monte-Carlo fallout. Shards are the chunk
 /// unit; 20 603 dies make six shards (the last one partial).
-fn mc_sweep(
-    rng: &mut Xorshift64Star,
-    dir: &str,
-    report: &mut ChaosReport,
-) -> Option<(&'static str, String, Loader)> {
+fn mc_sweep(rng: &mut Xorshift64Star, dir: &str, report: &mut ChaosReport) -> Option<Target> {
     let weights = match FaultWeights::new((0..24).map(|j| 0.01 + 0.005 * j as f64).collect()) {
         Ok(w) => w,
         Err(e) => {
@@ -363,83 +348,28 @@ fn mc_sweep(
         dies: 20_603,
         seed: 0xFEED,
     };
-    let shard_count = 6u64;
-    let reference = match simulate_fallout_resumable(
-        &weights,
-        &detected,
-        &config,
-        ThreadCount::Auto,
-        Recorder::noop(),
-        &RunBudget::unlimited(),
-        None,
-    ) {
-        Ok(est) => est,
-        Err(e) => {
-            report.fail("mc/reference", format!("uninterrupted run failed: {e}"));
-            return None;
-        }
+    let stage = Stage {
+        name: "mc",
+        first_kill: 2,
+        random_kills: 2,
+        kill_bound: 6,
+        parallel: true,
     };
-    let path = format!("{dir}/mc.fallout.ckpt.json");
-    let mut wrote = false;
-    let kills: Vec<u64> = std::iter::once(2)
-        .chain((0..2).map(|_| rng.next_u64() % (shard_count + 1)))
-        .collect();
-    for kill in kills {
-        let leg = CHAOS_THREADS[(rng.next_u64() % 3) as usize];
-        let scenario = format!("mc/kill@{kill}/threads={leg}");
-        let budget = RunBudget::unlimited().cancel_after_checks(kill);
-        let outcome = simulate_fallout_resumable(
+    let key = McCheckpoint::key(&weights, &detected, &config, &UnitMix);
+    kill_resume_sweep(rng, dir, report, &stage, key, |workers, budget, resume| {
+        simulate_fallout_resumable(
             &weights,
             &detected,
             &config,
-            threads(leg),
+            workers,
             Recorder::noop(),
-            &budget,
-            None,
-        );
-        match outcome {
-            Ok(est) => {
-                report.check(&scenario, est == reference, || {
-                    "run completed under the fuse but diverged from the reference".to_string()
-                });
-            }
-            Err(ModelError::Interrupted { checkpoint, .. }) => {
-                if let Err(e) = checkpoint.save_to(&path, &weights, &detected, &config) {
-                    report.fail(&scenario, format!("checkpoint save failed: {e}"));
-                    continue;
-                }
-                wrote = true;
-                let restored = match McCheckpoint::load_from(&path, &weights, &detected, &config) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        report.fail(&scenario, format!("own checkpoint did not verify: {e}"));
-                        continue;
-                    }
-                };
-                for t in CHAOS_THREADS {
-                    let resumed = simulate_fallout_resumable(
-                        &weights,
-                        &detected,
-                        &config,
-                        threads(t),
-                        Recorder::noop(),
-                        &RunBudget::unlimited(),
-                        Some(&restored),
-                    );
-                    let ok = matches!(&resumed, Ok(est) if *est == reference);
-                    report.check(&format!("{scenario}/resume@{t}"), ok, || {
-                        format!("resume diverged or failed: {:?}", resumed.err())
-                    });
-                }
-            }
-            Err(other) => report.fail(&scenario, format!("expected Interrupted, got: {other}")),
-        }
-    }
-    wrote.then(|| {
-        let loader: Loader = Box::new(move |p: &str| {
-            McCheckpoint::load_from(p, &weights, &detected, &config).map(|_| ())
-        });
-        ("mc.fallout", path, loader)
+            budget,
+            resume,
+        )
+        .map_err(|e| match e {
+            ModelError::Interrupted { checkpoint, .. } => Stop::Interrupted(checkpoint),
+            other => Stop::Failed(other.to_string()),
+        })
     })
 }
 

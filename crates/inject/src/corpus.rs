@@ -8,9 +8,8 @@
 use dlp_atpg::generate::{generate_tests, AtpgConfig};
 use dlp_circuit::switch::SwitchNodeId;
 use dlp_circuit::{bench, generators, switch, NodeId};
-use dlp_core::montecarlo::{
-    simulate_fallout_resumable, McCheckpoint, MonteCarloConfig, MC_CKPT_KIND,
-};
+use dlp_core::ckpt::Checkpoint;
+use dlp_core::montecarlo::{simulate_fallout_resumable, McCheckpoint, MonteCarloConfig};
 use dlp_core::obs::{Json, Recorder};
 use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
@@ -1039,7 +1038,7 @@ fn artifact_ckpt_version_from_the_future() -> Result<(), PipelineError> {
 }
 
 fn artifact_ckpt_wrong_stage() -> Result<(), PipelineError> {
-    ckpt::open(&sealed_sample(), dlp_sim::ckpt::SIM_CKPT_KIND, 0xD1CE)?;
+    ckpt::open(&sealed_sample(), SimCheckpoint::KIND, 0xD1CE)?;
     Ok(())
 }
 
@@ -1055,8 +1054,8 @@ fn artifact_ckpt_payload_malformed() -> Result<(), PipelineError> {
         "tallies".to_string(),
         Json::String("nope".to_string()),
     )]);
-    let sealed = ckpt::seal(MC_CKPT_KIND, 0xD1CE, &payload);
-    McCheckpoint::from_payload(&ckpt::open(&sealed, MC_CKPT_KIND, 0xD1CE)?)?;
+    let sealed = ckpt::seal(McCheckpoint::KIND, 0xD1CE, &payload);
+    McCheckpoint::from_payload(&ckpt::open(&sealed, McCheckpoint::KIND, 0xD1CE)?)?;
     Ok(())
 }
 

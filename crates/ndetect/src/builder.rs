@@ -398,6 +398,7 @@ pub fn build_schedule_resumable(
 mod tests {
     use super::*;
     use dlp_circuit::generators;
+    use dlp_core::ckpt::Checkpoint;
     use dlp_sim::stuck_at;
 
     /// Untraced capped profile at the `DLP_THREADS` worker count.
@@ -529,10 +530,8 @@ mod tests {
             assert_eq!(ckpt.len_at.len(), kill as usize);
             // Round-trip through the sealed on-disk envelope.
             let key = NDetectCheckpoint::key(&nl, faults.faults(), max_n, &cfg);
-            let sealed =
-                dlp_core::ckpt::seal(crate::ckpt::NDETECT_CKPT_KIND, key, &ckpt.to_payload());
-            let payload =
-                dlp_core::ckpt::open(&sealed, crate::ckpt::NDETECT_CKPT_KIND, key).unwrap();
+            let sealed = dlp_core::ckpt::seal(NDetectCheckpoint::KIND, key, &ckpt.to_payload());
+            let payload = dlp_core::ckpt::open(&sealed, NDetectCheckpoint::KIND, key).unwrap();
             let restored = NDetectCheckpoint::from_payload(&payload).unwrap();
             assert_eq!(restored, *ckpt);
             let resumed = build_schedule_resumable(

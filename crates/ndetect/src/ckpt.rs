@@ -9,19 +9,17 @@
 //! deterministic, so this holds at every `DLP_THREADS`).
 //!
 //! On disk a checkpoint is a sealed [`dlp_core::ckpt`] envelope of kind
-//! [`NDETECT_CKPT_KIND`] whose key digests the netlist, the fault list,
-//! the maximum target, and every [`crate::NDetectConfig`] knob.
+//! `ndetect.schedule` ([`Checkpoint::KIND`]) whose key digests the
+//! netlist, the fault list, the maximum target, and every
+//! [`crate::NDetectConfig`] knob.
 
 use dlp_circuit::Netlist;
-use dlp_core::ckpt::{self, CkptError, KeyHasher};
+use dlp_core::ckpt::{Checkpoint, CkptError, KeyHasher};
 use dlp_core::obs::Json;
 use dlp_sim::ckpt::{hash_faults, hash_netlist};
 use dlp_sim::stuck_at::StuckAtFault;
 
 use crate::NDetectConfig;
-
-/// The envelope `kind` of n-detect builder checkpoints.
-pub const NDETECT_CKPT_KIND: &str = "ndetect.schedule";
 
 /// Resume state of an interrupted schedule build at a target boundary.
 #[derive(Clone, PartialEq, Eq)]
@@ -108,10 +106,14 @@ impl NDetectCheckpoint {
         h.write_u64(config.fill_seed);
         h.finish()
     }
+}
 
-    /// The checkpoint payload. Vectors and masks are encoded as `0`/`1`
-    /// bitstrings to keep multi-thousand-bit state compact.
-    pub fn to_payload(&self) -> Json {
+impl Checkpoint for NDetectCheckpoint {
+    const KIND: &'static str = "ndetect.schedule";
+
+    /// Vectors and masks are encoded as `0`/`1` bitstrings to keep
+    /// multi-thousand-bit state compact.
+    fn to_payload(&self) -> Json {
         Json::Object(vec![
             (
                 "next_target".to_string(),
@@ -148,13 +150,7 @@ impl NDetectCheckpoint {
         ])
     }
 
-    /// Decodes a payload produced by [`NDetectCheckpoint::to_payload`].
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Malformed`] if the payload does not have the
-    /// expected shape.
-    pub fn from_payload(payload: &Json) -> Result<NDetectCheckpoint, CkptError> {
+    fn from_payload(payload: &Json) -> Result<NDetectCheckpoint, CkptError> {
         let number = |name: &'static str, what: &'static str| {
             payload
                 .get(name)
@@ -197,42 +193,6 @@ impl NDetectCheckpoint {
             pool_selected,
             hopeless,
         })
-    }
-
-    /// Seals and atomically writes this checkpoint for the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] if the atomic write fails.
-    pub fn save_to(
-        &self,
-        path: &str,
-        netlist: &Netlist,
-        faults: &[StuckAtFault],
-        max_n: usize,
-        config: &NDetectConfig,
-    ) -> Result<(), CkptError> {
-        let key = NDetectCheckpoint::key(netlist, faults, max_n, config);
-        ckpt::save(path, NDETECT_CKPT_KIND, key, &self.to_payload())
-    }
-
-    /// Loads and fully verifies a checkpoint written by
-    /// [`NDetectCheckpoint::save_to`] against the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CkptError`]: unreadable file, corrupt envelope, wrong
-    /// version/kind/key, checksum mismatch, or malformed payload.
-    pub fn load_from(
-        path: &str,
-        netlist: &Netlist,
-        faults: &[StuckAtFault],
-        max_n: usize,
-        config: &NDetectConfig,
-    ) -> Result<NDetectCheckpoint, CkptError> {
-        let key = NDetectCheckpoint::key(netlist, faults, max_n, config);
-        let payload = ckpt::load(path, NDETECT_CKPT_KIND, key)?;
-        NDetectCheckpoint::from_payload(&payload)
     }
 }
 

@@ -30,6 +30,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use dlp_bench::regress::{calibration_spin, sample_ns, CALIBRATION_LABEL, TIMED_UNIT};
 use dlp_core::obs::BenchReport;
 use dlp_core::par::ThreadCount;
 use dlp_serve::server::{serve, ServerConfig, ServerHandle};
@@ -47,43 +48,6 @@ const COLD_SEEDS: [u64; 4] = [11, 12, 13, 14];
 
 fn workspace_report_path() -> String {
     format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Same fixed CPU-bound loop as `perf_regress`: cancels machine speed
-/// when reports are compared across runs.
-fn calibration_spin() -> u64 {
-    let mut x = 0x9E3779B97F4A7C15u64;
-    let mut acc = 0u64;
-    for _ in 0..4096 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        acc = acc.wrapping_add(x);
-    }
-    acc
-}
-
-fn calibration_samples() -> Vec<f64> {
-    let mut iters = 1usize;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(calibration_spin());
-        }
-        if t0.elapsed().as_millis() >= 5 || iters >= 1 << 20 {
-            break;
-        }
-        iters *= 4;
-    }
-    (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(calibration_spin());
-            }
-            t0.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect()
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> Result<(u16, String), String> {
@@ -217,7 +181,7 @@ fn run(smoke: bool) -> Result<(), String> {
         let speedup = first / p99;
 
         let mut report = BenchReport::new("serve_load");
-        report.record_samples("calibration/spin", "ns/iter", &calibration_samples());
+        report.record_samples(CALIBRATION_LABEL, TIMED_UNIT, &sample_ns(calibration_spin));
         report.record_samples("serve/cold_miss/c432", "ns/iter", first_ns);
         report.record_samples("serve/fresh_seed_miss/c432", "ns/iter", fresh_ns);
         report.record_samples("serve/warm_hit/c432", "ns/iter", &warm_ns);

@@ -80,7 +80,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dlp_bench::pipeline::{self, Extraction, PAPER_YIELD};
-use dlp_circuit::{generators, switch, GateKind, Netlist, NodeId};
+use dlp_circuit::{generators, switch, Netlist};
 use dlp_core::ckpt::KeyHasher;
 use dlp_core::obs::trace::derive_trace_id;
 use dlp_core::obs::{FlightRecorder, Json, Recorder, TraceContext, TraceOutcome};
@@ -88,7 +88,7 @@ use dlp_core::par::ThreadCount;
 use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
 use dlp_extract::faults::OpenLevelModel;
-use dlp_extract::sharded::TiledWeights;
+use dlp_extract::sharded::{kind_map, TiledWeights};
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
 use dlp_sim::detection::random_vectors;
 use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
@@ -437,30 +437,6 @@ fn stage_key(netlist: &Netlist) -> u64 {
 /// A memoised stage: the extraction, or the stage and message of the
 /// error that stopped it.
 type StageResult = Result<Arc<Extraction>, (Stage, String)>;
-
-/// Kind-proxy site map for scale-class members (the `scale_sweep`
-/// semantics): every gate maps to the first template gate of the same
-/// [`GateKind`], primary inputs and unknown kinds to `None` (template
-/// average weight).
-fn kind_map(template: &Netlist, member: &Netlist) -> Box<dyn Fn(NodeId) -> Option<NodeId>> {
-    let mut rep: HashMap<GateKind, NodeId> = HashMap::new();
-    for id in template.node_ids() {
-        if !template.fanin(id).is_empty() {
-            rep.entry(template.kind(id)).or_insert(id);
-        }
-    }
-    let kinds: Vec<Option<NodeId>> = member
-        .node_ids()
-        .map(|id| {
-            if member.fanin(id).is_empty() {
-                None
-            } else {
-                rep.get(&member.kind(id)).copied()
-            }
-        })
-        .collect();
-    Box::new(move |n: NodeId| kinds.get(n.index()).copied().flatten())
-}
 
 /// Configuration for a [`Service`].
 #[derive(Debug, Clone)]

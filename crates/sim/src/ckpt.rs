@@ -9,20 +9,15 @@
 //! `DLP_THREADS`.
 //!
 //! On disk a checkpoint is a sealed [`dlp_core::ckpt`] envelope of kind
-//! [`SIM_CKPT_KIND`] whose key digests the netlist structure, the fault
-//! list, the vector set, and the detection cap — so a checkpoint can
-//! never be resumed against different inputs.
+//! `sim.ppsfp` ([`Checkpoint::KIND`]) whose key digests the netlist
+//! structure, the fault list, the vector set, and the detection cap —
+//! so a checkpoint can never be resumed against different inputs.
 
 use dlp_circuit::Netlist;
-use dlp_core::ckpt::{self, CkptError, KeyHasher};
+use dlp_core::ckpt::{Checkpoint, CkptError, KeyHasher};
 use dlp_core::obs::Json;
 
 use crate::stuck_at::{FaultSite, StuckAtFault};
-
-/// The envelope `kind` of PPSFP simulation checkpoints (both the
-/// first-detect and the counted mode — first-detect is the counted mode
-/// with `n_cap = 1`).
-pub const SIM_CKPT_KIND: &str = "sim.ppsfp";
 
 /// Digests a netlist's structural identity into `h`: name, per-node
 /// gate kind and fanin wiring, primary inputs, and outputs. Shared by
@@ -123,10 +118,15 @@ impl SimCheckpoint {
         h.write_usize(n_cap);
         h.finish()
     }
+}
 
-    /// The checkpoint payload:
+/// Both the first-detect and the counted mode write `sim.ppsfp`:
+/// first-detect is the counted mode with `n_cap = 1`.
+impl Checkpoint for SimCheckpoint {
+    const KIND: &'static str = "sim.ppsfp";
+
     /// `{"n_cap":…,"next_block":…,"vectors_len":…,"detections":[[…],…]}`.
-    pub fn to_payload(&self) -> Json {
+    fn to_payload(&self) -> Json {
         let detections = self
             .detections
             .iter()
@@ -146,13 +146,8 @@ impl SimCheckpoint {
         ])
     }
 
-    /// Decodes a payload produced by [`SimCheckpoint::to_payload`].
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Malformed`] if the payload does not have the
-    /// expected shape (missing fields, non-integer indices).
-    pub fn from_payload(payload: &Json) -> Result<SimCheckpoint, CkptError> {
+    /// Rejects missing fields and non-integer indices.
+    fn from_payload(payload: &Json) -> Result<SimCheckpoint, CkptError> {
         let field = |name: &'static str, what: &'static str| {
             payload
                 .get(name)
@@ -195,41 +190,6 @@ impl SimCheckpoint {
             vectors_len,
             detections,
         })
-    }
-
-    /// Seals and atomically writes this checkpoint for the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] if the atomic write fails.
-    pub fn save_to(
-        &self,
-        path: &str,
-        netlist: &Netlist,
-        faults: &[StuckAtFault],
-        vectors: &[Vec<bool>],
-    ) -> Result<(), CkptError> {
-        let key = SimCheckpoint::key(netlist, faults, vectors, self.n_cap);
-        ckpt::save(path, SIM_CKPT_KIND, key, &self.to_payload())
-    }
-
-    /// Loads and fully verifies a checkpoint written by
-    /// [`SimCheckpoint::save_to`] against the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CkptError`]: unreadable file, corrupt envelope, wrong
-    /// version/kind/key, checksum mismatch, or malformed payload.
-    pub fn load_from(
-        path: &str,
-        netlist: &Netlist,
-        faults: &[StuckAtFault],
-        vectors: &[Vec<bool>],
-        n_cap: usize,
-    ) -> Result<SimCheckpoint, CkptError> {
-        let key = SimCheckpoint::key(netlist, faults, vectors, n_cap);
-        let payload = ckpt::load(path, SIM_CKPT_KIND, key)?;
-        SimCheckpoint::from_payload(&payload)
     }
 }
 

@@ -680,6 +680,7 @@ mod tests {
     use crate::detection::random_vectors;
     use crate::stuck_at;
     use dlp_circuit::generators;
+    use dlp_core::ckpt::Checkpoint;
 
     /// Unbudgeted, untraced first-detect run at the `DLP_THREADS` worker
     /// count, so both thread passes of the suite exercise it.
@@ -1079,17 +1080,9 @@ mod tests {
                 assert_eq!(info.total, 4);
                 assert_eq!(ckpt.next_block, kill as usize);
                 // Round-trip through the sealed on-disk envelope.
-                let sealed = dlp_core::ckpt::seal(
-                    crate::ckpt::SIM_CKPT_KIND,
-                    SimCheckpoint::key(&nl, faults.faults(), &vectors, n_cap),
-                    &ckpt.to_payload(),
-                );
-                let payload = dlp_core::ckpt::open(
-                    &sealed,
-                    crate::ckpt::SIM_CKPT_KIND,
-                    SimCheckpoint::key(&nl, faults.faults(), &vectors, n_cap),
-                )
-                .unwrap();
+                let key = SimCheckpoint::key(&nl, faults.faults(), &vectors, n_cap);
+                let sealed = dlp_core::ckpt::seal(SimCheckpoint::KIND, key, &ckpt.to_payload());
+                let payload = dlp_core::ckpt::open(&sealed, SimCheckpoint::KIND, key).unwrap();
                 let restored = SimCheckpoint::from_payload(&payload).unwrap();
                 assert_eq!(restored, *ckpt);
                 // Resume and compare against the uninterrupted run.
@@ -1400,13 +1393,14 @@ mod tests {
             vectors_len: 128,
             detections: vec![Vec::new(); faults.len()],
         };
-        ckpt.save_to(path, &c17, faults.faults(), &vectors).unwrap();
-        let loaded = SimCheckpoint::load_from(path, &c17, faults.faults(), &vectors, 2).unwrap();
+        let key = |n_cap| SimCheckpoint::key(&c17, faults.faults(), &vectors, n_cap);
+        ckpt.save(path, key(2)).unwrap();
+        let loaded = SimCheckpoint::load(path, key(2)).unwrap();
         assert_eq!(loaded, ckpt);
         // A different cap derives a different key: the stale file must
         // be rejected, not silently reinterpreted.
         assert!(matches!(
-            SimCheckpoint::load_from(path, &c17, faults.faults(), &vectors, 3),
+            SimCheckpoint::load(path, key(3)),
             Err(dlp_core::CkptError::KeyMismatch { .. })
         ));
         std::fs::remove_file(path).ok();

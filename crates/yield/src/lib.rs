@@ -27,10 +27,11 @@
 //!
 //! A distribution is a [`dlp_core::montecarlo::DieMix`], so the core
 //! engine simulates its fallout directly: pass it to
-//! [`dlp_core::montecarlo::simulate_fallout_mixed_resumable`], and bind
-//! resume checkpoints to it with
-//! [`dlp_core::montecarlo::McCheckpoint::key_mixed`], so a checkpoint
-//! written under one distribution can never be replayed under another.
+//! [`dlp_core::montecarlo::simulate_fallout_mixed_resumable`]. The one
+//! Monte-Carlo checkpoint key, [`dlp_core::montecarlo::McCheckpoint::key`],
+//! takes the distribution as its last input, so a checkpoint written
+//! under one distribution can never be replayed under another; the
+//! Poisson instance writes no key bytes, as the unit mix does.
 //!
 //! # Example: how much does clustering move DL?
 //!

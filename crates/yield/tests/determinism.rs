@@ -5,9 +5,11 @@
 //! * NB(α → large) converges to Poisson across a seed sweep;
 //! * Monte-Carlo fallout agrees with each model's analytic yield/DL.
 //! * the Poisson instance is bit-identical to the unit-mix engine, takes
-//!   its lane kernel, and checkpoint keys bind the distribution.
+//!   its lane kernel, and checkpoint keys bind the distribution — a
+//!   clustered checkpoint file never resumes a Poisson run.
 
 use dlp_core::budget::RunBudget;
+use dlp_core::ckpt::{Checkpoint, CkptError};
 use dlp_core::montecarlo::{
     simulate_fallout_mixed_resumable, DieMix, FalloutEstimate, McCheckpoint, MonteCarloConfig,
     UnitMix,
@@ -247,8 +249,8 @@ fn poisson_instance_is_bit_identical_to_legacy_engine() {
     let dist = mc_run(&w, &detected, &cfg, &Poisson);
     assert_eq!(legacy, dist);
     assert_eq!(
-        McCheckpoint::key(&w, &detected, &cfg),
-        McCheckpoint::key_mixed(&w, &detected, &cfg, &Poisson),
+        McCheckpoint::key(&w, &detected, &cfg, &UnitMix),
+        McCheckpoint::key(&w, &detected, &cfg, &Poisson),
     );
 }
 
@@ -273,10 +275,70 @@ fn checkpoint_keys_bind_the_distribution() {
     let cfg = MonteCarloConfig::default();
     let nb = Fallout::negative_binomial(2.0).unwrap();
     let hier = Fallout::hierarchical(2.0, 8.0, 20.0, 400, 25).unwrap();
-    let kp = McCheckpoint::key_mixed(&w, &d, &cfg, Fallout::poisson().dist());
-    let kn = McCheckpoint::key_mixed(&w, &d, &cfg, nb.dist());
-    let kh = McCheckpoint::key_mixed(&w, &d, &cfg, hier.dist());
+    let kp = McCheckpoint::key(&w, &d, &cfg, Fallout::poisson().dist());
+    let kn = McCheckpoint::key(&w, &d, &cfg, nb.dist());
+    let kh = McCheckpoint::key(&w, &d, &cfg, hier.dist());
     assert_ne!(kp, kn);
     assert_ne!(kp, kh);
     assert_ne!(kn, kh);
+}
+
+#[test]
+fn clustered_checkpoint_files_resume_only_under_their_mix() {
+    // A negative-binomial run cut mid-way, sealed on disk under its own
+    // key: a Poisson run of the same inputs must refuse the file, and the
+    // NB run must resume from it bit-identically at any worker count.
+    let nb = Fallout::negative_binomial(2.0).unwrap();
+    let n = 8;
+    let w = calibrated_weights(nb.dist(), n);
+    let d = mask(n, 6);
+    let cfg = MonteCarloConfig {
+        dies: 3 * 4096 + 11,
+        seed: 0xAB1E,
+    };
+    let reference = mc_run(&w, &d, &cfg, nb.dist());
+    let err = simulate_fallout_mixed_resumable(
+        &w,
+        &d,
+        &cfg,
+        nb.dist(),
+        ThreadCount::fixed(2).unwrap(),
+        Recorder::noop(),
+        &RunBudget::unlimited().cancel_after_checks(2),
+        None,
+    )
+    .expect_err("fuse below shard count must interrupt");
+    let ModelError::Interrupted { checkpoint, .. } = err else {
+        panic!("expected Interrupted, got {err:?}");
+    };
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/tmp")
+        .join(format!("yield_mix_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mc.fallout.ckpt.json");
+    let path = path.to_str().unwrap();
+    let nb_key = McCheckpoint::key(&w, &d, &cfg, nb.dist());
+    checkpoint.save(path, nb_key).unwrap();
+
+    let poisson_key = McCheckpoint::key(&w, &d, &cfg, &UnitMix);
+    assert!(matches!(
+        McCheckpoint::load(path, poisson_key),
+        Err(CkptError::KeyMismatch { .. })
+    ));
+    let restored = McCheckpoint::load(path, nb_key).unwrap();
+    for threads in [1usize, 2, 4] {
+        let resumed = simulate_fallout_mixed_resumable(
+            &w,
+            &d,
+            &cfg,
+            nb.dist(),
+            ThreadCount::fixed(threads).unwrap(),
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            Some(&restored),
+        )
+        .unwrap();
+        assert_eq!(resumed, reference, "threads={threads}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
