@@ -43,7 +43,7 @@ impl Composite {
 }
 
 /// Evaluates a gate in three-valued logic.
-pub fn eval3(kind: GateKind, fanin: &[Logic]) -> Logic {
+fn eval3(kind: GateKind, fanin: &[Logic]) -> Logic {
     match kind {
         GateKind::Input => panic!("inputs are not evaluated"),
         GateKind::Buf => fanin[0],

@@ -28,28 +28,15 @@ fn main() {
     for samples in [2usize, 6, 12] {
         let config = ExtractionConfig {
             size_samples: samples,
-            ..Default::default()
         };
         report.bench(&format!("critical_area/size_samples/{samples}"), || {
-            extract(&config, env_threads)
-        });
-    }
-    for bin in [32i64, 64, 128] {
-        let config = ExtractionConfig {
-            bin,
-            ..Default::default()
-        };
-        report.bench(&format!("critical_area/bin_size/{bin}"), || {
             extract(&config, env_threads)
         });
     }
 
     // Serial vs parallel bridge-pair integration at high resolution (the
     // extraction hot path; the fault set is bit-identical either way).
-    let config = ExtractionConfig {
-        size_samples: 12,
-        ..Default::default()
-    };
+    let config = ExtractionConfig { size_samples: 12 };
     let mut serial = f64::NAN;
     for workers in [1usize, 2, 4] {
         let threads = ThreadCount::fixed(workers).unwrap();

@@ -121,10 +121,7 @@ fn measure() -> Result<BenchReport, PipelineError> {
         .map_err(|e| PipelineError::from(e).context("ripple-adder layout"))?;
     let stats = DefectStatistics::maly_cmos();
     let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
-    let config = ExtractionConfig {
-        size_samples: 6,
-        ..Default::default()
-    };
+    let config = ExtractionConfig { size_samples: 6 };
     report.record_samples(
         "extract/ripple_adder4/s6",
         TIMED_UNIT,

@@ -101,21 +101,7 @@ pub fn extract_netlist_obs(
     let threads = ThreadCount::from_env().map_err(ExtractError::from)?;
     let config = dlp_extract::extractor::ExtractionConfig::default();
     let mut faults = extractor::extract_obs(&chip, stats, &config, threads, obs)?;
-    let before = faults.len();
-    let dropped = faults.prune_below(1e-5);
-    obs.add("extract.pruned", dropped as u64);
-    if faults.is_empty() && before > 0 {
-        diagnostics.warn(
-            Stage::Extraction,
-            format!("pruning would drop all {before} faults; keeping the unpruned list"),
-        );
-        faults = extractor::extract_obs(&chip, stats, &config, threads, obs)?;
-    } else if dropped > 0 && dropped * 4 > before {
-        diagnostics.warn(
-            Stage::Extraction,
-            format!("pruning dropped {dropped} of {before} faults"),
-        );
-    }
+    prune_negligible(&mut faults, &mut diagnostics, obs);
     let weights = FaultWeights::new(faults.weights())
         .map_err(|e| PipelineError::from(e).context("building fault weights"))?
         .scaled_to_yield(PAPER_YIELD)
@@ -135,6 +121,34 @@ pub fn extract_netlist_obs(
         weights,
         diagnostics,
     })
+}
+
+/// Drops faults below `1e-5` of the total weight, unless that would drop
+/// every one: the decision is made from the weights before pruning, so
+/// the list is kept without extracting it again. A prune that drops more
+/// than a quarter of the list, or that is skipped, is a warning.
+fn prune_negligible(faults: &mut FaultSet, diagnostics: &mut Diagnostics, obs: &Recorder) {
+    const THRESHOLD: f64 = 1e-5;
+    let before = faults.len();
+    let weights = faults.weights();
+    // The cut `prune_below` applies: the same sum in the same order.
+    let cut = weights.iter().sum::<f64>() * THRESHOLD;
+    if before > 0 && weights.iter().all(|&w| w < cut) {
+        obs.add("extract.pruned", 0);
+        diagnostics.warn(
+            Stage::Extraction,
+            format!("pruning would drop all {before} faults; keeping the unpruned list"),
+        );
+        return;
+    }
+    let dropped = faults.prune_below(THRESHOLD);
+    obs.add("extract.pruned", dropped as u64);
+    if dropped > 0 && dropped * 4 > before {
+        diagnostics.warn(
+            Stage::Extraction,
+            format!("pruning dropped {dropped} of {before} faults"),
+        );
+    }
 }
 
 /// Stage 2 output: vectors and both fault-simulation records.
@@ -300,4 +314,51 @@ pub fn curve_samples(
             Ok((k, t, theta, gamma, dl))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlp_circuit::NodeId;
+    use dlp_extract::faults::{Detached, FaultKind, RealisticFault};
+    use dlp_layout::chip::ElecNet;
+
+    fn uniform(count: usize) -> FaultSet {
+        let kind = FaultKind::Break {
+            net: ElecNet::Signal(NodeId::from_index(0)),
+            detached: Detached::All,
+        };
+        FaultSet::new(
+            (0..count)
+                .map(|i| RealisticFault {
+                    kind: kind.clone(),
+                    weight: 1e-3,
+                    label: format!("f{i}"),
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_prune_that_would_empty_the_list_keeps_it_and_warns() {
+        // 120,000 equal weights: each is 1/120,000 < 1e-5 of the total.
+        let mut faults = uniform(120_000);
+        let (mut diagnostics, obs) = (Diagnostics::new(), Recorder::enabled());
+        prune_negligible(&mut faults, &mut diagnostics, &obs);
+        assert_eq!(faults.len(), 120_000);
+        assert_eq!(diagnostics.len(), 1);
+        assert!(diagnostics
+            .to_string()
+            .contains("keeping the unpruned list"));
+        assert_eq!(obs.counter_value("extract.pruned"), Some(0));
+    }
+
+    #[test]
+    fn an_ordinary_prune_drops_only_negligible_faults() {
+        let mut faults = uniform(10);
+        let mut diagnostics = Diagnostics::new();
+        prune_negligible(&mut faults, &mut diagnostics, Recorder::noop());
+        assert_eq!(faults.len(), 10);
+        assert!(diagnostics.is_empty());
+    }
 }

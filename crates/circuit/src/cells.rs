@@ -45,14 +45,6 @@ pub enum PdnExpr {
 }
 
 impl PdnExpr {
-    /// Number of transistor leaves in the expression.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            PdnExpr::Leaf(_) => 1,
-            PdnExpr::Series(v) | PdnExpr::Parallel(v) => v.iter().map(PdnExpr::leaf_count).sum(),
-        }
-    }
-
     /// The structural dual: series ↔ parallel, leaves unchanged. Applying
     /// it twice returns the original expression.
     pub fn dual(&self) -> PdnExpr {
@@ -65,7 +57,8 @@ impl PdnExpr {
 
     /// Evaluates whether the network conducts given a predicate for each
     /// leaf signal being at logic 1.
-    pub fn conducts(&self, high: &dyn Fn(StageSignal) -> bool) -> bool {
+    #[cfg(test)]
+    fn conducts(&self, high: &dyn Fn(StageSignal) -> bool) -> bool {
         match self {
             PdnExpr::Leaf(s) => high(*s),
             PdnExpr::Series(v) => v.iter().all(|e| e.conducts(high)),
@@ -103,24 +96,18 @@ pub struct Stage {
 impl Stage {
     /// Stage output as a boolean function of its leaf signals: the output
     /// is high iff the PDN does *not* conduct.
-    pub fn eval(&self, high: &dyn Fn(StageSignal) -> bool) -> bool {
+    #[cfg(test)]
+    fn eval(&self, high: &dyn Fn(StageSignal) -> bool) -> bool {
         !self.pdn.conducts(high)
-    }
-
-    /// Total transistors in the stage (NMOS + PMOS).
-    pub fn transistor_count(&self) -> usize {
-        2 * self.pdn.leaf_count()
     }
 }
 
-/// A standard cell: named, with `pin_count` input pins and one output,
-/// realised as a cascade of [`Stage`]s. The last stage drives the cell
-/// output.
+/// A standard cell: named, with input pins and one output, realised as a
+/// cascade of [`Stage`]s. The last stage drives the cell output.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellTemplate {
     name: String,
     kind: GateKind,
-    pin_count: usize,
     stages: Vec<Stage>,
 }
 
@@ -135,30 +122,17 @@ impl CellTemplate {
         self.kind
     }
 
-    /// Number of input pins.
-    pub fn pin_count(&self) -> usize {
-        self.pin_count
-    }
-
     /// The CMOS stages, in evaluation order.
     pub fn stages(&self) -> &[Stage] {
         &self.stages
     }
 
-    /// Total transistors in the cell.
-    pub fn transistor_count(&self) -> usize {
-        self.stages.iter().map(Stage::transistor_count).sum()
-    }
-
-    /// Evaluates the cell's logic function on concrete pin values, by
-    /// cascading stages. Used for self-checks against [`GateKind`]
-    /// word evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pins.len() != self.pin_count()`.
-    pub fn eval(&self, pins: &[bool]) -> bool {
-        assert_eq!(pins.len(), self.pin_count, "one value per pin");
+    /// Evaluates the cell's logic function on concrete pin values (one
+    /// per pin), by cascading stages: the test reference that cells and
+    /// the switch-level expansion are checked against [`GateKind`] word
+    /// evaluation with.
+    #[cfg(test)]
+    pub(crate) fn eval(&self, pins: &[bool]) -> bool {
         let mut stage_out = Vec::with_capacity(self.stages.len());
         let mut last = false;
         for stage in &self.stages {
@@ -197,12 +171,7 @@ pub fn template_for(kind: GateKind, arity: usize) -> Result<CellTemplate, Netlis
         got: arity,
         expected,
     };
-    let simple = |name: String, stages: Vec<Stage>| CellTemplate {
-        name,
-        kind,
-        pin_count: arity,
-        stages,
-    };
+    let simple = |name: String, stages: Vec<Stage>| CellTemplate { name, kind, stages };
     match kind {
         GateKind::Input => Err(bad("inputs are not cells")),
         GateKind::Not => {
@@ -290,7 +259,6 @@ mod tests {
 
     fn exhaustive_check(kind: GateKind, arity: usize) {
         let cell = template_for(kind, arity).unwrap();
-        assert_eq!(cell.pin_count(), arity);
         for pattern in 0..1u32 << arity {
             let pins: Vec<bool> = (0..arity).map(|i| pattern >> i & 1 == 1).collect();
             let words: Vec<u64> = pins.iter().map(|&b| if b { 1 } else { 0 }).collect();
@@ -319,31 +287,36 @@ mod tests {
         }
     }
 
+    /// Total transistors in a cell (NMOS + PMOS per PDN leaf).
+    fn transistor_count(cell: &CellTemplate) -> usize {
+        cell.stages().iter().map(|s| 2 * s.pdn.leaves().len()).sum()
+    }
+
     #[test]
     fn transistor_counts() {
         assert_eq!(
-            template_for(GateKind::Not, 1).unwrap().transistor_count(),
+            transistor_count(&template_for(GateKind::Not, 1).unwrap()),
             2
         );
         assert_eq!(
-            template_for(GateKind::Nand, 2).unwrap().transistor_count(),
+            transistor_count(&template_for(GateKind::Nand, 2).unwrap()),
             4
         );
         assert_eq!(
-            template_for(GateKind::Nand, 3).unwrap().transistor_count(),
+            transistor_count(&template_for(GateKind::Nand, 3).unwrap()),
             6
         );
         assert_eq!(
-            template_for(GateKind::And, 2).unwrap().transistor_count(),
+            transistor_count(&template_for(GateKind::And, 2).unwrap()),
             6
         );
         // XOR2 = 4 NAND2-ish stages = 4*4 transistors.
         assert_eq!(
-            template_for(GateKind::Xor, 2).unwrap().transistor_count(),
+            transistor_count(&template_for(GateKind::Xor, 2).unwrap()),
             16
         );
         assert_eq!(
-            template_for(GateKind::Xnor, 2).unwrap().transistor_count(),
+            transistor_count(&template_for(GateKind::Xnor, 2).unwrap()),
             18
         );
     }
@@ -355,7 +328,7 @@ mod tests {
             PdnExpr::Parallel(vec![pin(1), PdnExpr::Series(vec![pin(2), pin(3)])]),
         ]);
         assert_eq!(e.dual().dual(), e);
-        assert_eq!(e.leaf_count(), e.dual().leaf_count());
+        assert_eq!(e.leaves(), e.dual().leaves());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   pull-down networks) shared by the layout generator and the switch-level
 //!   expander,
 //! * [`switch`] — expansion of a gate-level netlist into a transistor-level
-//!   [`switch::SwitchNetlist`] for switch-level (realistic-fault) simulation,
-//! * [`transform`] — arity decomposition, dead-logic removal, statistics.
+//!   [`switch::SwitchNetlist`] for switch-level (realistic-fault) simulation.
 //!
 //! # Example
 //!
@@ -49,7 +48,6 @@ mod kind;
 mod must;
 mod netlist;
 pub mod switch;
-pub mod transform;
 
 pub use error::NetlistError;
 pub use kind::GateKind;

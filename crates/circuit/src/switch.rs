@@ -10,8 +10,6 @@
 //! operates on: bridging faults connect two of its nodes, open faults break
 //! a connection, and transistor stuck-opens remove a device.
 
-use std::collections::HashMap;
-
 use crate::cells::{self, PdnExpr, StageSignal};
 use crate::{GateKind, Netlist, NetlistError, NodeId};
 
@@ -90,8 +88,6 @@ pub struct SwitchNetlist {
     net_node: Vec<SwitchNodeId>,
     input_nodes: Vec<SwitchNodeId>,
     output_nodes: Vec<SwitchNodeId>,
-    /// node index -> indices of transistors whose channel touches it.
-    channel_adjacency: Vec<Vec<u32>>,
     /// node index -> indices of transistors it gates.
     gate_adjacency: Vec<Vec<u32>>,
 }
@@ -134,12 +130,6 @@ impl SwitchNetlist {
     /// Switch nodes of the primary outputs, in netlist output order.
     pub fn output_nodes(&self) -> &[SwitchNodeId] {
         &self.output_nodes
-    }
-
-    /// Indices into [`transistors`](Self::transistors) of devices whose
-    /// channel touches `node`.
-    pub fn channel_neighbors(&self, node: SwitchNodeId) -> &[u32] {
-        &self.channel_adjacency[node.index()]
     }
 
     /// Indices into [`transistors`](Self::transistors) of devices gated by
@@ -233,11 +223,8 @@ pub fn expand(netlist: &Netlist) -> Result<SwitchNetlist, NetlistError> {
     }
 
     let node_total = node_names.len();
-    let mut channel_adjacency = vec![Vec::new(); node_total];
     let mut gate_adjacency = vec![Vec::new(); node_total];
     for (i, t) in transistors.iter().enumerate() {
-        channel_adjacency[t.a.index()].push(i as u32);
-        channel_adjacency[t.b.index()].push(i as u32);
         gate_adjacency[t.gate.index()].push(i as u32);
     }
 
@@ -255,7 +242,6 @@ pub fn expand(netlist: &Netlist) -> Result<SwitchNetlist, NetlistError> {
             .map(|&o| net_node[o.index()])
             .collect(),
         net_node,
-        channel_adjacency,
         gate_adjacency,
     })
 }
@@ -311,44 +297,43 @@ impl ExpandCtx<'_> {
     }
 }
 
-/// Reference switch-level evaluation of a *fault-free* netlist on a single
-/// input pattern, used to cross-check the expansion against gate-level
-/// logic. Returns the value of every gate-level signal.
-///
-/// This is a structural evaluator (it walks cells in topological order and
-/// asks each stage whether its PDN conducts); the production simulator in
-/// `dlp-sim` solves the transistor graph directly and handles faults.
-///
-/// # Panics
-///
-/// Panics if `pattern.len() != netlist.inputs().len()` or if the netlist has
-/// a gate without a template.
-pub fn reference_eval(netlist: &Netlist, pattern: &[bool]) -> HashMap<NodeId, bool> {
-    assert_eq!(pattern.len(), netlist.inputs().len());
-    let mut values: HashMap<NodeId, bool> = HashMap::new();
-    for (i, &id) in netlist.inputs().iter().enumerate() {
-        values.insert(id, pattern[i]);
-    }
-    for id in netlist.node_ids() {
-        let kind = netlist.kind(id);
-        if kind == GateKind::Input {
-            continue;
-        }
-        let fanin = netlist.fanin(id);
-        let template = match cells::template_for(kind, fanin.len()) {
-            Ok(t) => t,
-            Err(e) => panic!("netlist gate is not realisable as a cell: {e}"),
-        };
-        let pins: Vec<bool> = fanin.iter().map(|f| values[f]).collect();
-        values.insert(id, template.eval(&pins));
-    }
-    values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use std::collections::HashMap;
+
+    /// Reference switch-level evaluation of a *fault-free* netlist on a single
+    /// input pattern, used to cross-check the expansion against gate-level
+    /// logic. Returns the value of every gate-level signal.
+    ///
+    /// This is a structural evaluator (it walks cells in topological order and
+    /// asks each stage whether its PDN conducts); the production simulator in
+    /// `dlp-sim` solves the transistor graph directly and handles faults.
+    ///
+    /// Panics if `pattern.len() != netlist.inputs().len()` or if the netlist has
+    /// a gate without a template.
+    fn reference_eval(netlist: &Netlist, pattern: &[bool]) -> HashMap<NodeId, bool> {
+        assert_eq!(pattern.len(), netlist.inputs().len());
+        let mut values: HashMap<NodeId, bool> = HashMap::new();
+        for (i, &id) in netlist.inputs().iter().enumerate() {
+            values.insert(id, pattern[i]);
+        }
+        for id in netlist.node_ids() {
+            let kind = netlist.kind(id);
+            if kind == GateKind::Input {
+                continue;
+            }
+            let fanin = netlist.fanin(id);
+            let template = match cells::template_for(kind, fanin.len()) {
+                Ok(t) => t,
+                Err(e) => panic!("netlist gate is not realisable as a cell: {e}"),
+            };
+            let pins: Vec<bool> = fanin.iter().map(|f| values[f]).collect();
+            values.insert(id, template.eval(&pins));
+        }
+        values
+    }
 
     #[test]
     fn c17_expansion_counts() {
@@ -373,17 +358,13 @@ mod tests {
             assert_ne!(t.a, t.b, "degenerate channel");
         }
         for &o in sw.output_nodes() {
-            let devs = sw.channel_neighbors(o);
-            assert!(
-                devs.iter()
-                    .any(|&i| sw.transistors()[i as usize].kind == TransKind::Nmos),
-                "output lacks pull-down"
-            );
-            assert!(
-                devs.iter()
-                    .any(|&i| sw.transistors()[i as usize].kind == TransKind::Pmos),
-                "output lacks pull-up"
-            );
+            let on_channel = |kind| {
+                sw.transistors()
+                    .iter()
+                    .any(|t| t.kind == kind && (t.a == o || t.b == o))
+            };
+            assert!(on_channel(TransKind::Nmos), "output lacks pull-down");
+            assert!(on_channel(TransKind::Pmos), "output lacks pull-up");
         }
     }
 
@@ -428,8 +409,6 @@ mod tests {
     fn adjacency_is_consistent() {
         let sw = expand(&generators::c17()).unwrap();
         for (i, t) in sw.transistors().iter().enumerate() {
-            assert!(sw.channel_neighbors(t.a).contains(&(i as u32)));
-            assert!(sw.channel_neighbors(t.b).contains(&(i as u32)));
             assert!(sw.gated_by(t.gate).contains(&(i as u32)));
         }
     }

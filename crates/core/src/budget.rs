@@ -55,7 +55,7 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
 }
@@ -213,7 +213,8 @@ impl RunBudget {
     }
 
     /// Whether no constraint is configured (checks can never trip).
-    pub fn is_unlimited(&self) -> bool {
+    #[cfg(test)]
+    fn is_unlimited(&self) -> bool {
         self.deadline.is_none()
             && self.limit_bytes.is_none()
             && self.cancel.is_none()
@@ -302,9 +303,8 @@ impl RunBudget {
     /// ```
     /// use dlp_core::budget::RunBudget;
     ///
-    /// let b = RunBudget::from_settings(Some("5000"), None, None)?;
-    /// assert!(!b.is_unlimited());
-    /// assert!(RunBudget::from_settings(None, None, None)?.is_unlimited());
+    /// let b = RunBudget::from_settings(None, Some("64"), None)?;
+    /// assert!(b.check_memory(64 * 1024 * 1024 + 1).is_err());
     /// assert!(RunBudget::from_settings(Some("soon"), None, None).is_err());
     /// # Ok::<(), dlp_core::budget::BudgetConfigError>(())
     /// ```

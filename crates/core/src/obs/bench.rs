@@ -79,7 +79,7 @@ impl BenchEnv {
     /// Re-derives [`git_rev`](BenchEnv::git_rev) from the repository as
     /// of now (see [`BenchEnv::current_git_rev`]); keeps `"unknown"`
     /// outside a checkout.
-    pub fn refresh_git_rev(&mut self) {
+    fn refresh_git_rev(&mut self) {
         self.git_rev = BenchEnv::current_git_rev().unwrap_or_else(|| "unknown".to_string());
     }
 }

@@ -53,7 +53,7 @@ fn bucket_index(v: f64) -> u32 {
 }
 
 /// The exclusive upper bound of a bucket (`le` boundary in an exposition).
-pub fn bucket_upper_bound(index: u32) -> f64 {
+fn bucket_upper_bound(index: u32) -> f64 {
     if index == 0 {
         return 1.0;
     }

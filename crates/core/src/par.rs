@@ -5,10 +5,10 @@
 //! `std::thread::scope` threads pulling chunk indices from an atomic
 //! counter. Two properties are load-bearing for the reproduction:
 //!
-//! * **Determinism.** [`map_chunks`] decomposes the input into contiguous
-//!   chunks whose boundaries depend only on the item count and the
-//!   requested chunk count — never on the worker count — and returns the
-//!   per-chunk results in chunk order. Any reduction folded over the
+//! * **Determinism.** [`map_chunks_counted`] decomposes the input into
+//!   contiguous chunks whose boundaries depend only on the item count and
+//!   the requested chunk count — never on the worker count — and returns
+//!   the per-chunk results in chunk order. Any reduction folded over the
 //!   result is therefore bit-identical for every thread count, so
 //!   parallelism cannot perturb a reproduced figure.
 //! * **Explicit thread control.** [`ThreadCount`] resolves the worker
@@ -153,38 +153,6 @@ fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Deterministic parallel map over contiguous chunks of `items`.
-///
-/// `items` is split into (at most) `chunks` contiguous slices — see
-/// [`chunk_bounds`] — and `f(chunk_index, chunk)` is evaluated for each,
-/// by `threads` scoped workers pulling chunks from a shared counter.
-/// Results come back **in chunk order**, so folding them sequentially is
-/// bit-identical for every thread count. With `threads <= 1` (or a single
-/// chunk) everything runs inline on the caller's thread — no spawn at all.
-///
-/// # Example
-///
-/// ```
-/// let items: Vec<u64> = (0..100).collect();
-/// let sums = dlp_core::par::map_chunks(4, &items, 8, |_, c| c.iter().sum::<u64>());
-/// assert_eq!(sums.iter().sum::<u64>(), 4950);
-/// ```
-pub fn map_chunks<T, R, F>(threads: usize, items: &[T], chunks: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    map_chunks_counted(
-        threads,
-        items,
-        chunks,
-        crate::obs::Recorder::noop(),
-        "par",
-        f,
-    )
-}
-
 /// What one worker measured about itself during a parallel region.
 #[derive(Debug, Default)]
 struct WorkerStats {
@@ -284,12 +252,18 @@ fn update_balance_gauges(obs: &crate::obs::Recorder, name: &mut ScopedName) {
     }
 }
 
-/// [`map_chunks`] with per-worker observability.
+/// Deterministic parallel map over contiguous chunks of `items`, with
+/// per-worker observability.
 ///
-/// Identical result semantics to [`map_chunks`] — chunk decomposition
-/// and result order never depend on the worker count — but when `obs`
-/// is enabled the region's scheduling becomes diagnosable from the
-/// trace. Per worker `<i>` under the given `scope`:
+/// `items` is split into (at most) `chunks` contiguous slices — see
+/// [`chunk_bounds`] — and `f(chunk_index, chunk)` is evaluated for each,
+/// by `threads` scoped workers pulling chunks from a shared counter.
+/// Results come back **in chunk order**, so folding them sequentially is
+/// bit-identical for every thread count. With `threads <= 1` (or a single
+/// chunk) everything runs inline on the caller's thread — no spawn at all.
+///
+/// When `obs` is enabled the region's scheduling becomes diagnosable
+/// from the trace. Per worker `<i>` under the given `scope`:
 ///
 /// * counters `<scope>.worker<i>.items` (processed item total, omitted
 ///   when zero), `.busy_nanos` (time inside `f`), `.wait_nanos`
@@ -310,6 +284,18 @@ fn update_balance_gauges(obs: &crate::obs::Recorder, name: &mut ScopedName) {
 /// the `.items` sum across workers always equals `items.len()`, and
 /// the mapped *results* stay bit-identical regardless. With a disabled
 /// recorder no clock is ever read.
+///
+/// # Example
+///
+/// ```
+/// use dlp_core::{obs::Recorder, par};
+///
+/// let items: Vec<u64> = (0..100).collect();
+/// let sums = par::map_chunks_counted(4, &items, 8, Recorder::noop(), "sum", |_, c| {
+///     c.iter().sum::<u64>()
+/// });
+/// assert_eq!(sums.iter().sum::<u64>(), 4950);
+/// ```
 pub fn map_chunks_counted<T, R, F>(
     threads: usize,
     items: &[T],
@@ -529,6 +515,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The untraced map: the reference the traced and budgeted maps are
+    /// checked against.
+    fn map_chunks<T, R, F>(threads: usize, items: &[T], chunks: usize, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &[T]) -> R + Sync,
+    {
+        map_chunks_counted(
+            threads,
+            items,
+            chunks,
+            crate::obs::Recorder::noop(),
+            "par",
+            f,
+        )
+    }
 
     #[test]
     fn thread_count_parsing() {

@@ -12,7 +12,6 @@
 /// let dl = Ppm::from_fraction(0.0001);
 /// assert_eq!(dl.value(), 100.0);
 /// assert_eq!(dl.to_string(), "100 ppm");
-/// assert_eq!(Ppm::new(250.0).to_fraction(), 0.00025);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct Ppm(f64);
@@ -31,11 +30,6 @@ impl Ppm {
     /// The raw ppm value.
     pub const fn value(self) -> f64 {
         self.0
-    }
-
-    /// Converts back to a fraction.
-    pub fn to_fraction(self) -> f64 {
-        self.0 / 1e6
     }
 }
 
@@ -75,10 +69,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips() {
+    fn converts_from_a_fraction() {
         let p = Ppm::from_fraction(0.002279);
         assert!((p.value() - 2279.0).abs() < 1e-9);
-        assert!((p.to_fraction() - 0.002279).abs() < 1e-15);
     }
 
     #[test]

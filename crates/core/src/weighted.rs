@@ -72,27 +72,6 @@ impl FaultWeights {
         Ok(FaultWeights { weights, total })
     }
 
-    /// Builds weights from per-fault occurrence probabilities
-    /// `p_j ∈ [0, 1)` via `w_j = −ln(1 − p_j)` (eq. 4).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::OutOfDomain`] if any `p_j ∉ [0, 1)`.
-    pub fn from_probabilities(probabilities: &[f64]) -> Result<Self, ModelError> {
-        let mut weights = Vec::with_capacity(probabilities.len());
-        for &p in probabilities {
-            if !(0.0..1.0).contains(&p) {
-                return Err(ModelError::OutOfDomain {
-                    parameter: "fault probability",
-                    value: p,
-                    range: "[0, 1)",
-                });
-            }
-            weights.push(-(1.0 - p).ln());
-        }
-        FaultWeights::new(weights)
-    }
-
     /// Number of faults.
     pub fn len(&self) -> usize {
         self.weights.len()
@@ -291,8 +270,8 @@ mod tests {
 
     #[test]
     fn probability_weight_round_trip() {
-        let probs = [0.1, 0.001, 0.25];
-        let w = FaultWeights::from_probabilities(&probs).unwrap();
+        let probs = [0.1f64, 0.001, 0.25];
+        let w = FaultWeights::new(probs.iter().map(|p| -(1.0 - p).ln()).collect()).unwrap();
         for (j, &p) in probs.iter().enumerate() {
             assert!((w.probability(j) - p).abs() < 1e-12);
         }
@@ -325,7 +304,6 @@ mod tests {
         assert!(FaultWeights::new(vec![]).is_err());
         assert!(FaultWeights::new(vec![0.0, 0.0]).is_err());
         assert!(FaultWeights::new(vec![-1.0]).is_err());
-        assert!(FaultWeights::from_probabilities(&[1.0]).is_err());
         assert!(sample().theta(&[true]).is_err());
         assert!(sample().scaled_to_yield(1.5).is_err());
         // The open-unit boundary and NaN: Y = 0 diverges the log, Y = 1

@@ -57,13 +57,6 @@ pub fn negative_binomial(lambda: f64, alpha: f64) -> Result<f64, ModelError> {
     Ok((1.0 + lambda / alpha).powf(-alpha))
 }
 
-/// Expected killer defects from per-layer `(critical area, defect
-/// density)` pairs: `λ = Σ A_l · D_l`. Units must agree (area in cm²
-/// with density in defects/cm², or λ-units consistently).
-pub fn lambda_from_layers<I: IntoIterator<Item = (f64, f64)>>(layers: I) -> f64 {
-    layers.into_iter().map(|(a, d)| a * d).sum()
-}
-
 /// The λ that produces a target Poisson yield: `λ = −ln Y`.
 ///
 /// # Errors
@@ -156,13 +149,6 @@ mod tests {
     fn lambda_round_trips_through_yield() {
         let lambda = lambda_for_yield(0.75).unwrap();
         assert!((poisson(lambda).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lambda_from_layer_table() {
-        let l = lambda_from_layers([(1.0, 0.1), (2.0, 0.05), (0.5, 0.2)]);
-        assert!((l - 0.3).abs() < 1e-12);
-        assert_eq!(lambda_from_layers(std::iter::empty()), 0.0);
     }
 
     #[test]

@@ -13,42 +13,18 @@
 //!   cut: centre area `(x − c)²` for `x > c`.
 
 use dlp_geometry::sweep::UnionScratch;
-use dlp_geometry::{Coord, Rect, Region};
+use dlp_geometry::{Coord, Rect};
 
-/// Critical area (λ²) for a short between two shape sets at defect size
-/// `x`, under the square-defect model.
-///
-/// # Example
-///
-/// ```
-/// use dlp_geometry::{Layer, Rect, Region};
-/// use dlp_extract::critical_area::short_area;
-///
-/// // Two 100-long wires, 6 apart: defects of size 8 bridge them over a
-/// // band of height 2.
-/// let a = Region::from_rects(Layer::Metal1, [Rect::new(0, 0, 100, 4)]);
-/// let b = Region::from_rects(Layer::Metal1, [Rect::new(0, 10, 100, 14)]);
-/// assert_eq!(short_area(&a, &b, 6), 0); // just touches: zero area
-/// assert!(short_area(&a, &b, 8) > 0);
-/// ```
-pub fn short_area(a: &Region, b: &Region, x: Coord) -> i64 {
-    if x <= 0 {
-        return 0;
-    }
-    let (ha, hb) = halves(x);
-    a.dilated(ha).overlap_area(&b.dilated(hb))
-}
-
-/// [`short_area`] between two fixed shape sets at many defect sizes no
-/// larger than `max_x`.
+/// Critical area (λ²) for a short between two fixed shape sets, under
+/// the square-defect model, at many defect sizes no larger than `max_x`.
 ///
 /// The caller keeps the rectangle pairs whose dilations overlap at
 /// `max_x` (`dilations_overlap`); each size then unions only their
 /// intersections. Dilation grows with the defect size, so a pair that
 /// overlaps at a smaller size is never dropped, and areas are exact
-/// integers: every size gives exactly `short_area`'s value. The union of
-/// a set of rectangles does not depend on their order or multiplicity,
-/// so only the *set* of kept pairs matters. One value is reused across
+/// integers: every size gives exactly the overlap area of the two dilated
+/// sets. The union of a set of rectangles does not depend on their order
+/// or multiplicity, so only the *set* of kept pairs matters. One value is reused across
 /// shape-set pairs, so its buffers are allocated once.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShortPairs {
@@ -169,10 +145,22 @@ pub fn weighted<F: FnMut(Coord) -> i64>(samples: &[(Coord, f64)], mut area_at: F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlp_geometry::Layer;
+    use dlp_geometry::sweep;
 
-    fn wire(y0: Coord, y1: Coord) -> Region {
-        Region::from_rects(Layer::Metal1, [Rect::new(0, y0, 100, y1)])
+    /// Critical area for a short at defect size `x`, straight from the
+    /// scanline intersection of the two dilated sets: the reference
+    /// [`ShortPairs`] is checked against.
+    fn short_area(a: &[Rect], b: &[Rect], x: Coord) -> i64 {
+        if x <= 0 {
+            return 0;
+        }
+        let (ha, hb) = halves(x);
+        let dilate = |rs: &[Rect], d| rs.iter().map(|r| r.dilated(d)).collect::<Vec<_>>();
+        sweep::intersection_area(&dilate(a, ha), &dilate(b, hb))
+    }
+
+    fn wire(y0: Coord, y1: Coord) -> Vec<Rect> {
+        vec![Rect::new(0, y0, 100, y1)]
     }
 
     #[test]
@@ -258,10 +246,8 @@ mod tests {
             let (a, b) = (region(&mut coord), region(&mut coord));
             let max_x = coord(30);
             let mut pairs = ShortPairs::new(&a, &b, max_x);
-            let ra = Region::from_rects(Layer::Metal1, a.iter().copied());
-            let rb = Region::from_rects(Layer::Metal1, b.iter().copied());
             for x in 0..=max_x {
-                assert_eq!(pairs.area(x), short_area(&ra, &rb, x), "{a:?} {b:?} x={x}");
+                assert_eq!(pairs.area(x), short_area(&a, &b, x), "{a:?} {b:?} x={x}");
             }
         }
     }

@@ -18,8 +18,6 @@ pub enum ExtractError {
     },
     /// The extraction config asked for zero size-integration samples.
     NoSizeSamples,
-    /// The extraction config's bridge-candidate bin is not positive.
-    NonPositiveBin(dlp_geometry::Coord),
     /// An output-pad shape references a net that is not a primary output.
     MissingOutputNet(String),
     /// A stage-internal net has no node in the switch netlist (the switch
@@ -35,8 +33,6 @@ pub enum ExtractError {
     },
     /// A rail bridge carries no rail level.
     RailBridgeWithoutLevel(String),
-    /// Defect sampling was asked for a layer with no extra-material class.
-    NoExtraMaterialClass(Layer),
     /// A stuck-at site references a node or input pin outside the
     /// netlist handed to the weight distribution.
     StuckAtSiteOutOfRange {
@@ -58,9 +54,6 @@ impl fmt::Display for ExtractError {
             ExtractError::NoSizeSamples => {
                 write!(f, "extraction config requests zero size samples")
             }
-            ExtractError::NonPositiveBin(bin) => {
-                write!(f, "extraction config bin {bin} is not positive")
-            }
             ExtractError::MissingOutputNet(n) => {
                 write!(f, "output pad net `{n}` is not a primary output")
             }
@@ -75,9 +68,6 @@ impl fmt::Display for ExtractError {
             }
             ExtractError::RailBridgeWithoutLevel(label) => {
                 write!(f, "rail bridge `{label}` carries no rail level")
-            }
-            ExtractError::NoExtraMaterialClass(layer) => {
-                write!(f, "no extra-material defect class on layer {layer}")
             }
             ExtractError::StuckAtSiteOutOfRange { gate } => {
                 write!(

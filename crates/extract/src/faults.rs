@@ -63,7 +63,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// True for shorts (bridges), false for the open family.
-    pub fn is_bridge(&self) -> bool {
+    fn is_bridge(&self) -> bool {
         matches!(self, FaultKind::Bridge { .. } | FaultKind::StuckOn { .. })
     }
 }
@@ -261,21 +261,6 @@ impl FaultSet {
                 })
             })
             .collect()
-    }
-
-    /// The stage count of a gate's cell — a helper for resolving the last
-    /// stage's net during extraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unmappable gate. Extraction only sees gates that were
-    /// already placed by `ChipLayout::generate`, which propagates the
-    /// mapping failure as a typed `LayoutError` first.
-    pub fn stage_count(netlist: &Netlist, gate: NodeId) -> usize {
-        match dlp_circuit::cells::template_for(netlist.kind(gate), netlist.fanin(gate).len()) {
-            Ok(t) => t.stages().len(),
-            Err(e) => panic!("placed gate lost its cell template: {e}"),
-        }
     }
 
     /// Drops faults with negligible weight (below `threshold` of the total

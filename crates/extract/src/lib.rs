@@ -14,11 +14,13 @@
 //!   transistor stuck-opens/ons) and mapping onto simulator faults,
 //! * [`extractor`] — the end-to-end extraction pass,
 //! * [`report`] — weight breakdowns per family and layer,
-//! * [`sampling`] — Monte Carlo defect injection cross-checking the
-//!   critical-area analysis,
 //! * [`sharded`] — critical-area weight distribution onto stuck-at
 //!   universes and tiled template replication (the million-fault scale
 //!   path; see `DESIGN.md` §13).
+//!
+//! The crate's unit tests also carry a Monte Carlo defect sampler that
+//! throws defects at the layout and checks the extractor's bridge list
+//! against it: complete, and conservative per pair.
 //!
 //! # Example
 //!
@@ -51,7 +53,8 @@ mod error;
 pub mod extractor;
 pub mod faults;
 pub mod report;
-pub mod sampling;
+#[cfg(test)]
+mod sampling;
 pub mod sharded;
 
 pub use error::ExtractError;

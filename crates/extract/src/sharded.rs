@@ -173,7 +173,7 @@ impl TiledWeights {
 
     /// Per-fault weight for a site mapping to `template_node` (`None`
     /// for out-of-tile sites).
-    pub fn weight_for(&self, template_node: Option<NodeId>) -> f64 {
+    fn weight_for(&self, template_node: Option<NodeId>) -> f64 {
         match template_node {
             Some(n) if self.node_sites.get(n.index()).copied().unwrap_or(0) > 0 => {
                 self.node_weight[n.index()] / self.node_sites[n.index()] as f64
@@ -211,7 +211,8 @@ impl TiledWeights {
 /// Kind-proxy site map for members that are not tiled copies of the
 /// template: every gate maps to the first template gate of the same
 /// [`GateKind`], primary inputs and kinds the template lacks to `None`
-/// (the template's average weight under [`TiledWeights::weight_for`]).
+/// (the template's average per-fault weight under
+/// [`TiledWeights::expand`]).
 pub fn kind_map(template: &Netlist, member: &Netlist) -> Box<dyn Fn(NodeId) -> Option<NodeId>> {
     let mut rep: HashMap<GateKind, NodeId> = HashMap::new();
     for id in template.node_ids() {

@@ -6,9 +6,8 @@
 //! * [`Point`] and [`Rect`] — integer-coordinate primitives in database
 //!   units (a technology decides how many database units make one λ),
 //! * [`Layer`] — the mask layers of a generic 2-metal CMOS process,
-//! * [`Region`] — a bag of rectangles on a single layer with Boolean-ish
-//!   operations (dilation, union area, pairwise interaction area),
-//! * [`sweep`] — scanline algorithms for exact union area of rectangle sets.
+//! * [`sweep`] — scanline algorithms for the exact union and pairwise
+//!   intersection areas of rectangle sets.
 //!
 //! All coordinates are `i64` database units; areas are returned as `i64`
 //! (square database units) or `f64` where integration demands it. Integer
@@ -18,12 +17,13 @@
 //! # Example
 //!
 //! ```
-//! use dlp_geometry::{Rect, Region, Layer};
+//! use dlp_geometry::{sweep, Rect};
 //!
-//! let mut m1 = Region::new(Layer::Metal1);
-//! m1.push(Rect::new(0, 0, 100, 4));   // a horizontal wire, 4 units wide
-//! m1.push(Rect::new(0, 10, 100, 14)); // a parallel wire 6 units away
-//! assert_eq!(m1.area(), 2 * 100 * 4);
+//! let m1 = [
+//!     Rect::new(0, 0, 100, 4),   // a horizontal wire, 4 units wide
+//!     Rect::new(0, 10, 100, 14), // a parallel wire 6 units away
+//! ];
+//! assert_eq!(sweep::union_area(&m1), 2 * 100 * 4);
 //! ```
 //!
 //! [`dlp-layout`]: https://example.invalid/dlp
@@ -35,7 +35,6 @@
 mod layer;
 mod point;
 mod rect;
-mod region;
 pub mod sweep;
 #[cfg(test)]
 pub(crate) mod test_rng;
@@ -43,7 +42,6 @@ pub(crate) mod test_rng;
 pub use layer::{Layer, LayerClass};
 pub use point::Point;
 pub use rect::Rect;
-pub use region::Region;
 
 /// Coordinate type used throughout the geometry crate: database units.
 ///

@@ -13,7 +13,6 @@ use crate::Coord;
 /// let a = Point::new(3, 4);
 /// let b = a.translated(1, -2);
 /// assert_eq!(b, Point::new(4, 2));
-/// assert_eq!(a.manhattan_distance(b), 3);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Point {
@@ -38,12 +37,6 @@ impl Point {
     #[must_use]
     pub const fn translated(self, dx: Coord, dy: Coord) -> Self {
         Point::new(self.x + dx, self.y + dy)
-    }
-
-    /// L1 (Manhattan) distance to `other`.
-    #[inline]
-    pub fn manhattan_distance(self, other: Point) -> Coord {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 }
 
@@ -73,14 +66,6 @@ mod tests {
     fn translation_composes() {
         let p = Point::new(5, -7).translated(2, 3).translated(-2, -3);
         assert_eq!(p, Point::new(5, -7));
-    }
-
-    #[test]
-    fn manhattan_distance_is_symmetric() {
-        let a = Point::new(1, 2);
-        let b = Point::new(-4, 9);
-        assert_eq!(a.manhattan_distance(b), b.manhattan_distance(a));
-        assert_eq!(a.manhattan_distance(b), 5 + 7);
     }
 
     #[test]

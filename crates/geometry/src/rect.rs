@@ -216,20 +216,6 @@ impl Rect {
             y1: self.y1.max(other.y1),
         }
     }
-
-    /// Minimum L∞ (Chebyshev) separation between the two rectangles: the
-    /// smallest `d` such that dilating either rectangle by `d` makes them
-    /// touch. Zero when they already touch or overlap.
-    ///
-    /// The L∞ metric matches the square-defect model used by the extractor:
-    /// a square defect of side `x` shorts two shapes iff their L∞ separation
-    /// is less than `x`.
-    #[inline]
-    pub fn linf_separation(&self, other: &Rect) -> Coord {
-        let dx = (other.x0 - self.x1).max(self.x0 - other.x1).max(0);
-        let dy = (other.y0 - self.y1).max(self.y0 - other.y1).max(0);
-        dx.max(dy)
-    }
 }
 
 impl core::fmt::Display for Rect {
@@ -310,28 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn linf_separation_basic() {
-        let a = Rect::new(0, 0, 10, 4);
-        let b = Rect::new(0, 10, 10, 14); // 6 above
-        assert_eq!(a.linf_separation(&b), 6);
-        let c = Rect::new(13, 10, 20, 14); // 3 right, 6 up -> Linf = 6
-        assert_eq!(a.linf_separation(&c), 6);
-        let d = Rect::new(5, 2, 6, 3); // contained
-        assert_eq!(a.linf_separation(&d), 0);
-    }
-
-    #[test]
-    fn linf_separation_matches_dilation() {
-        // Dilating both rects by ceil(sep/2) must make them touch.
-        let a = Rect::new(0, 0, 4, 4);
-        let b = Rect::new(11, 0, 15, 4);
-        let s = a.linf_separation(&b);
-        assert_eq!(s, 7);
-        assert!(a.dilated(4).touches(&b.dilated(4)));
-        assert!(!a.dilated(3).touches(&b.dilated(3)));
-    }
-
-    #[test]
     fn contains_rect_and_points() {
         let big = Rect::new(0, 0, 10, 10);
         assert!(big.contains_rect(&Rect::new(2, 2, 8, 8)));
@@ -371,31 +335,6 @@ mod property_tests {
                 Rect::with_size(x, y, w, h)
             })
             .collect()
-    }
-
-    /// Dilation by the L∞ separation makes two rectangles touch, and
-    /// by one less never does — the exactness the critical-area
-    /// engine's short model depends on.
-    #[test]
-    fn linf_separation_is_tight() {
-        let rects_a = rect_stream(1, 300);
-        let rects_b = rect_stream(2, 300);
-        for (a, b) in rects_a.iter().zip(&rects_b) {
-            let s = a.linf_separation(b);
-            if s > 0 {
-                // Split the dilation so the halves sum to s.
-                let ha = s / 2;
-                let hb = s - ha;
-                assert!(a.dilated(ha).touches(&b.dilated(hb)), "{a} {b}");
-                if s > 1 {
-                    let ha = (s - 1) / 2;
-                    let hb = (s - 1) - ha;
-                    assert!(!a.dilated(ha).touches(&b.dilated(hb)), "{a} {b}");
-                }
-            } else {
-                assert!(a.touches(b), "{a} {b}");
-            }
-        }
     }
 
     /// Intersection is commutative and contained in both operands.

@@ -6,8 +6,9 @@
 //! error tagged with the case's [`Stage`] — see [`crate::harness`].
 
 use dlp_atpg::generate::{generate_tests, AtpgConfig};
+use dlp_bench::pipeline;
 use dlp_circuit::switch::SwitchNodeId;
-use dlp_circuit::{bench, generators, switch, NodeId};
+use dlp_circuit::{bench, generators, switch, NetlistError, NodeId};
 use dlp_core::ckpt::Checkpoint;
 use dlp_core::montecarlo::{simulate_fallout_resumable, McCheckpoint, MonteCarloConfig};
 use dlp_core::obs::{Json, Recorder};
@@ -110,6 +111,12 @@ pub fn corpus() -> Vec<Case> {
             Layout,
             "cell height too small to hold diffusions and rails",
             layout_zero_height_cells
+        ),
+        case!(
+            "layout-over-arity-gate",
+            Layout,
+            "a .bench NAND with 9 inputs, beyond the 8-input cell library",
+            layout_over_arity_gate
         ),
         // -- defect statistics / extraction ------------------------------
         case!(
@@ -560,6 +567,36 @@ fn layout_zero_height_cells() -> Result<(), PipelineError> {
     Ok(())
 }
 
+/// A 9-input NAND parses, since `.bench` puts no bound on fanin, but no
+/// library cell realises it. The switch expander must reject it with
+/// [`NetlistError::BadArity`], and the flow must stop at layout with a
+/// typed error.
+fn layout_over_arity_gate() -> Result<(), PipelineError> {
+    let pins: Vec<String> = (1..=9).map(|i| format!("a{i}")).collect();
+    let text = format!(
+        "{}OUTPUT(y)\ny = NAND({})\n",
+        pins.iter()
+            .map(|p| format!("INPUT({p})\n"))
+            .collect::<String>(),
+        pins.join(", ")
+    );
+    let netlist = bench::parse("nand9", &text)?;
+    match switch::expand(&netlist) {
+        Err(NetlistError::BadArity { .. }) => {}
+        other => {
+            // Any other outcome breaks the contract: surface it under a
+            // stage the case does not expect, so the harness fails it.
+            let got = other.map(|_| "a switch netlist".to_string());
+            return Err(PipelineError::new(
+                Stage::Netlist,
+                format!("switch::expand gave {got:?}, not BadArity"),
+            ));
+        }
+    }
+    pipeline::extract_netlist_obs(netlist, &DefectStatistics::maly_cmos(), Recorder::noop())?;
+    Ok(())
+}
+
 // -- defect statistics / extraction ---------------------------------------
 
 fn c17_chip() -> Result<ChipLayout, PipelineError> {
@@ -625,10 +662,7 @@ fn extract_zero_size_samples() -> Result<(), PipelineError> {
     extractor::extract_obs(
         &c17_chip()?,
         &DefectStatistics::maly_cmos(),
-        &ExtractionConfig {
-            size_samples: 0,
-            ..ExtractionConfig::default()
-        },
+        &ExtractionConfig { size_samples: 0 },
         ThreadCount::Auto,
         Recorder::noop(),
     )?;

@@ -23,7 +23,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Whether this outcome satisfies the robustness contract.
-    pub fn is_pass(&self) -> bool {
+    fn is_pass(&self) -> bool {
         matches!(self, Outcome::TypedError(_))
     }
 }

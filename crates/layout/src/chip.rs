@@ -32,6 +32,31 @@ pub enum ElecNet {
     Stage(NodeId, usize),
 }
 
+impl ElecNet {
+    /// The net that stage `stage` of `gate`'s cell drives: the gate's
+    /// own signal for the cell's last stage, a stage-internal net for
+    /// every earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` has no cell template. Every gate of a placed
+    /// chip has one: `ChipLayout::generate` maps each gate to its
+    /// template during placement and returns a typed `LayoutError` for
+    /// a gate it cannot map.
+    pub fn of_stage(netlist: &Netlist, gate: NodeId, stage: usize) -> ElecNet {
+        let stages =
+            match dlp_circuit::cells::template_for(netlist.kind(gate), netlist.fanin(gate).len()) {
+                Ok(t) => t.stages().len(),
+                Err(e) => panic!("placed gate lost its cell template: {e}"),
+            };
+        if stage + 1 == stages {
+            ElecNet::Signal(gate)
+        } else {
+            ElecNet::Stage(gate, stage)
+        }
+    }
+}
+
 /// Electrical identity of a shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElecRole {
@@ -330,27 +355,7 @@ impl Builder {
     fn resolve(&self, gate: NodeId, signal: CellSignal) -> ElecNet {
         match signal {
             CellSignal::Input(i) => ElecNet::Signal(self.netlist.fanin(gate)[i]),
-            CellSignal::Stage(s) => {
-                let stages = self.stage_count(gate);
-                if s + 1 == stages {
-                    ElecNet::Signal(gate)
-                } else {
-                    ElecNet::Stage(gate, s)
-                }
-            }
-        }
-    }
-
-    fn stage_count(&self, gate: NodeId) -> usize {
-        // The cell library caches one layout per (kind, arity); stage count
-        // equals the template's. Placement already template-mapped every
-        // gate (propagating LayoutError::Cell), so failure here is a bug.
-        match dlp_circuit::cells::template_for(
-            self.netlist.kind(gate),
-            self.netlist.fanin(gate).len(),
-        ) {
-            Ok(t) => t.stages().len(),
-            Err(e) => panic!("placed gate lost its cell template: {e}"),
+            CellSignal::Stage(s) => ElecNet::of_stage(&self.netlist, gate, s),
         }
     }
 

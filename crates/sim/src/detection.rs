@@ -189,15 +189,6 @@ impl DetectionProfile {
         self.detections.iter().map(Vec::len).collect()
     }
 
-    /// Index of the vector that scored fault `j`'s `rank`-th detection
-    /// (`rank` is 1-based), or `None` if the sequence never got it there.
-    pub fn nth_detect(&self, j: usize, rank: usize) -> Option<usize> {
-        if rank == 0 {
-            return None;
-        }
-        self.detections[j].get(rank - 1).copied()
-    }
-
     /// Projects the profile onto its rank-1 detections. With `n_cap = 1`
     /// this is exactly the [`DetectionRecord`] of
     /// [`crate::ppsfp::simulate_resumable`].
@@ -206,13 +197,6 @@ impl DetectionProfile {
             self.detections.iter().map(|d| d.first().copied()).collect(),
             self.vector_count,
         )
-    }
-
-    /// Detection mask at level `n`: `mask[j]` is true iff fault `j` was
-    /// detected at least `n` times (`n` is clamped into `1..=n_cap` by the
-    /// data itself — asking beyond the cap can never be true).
-    pub fn detected_at_least(&self, n: usize) -> Vec<bool> {
-        self.detections.iter().map(|d| d.len() >= n).collect()
     }
 
     /// Fraction of faults detected at least `n` times.
@@ -300,18 +284,12 @@ mod tests {
         assert_eq!(p.counts(), vec![3, 1, 0]);
         assert_eq!(p.count(0), 3);
         assert_eq!(p.detections(0), &[0, 2, 5]);
-        assert_eq!(p.nth_detect(0, 1), Some(0));
-        assert_eq!(p.nth_detect(0, 3), Some(5));
-        assert_eq!(p.nth_detect(0, 4), None);
-        assert_eq!(p.nth_detect(1, 0), None, "ranks are 1-based");
-        assert_eq!(p.nth_detect(2, 1), None);
+        assert_eq!(p.detections(2), &[] as &[usize]);
     }
 
     #[test]
     fn profile_masks_and_projection() {
         let p = profile();
-        assert_eq!(p.detected_at_least(1), vec![true, true, false]);
-        assert_eq!(p.detected_at_least(2), vec![true, false, false]);
         assert!((p.coverage_at_least(1) - 2.0 / 3.0).abs() < 1e-12);
         assert!((p.coverage_at_least(3) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(

@@ -14,9 +14,6 @@
 //!   retention and an I_DDQ observation mode, simulating bridging faults,
 //!   transistor stuck-opens/ons and floating (open-interconnect) inputs —
 //!   producing `θ(k)` and `Γ(k)`,
-//! * [`transition`] — two-pattern gate-delay (transition) fault simulation
-//!   (the paper's other "more sophisticated" test technique) on the
-//!   PPSFP block kernel,
 //! * [`detection`] — shared bookkeeping: first-detection records and
 //!   coverage curves,
 //! * [`ckpt`] — sealed resume checkpoints for the interruptible
@@ -55,6 +52,5 @@ mod error;
 pub mod ppsfp;
 pub mod stuck_at;
 pub mod switchlevel;
-pub mod transition;
 
 pub use error::SimError;

@@ -11,8 +11,7 @@
 //! 32,768 faults, and the cache is cleared before a window's cones would
 //! overflow it. A fault list no longer than one window builds each cone
 //! once; a million-fault list keeps one window's cones resident, so its
-//! memory stays proportional to the window, not to the list. The same
-//! block kernel serves [`transition`](crate::transition) simulation.
+//! memory stays proportional to the window, not to the list.
 
 use dlp_circuit::{ConeScratch, GateKind, Netlist, NodeId};
 use dlp_core::obs::Recorder;
@@ -34,7 +33,7 @@ pub const MAX_DETECTION_CAP: usize = 1 << 16;
 /// holds: large enough that every shipped circuit's collapsed list fits
 /// one window, small enough that one window's cones stay in the tens of
 /// megabytes even when every cone spans a few hundred nodes.
-pub(crate) const WINDOW_FAULTS: usize = 32_768;
+const WINDOW_FAULTS: usize = 32_768;
 
 /// Validates every fault site against the netlist: the stem node, or the
 /// branch's gate and pin index, must exist.
@@ -63,7 +62,7 @@ fn validate_faults(netlist: &Netlist, faults: &[StuckAtFault]) -> Result<(), Sim
 
 /// Validated per-run state of the block kernel: the fault list and a
 /// bounded cache of its fanout cones.
-pub(crate) struct SimSetup<'a> {
+struct SimSetup<'a> {
     netlist: &'a Netlist,
     faults: &'a [StuckAtFault],
     n_in: usize,
@@ -79,12 +78,12 @@ pub(crate) struct SimSetup<'a> {
 }
 
 /// The fault-free words of one packed 64-pattern block.
-pub(crate) struct GoodBlock {
+struct GoodBlock {
     /// One word per node: bit `p` is the node's value under pattern `p`.
-    pub(crate) words: Vec<u64>,
+    words: Vec<u64>,
     /// The bits of the block's patterns: all 64 except in a partial
     /// final block.
-    pub(crate) used_mask: u64,
+    used_mask: u64,
 }
 
 fn cone_seed(f: &StuckAtFault) -> NodeId {
@@ -97,7 +96,7 @@ fn cone_seed(f: &StuckAtFault) -> NodeId {
 impl<'a> SimSetup<'a> {
     /// Validates the vector widths and fault sites; cones are built on
     /// demand, `window` faults at a time.
-    pub(crate) fn new(
+    fn new(
         netlist: &'a Netlist,
         faults: &'a [StuckAtFault],
         vectors: &[Vec<bool>],
@@ -140,7 +139,7 @@ impl<'a> SimSetup<'a> {
 
     /// Packs a block (word `i` = input `i` across patterns) and evaluates
     /// the fault-free circuit on it.
-    pub(crate) fn good_block(&self, block: &[Vec<bool>]) -> GoodBlock {
+    fn good_block(&self, block: &[Vec<bool>]) -> GoodBlock {
         let mut input_words = vec![0u64; self.n_in];
         for (p, v) in block.iter().enumerate() {
             for (i, &bit) in v.iter().enumerate() {
@@ -169,7 +168,7 @@ impl<'a> SimSetup<'a> {
     /// is a pure function of (fault, block), so the outcome cannot depend
     /// on the window or the partition — the bit-identical-merge
     /// foundation every caller builds on.
-    pub(crate) fn detection_words(
+    fn detection_words(
         &mut self,
         good: &GoodBlock,
         live: &[usize],

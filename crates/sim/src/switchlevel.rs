@@ -389,7 +389,8 @@ impl SwitchSimulator {
     }
 
     /// Number of channel-connected components found.
-    pub fn component_count(&self) -> usize {
+    #[cfg(test)]
+    fn component_count(&self) -> usize {
         self.components.len()
     }
 

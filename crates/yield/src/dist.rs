@@ -319,28 +319,6 @@ impl Hierarchical {
         })
     }
 
-    /// A production-plausible default: mild die-level clustering
-    /// (α_die = 2), moderate wafer excursions (α_wafer = 8), rare lot
-    /// excursions (α_lot = 20), 400-die wafers in 25-wafer lots.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice (parameters are constants); typed for
-    /// uniformity.
-    pub fn production_default() -> Result<Hierarchical, ModelError> {
-        Hierarchical::new(2.0, 8.0, 20.0, 400, 25)
-    }
-
-    /// `(die_alpha, wafer_alpha, lot_alpha)`.
-    pub fn alphas(&self) -> (f64, f64, f64) {
-        (self.die_alpha, self.wafer_alpha, self.lot_alpha)
-    }
-
-    /// `(dies_per_wafer, wafers_per_lot)`.
-    pub fn grouping(&self) -> (u64, u64) {
-        (self.dies_per_wafer, self.wafers_per_lot)
-    }
-
     /// The shared wafer/lot multiplier for a die — a pure function of
     /// `(seed, die)`.
     fn group_multiplier(&self, seed: u64, die: u64) -> f64 {
@@ -461,8 +439,8 @@ impl Fallout {
             Fallout::Poisson(_) => "poisson".to_string(),
             Fallout::NegativeBinomial(d) => format!("nb(alpha={})", d.alpha()),
             Fallout::Hierarchical(d) => {
-                let (da, wa, la) = d.alphas();
-                let (dw, wl) = d.grouping();
+                let (da, wa, la) = (d.die_alpha, d.wafer_alpha, d.lot_alpha);
+                let (dw, wl) = (d.dies_per_wafer, d.wafers_per_lot);
                 format!("hier(die={da},wafer={wa},lot={la},dpw={dw},wpl={wl})")
             }
         }
@@ -478,6 +456,13 @@ impl Default for Fallout {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A production-plausible mix: mild die-level clustering (α_die = 2),
+    /// moderate wafer excursions (α_wafer = 8), rare lot excursions
+    /// (α_lot = 20), 400-die wafers in 25-wafer lots.
+    fn production() -> Hierarchical {
+        Hierarchical::new(2.0, 8.0, 20.0, 400, 25).unwrap()
+    }
 
     #[test]
     fn constructors_reject_bad_parameters() {
@@ -582,7 +567,7 @@ mod tests {
 
     #[test]
     fn hierarchical_yield_is_deterministic_and_monotone() {
-        let h = Hierarchical::production_default().unwrap();
+        let h = production();
         let y1 = h.expected_yield(0.3).unwrap();
         assert_eq!(
             y1,
@@ -634,7 +619,7 @@ mod tests {
         let dl_nb = nb
             .defect_level(nb.lambda_for_yield(0.75).unwrap(), theta)
             .unwrap();
-        let h = Hierarchical::production_default().unwrap();
+        let h = production();
         let dl_h = h
             .defect_level(h.lambda_for_yield(0.75).unwrap(), theta)
             .unwrap();

@@ -22,7 +22,7 @@ fn standard_normal(rng: &mut Xorshift64Star) -> f64 {
 /// A Gamma(`alpha`, scale 1) deviate. Requires `alpha > 0` and finite;
 /// the distribution constructors validate before any sampling happens,
 /// so this is a debug assertion rather than a typed error.
-pub fn sample_gamma(alpha: f64, rng: &mut Xorshift64Star) -> f64 {
+fn sample_gamma(alpha: f64, rng: &mut Xorshift64Star) -> f64 {
     debug_assert!(alpha > 0.0 && alpha.is_finite());
     if alpha < 1.0 {
         // Boost: G_alpha = G_{alpha+1} * U^(1/alpha), U in (0, 1].

@@ -5,9 +5,19 @@
 # panic-free contract of DESIGN.md §7. Test modules, benches, and examples
 # are exempt (panicking there is idiomatic), which is why the lint runs
 # per-crate on --lib targets only.
+#
+# The gate leaves the working tree as it found it: regenerated reports
+# go under target/ (or to gitignored paths), and a run that changes
+# `git status --porcelain` fails.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+in_git=false
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    in_git=true
+    status_before=$(git status --porcelain)
+fi
 
 echo "== fmt: the workspace is rustfmt-clean"
 cargo fmt --all --check
@@ -91,22 +101,32 @@ cargo test --release -q -p dlp-extract --test extract_digests c432_class_extract
 # a run report that parses with the in-tree JSON parser and carries a
 # span for every stage plus nonzero work counters, and a span tree that
 # passes the shared tree check (parents resolve, children inside their
-# parents) with extract.{bridges,opens,cuts} nested under extract. This
-# step regenerates the committed TRACE_full_flow_c432.json.
+# parents) with extract.{bridges,opens,cuts} nested under extract. The
+# report goes to target/; the committed TRACE_full_flow_c432.json stays
+# put.
 echo "== trace: full flow under DLP_TRACE, then validate the run report"
-DLP_TRACE=TRACE_full_flow_c432.json \
+mkdir -p target
+DLP_TRACE=target/TRACE_full_flow_c432.json \
     cargo run --release -q --example full_flow_c432 > /dev/null
 cargo run --release -q -p dlp-bench --bin validate_trace -- \
-    TRACE_full_flow_c432.json
+    target/TRACE_full_flow_c432.json
 
 # DL-vs-n gate: the n-detection bench must complete and regenerate
 # BENCH_ndetect.json; it asserts internally that the measured DL(n) is
 # monotone non-increasing on its prefix schedule. The regenerated file
-# must conform to the versioned BenchReport schema.
-echo "== ndetect: DL vs n table (writes BENCH_ndetect.json)"
+# must conform to the versioned BenchReport schema. The bin writes the
+# workspace-root path, so the committed report is set aside under
+# target/ for the run, the fresh one moves to target/BENCH_ndetect.json,
+# and the committed one goes back.
+echo "== ndetect: DL vs n table (writes target/BENCH_ndetect.json)"
+cp BENCH_ndetect.json target/BENCH_ndetect.committed.json
+trap 'mv -f target/BENCH_ndetect.committed.json BENCH_ndetect.json' EXIT
 cargo run --release -q -p dlp-bench --bin ndetect_dl > /dev/null
+mv -f BENCH_ndetect.json target/BENCH_ndetect.json
+mv -f target/BENCH_ndetect.committed.json BENCH_ndetect.json
+trap - EXIT
 cargo run --release -q -p dlp-bench --bin validate_trace -- \
-    --bench BENCH_ndetect.json
+    --bench target/BENCH_ndetect.json
 
 # Scale-path gate (DESIGN.md §13): the scale_sweep flow — template
 # layout → extraction → tiled weight distribution → PPSFP (its cone
@@ -174,5 +194,11 @@ cargo run --release -q -p dlp-bench --bin validate_trace -- \
     --bench BENCH_serve.json
 cargo run --release -q -p dlp-bench --bin perf_regress -- \
     --baseline baselines/serve_baseline.json --current BENCH_serve.json
+
+if [ "$in_git" = true ] && [ "$(git status --porcelain)" != "$status_before" ]; then
+    echo "check.sh changed the working tree:"
+    git status --porcelain
+    exit 1
+fi
 
 echo "All checks passed."
