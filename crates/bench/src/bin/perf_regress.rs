@@ -384,21 +384,14 @@ fn run() -> Result<bool, PipelineError> {
         return Ok(true);
     }
 
-    let text = std::fs::read_to_string(&baseline_path).map_err(|e| {
+    let baseline = BenchReport::load(&baseline_path).map_err(|e| {
         pipeline_err(&format!(
-            "cannot read baseline {baseline_path}: {e} \
-             (create it with perf_regress --write-baseline)"
+            "baseline {baseline_path}: {e} (create it with perf_regress --write-baseline)"
         ))
     })?;
-    let baseline = BenchReport::from_json(&text)
-        .map_err(|e| pipeline_err(&format!("baseline {baseline_path}: {e}")))?;
     let current = match &current_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| pipeline_err(&format!("cannot read current report {path}: {e}")))?;
-            BenchReport::from_json(&text)
-                .map_err(|e| pipeline_err(&format!("current report {path}: {e}")))?
-        }
+        Some(path) => BenchReport::load(path)
+            .map_err(|e| pipeline_err(&format!("current report {path}: {e}")))?,
         None => measure()?,
     };
     let cmp = regress::compare(&baseline, &current).map_err(|e| pipeline_err(&e.to_string()))?;

@@ -20,6 +20,9 @@
 //! The rendering is canonical (no whitespace, [`Json::Object`] members
 //! in source order, numbers via the same shortest-round-trip formatter
 //! the reports use), so checksums are stable across write/parse cycles.
+//! Run and bench reports are the same [`Json`] values laid out for
+//! people by [`render_pretty`], and every reader takes integers through
+//! the one rule of [`Json::as_uint`].
 //!
 //! [`atomic_write`] is the shared write-temp-then-rename helper used by
 //! every artifact writer in the workspace (checkpoints, `RunReport`,
@@ -153,6 +156,47 @@ fn render_into(value: &Json, out: &mut String) {
             out.push('}');
         }
     }
+}
+
+/// Renders a [`Json`] value for people to read, ending in a newline.
+/// The layout is fixed: a container that holds only scalars is one
+/// canonical [`render`] line; a container that holds a container puts
+/// one member per line, indented two spaces per level. Every scalar is
+/// formatted exactly as [`render`] formats it, so the text parses back
+/// to the value the canonical rendering does.
+pub fn render_pretty(value: &Json) -> String {
+    let mut out = String::new();
+    pretty_into(value, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+fn pretty_into(value: &Json, depth: usize, out: &mut String) {
+    let nested = |v: &Json| matches!(v, Json::Array(_) | Json::Object(_));
+    let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match value {
+        Json::Array(items) if items.iter().any(nested) => {
+            ('[', ']', items.iter().map(|v| (None, v)).collect())
+        }
+        Json::Object(members) if members.iter().any(|(_, v)| nested(v)) => (
+            '{',
+            '}',
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        _ => return out.push_str(&render(value)),
+    };
+    out.push(open);
+    for (i, (key, v)) in members.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            out.push_str(&json_string(key));
+            out.push_str(": ");
+        }
+        pretty_into(v, depth + 1, out);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push(close);
 }
 
 /// Writes `contents` to `path` atomically: write to a unique temp file
@@ -289,17 +333,6 @@ pub fn seal(kind: &str, key: u64, payload: &Json) -> String {
     )
 }
 
-/// Extracts an exact non-negative integer from an envelope field.
-fn envelope_u64(value: &Json) -> Option<u64> {
-    let v = value.as_f64()?;
-    if v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        Some(v as u64)
-    } else {
-        None
-    }
-}
-
 /// Opens an envelope previously produced by [`seal`], verifying (in
 /// order) JSON well-formedness, envelope shape, format version, stage
 /// `kind`, input `key`, and the payload checksum. Returns the payload.
@@ -316,7 +349,7 @@ pub fn open(text: &str, kind: &str, key: u64) -> Result<Json, CkptError> {
     }
     let version = doc
         .get("ckpt_version")
-        .and_then(envelope_u64)
+        .and_then(Json::as_uint::<u64>)
         .ok_or(CkptError::Malformed {
             what: "missing ckpt_version",
         })?;
@@ -391,11 +424,19 @@ pub fn save(path: &str, kind: &str, key: u64, payload: &Json) -> Result<(), Ckpt
 /// [`CkptError::Io`] if the file cannot be read (including non-UTF-8
 /// bytes from corruption), otherwise whatever [`open`] reports.
 pub fn load(path: &str, kind: &str, key: u64) -> Result<Json, CkptError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CkptError::Io {
+    open(&read_text(path)?, kind, key)
+}
+
+/// Reads a UTF-8 artifact file whole.
+///
+/// # Errors
+///
+/// [`CkptError::Io`] if the file cannot be read or is not UTF-8.
+pub(crate) fn read_text(path: &str) -> Result<String, CkptError> {
+    std::fs::read_to_string(path).map_err(|e| CkptError::Io {
         path: path.to_string(),
         error: e.to_string(),
-    })?;
-    open(&text, kind, key)
+    })
 }
 
 /// A long stage's resume state, sealed on disk as an envelope of kind
@@ -468,6 +509,23 @@ mod tests {
         // Parse and re-render: byte-identical (checksum stability).
         let reparsed = Json::parse(&text).expect("canonical text parses");
         assert_eq!(render(&reparsed), text);
+    }
+
+    #[test]
+    fn render_pretty_breaks_only_nested_containers() {
+        let value = Json::object([
+            ("flat", sample_payload()),
+            ("empty", Json::Array(Vec::new())),
+            ("rows", Json::Array(vec![Json::Array(vec![Json::Null])])),
+        ]);
+        let text = render_pretty(&value);
+        assert_eq!(
+            text,
+            "{\n  \"flat\": {\n    \"next\": 3.0,\n    \"state\": [1.0,2.5,null],\n    \
+             \"label\": \"a\\\"b\"\n  },\n  \"empty\": [],\n  \"rows\": [\n    [null]\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&text), Ok(value));
+        assert_eq!(render_pretty(&Json::Number(2.0)), "2.0\n");
     }
 
     #[test]

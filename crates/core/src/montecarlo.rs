@@ -239,7 +239,7 @@ impl Checkpoint for McCheckpoint {
                 ])
             })
             .collect();
-        Json::Object(vec![("tallies".to_string(), Json::Array(tallies))])
+        Json::object([("tallies", Json::Array(tallies))])
     }
 
     /// Rejects non-array tallies and non-integer counts.
@@ -253,22 +253,15 @@ impl Checkpoint for McCheckpoint {
                 })?;
         let mut out = Vec::with_capacity(tallies.len());
         for row in tallies {
-            let row = row.as_array().filter(|r| r.len() == 3).ok_or({
-                CkptError::Malformed {
-                    what: "tally row is not a 3-element array",
-                }
-            })?;
-            let mut counts = [0usize; 3];
-            for (slot, v) in counts.iter_mut().zip(row) {
-                *slot = v
-                    .as_f64()
-                    .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53))
-                    .map(|x| x as usize)
-                    .ok_or(CkptError::Malformed {
-                        what: "tally count is not a non-negative integer",
-                    })?;
-            }
-            out.push((counts[0], counts[1], counts[2]));
+            let counts: Option<Vec<usize>> = row
+                .as_array()
+                .and_then(|r| r.iter().map(Json::as_uint).collect());
+            let Some(&[good, shipped, escapes]) = counts.as_deref() else {
+                return Err(CkptError::Malformed {
+                    what: "tally row is not 3 non-negative integers",
+                });
+            };
+            out.push((good, shipped, escapes));
         }
         Ok(McCheckpoint { tallies: out })
     }

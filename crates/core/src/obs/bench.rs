@@ -7,12 +7,17 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 1.0,
+//!   "checksum": "<16 hex digits>",
 //!   "name": "fault_sim",
-//!   "env": { "threads": 8, "cpus": 8, "git_rev": "941dcd8c0a2b" },
+//!   "env": {"threads":8.0,"cpus":8.0,"git_rev":"941dcd8c0a2b"},
 //!   "entries": [
-//!     { "label": "ppsfp_256v_t1", "unit": "ns/iter",
-//!       "value": 1843921.0, "samples": [1840102.0, 1843921.0, 1850773.0] }
+//!     {
+//!       "label": "ppsfp_256v_t1",
+//!       "unit": "ns/iter",
+//!       "value": 1843921.0,
+//!       "samples": [1840102.0,1843921.0,1850773.0]
+//!     }
 //!   ]
 //! }
 //! ```
@@ -23,9 +28,15 @@
 //! gate needs to judge comparability: resolved worker count, machine
 //! CPU count, and the git revision that produced the report.
 //! [`BENCH_SCHEMA_VERSION`] gates parsing — `perf_regress` refuses to
-//! compare across schema versions.
+//! compare across schema versions. `checksum` is FNV-1a over the
+//! canonical rendering of the `name`, `env` and `entries` members.
+//!
+//! The report is a [`Json`] value ([`BenchReport::to_json`]) laid out by
+//! [`crate::ckpt::render_pretty`], so every number, integral ones
+//! included, is written as a float; the reader takes `schema_version`
+//! and the `env` counts through [`Json::as_uint`].
 
-use super::json::{json_number, json_string, Json, JsonError};
+use super::json::{Json, JsonError};
 use std::path::{Path, PathBuf};
 
 /// The bench-report schema version this crate reads and writes.
@@ -216,83 +227,53 @@ impl BenchReport {
         self.entry(label).map(|e| e.value)
     }
 
-    /// The report's integrity checksum: 64-bit FNV-1a (as 16 hex
-    /// digits) over a canonical rendering of the name, environment, and
-    /// entries. Stable across write/parse cycles, so a loaded report
-    /// can be verified against the checksum recorded in its file.
-    pub fn checksum(&self) -> String {
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| {
-                Json::Object(vec![
-                    ("label".to_string(), Json::String(e.label.clone())),
-                    ("unit".to_string(), Json::String(e.unit.clone())),
-                    ("value".to_string(), Json::Number(e.value)),
-                    (
-                        "samples".to_string(),
-                        Json::Array(e.samples.iter().copied().map(Json::Number).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let canonical = Json::Object(vec![
-            ("name".to_string(), Json::String(self.name.clone())),
-            (
-                "env".to_string(),
-                Json::Object(vec![
-                    ("threads".to_string(), Json::Number(self.env.threads as f64)),
-                    ("cpus".to_string(), Json::Number(self.env.cpus as f64)),
-                    (
-                        "git_rev".to_string(),
-                        Json::String(self.env.git_rev.clone()),
-                    ),
-                ]),
-            ),
-            ("entries".to_string(), Json::Array(entries)),
+    /// The checksummed members: name, environment, and entries.
+    fn body(&self) -> Vec<(String, Json)> {
+        let env = Json::object([
+            ("threads", Json::Number(self.env.threads as f64)),
+            ("cpus", Json::Number(self.env.cpus as f64)),
+            ("git_rev", Json::String(self.env.git_rev.clone())),
         ]);
-        format!(
-            "{:016x}",
-            crate::ckpt::fnv64(crate::ckpt::render(&canonical).as_bytes())
-        )
+        let entries = self.entries.iter().map(|e| {
+            Json::object([
+                ("label", Json::String(e.label.clone())),
+                ("unit", Json::String(e.unit.clone())),
+                ("value", Json::Number(e.value)),
+                (
+                    "samples",
+                    Json::Array(e.samples.iter().copied().map(Json::Number).collect()),
+                ),
+            ])
+        });
+        vec![
+            ("name".to_string(), Json::String(self.name.clone())),
+            ("env".to_string(), env),
+            ("entries".to_string(), Json::Array(entries.collect())),
+        ]
     }
 
-    /// Serialises the report as pretty-printed JSON, with the
-    /// [`checksum`](Self::checksum) recorded so loaders can detect
-    /// corruption.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema_version\": {BENCH_SCHEMA_VERSION},\n"));
-        out.push_str(&format!(
-            "  \"checksum\": {},\n",
-            json_string(&self.checksum())
-        ));
-        out.push_str(&format!("  \"name\": {},\n", json_string(&self.name)));
-        out.push_str(&format!(
-            "  \"env\": {{ \"threads\": {}, \"cpus\": {}, \"git_rev\": {} }},\n",
-            self.env.threads,
-            self.env.cpus,
-            json_string(&self.env.git_rev)
-        ));
-        out.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let samples: Vec<String> = e.samples.iter().map(|&s| json_number(s)).collect();
-            out.push_str(&format!(
-                "    {{ \"label\": {}, \"unit\": {}, \"value\": {}, \"samples\": [{}] }}",
-                json_string(&e.label),
-                json_string(&e.unit),
-                json_number(e.value),
-                samples.join(", ")
-            ));
-        }
-        out.push_str(if self.entries.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+    /// The report's integrity checksum: 64-bit FNV-1a (as 16 hex
+    /// digits) over the canonical rendering of the name, environment,
+    /// and entries. Stable across write/parse cycles, so a loaded report
+    /// can be verified against the checksum recorded in its file.
+    pub fn checksum(&self) -> String {
+        let canonical = crate::ckpt::render(&Json::Object(self.body()));
+        format!("{:016x}", crate::ckpt::fnv64(canonical.as_bytes()))
+    }
+
+    /// The report as a [`Json`] value of the shape in the module docs,
+    /// with the [`checksum`](Self::checksum) recorded so loaders can
+    /// detect corruption.
+    pub fn to_json(&self) -> Json {
+        let mut members = vec![
+            (
+                "schema_version".to_string(),
+                Json::Number(BENCH_SCHEMA_VERSION as f64),
+            ),
+            ("checksum".to_string(), Json::String(self.checksum())),
+        ];
+        members.extend(self.body());
+        Json::Object(members)
     }
 
     /// Parses a report, rejecting unknown schema versions.
@@ -308,9 +289,8 @@ impl BenchReport {
         let doc = Json::parse(text)?;
         let version = doc
             .get("schema_version")
-            .and_then(Json::as_f64)
             .ok_or_else(|| schema_err("missing schema_version"))?;
-        if version != BENCH_SCHEMA_VERSION as f64 {
+        if version.as_uint() != Some(BENCH_SCHEMA_VERSION) {
             return Err(schema_err("unsupported bench schema_version"));
         }
         let name = doc
@@ -321,9 +301,7 @@ impl BenchReport {
         let env = doc.get("env").ok_or_else(|| schema_err("missing env"))?;
         let env_usize = |key| {
             env.get(key)
-                .and_then(Json::as_f64)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
+                .and_then(Json::as_uint)
                 .ok_or_else(|| schema_err("malformed env"))
         };
         let env = BenchEnv {
@@ -387,7 +365,8 @@ impl BenchReport {
         Ok(report)
     }
 
-    /// Writes [`to_json`](Self::to_json) to `path` atomically
+    /// Writes [`to_json`](Self::to_json), laid out by
+    /// [`crate::ckpt::render_pretty`], to `path` atomically
     /// (write-temp-then-rename via [`crate::ckpt::atomic_write`]), so a
     /// crash mid-write can never leave a half-written report.
     ///
@@ -403,7 +382,7 @@ impl BenchReport {
     pub fn write_to(&self, path: &str) -> std::io::Result<()> {
         let mut fresh = self.clone();
         fresh.env.refresh_git_rev();
-        crate::ckpt::atomic_write(path, &fresh.to_json())
+        crate::ckpt::atomic_write(path, &crate::ckpt::render_pretty(&fresh.to_json()))
     }
 
     /// Reads and verifies a report previously written by
@@ -417,17 +396,18 @@ impl BenchReport {
     /// [`crate::ckpt::CkptError::Json`] for parse/schema/checksum
     /// failures.
     pub fn load(path: &str) -> Result<BenchReport, crate::ckpt::CkptError> {
-        let text = std::fs::read_to_string(path).map_err(|e| crate::ckpt::CkptError::Io {
-            path: path.to_string(),
-            error: e.to_string(),
-        })?;
-        BenchReport::from_json(&text).map_err(crate::ckpt::CkptError::from)
+        Ok(BenchReport::from_json(&crate::ckpt::read_text(path)?)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A report as [`BenchReport::write_to`] lays it out.
+    fn text(report: &BenchReport) -> String {
+        crate::ckpt::render_pretty(&report.to_json())
+    }
 
     #[test]
     fn git_rev_comes_from_the_build_checkout() {
@@ -464,7 +444,7 @@ mod tests {
     fn checksum_detects_entry_tampering_but_tolerates_absence() {
         let mut report = BenchReport::new("x");
         report.record("a", "ns/iter", 120.0);
-        let text = report.to_json();
+        let text = text(&report);
         assert!(text.contains("\"checksum\""));
         // A value flip inside an entry must fail the checksum.
         let tampered = text.replace("120.0", "125.0");
@@ -532,7 +512,7 @@ mod tests {
         report.record_samples("stage_a", "ns/iter", &[120.0, 100.0, 110.0]);
         report.record("speedup_t2", "ratio", 1.7);
         assert_eq!(report.value("stage_a"), Some(110.0), "median of samples");
-        let parsed = BenchReport::from_json(&report.to_json()).expect("round-trips");
+        let parsed = BenchReport::from_json(&text(&report)).expect("round-trips");
         assert_eq!(parsed, report);
         assert_eq!(
             parsed.entry("speedup_t2").map(|e| e.unit.as_str()),
@@ -544,7 +524,7 @@ mod tests {
     #[test]
     fn empty_report_round_trips() {
         let report = BenchReport::new("empty");
-        let parsed = BenchReport::from_json(&report.to_json()).expect("round-trips");
+        let parsed = BenchReport::from_json(&text(&report)).expect("round-trips");
         assert!(parsed.entries.is_empty());
         assert!(parsed.env.cpus >= 1);
     }
@@ -553,7 +533,7 @@ mod tests {
     fn nan_values_round_trip_as_null() {
         let mut report = BenchReport::new("nan");
         report.record("undefined_ratio", "ratio", f64::NAN);
-        let json = report.to_json();
+        let json = text(&report);
         assert!(json.contains("\"value\": null"), "{json}");
         let parsed = BenchReport::from_json(&json).expect("parses");
         assert!(parsed.value("undefined_ratio").is_some_and(f64::is_nan));
@@ -562,9 +542,7 @@ mod tests {
     #[test]
     fn schema_version_is_enforced() {
         let report = BenchReport::new("v");
-        let future = report
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
+        let future = text(&report).replace("\"schema_version\": 1.0", "\"schema_version\": 99.0");
         let err = BenchReport::from_json(&future).expect_err("future schema rejected");
         assert_eq!(err.message, "unsupported bench schema_version");
         // The old flat ad-hoc shape (no schema_version at all) is rejected.
@@ -590,6 +568,18 @@ mod tests {
             ),
         ] {
             assert!(BenchReport::from_json(doc).is_err(), "{why}: {doc}");
+        }
+    }
+
+    #[test]
+    fn env_counts_past_the_integer_rule_are_rejected() {
+        // 1e300 used to saturate to usize::MAX instead of failing.
+        for threads in ["1e300", "18014398509481985", "2.5"] {
+            let doc = format!(
+                r#"{{"schema_version": 1, "name": "x", "env": {{"threads": {threads}, "cpus": 2, "git_rev": "r"}}, "entries": []}}"#
+            );
+            let err = BenchReport::from_json(&doc).expect_err("past the integer rule");
+            assert_eq!(err.message, "malformed env", "threads = {threads}");
         }
     }
 

@@ -93,6 +93,25 @@ impl Json {
         }
     }
 
+    /// The exact non-negative integer this number holds, in any unsigned
+    /// type it fits — the one integer rule of every artifact reader.
+    /// Negative and fractional numbers are `None`, and so is anything
+    /// above 2^53: past it `f64` no longer holds every integer, so the
+    /// value written may already have been rounded.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        let v = self.as_f64()?;
+        if v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
+            T::try_from(v as u64).ok()
+        } else {
+            None
+        }
+    }
+
+    /// An object with `members` in the order given.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// The string contents, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -539,6 +558,22 @@ mod tests {
         // Depth counts nesting, not sibling count: wide stays fine.
         let wide = format!("[{}1]", "1,".repeat(50_000));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn as_uint_is_exact_and_bounded() {
+        let uint = |text: &str| Json::parse(text).expect("parses").as_uint::<u64>();
+        assert_eq!(uint("0"), Some(0));
+        assert_eq!(uint("7.0"), Some(7));
+        assert_eq!(uint("9007199254740992"), Some(1 << 53));
+        for rejected in ["-1", "0.5", "1e300", "18014398509481985", "\"3\"", "null"] {
+            assert_eq!(uint(rejected), None, "{rejected}");
+        }
+        assert_eq!(
+            Json::Number(256.0).as_uint::<u8>(),
+            None,
+            "out of the target type"
+        );
     }
 
     #[test]

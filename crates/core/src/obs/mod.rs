@@ -25,8 +25,9 @@
 //!   worker latencies, reported with p50/p90/p99/max.
 //!
 //! A snapshot of everything recorded is a [`RunReport`], which
-//! serialises to the same hand-rolled JSON style as the bench harness's
-//! `BENCH_*.json` files, parses back with the hardened [`Json`] reader
+//! serialises to a [`Json`] value laid out by the same renderer as the
+//! bench harness's `BENCH_*.json` files, parses back with the hardened
+//! [`Json`] reader
 //! ([`RunReport::from_json`] — used by CI to validate emitted reports),
 //! and exports as OpenMetrics text ([`RunReport::to_openmetrics`]) for
 //! scraping. The bench bins share the schema discipline through
@@ -100,7 +101,6 @@ pub use openmetrics::OmError;
 pub use trace::{FlightRecorder, TraceContext, TraceOutcome, TraceRecord};
 
 use hist::Histogram as Hist;
-use json::{json_number, json_string};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -703,18 +703,15 @@ impl SpanNode {
     /// The node as a JSON object with keys `id`, `parent` (`null` at
     /// the top), `name`, `start_nanos` and `nanos`.
     pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("id".to_string(), Json::Number(self.id as f64)),
+        Json::object([
+            ("id", Json::Number(self.id as f64)),
             (
-                "parent".to_string(),
+                "parent",
                 self.parent.map_or(Json::Null, |p| Json::Number(p as f64)),
             ),
-            ("name".to_string(), Json::String(self.name.clone())),
-            (
-                "start_nanos".to_string(),
-                Json::Number(self.start_nanos as f64),
-            ),
-            ("nanos".to_string(), Json::Number(self.nanos as f64)),
+            ("name", Json::String(self.name.clone())),
+            ("start_nanos", Json::Number(self.start_nanos as f64)),
+            ("nanos", Json::Number(self.nanos as f64)),
         ])
     }
 
@@ -729,44 +726,62 @@ impl SpanNode {
             offset: 0,
             message: "malformed span node",
         };
-        let int = |x: &Json| json_u64(x).ok_or_else(err);
         let field = |key: &str| v.get(key).ok_or_else(err);
+        let int = |key: &str| field(key)?.as_uint().ok_or_else(err);
         Ok(SpanNode {
-            id: int(field("id")?)?,
+            id: int("id")?,
             parent: match field("parent")? {
                 Json::Null => None,
-                p => Some(int(p)?),
+                p => Some(p.as_uint().ok_or_else(err)?),
             },
             name: field("name")?.as_str().ok_or_else(err)?.to_string(),
-            start_nanos: int(field("start_nanos")?)?,
-            nanos: int(field("nanos")?)?,
+            start_nanos: int("start_nanos")?,
+            nanos: int("nanos")?,
         })
     }
 }
 
-/// A non-negative integral JSON number as `u64`.
-fn json_u64(v: &Json) -> Option<u64> {
-    v.as_f64()
-        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-        .map(|x| x as u64)
+/// Decodes each member of the object section `key` of a run report
+/// (an absent section decodes to nothing).
+fn section<T>(
+    doc: &Json,
+    key: &str,
+    decode: impl Fn(String, &Json) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let members = doc.get(key).and_then(Json::as_object).unwrap_or(&[]);
+    members.iter().map(|(n, v)| decode(n.clone(), v)).collect()
 }
 
 /// An immutable snapshot of a [`Recorder`], serialisable to JSON and to
 /// OpenMetrics text.
 ///
-/// The JSON shape (hand-rolled, like the bench harness reports):
+/// The JSON shape, as [`write_to`](Self::write_to) lays it out with
+/// [`crate::ckpt::render_pretty`] (every number, integral ones
+/// included, is written as a float; non-finite values as `null`):
 ///
 /// ```json
 /// {
 ///   "name": "full_flow_c432",
-///   "spans": { "extract": { "nanos": 91342011, "count": 1 } },
-///   "counters": { "extract.faults": 1182 },
-///   "gauges": { "extract.weight.total": 0.2876 },
-///   "series": { "sim.gate.live_per_block": [864, 131, 42] },
+///   "spans": {
+///     "extract": {"nanos":91342011.0,"count":1.0}
+///   },
+///   "counters": {"extract.faults":1182.0},
+///   "gauges": {"extract.weight.total":0.2876},
+///   "series": {
+///     "sim.gate.live_per_block": [864.0,131.0,42.0]
+///   },
 ///   "hists": {
 ///     "sim.gate.detects_per_block": {
-///       "count": 3, "invalid": 0, "sum": 61.0, "min": 4.0, "max": 38.0,
-///       "buckets": [[4.5, 1], [20.0, 1], [40.0, 1]]
+///       "count": 3.0,
+///       "invalid": 0.0,
+///       "sum": 61.0,
+///       "min": 4.0,
+///       "max": 38.0,
+///       "buckets": [
+///         [4.5,1.0],
+///         [20.0,1.0],
+///         [40.0,1.0]
+///       ]
 ///     }
 ///   },
 ///   "tree": [
@@ -825,92 +840,50 @@ impl RunReport {
         self.hists.iter().find(|h| h.name == name)
     }
 
-    /// Serialises the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"name\": {},\n", json_string(&self.name)));
-        out.push_str("  \"spans\": {");
-        for (i, s) in self.spans.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {}: {{ \"nanos\": {}, \"count\": {} }}",
-                json_string(&s.name),
-                s.nanos,
-                s.count
-            ));
-        }
-        out.push_str(if self.spans.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+    /// The report as a [`Json`] value of the shape in the type docs.
+    pub fn to_json(&self) -> Json {
+        let int = |v: u64| Json::Number(v as f64);
+        let floats = |vs: &[f64]| Json::Array(vs.iter().copied().map(Json::Number).collect());
+        let spans = self.spans.iter().map(|s| {
+            let totals = [("nanos", int(s.nanos)), ("count", int(s.count))];
+            (&s.name, Json::object(totals))
         });
-        out.push_str("  \"counters\": {");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!("    {}: {v}", json_string(n)));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!("    {}: {}", json_string(n), json_number(*v)));
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"series\": {");
-        for (i, (n, vs)) in self.series.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let body: Vec<String> = vs.iter().map(|&v| json_number(v)).collect();
-            out.push_str(&format!("    {}: [{}]", json_string(n), body.join(", ")));
-        }
-        out.push_str(if self.series.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"hists\": {");
-        for (i, h) in self.hists.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let buckets: Vec<String> = h
+        let hists = self.hists.iter().map(|h| {
+            let buckets = h
                 .buckets
                 .iter()
-                .map(|&(bound, count)| format!("[{}, {count}]", json_number(bound)))
-                .collect();
-            out.push_str(&format!(
-                "    {}: {{ \"count\": {}, \"invalid\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}] }}",
-                json_string(&h.name),
-                h.count,
-                h.invalid,
-                json_number(h.sum),
-                json_number(h.min),
-                json_number(h.max),
-                buckets.join(", ")
-            ));
-        }
-        out.push_str(if self.hists.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+                .map(|&(bound, count)| Json::Array(vec![Json::Number(bound), int(count)]));
+            let hist = Json::object([
+                ("count", int(h.count)),
+                ("invalid", int(h.invalid)),
+                ("sum", Json::Number(h.sum)),
+                ("min", Json::Number(h.min)),
+                ("max", Json::Number(h.max)),
+                ("buckets", Json::Array(buckets.collect())),
+            ]);
+            (&h.name, hist)
         });
-        out.push_str("  \"tree\": [");
-        for (i, node) in self.tree.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            out.push_str(&crate::ckpt::render(&node.to_json()));
-        }
-        out.push_str(if self.tree.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        Json::object([
+            ("name", Json::String(self.name.clone())),
+            ("spans", Json::object(spans)),
+            (
+                "counters",
+                Json::object(self.counters.iter().map(|(n, v)| (n, int(*v)))),
+            ),
+            (
+                "gauges",
+                Json::object(self.gauges.iter().map(|(n, v)| (n, Json::Number(*v)))),
+            ),
+            (
+                "series",
+                Json::object(self.series.iter().map(|(n, vs)| (n, floats(vs)))),
+            ),
+            ("hists", Json::object(hists)),
+            (
+                "tree",
+                Json::Array(self.tree.iter().map(SpanNode::to_json).collect()),
+            ),
+        ])
     }
 
     /// Parses a serialised report back (the inverse of
@@ -923,7 +896,8 @@ impl RunReport {
     /// # Errors
     ///
     /// [`JsonError`] for malformed JSON or a malformed section (offset
-    /// 0 for schema-level problems).
+    /// 0 for schema-level problems), including a count that breaks the
+    /// integer rule of [`Json::as_uint`].
     pub fn from_json(text: &str) -> Result<RunReport, JsonError> {
         let schema_err = |message| JsonError { offset: 0, message };
         let doc = Json::parse(text)?;
@@ -932,97 +906,63 @@ impl RunReport {
             .and_then(Json::as_str)
             .ok_or_else(|| schema_err("missing report name"))?
             .to_string();
-        let as_u64 = |v: &Json, message| json_u64(v).ok_or_else(|| schema_err(message));
-        let num_or_null = |v: &Json, null_means: f64, message: &'static str| match v {
-            Json::Null => Ok(null_means),
-            v => v.as_f64().ok_or_else(|| schema_err(message)),
+        let int = |v: Option<&Json>, message| {
+            v.and_then(Json::as_uint).ok_or_else(|| schema_err(message))
         };
-        let mut spans = Vec::new();
-        for (n, v) in doc.get("spans").and_then(Json::as_object).unwrap_or(&[]) {
-            let nanos = v
-                .get("nanos")
-                .ok_or_else(|| schema_err("span without nanos"))
-                .and_then(|x| as_u64(x, "malformed span nanos"))?;
-            let count = v
-                .get("count")
-                .ok_or_else(|| schema_err("span without count"))
-                .and_then(|x| as_u64(x, "malformed span count"))?;
-            spans.push(SpanEntry {
-                name: n.clone(),
-                nanos,
-                count,
-            });
-        }
-        let mut counters = Vec::new();
-        for (n, v) in doc.get("counters").and_then(Json::as_object).unwrap_or(&[]) {
-            counters.push((n.clone(), as_u64(v, "malformed counter value")?));
-        }
-        let mut gauges = Vec::new();
-        for (n, v) in doc.get("gauges").and_then(Json::as_object).unwrap_or(&[]) {
-            gauges.push((
-                n.clone(),
-                num_or_null(v, f64::NAN, "malformed gauge value")?,
-            ));
-        }
-        let mut series = Vec::new();
-        for (n, v) in doc.get("series").and_then(Json::as_object).unwrap_or(&[]) {
+        let num_or_null = |v: Option<&Json>, null_means: f64, message: &'static str| match v {
+            Some(Json::Null) => Ok(null_means),
+            v => v.and_then(Json::as_f64).ok_or_else(|| schema_err(message)),
+        };
+        let spans = section(&doc, "spans", |name, v| {
+            Ok(SpanEntry {
+                name,
+                nanos: int(v.get("nanos"), "missing or malformed span nanos")?,
+                count: int(v.get("count"), "missing or malformed span count")?,
+            })
+        })?;
+        let counters = section(&doc, "counters", |n, v| {
+            Ok((n, int(Some(v), "malformed counter value")?))
+        })?;
+        let gauges = section(&doc, "gauges", |n, v| {
+            Ok((n, num_or_null(Some(v), f64::NAN, "malformed gauge value")?))
+        })?;
+        let series = section(&doc, "series", |n, v| {
             let points = v
                 .as_array()
                 .ok_or_else(|| schema_err("series must be an array"))?
                 .iter()
-                .map(|p| num_or_null(p, f64::NAN, "malformed series point"))
-                .collect::<Result<Vec<f64>, JsonError>>()?;
-            series.push((n.clone(), points));
-        }
-        let mut hists = Vec::new();
-        for (n, v) in doc.get("hists").and_then(Json::as_object).unwrap_or(&[]) {
-            let field = |key: &'static str, message: &'static str| {
-                v.get(key).ok_or_else(|| schema_err(message))
-            };
-            let mut buckets = Vec::new();
-            for pair in field("buckets", "hist without buckets")?
-                .as_array()
-                .ok_or_else(|| schema_err("hist buckets must be an array"))?
-            {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| schema_err("hist bucket must be a [bound, count] pair"))?;
-                buckets.push((
-                    pair[0]
-                        .as_f64()
-                        .ok_or_else(|| schema_err("malformed bucket bound"))?,
-                    as_u64(&pair[1], "malformed bucket count")?,
-                ));
-            }
-            hists.push(HistEntry {
-                name: n.clone(),
-                count: as_u64(
-                    field("count", "hist without count")?,
-                    "malformed hist count",
-                )?,
-                invalid: as_u64(
-                    field("invalid", "hist without invalid")?,
-                    "malformed hist invalid",
-                )?,
-                sum: num_or_null(
-                    field("sum", "hist without sum")?,
-                    f64::NAN,
-                    "malformed hist sum",
-                )?,
-                min: num_or_null(
-                    field("min", "hist without min")?,
-                    f64::INFINITY,
-                    "malformed hist min",
-                )?,
+                .map(|p| num_or_null(Some(p), f64::NAN, "malformed series point"));
+            Ok((n, points.collect::<Result<_, _>>()?))
+        })?;
+        let hists = section(&doc, "hists", |name, v| {
+            let buckets = v
+                .get("buckets")
+                .and_then(Json::as_array)
+                .ok_or_else(|| schema_err("missing or malformed hist buckets"))?
+                .iter()
+                .map(|pair| match pair.as_array() {
+                    Some([bound, count]) => Ok((
+                        bound
+                            .as_f64()
+                            .ok_or_else(|| schema_err("malformed bucket bound"))?,
+                        int(Some(count), "malformed bucket count")?,
+                    )),
+                    _ => Err(schema_err("hist bucket must be a [bound, count] pair")),
+                });
+            Ok(HistEntry {
+                name,
+                count: int(v.get("count"), "missing or malformed hist count")?,
+                invalid: int(v.get("invalid"), "missing or malformed hist invalid")?,
+                sum: num_or_null(v.get("sum"), f64::NAN, "missing or malformed hist sum")?,
+                min: num_or_null(v.get("min"), f64::INFINITY, "missing or malformed hist min")?,
                 max: num_or_null(
-                    field("max", "hist without max")?,
+                    v.get("max"),
                     f64::NEG_INFINITY,
-                    "malformed hist max",
+                    "missing or malformed hist max",
                 )?,
-                buckets,
-            });
-        }
+                buckets: buckets.collect::<Result<_, _>>()?,
+            })
+        })?;
         let tree = match doc.get("tree") {
             None => Vec::new(),
             Some(v) => v
@@ -1050,7 +990,8 @@ impl RunReport {
         openmetrics::render(self)
     }
 
-    /// Writes [`to_json`](Self::to_json) to `path` atomically
+    /// Writes [`to_json`](Self::to_json), laid out by
+    /// [`crate::ckpt::render_pretty`], to `path` atomically
     /// (write-temp-then-rename via [`crate::ckpt::atomic_write`]), so a
     /// crash mid-write can never leave a half-written trace.
     ///
@@ -1058,7 +999,7 @@ impl RunReport {
     ///
     /// Any I/O error from creating, writing, or renaming the file.
     pub fn write_to(&self, path: &str) -> std::io::Result<()> {
-        crate::ckpt::atomic_write(path, &self.to_json())
+        crate::ckpt::atomic_write(path, &crate::ckpt::render_pretty(&self.to_json()))
     }
 
     /// Reads and verifies a report previously written by
@@ -1070,11 +1011,7 @@ impl RunReport {
     /// [`crate::ckpt::CkptError::Io`] if the file cannot be read,
     /// [`crate::ckpt::CkptError::Json`] if it does not parse.
     pub fn load(path: &str) -> Result<RunReport, crate::ckpt::CkptError> {
-        let text = std::fs::read_to_string(path).map_err(|e| crate::ckpt::CkptError::Io {
-            path: path.to_string(),
-            error: e.to_string(),
-        })?;
-        RunReport::from_json(&text).map_err(crate::ckpt::CkptError::from)
+        Ok(RunReport::from_json(&crate::ckpt::read_text(path)?)?)
     }
 }
 
@@ -1082,6 +1019,11 @@ impl RunReport {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    /// A report as [`RunReport::write_to`] writes it.
+    fn text(report: &RunReport) -> String {
+        crate::ckpt::render_pretty(&report.to_json())
+    }
 
     #[test]
     fn trace_setting_parses() {
@@ -1395,7 +1337,7 @@ mod tests {
             obs.observe("detects", 700.0);
         }
         let report = obs.report("unit \"quoted\"");
-        let json = Json::parse(&report.to_json()).expect("report must parse");
+        let json = Json::parse(&text(&report)).expect("report must parse");
         assert_eq!(
             json.get("name"),
             Some(&Json::String("unit \"quoted\"".to_string()))
@@ -1446,7 +1388,7 @@ mod tests {
         obs.push("s", f64::NAN);
         obs.push("s", f64::INFINITY);
         obs.push("s", f64::NEG_INFINITY);
-        let text = obs.report("nonfinite").to_json();
+        let text = text(&obs.report("nonfinite"));
         let json = Json::parse(&text).expect("report with non-finite series parses");
         let s = json
             .get("series")
@@ -1475,7 +1417,7 @@ mod tests {
             }
         }
         let report = obs.report("roundtrip");
-        let parsed = RunReport::from_json(&report.to_json()).expect("parses");
+        let parsed = RunReport::from_json(&text(&report)).expect("parses");
         assert_eq!(parsed, report);
         // Percentiles computed from the parsed report match.
         assert_eq!(
@@ -1514,13 +1456,29 @@ mod tests {
     }
 
     #[test]
+    fn from_json_rejects_counts_past_the_integer_rule() {
+        // 2^54 + 1 parses to the float 2^54: accepting it would store a
+        // rounded count.
+        for bad in [
+            r#"{"name": "x", "counters": {"c": 18014398509481985}}"#,
+            r#"{"name": "x", "spans": {"s": {"nanos": 1e300, "count": 1}}}"#,
+        ] {
+            let err = RunReport::from_json(bad).expect_err("past 2^53");
+            assert_eq!(err.offset, 0, "{bad}: a schema-level error");
+        }
+        let exact = r#"{"name": "x", "counters": {"c": 9007199254740992}}"#;
+        let parsed = RunReport::from_json(exact).expect("2^53 is exact");
+        assert_eq!(parsed.counter("c"), Some(1 << 53));
+    }
+
+    #[test]
     fn empty_report_is_valid_json() {
         let report = Recorder::enabled().report("empty");
-        let json = Json::parse(&report.to_json()).expect("parses");
+        let json = Json::parse(&text(&report)).expect("parses");
         assert_eq!(json.get("counters"), Some(&Json::Object(Vec::new())));
         assert_eq!(json.get("hists"), Some(&Json::Object(Vec::new())));
         assert_eq!(
-            RunReport::from_json(&report.to_json()).expect("round-trips"),
+            RunReport::from_json(&text(&report)).expect("round-trips"),
             report
         );
     }

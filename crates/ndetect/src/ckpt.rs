@@ -72,21 +72,6 @@ fn string_to_bits(v: &Json, what: &'static str) -> Result<Vec<bool>, CkptError> 
         .collect()
 }
 
-fn usize_array(payload: &Json, name: &str, what: &'static str) -> Result<Vec<usize>, CkptError> {
-    payload
-        .get(name)
-        .and_then(Json::as_array)
-        .ok_or(CkptError::Malformed { what })?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53))
-                .map(|x| x as usize)
-                .ok_or(CkptError::Malformed { what })
-        })
-        .collect()
-}
-
 impl NDetectCheckpoint {
     /// The checkpoint key binding the build's inputs: netlist, fault
     /// list, maximum target, and every configuration knob.
@@ -114,53 +99,38 @@ impl Checkpoint for NDetectCheckpoint {
     /// Vectors and masks are encoded as `0`/`1` bitstrings to keep
     /// multi-thousand-bit state compact.
     fn to_payload(&self) -> Json {
-        Json::Object(vec![
+        let uints =
+            |xs: &[usize]| Json::Array(xs.iter().map(|&x| Json::Number(x as f64)).collect());
+        Json::object([
+            ("next_target", Json::Number(self.next_target as f64)),
             (
-                "next_target".to_string(),
-                Json::Number(self.next_target as f64),
-            ),
-            (
-                "vectors".to_string(),
+                "vectors",
                 Json::Array(self.vectors.iter().map(|v| bits_to_string(v)).collect()),
             ),
-            (
-                "len_at".to_string(),
-                Json::Array(
-                    self.len_at
-                        .iter()
-                        .map(|&l| Json::Number(l as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "counts".to_string(),
-                Json::Array(
-                    self.counts
-                        .iter()
-                        .map(|&c| Json::Number(c as f64))
-                        .collect(),
-                ),
-            ),
-            ("selected".to_string(), bits_to_string(&self.selected)),
-            (
-                "pool_selected".to_string(),
-                Json::Number(self.pool_selected as f64),
-            ),
-            ("hopeless".to_string(), bits_to_string(&self.hopeless)),
+            ("len_at", uints(&self.len_at)),
+            ("counts", uints(&self.counts)),
+            ("selected", bits_to_string(&self.selected)),
+            ("pool_selected", Json::Number(self.pool_selected as f64)),
+            ("hopeless", bits_to_string(&self.hopeless)),
         ])
     }
 
     fn from_payload(payload: &Json) -> Result<NDetectCheckpoint, CkptError> {
-        let number = |name: &'static str, what: &'static str| {
+        let uint = |name, what| {
             payload
                 .get(name)
-                .and_then(Json::as_f64)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53))
-                .map(|v| v as usize)
+                .and_then(Json::as_uint)
                 .ok_or(CkptError::Malformed { what })
         };
-        let next_target = number("next_target", "missing or non-integer next_target")?;
-        let pool_selected = number("pool_selected", "missing or non-integer pool_selected")?;
+        let uints = |name, what| {
+            payload
+                .get(name)
+                .and_then(Json::as_array)
+                .and_then(|a| a.iter().map(Json::as_uint).collect())
+                .ok_or(CkptError::Malformed { what })
+        };
+        let next_target = uint("next_target", "missing or non-integer next_target")?;
+        let pool_selected = uint("pool_selected", "missing or non-integer pool_selected")?;
         let vectors = payload
             .get("vectors")
             .and_then(Json::as_array)
@@ -170,8 +140,8 @@ impl Checkpoint for NDetectCheckpoint {
             .iter()
             .map(|v| string_to_bits(v, "vector is not a 0/1 bitstring"))
             .collect::<Result<Vec<_>, _>>()?;
-        let len_at = usize_array(payload, "len_at", "missing or malformed len_at")?;
-        let counts = usize_array(payload, "counts", "missing or malformed counts")?;
+        let len_at = uints("len_at", "missing or malformed len_at")?;
+        let counts = uints("counts", "missing or malformed counts")?;
         let selected = string_to_bits(
             payload.get("selected").ok_or(CkptError::Malformed {
                 what: "missing selected mask",

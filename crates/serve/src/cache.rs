@@ -114,7 +114,7 @@ impl ArtifactCache {
     /// [`ServeError::Cache`] if the envelope cannot be written.
     pub fn store(&self, key: u64, body: &Json) -> Result<String, ServeError> {
         let rendered = ckpt::render(body);
-        let payload = Json::Object(vec![("body".to_string(), body.clone())]);
+        let payload = Json::object([("body", body.clone())]);
         ckpt::save(&self.path_for(key), CACHE_KIND, key, &payload)?;
         Ok(rendered)
     }

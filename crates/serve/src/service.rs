@@ -648,24 +648,19 @@ impl Service {
         let response = match endpoint {
             Endpoint::Health => {
                 let _write = obs.span("write");
-                Response::ok_json(render_obj(vec![("status", Json::String("ok".to_string()))]))
+                let body = Json::object([("status", Json::String("ok".to_string()))]);
+                Response::ok_json(dlp_core::ckpt::render(&body))
             }
             Endpoint::Circuits => {
                 let _write = obs.span("write");
-                Response::ok_json(render_obj(vec![(
-                    "circuits",
-                    Json::Array(
-                        CIRCUITS
-                            .iter()
-                            .map(|(name, class)| {
-                                object(vec![
-                                    ("name", Json::String((*name).to_string())),
-                                    ("class", Json::String(class.as_str().to_string())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )]))
+                let circuits = CIRCUITS.iter().map(|(name, class)| {
+                    Json::object([
+                        ("name", Json::String((*name).to_string())),
+                        ("class", Json::String(class.as_str().to_string())),
+                    ])
+                });
+                let body = Json::object([("circuits", Json::Array(circuits.collect()))]);
+                Response::ok_json(dlp_core::ckpt::render(&body))
             }
             Endpoint::Traces => {
                 let limit = traces_limit_param(&params)?;
@@ -856,7 +851,7 @@ impl Service {
                 .map_err(|e| PipelineError::from(e).context("DL at full test length"))?
         };
 
-        let dl_body = object(vec![
+        let dl_body = Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("class", Json::String("full".to_string())),
             ("seed", Json::Number(seed as f64)),
@@ -882,7 +877,7 @@ impl Service {
                     .defect_level(lambda, theta)
                     .map_err(|e| PipelineError::from(e).context(format!("curve DL at k = {k}")))?
             };
-            curve_rows.push(object(vec![
+            curve_rows.push(Json::object([
                 ("k", Json::Number(k as f64)),
                 ("t", Json::Number(t)),
                 ("theta", Json::Number(theta)),
@@ -890,7 +885,7 @@ impl Service {
                 ("dl", Json::Number(dl)),
             ]));
         }
-        let curve_body = object(vec![
+        let curve_body = Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("class", Json::String("full".to_string())),
             ("seed", Json::Number(seed as f64)),
@@ -899,7 +894,7 @@ impl Service {
             ("yield", Json::Number(PAPER_YIELD)),
             ("samples", Json::Array(curve_rows)),
         ]);
-        let faults_body = object(vec![
+        let faults_body = Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("class", Json::String("full".to_string())),
             ("gates", Json::Number(netlist.gate_count() as f64)),
@@ -989,7 +984,7 @@ impl Service {
             .defect_level(lambda, theta)
             .map_err(|e| PipelineError::from(e).context("DL at full test length"))?;
 
-        let dl_body = object(vec![
+        let dl_body = Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("class", Json::String("scale".to_string())),
             ("seed", Json::Number(seed as f64)),
@@ -1023,7 +1018,7 @@ impl Service {
                 .dist()
                 .defect_level(lambda, theta_at)
                 .map_err(|e| PipelineError::from(e).context(format!("curve DL at k = {k_at}")))?;
-            curve_rows.push(object(vec![
+            curve_rows.push(Json::object([
                 ("k", Json::Number(k_at as f64)),
                 ("t", Json::Number(t_at)),
                 ("theta", Json::Number(theta_at)),
@@ -1031,7 +1026,7 @@ impl Service {
                 ("dl", Json::Number(dl_at)),
             ]));
         }
-        let curve_body = object(vec![
+        let curve_body = Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("class", Json::String("scale".to_string())),
             ("seed", Json::Number(seed as f64)),
@@ -1041,7 +1036,7 @@ impl Service {
             ("samples", Json::Array(curve_rows)),
         ]);
 
-        let faults_body = object(vec![
+        let faults_body = Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("class", Json::String("scale".to_string())),
             ("gates", Json::Number(netlist.gate_count() as f64)),
@@ -1096,7 +1091,7 @@ impl Service {
             .weights
             .defect_level(theta)
             .map_err(|e| PipelineError::from(e).context(format!("DL at n = {n}")))?;
-        Ok(object(vec![
+        Ok(Json::object([
             ("circuit", Json::String(circuit.to_string())),
             ("n", Json::Number(n as f64)),
             ("yield", Json::Number(PAPER_YIELD)),
@@ -1110,19 +1105,6 @@ impl Service {
             ("dl_ppm", Json::Number(Ppm::from_fraction(dl).value())),
         ]))
     }
-}
-
-fn object(fields: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn render_obj(fields: Vec<(&str, Json)>) -> String {
-    dlp_core::ckpt::render(&object(fields))
 }
 
 #[cfg(test)]

@@ -132,33 +132,22 @@ impl Checkpoint for SimCheckpoint {
             .iter()
             .map(|d| Json::Array(d.iter().map(|&i| Json::Number(i as f64)).collect()))
             .collect();
-        Json::Object(vec![
-            ("n_cap".to_string(), Json::Number(self.n_cap as f64)),
-            (
-                "next_block".to_string(),
-                Json::Number(self.next_block as f64),
-            ),
-            (
-                "vectors_len".to_string(),
-                Json::Number(self.vectors_len as f64),
-            ),
-            ("detections".to_string(), Json::Array(detections)),
+        Json::object([
+            ("n_cap", Json::Number(self.n_cap as f64)),
+            ("next_block", Json::Number(self.next_block as f64)),
+            ("vectors_len", Json::Number(self.vectors_len as f64)),
+            ("detections", Json::Array(detections)),
         ])
     }
 
     /// Rejects missing fields and non-integer indices.
     fn from_payload(payload: &Json) -> Result<SimCheckpoint, CkptError> {
-        let field = |name: &'static str, what: &'static str| {
+        let field = |name, what| {
             payload
                 .get(name)
-                .and_then(Json::as_f64)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53))
-                .map(|v| v as usize)
+                .and_then(Json::as_uint)
                 .ok_or(CkptError::Malformed { what })
         };
-        let n_cap = field("n_cap", "missing or non-integer n_cap")?;
-        let next_block = field("next_block", "missing or non-integer next_block")?;
-        let vectors_len = field("vectors_len", "missing or non-integer vectors_len")?;
         let rows =
             payload
                 .get("detections")
@@ -166,28 +155,20 @@ impl Checkpoint for SimCheckpoint {
                 .ok_or(CkptError::Malformed {
                     what: "missing detections array",
                 })?;
-        let mut detections = Vec::with_capacity(rows.len());
-        for row in rows {
-            let row = row.as_array().ok_or(CkptError::Malformed {
-                what: "detection row is not an array",
-            })?;
-            let mut indices = Vec::with_capacity(row.len());
-            for v in row {
-                let idx = v
-                    .as_f64()
-                    .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53))
-                    .map(|x| x as usize)
+        let detections = rows
+            .iter()
+            .map(|row| {
+                row.as_array()
+                    .and_then(|r| r.iter().map(Json::as_uint).collect())
                     .ok_or(CkptError::Malformed {
-                        what: "detection index is not a non-negative integer",
-                    })?;
-                indices.push(idx);
-            }
-            detections.push(indices);
-        }
+                        what: "detection row is not an array of non-negative integers",
+                    })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(SimCheckpoint {
-            n_cap,
-            next_block,
-            vectors_len,
+            n_cap: field("n_cap", "missing or non-integer n_cap")?,
+            next_block: field("next_block", "missing or non-integer next_block")?,
+            vectors_len: field("vectors_len", "missing or non-integer vectors_len")?,
             detections,
         })
     }

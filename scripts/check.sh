@@ -97,6 +97,21 @@ cargo test --release -q -p dlp-layout --test route_digests c432_class_layout_is_
 echo "== oracle: pinned c432-class extraction digest"
 cargo test --release -q -p dlp-extract --test extract_digests c432_class_extraction_is_pinned
 
+# Evidence gate (DESIGN.md §9, §11): the committed run trace and every
+# committed bench report and baseline must still load through the
+# current reader, verify their checksums, and pass the validator — not
+# only the reports this run writes afresh.
+echo "== evidence: validate the committed trace, bench reports and baselines"
+cargo run --release -q -p dlp-bench --bin validate_trace -- TRACE_full_flow_c432.json
+if [ "$in_git" = true ]; then
+    committed_reports=$(git ls-files 'BENCH_*.json' 'baselines/*.json')
+else
+    committed_reports=$(ls BENCH_*.json baselines/*.json)
+fi
+for report in $committed_reports; do
+    cargo run --release -q -p dlp-bench --bin validate_trace -- --bench "$report"
+done
+
 # Observability gate (DESIGN.md §9): a traced full-flow run must produce
 # a run report that parses with the in-tree JSON parser and carries a
 # span for every stage plus nonzero work counters, and a span tree that
