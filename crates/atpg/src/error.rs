@@ -4,7 +4,7 @@ use std::fmt;
 use dlp_core::{PipelineError, Stage};
 use dlp_sim::SimError;
 
-/// Errors raised by test generation and compaction.
+/// Errors raised by test generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AtpgError {

@@ -10,8 +10,7 @@
 //! * [`podem`] — a PODEM path-sensitisation engine with
 //!   controllability-guided multiple backtrace and a backtrack limit,
 //! * [`generate`] — the full pipeline: random phase until stall, then
-//!   deterministic top-up, with fault dropping throughout,
-//! * [`compact`] — reverse-order static test-set compaction.
+//!   deterministic top-up, with fault dropping throughout.
 //!
 //! # Example
 //!
@@ -30,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compact;
 mod error;
 pub mod generate;
 pub mod logic3;

@@ -26,7 +26,8 @@ impl Composite {
     };
 
     /// A known, fault-free value on both copies.
-    pub fn known(b: bool) -> Composite {
+    #[cfg(test)]
+    fn known(b: bool) -> Composite {
         let l = Logic::from_bool(b);
         Composite { good: l, faulty: l }
     }

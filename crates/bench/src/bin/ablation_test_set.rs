@@ -11,8 +11,7 @@ use dlp_bench::print_table;
 use dlp_circuit::generators;
 use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::faults::OpenLevelModel;
-use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
+use dlp_sim::switchlevel::DetectionMode;
 use dlp_sim::{detection, ppsfp, stuck_at};
 
 fn main() -> std::process::ExitCode {
@@ -28,11 +27,7 @@ fn run() -> Result<(), dlp_core::PipelineError> {
     let netlist = &ex.netlist;
     let w = ex.faults.weights();
 
-    let sw = dlp_circuit::switch::expand(netlist)?;
-    let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let lowered = ex
-        .faults
-        .to_switch_faults(netlist, sim.netlist(), &OpenLevelModel::default())?;
+    let (sim, lowered) = pipeline::switch_stage(&ex)?;
     let sa = stuck_at::enumerate(netlist).collapse();
 
     let mut rows = Vec::new();

@@ -17,16 +17,15 @@
 //! EXPERIMENTS.md, "DL vs n").
 
 use dlp_bench::pipeline::{self, PAPER_YIELD};
-use dlp_circuit::{generators, switch};
+use dlp_circuit::generators;
 use dlp_core::ndetect::fit_ndetect_growth;
 use dlp_core::obs::BenchReport;
 use dlp_core::par::ThreadCount;
 use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::faults::OpenLevelModel;
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
 use dlp_sim::stuck_at;
-use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
+use dlp_sim::switchlevel::DetectionMode;
 
 const MAX_N: usize = 8;
 
@@ -65,13 +64,7 @@ fn run() -> Result<(), PipelineError> {
     // One switch-level realistic-fault simulation over the full sequence
     // covers every prefix measurement.
     let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
-    let sw = switch::expand(netlist)
-        .map_err(|e| PipelineError::from(e).context("expanding to switch level"))?;
-    let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let lowered =
-        extraction
-            .faults
-            .to_switch_faults(netlist, sim.netlist(), &OpenLevelModel::default())?;
+    let (sim, lowered) = pipeline::switch_stage(&extraction)?;
     let record_theta = sim.detect_obs(
         &lowered,
         &schedule.vectors,
@@ -178,21 +171,9 @@ fn run() -> Result<(), PipelineError> {
         report.record(&format!("{base}/n{n}/defect_level"), "fraction", dl);
     }
     let path = format!("{}/../../BENCH_ndetect.json", env!("CARGO_MANIFEST_DIR"));
-    report.write_to(&path).map_err(|e| {
-        PipelineError::with_source(
-            Stage::Model,
-            dlp_core::ModelError::BadFitData("cannot write BENCH_ndetect.json"),
-        )
-        .context(e.to_string())
-    })?;
+    pipeline::write_bench_report(&report, &path)?;
     println!("wrote {path}");
-    if let Some(trace) = pipeline::write_run_report(&obs, "ndetect").map_err(|e| {
-        PipelineError::with_source(
-            Stage::Model,
-            dlp_core::ModelError::BadFitData("cannot write the ndetect trace report"),
-        )
-        .context(e.to_string())
-    })? {
+    if let Some(trace) = pipeline::write_run_report(&obs, "ndetect")? {
         println!("wrote {trace}");
     }
     Ok(())

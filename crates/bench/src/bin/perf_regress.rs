@@ -377,9 +377,7 @@ fn run() -> Result<bool, PipelineError> {
 
     if write_baseline {
         let report = measure()?;
-        report
-            .write_to(&baseline_path)
-            .map_err(|e| pipeline_err(&format!("cannot write {baseline_path}: {e}")))?;
+        dlp_bench::pipeline::write_bench_report(&report, &baseline_path)?;
         println!("wrote {baseline_path} (git_rev {})", report.env.git_rev);
         return Ok(true);
     }

@@ -6,9 +6,9 @@
 //! c1355 class and still strands nets), so critical-area weights come
 //! from the tiled template path of DESIGN.md §13: one small template is
 //! laid out and extracted once, its per-node weight profile is
-//! distributed onto stuck-at sites by
-//! [`stuck_at_weights`](dlp_extract::sharded::stuck_at_weights)
-//! semantics, and [`TiledWeights::expand`] replicates that profile onto
+//! distributed onto stuck-at sites (each site takes its net's weight,
+//! split evenly among the sites on that net), and
+//! [`TiledWeights::expand`] replicates that profile onto
 //! every family member. For tiled members the node map is exact — each
 //! tile is emitted by the very routine that built the template, so tile
 //! gate `j` *is* template gate `j`. For the ISCAS-85-class analogues
@@ -95,14 +95,6 @@ fn tiled_map(template: &Netlist, tiles: usize) -> Box<dyn Fn(NodeId) -> Option<N
             tpl_inputs + (i - TILE_INPUTS) % tpl_gates,
         ))
     })
-}
-
-fn model_err(msg: String) -> PipelineError {
-    PipelineError::with_source(
-        Stage::Model,
-        dlp_core::ModelError::BadFitData("scale sweep invariant failed"),
-    )
-    .context(msg)
 }
 
 fn main() -> std::process::ExitCode {
@@ -271,7 +263,11 @@ fn run() -> Result<(), PipelineError> {
     // The whole point of the sweep: the family must actually reach
     // million-fault scale (smoke mode exempt by design).
     if !smoke && max_faults < 1_000_000 {
-        return Err(model_err(format!(
+        return Err(PipelineError::with_source(
+            Stage::Model,
+            dlp_core::ModelError::BadFitData("scale sweep invariant failed"),
+        )
+        .context(format!(
             "largest member has {max_faults} collapsed faults, need >= 10^6"
         )));
     }
@@ -291,13 +287,9 @@ fn run() -> Result<(), PipelineError> {
         "BENCH_scale_sweep.json"
     };
     let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    report
-        .write_to(&path)
-        .map_err(|e| model_err(format!("cannot write {path}: {e}")))?;
+    pipeline::write_bench_report(&report, &path)?;
     println!("wrote {path}");
-    if let Some(trace) = pipeline::write_run_report(&obs, "scale_sweep")
-        .map_err(|e| model_err(format!("cannot write the scale_sweep trace report: {e}")))?
-    {
+    if let Some(trace) = pipeline::write_run_report(&obs, "scale_sweep")? {
         println!("wrote {trace}");
     }
     Ok(())

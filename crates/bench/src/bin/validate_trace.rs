@@ -21,7 +21,10 @@
 //! [`BenchReport`] schema (schema_version, env, entries), so the bench
 //! writers cannot silently drift back to ad-hoc maps, and warns (without
 //! failing) when the recorded `env.git_rev` does not match the current
-//! checkout or carries the `-dirty` worktree marker.
+//! checkout or carries the `-dirty` worktree marker. A report that git
+//! tracks and reports unmodified is committed evidence of an earlier
+//! tree, so its recorded revision is historical by construction and
+//! draws neither warning.
 //!
 //! Serve-trace mode checks a `GET /v1/traces` flight-recorder dump
 //! (`TRACE_serve_gate.json` in CI): unique well-formed trace ids, a
@@ -256,28 +259,55 @@ fn check(text: &str) -> Result<(), String> {
         .map_err(|e| format!("OpenMetrics exposition is invalid: {e}"))
 }
 
-fn check_bench(text: &str) -> Result<String, String> {
+/// Whether a bench report's recorded revision deserves the stale and
+/// dirty warnings, from `git status --porcelain --ignored` on its path
+/// (`None` when git could not answer). Empty output means git tracks the
+/// file and it is unchanged since `HEAD`; an untracked, ignored or
+/// modified file, or one outside any checkout, is a fresh report.
+fn revision_is_current(porcelain: Option<&str>) -> bool {
+    porcelain.is_none_or(|status| !status.trim().is_empty())
+}
+
+/// `git status --porcelain --ignored` for the one file at `path`, run in
+/// the file's directory (`-C ""` keeps the current one).
+fn git_status_of(path: &str) -> Option<String> {
+    let path = std::path::Path::new(path);
+    let out = std::process::Command::new("git")
+        .arg("-C")
+        .arg(path.parent()?)
+        .args(["status", "--porcelain", "--ignored", "--"])
+        .arg(path.file_name()?)
+        .output()
+        .ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+fn check_bench(path: &str, text: &str) -> Result<String, String> {
     let report = BenchReport::from_json(text).map_err(|e| e.to_string())?;
     if report.entries.is_empty() {
         return Err("bench report has no entries".to_string());
     }
-    // Stale-metadata watchdog (non-fatal): the recorded revision should
-    // match the checkout being validated, and a dirty marker means the
-    // numbers came from a modified worktree.
-    if let Some(current) = dlp_core::obs::BenchEnv::current_git_rev() {
-        if report.env.git_rev != current {
+    // Stale-metadata watchdog (non-fatal): a freshly written report's
+    // revision should match the checkout being validated, and a dirty
+    // marker means the numbers came from a modified worktree.
+    if revision_is_current(git_status_of(path).as_deref()) {
+        if let Some(current) = dlp_core::obs::BenchEnv::current_git_rev() {
+            if report.env.git_rev != current {
+                eprintln!(
+                    "validate_trace: warning: report records git_rev {} but the checkout is at {} — \
+                     regenerate the report, its numbers describe another tree",
+                    report.env.git_rev, current
+                );
+            }
+        }
+        if report.env.git_rev.ends_with("-dirty") {
             eprintln!(
-                "validate_trace: warning: report records git_rev {} but the checkout is at {} — \
-                 regenerate the report, its numbers describe another tree",
-                report.env.git_rev, current
+                "validate_trace: warning: report was written from a modified worktree ({})",
+                report.env.git_rev
             );
         }
-    }
-    if report.env.git_rev.ends_with("-dirty") {
-        eprintln!(
-            "validate_trace: warning: report was written from a modified worktree ({})",
-            report.env.git_rev
-        );
     }
     Ok(format!(
         "{} ({} entries, git_rev {})",
@@ -395,7 +425,7 @@ fn main() -> ExitCode {
     };
     let checked = match mode {
         "run" => check(&text).map(|()| String::new()),
-        "bench" => check_bench(&text).map(|summary| format!(" — {summary}")),
+        "bench" => check_bench(&path, &text).map(|summary| format!(" — {summary}")),
         _ => check_serve_trace(&text).map(|summary| format!(" — {summary}")),
     };
     match checked {
@@ -406,6 +436,27 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("validate_trace: {path}: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_fresh_reports_have_a_current_revision() {
+        // Tracked and unchanged since HEAD: committed evidence.
+        assert!(!revision_is_current(Some("")));
+        // Modified, staged, untracked, ignored, or git could not answer.
+        for status in [
+            Some(" M BENCH_x.json\n"),
+            Some("M  BENCH_x.json\n"),
+            Some("?? BENCH_x.json\n"),
+            Some("!! target/BENCH_x.json\n"),
+            None,
+        ] {
+            assert!(revision_is_current(status), "{status:?}");
         }
     }
 }

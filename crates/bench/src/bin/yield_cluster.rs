@@ -328,13 +328,9 @@ fn run() -> Result<(), PipelineError> {
     );
 
     let path = workspace_path(report_file);
-    report
-        .write_to(&path)
-        .map_err(|e| PipelineError::new(Stage::Model, format!("cannot write {path}: {e}")))?;
+    pipeline::write_bench_report(&report, &path)?;
     println!("yield_cluster: wrote {path}");
-    if let Some(trace) = pipeline::write_run_report(&obs, "yield_cluster")
-        .map_err(|e| PipelineError::new(Stage::Model, format!("cannot write trace: {e}")))?
-    {
+    if let Some(trace) = pipeline::write_run_report(&obs, "yield_cluster")? {
         println!("yield_cluster: wrote {trace}");
     }
     Ok(())

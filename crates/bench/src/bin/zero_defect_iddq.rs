@@ -10,12 +10,10 @@
 use dlp_bench::pipeline::{self, PAPER_YIELD};
 use dlp_bench::print_table;
 use dlp_circuit::generators;
-use dlp_circuit::switch;
 use dlp_core::Ppm;
 use dlp_core::{obs::Recorder, par::ThreadCount, RunBudget};
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::faults::OpenLevelModel;
-use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
+use dlp_sim::switchlevel::DetectionMode;
 
 fn main() -> std::process::ExitCode {
     dlp_bench::run_main(run)
@@ -33,11 +31,7 @@ fn run() -> Result<(), dlp_core::PipelineError> {
     let w = ex.faults.weights();
     let k = run.vectors.len();
 
-    let sw = switch::expand(&ex.netlist)?;
-    let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let lowered =
-        ex.faults
-            .to_switch_faults(&ex.netlist, sim.netlist(), &OpenLevelModel::default())?;
+    let (sim, lowered) = pipeline::switch_stage(&ex)?;
 
     let mut rows = Vec::new();
     let mut thetas = Vec::new();

@@ -4,7 +4,7 @@
 
 use dlp_atpg::generate::{generate_tests, AtpgConfig, PodemVerdict};
 use dlp_circuit::{switch, Netlist};
-use dlp_core::obs::{Recorder, RunReport, TraceSetting};
+use dlp_core::obs::{BenchReport, Recorder, RunReport, TraceSetting};
 use dlp_core::par::ThreadCount;
 use dlp_core::weighted::FaultWeights;
 use dlp_core::{Diagnostics, PipelineError, RunBudget, Stage};
@@ -14,7 +14,7 @@ use dlp_extract::faults::{FaultSet, OpenLevelModel};
 use dlp_extract::ExtractError;
 use dlp_layout::chip::ChipLayout;
 use dlp_sim::detection::DetectionRecord;
-use dlp_sim::switchlevel::{SwitchConfig, SwitchSimulator};
+use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchFault, SwitchSimulator};
 use dlp_sim::{ppsfp, stuck_at};
 
 /// The paper's yield operating point.
@@ -231,17 +231,11 @@ pub fn simulate_budgeted(
         None,
     )?;
 
-    let sw = switch::expand(netlist)
-        .map_err(|e| PipelineError::from(e).context("expanding to switch level"))?;
-    let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-    let lowered =
-        extraction
-            .faults
-            .to_switch_faults(netlist, sim.netlist(), &OpenLevelModel::default())?;
+    let (sim, lowered) = switch_stage(extraction)?;
     let record_theta = sim.detect_obs(
         &lowered,
         &atpg.vectors,
-        dlp_sim::switchlevel::DetectionMode::Voltage,
+        DetectionMode::Voltage,
         threads,
         obs,
     )?;
@@ -253,6 +247,46 @@ pub fn simulate_budgeted(
         record_theta,
         redundant: redundant.len(),
     })
+}
+
+/// The switch-level stage of an extraction: its netlist expanded to
+/// transistors under the default [`SwitchConfig`], and its realistic
+/// faults lowered onto that netlist under the default
+/// [`OpenLevelModel`]. Every switch-level measurement of an extraction
+/// starts here.
+///
+/// # Errors
+///
+/// A stage-tagged [`PipelineError`] when the netlist cannot be expanded
+/// to switch level or a fault cannot be lowered onto it.
+pub fn switch_stage(
+    extraction: &Extraction,
+) -> Result<(SwitchSimulator, Vec<SwitchFault>), PipelineError> {
+    let netlist = &extraction.netlist;
+    let sw = switch::expand(netlist)
+        .map_err(|e| PipelineError::from(e).context("expanding to switch level"))?;
+    let sim = SwitchSimulator::new(sw, SwitchConfig::default());
+    let lowered =
+        extraction
+            .faults
+            .to_switch_faults(netlist, sim.netlist(), &OpenLevelModel::default())?;
+    Ok((sim, lowered))
+}
+
+/// A failed report write: an [`Stage::Artifact`] error with the
+/// `io::Error` as its source and the path as context.
+fn write_error(path: &str, e: std::io::Error) -> PipelineError {
+    PipelineError::with_source(Stage::Artifact, e).context(format!("cannot write {path}"))
+}
+
+/// Writes `report` to `path` (see [`BenchReport::write_to`]).
+///
+/// # Errors
+///
+/// A [`Stage::Artifact`] [`PipelineError`] whose source is the
+/// `io::Error` and whose message names `path`.
+pub fn write_bench_report(report: &BenchReport, path: &str) -> Result<(), PipelineError> {
+    report.write_to(path).map_err(|e| write_error(path, e))
 }
 
 /// Builds a [`Recorder`] from the `DLP_TRACE` environment variable:
@@ -272,8 +306,9 @@ pub fn recorder_from_env() -> Recorder {
 ///
 /// # Errors
 ///
-/// Propagates the I/O error if the report file cannot be written.
-pub fn write_run_report(obs: &Recorder, name: &str) -> std::io::Result<Option<String>> {
+/// A [`Stage::Artifact`] [`PipelineError`], as for
+/// [`write_bench_report`], if the report file cannot be written.
+pub fn write_run_report(obs: &Recorder, name: &str) -> Result<Option<String>, PipelineError> {
     let setting = TraceSetting::from_env();
     if !obs.is_enabled() || !setting.is_on() {
         return Ok(None);
@@ -283,7 +318,7 @@ pub fn write_run_report(obs: &Recorder, name: &str) -> std::io::Result<Option<St
         return Ok(None);
     };
     let report: RunReport = obs.report(name);
-    report.write_to(&path)?;
+    report.write_to(&path).map_err(|e| write_error(&path, e))?;
     Ok(Some(path))
 }
 
@@ -360,5 +395,20 @@ mod tests {
         prune_negligible(&mut faults, &mut diagnostics, Recorder::noop());
         assert_eq!(faults.len(), 10);
         assert!(diagnostics.is_empty());
+    }
+
+    #[test]
+    fn a_failed_report_write_is_a_typed_artifact_error() {
+        let dir = std::env::temp_dir().join(format!("dlp_no_such_dir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("BENCH_x.json").to_string_lossy().into_owned();
+        let err = write_bench_report(&BenchReport::new("x"), &path).expect_err("no directory");
+        assert_eq!(err.stage(), Stage::Artifact);
+        assert!(err.message().contains(&path), "{err}");
+        let source = std::error::Error::source(&err).expect("a source");
+        assert!(
+            source.downcast_ref::<std::io::Error>().is_some(),
+            "{source:?}"
+        );
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Long stages — PPSFP blocks, Monte-Carlo shards, n-detect targets —
 //! check a [`RunBudget`] at their chunk boundaries. A budget can carry a
-//! wall-clock deadline, a maximum *estimated* memory footprint, an
-//! explicit [`CancelToken`], and (for deterministic chaos testing) a
-//! check-count fuse. When a check trips, the stage stops at the next
-//! chunk boundary and surfaces a typed [`BudgetExceeded`] carrying its
-//! partial progress — together with a checkpoint (see [`crate::ckpt`])
-//! from which the run resumes bit-identically.
+//! wall-clock deadline, a maximum *estimated* memory footprint, and (for
+//! deterministic chaos testing) a check-count fuse. When a check trips,
+//! the stage stops at the next chunk boundary and surfaces a typed
+//! [`BudgetExceeded`] carrying its partial progress — together with a
+//! checkpoint (see [`crate::ckpt`]) from which the run resumes
+//! bit-identically.
 //!
 //! The checks are cooperative: nothing is preempted, so a budget can
 //! only ever be exceeded *at* a boundary, never mid-chunk. This is what
@@ -22,7 +22,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,38 +33,11 @@ pub const BUDGET_MB_ENV: &str = "DLP_BUDGET_MB";
 /// Environment variable: trip after this many cooperative checks.
 pub const CANCEL_AFTER_ENV: &str = "DLP_CANCEL_AFTER";
 
-/// A shareable explicit-cancellation flag.
-///
-/// Clones share the flag: cancel from any thread (a signal handler, a
-/// timeout watchdog, a serve-layer request drop) and every budget
-/// holding the token trips at its next cooperative check.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
 /// Why a [`RunBudget`] check tripped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BudgetReason {
-    /// The [`CancelToken`] was cancelled, or the check-count fuse ran out.
+    /// The check-count fuse ran out.
     Cancelled,
     /// The wall-clock deadline passed.
     Deadline {
@@ -149,27 +122,24 @@ impl fmt::Display for BudgetConfigError {
 
 impl Error for BudgetConfigError {}
 
-/// A cooperative run budget: deadline, memory ceiling, cancellation.
+/// A cooperative run budget: deadline, memory ceiling, check-count fuse.
 ///
-/// Cheap to clone (the cancellation state is shared); the default is
-/// unlimited, so `&RunBudget::default()` is the "no budget" argument.
+/// Cheap to clone (clones share the fuse); the default is unlimited, so
+/// `&RunBudget::default()` is the "no budget" argument.
 ///
 /// # Example
 ///
 /// ```
-/// use dlp_core::budget::{BudgetReason, CancelToken, RunBudget};
+/// use dlp_core::budget::{BudgetReason, RunBudget};
 ///
-/// let token = CancelToken::new();
-/// let budget = RunBudget::unlimited().with_cancel(&token);
+/// let budget = RunBudget::unlimited().cancel_after_checks(1);
 /// assert!(budget.check().is_ok());
-/// token.cancel();
 /// assert_eq!(budget.check(), Err(BudgetReason::Cancelled));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     deadline: Option<(Instant, u64)>,
     limit_bytes: Option<u64>,
-    cancel: Option<CancelToken>,
     fuse: Option<Arc<AtomicU64>>,
 }
 
@@ -196,13 +166,6 @@ impl RunBudget {
         self
     }
 
-    /// Attaches an explicit cancellation token (shared, not copied).
-    #[must_use]
-    pub fn with_cancel(mut self, token: &CancelToken) -> RunBudget {
-        self.cancel = Some(token.clone());
-        self
-    }
-
     /// Trips after exactly `n` successful [`RunBudget::check`] calls —
     /// the deterministic kill switch used by the chaos harness to stop
     /// a run at a reproducible chunk boundary.
@@ -215,25 +178,16 @@ impl RunBudget {
     /// Whether no constraint is configured (checks can never trip).
     #[cfg(test)]
     fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.limit_bytes.is_none()
-            && self.cancel.is_none()
-            && self.fuse.is_none()
+        self.deadline.is_none() && self.limit_bytes.is_none() && self.fuse.is_none()
     }
 
     /// One cooperative check, called at chunk boundaries.
     ///
     /// # Errors
     ///
-    /// The [`BudgetReason`] that tripped: explicit cancellation and the
-    /// check-count fuse are inspected first (both are exact), then the
-    /// wall-clock deadline.
+    /// The [`BudgetReason`] that tripped: the check-count fuse is
+    /// inspected first (it is exact), then the wall-clock deadline.
     pub fn check(&self) -> Result<(), BudgetReason> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(BudgetReason::Cancelled);
-            }
-        }
         if let Some(fuse) = &self.fuse {
             // Saturating decrement: once the fuse hits zero every later
             // check trips, so exactly `n` checks ever succeed.
@@ -354,18 +308,6 @@ mod tests {
             assert!(b.check().is_ok());
         }
         assert!(b.check_memory(u64::MAX).is_ok());
-    }
-
-    #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let token = CancelToken::new();
-        let b = RunBudget::unlimited().with_cancel(&token);
-        let clone = b.clone();
-        assert!(clone.check().is_ok());
-        token.cancel();
-        assert_eq!(b.check(), Err(BudgetReason::Cancelled));
-        assert_eq!(clone.check(), Err(BudgetReason::Cancelled));
-        assert!(token.is_cancelled());
     }
 
     #[test]

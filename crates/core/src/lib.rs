@@ -25,9 +25,13 @@
 //! * [`obs`] — the observability layer: stage spans, counters, gauges,
 //!   and the JSON `RunReport` behind the `DLP_TRACE` contract,
 //! * [`budget`] — cooperative run budgets (wall-clock deadline, memory
-//!   estimate, explicit [`CancelToken`]) checked at chunk boundaries,
+//!   estimate, check-count fuse) checked at chunk boundaries,
 //! * [`ckpt`] — versioned, checksummed checkpoint envelopes and the
 //!   atomic write-temp-then-rename helper every artifact writer uses.
+//!
+//! Yield enters as an input. The yield laws that turn defect exposure
+//! into `Y` (eq. 5's Poisson form and the clustered models) live in
+//! `dlp-yield`'s fallout-distribution family.
 //!
 //! All quantities are dimensionless: yields, coverages and defect levels in
 //! `[0, 1]` (use [`Ppm`] for parts-per-million display), susceptibilities
@@ -67,9 +71,8 @@ pub mod rng;
 pub mod sousa;
 pub mod weighted;
 pub mod williams_brown;
-pub mod yield_model;
 
-pub use budget::{BudgetExceeded, BudgetReason, CancelToken, RunBudget};
+pub use budget::{BudgetExceeded, BudgetReason, RunBudget};
 pub use ckpt::CkptError;
 pub use error::ModelError;
 pub use pipeline::{Diagnostic, Diagnostics, PipelineError, Stage};

@@ -57,7 +57,7 @@ pub struct BenchEnv {
 impl BenchEnv {
     /// Captures the current environment. `DLP_THREADS` parse failures
     /// fall back to auto — capture is diagnostics, never a gate.
-    pub fn capture() -> BenchEnv {
+    fn capture() -> BenchEnv {
         let threads = crate::par::ThreadCount::from_env()
             .unwrap_or(crate::par::ThreadCount::Auto)
             .get();

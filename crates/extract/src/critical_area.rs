@@ -145,7 +145,24 @@ pub fn weighted<F: FnMut(Coord) -> i64>(samples: &[(Coord, f64)], mut area_at: F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlp_geometry::sweep;
+    use dlp_core::rng::Xorshift64Star;
+    use dlp_geometry::sweep::union_area;
+
+    /// Exact area of `union(a) ∩ union(b)`: pairwise-intersect, then
+    /// take the union of the pieces.
+    fn intersection_area(a: &[Rect], b: &[Rect]) -> i64 {
+        let mut pieces = Vec::new();
+        for ra in a {
+            for rb in b {
+                if let Some(i) = ra.intersection(rb) {
+                    if !i.is_degenerate() {
+                        pieces.push(i);
+                    }
+                }
+            }
+        }
+        union_area(&pieces)
+    }
 
     /// Critical area for a short at defect size `x`, straight from the
     /// scanline intersection of the two dilated sets: the reference
@@ -156,7 +173,51 @@ mod tests {
         }
         let (ha, hb) = halves(x);
         let dilate = |rs: &[Rect], d| rs.iter().map(|r| r.dilated(d)).collect::<Vec<_>>();
-        sweep::intersection_area(&dilate(a, ha), &dilate(b, hb))
+        intersection_area(&dilate(a, ha), &dilate(b, hb))
+    }
+
+    #[test]
+    fn intersection_area_disjoint_sets() {
+        let a = [Rect::new(0, 0, 1, 1)];
+        let b = [Rect::new(5, 5, 6, 6)];
+        assert_eq!(intersection_area(&a, &b), 0);
+        let a = [Rect::new(0, 0, 10, 10)];
+        let b = [Rect::new(5, 5, 15, 15), Rect::new(-5, -5, 2, 2)];
+        assert_eq!(intersection_area(&a, &b), 25 + 4);
+    }
+
+    #[test]
+    fn intersection_area_handles_internal_overlap() {
+        // Both pieces of `b` overlap the same region of `a`; the overlap
+        // must be counted once.
+        let a = [Rect::new(0, 0, 10, 10)];
+        let b = [Rect::new(2, 2, 8, 8), Rect::new(4, 4, 12, 12)];
+        // union(b) ∩ a = union of (2,2,8,8) and (4,4,10,10): 36 + 36 - 16 = 56
+        assert_eq!(intersection_area(&a, &b), 56);
+    }
+
+    /// intersection_area is symmetric and bounded by either union.
+    #[test]
+    fn intersection_area_symmetric() {
+        let mut rng = Xorshift64Star::new(13);
+        let mut rect_set = || {
+            let n = 1 + rng.next_below(7);
+            (0..n)
+                .map(|_| {
+                    let (x, y) = (rng.next_below(30) as Coord, rng.next_below(30) as Coord);
+                    let w = 1 + rng.next_below(9) as Coord;
+                    let h = 1 + rng.next_below(9) as Coord;
+                    Rect::with_size(x, y, w, h)
+                })
+                .collect::<Vec<_>>()
+        };
+        for _ in 0..150 {
+            let (ra, rb) = (rect_set(), rect_set());
+            let iab = intersection_area(&ra, &rb);
+            assert_eq!(iab, intersection_area(&rb, &ra));
+            assert!(iab <= union_area(&ra));
+            assert!(iab <= union_area(&rb));
+        }
     }
 
     fn wire(y0: Coord, y1: Coord) -> Vec<Rect> {
@@ -230,7 +291,7 @@ mod tests {
 
     #[test]
     fn short_pairs_match_short_area_at_every_sample() {
-        let mut rng = dlp_core::rng::Xorshift64Star::new(7);
+        let mut rng = Xorshift64Star::new(7);
         let mut coord = |bound: usize| rng.next_below(bound) as Coord;
         for _ in 0..400 {
             let region = |coord: &mut dyn FnMut(usize) -> Coord| -> Vec<Rect> {
@@ -254,7 +315,7 @@ mod tests {
 
     #[test]
     fn dilations_overlap_is_a_window_test() {
-        let mut rng = dlp_core::rng::Xorshift64Star::new(8);
+        let mut rng = Xorshift64Star::new(8);
         let mut rect = || {
             let (x, y) = (rng.next_below(60) as Coord, rng.next_below(60) as Coord);
             let (w, h) = (rng.next_below(20) as Coord, rng.next_below(20) as Coord);

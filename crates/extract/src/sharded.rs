@@ -9,13 +9,13 @@
 //! circuit — and stops scaling long before 10^6 faults. This module
 //! provides the streaming alternative used by the `scale_sweep` bench:
 //!
-//! * [`stuck_at_weights`] projects an extracted fault set onto the
+//! * [`TiledWeights`] projects an extracted fault set onto the
 //!   circuit's collapsed stuck-at list, giving each gate-level fault
 //!   the critical-area weight of the net it lives on. `θ(k)` then
 //!   comes from the PPSFP record alone — no switch-level pass, no
 //!   per-fault labels.
-//! * [`TiledWeights`] replicates one laid-out template tile's weight
-//!   profile across `n` identical instances: extraction runs once on
+//! * The same profile replicates one laid-out template tile's weights
+//!   across `n` identical instances: extraction runs once on
 //!   the template, and each instance fault inherits its structural
 //!   counterpart's weight through a caller-supplied site map. Peak
 //!   memory is the template's, independent of `n`. Members that are
@@ -90,40 +90,6 @@ fn site_node(netlist: &Netlist, site: &StuckAtFault) -> Result<NodeId, ExtractEr
     }
 }
 
-/// Projects an extracted fault set onto a stuck-at fault list: each
-/// stuck-at fault's weight is its net's attributed critical-area
-/// weight, split evenly among the stuck-at faults sharing that net.
-///
-/// Nets the extractor saw no defect on yield zero-weight faults (they
-/// dilute nothing: `θ` is weight-normalised). The returned vector is
-/// index-aligned with `sites` and sums to the fault set's total weight
-/// (up to rounding) whenever every net with weight carries at least one
-/// site.
-///
-/// # Errors
-///
-/// [`ExtractError::StuckAtSiteOutOfRange`] if a site references a node
-/// or pin outside `netlist` — the site list must come from this
-/// netlist's own enumeration.
-pub fn stuck_at_weights(
-    netlist: &Netlist,
-    set: &FaultSet,
-    sites: &[StuckAtFault],
-) -> Result<Vec<f64>, ExtractError> {
-    let node_w = node_weights(netlist, set);
-    let mut sites_on = vec![0usize; netlist.node_count()];
-    let mut nodes = Vec::with_capacity(sites.len());
-    for s in sites {
-        let n = site_node(netlist, s)?;
-        sites_on[n.index()] += 1;
-        nodes.push(n);
-    }
-    Ok(nodes
-        .into_iter()
-        .map(|n| node_w[n.index()] / sites_on[n.index()] as f64)
-        .collect())
-}
-
 /// One template tile's weight profile, replicable across any number of
 /// structurally identical instances.
 ///
@@ -186,10 +152,11 @@ impl TiledWeights {
     /// site's net node goes through `map` and inherits its template
     /// counterpart's per-fault weight.
     ///
-    /// Expanding the template onto itself with the identity map
-    /// reproduces [`stuck_at_weights`] for every net the extractor
-    /// weighted (the invariant `tiled_weights_match_direct_distribution`
-    /// tests).
+    /// Expanding the template onto itself with the identity map gives
+    /// each site its net's weight split evenly among the sites on that
+    /// net, for every net the extractor weighted (the invariant
+    /// `tiled_weights_match_direct_distribution` tests against a direct
+    /// projection).
     ///
     /// # Errors
     ///
@@ -241,6 +208,31 @@ mod tests {
     use dlp_circuit::generators;
     use dlp_layout::chip::ChipLayout;
     use dlp_sim::stuck_at;
+
+    /// The direct projection [`TiledWeights::expand`] is checked
+    /// against: each stuck-at fault's weight is its net's attributed
+    /// critical-area weight, split evenly among the stuck-at faults
+    /// sharing that net. Index-aligned with `sites`; it sums to the
+    /// fault set's total weight whenever every weighted net carries a
+    /// site.
+    fn stuck_at_weights(
+        netlist: &Netlist,
+        set: &FaultSet,
+        sites: &[StuckAtFault],
+    ) -> Result<Vec<f64>, ExtractError> {
+        let node_w = node_weights(netlist, set);
+        let mut sites_on = vec![0usize; netlist.node_count()];
+        let mut nodes = Vec::with_capacity(sites.len());
+        for s in sites {
+            let n = site_node(netlist, s)?;
+            sites_on[n.index()] += 1;
+            nodes.push(n);
+        }
+        Ok(nodes
+            .into_iter()
+            .map(|n| node_w[n.index()] / sites_on[n.index()] as f64)
+            .collect())
+    }
 
     fn c17_setup() -> (Netlist, FaultSet, Vec<StuckAtFault>) {
         let nl = generators::c17();

@@ -6,8 +6,7 @@
 //! * [`Point`] and [`Rect`] — integer-coordinate primitives in database
 //!   units (a technology decides how many database units make one λ),
 //! * [`Layer`] — the mask layers of a generic 2-metal CMOS process,
-//! * [`sweep`] — scanline algorithms for the exact union and pairwise
-//!   intersection areas of rectangle sets.
+//! * [`sweep`] — a scanline for the exact union area of rectangle sets.
 //!
 //! All coordinates are `i64` database units; areas are returned as `i64`
 //! (square database units) or `f64` where integration demands it. Integer

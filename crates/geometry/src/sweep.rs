@@ -116,34 +116,6 @@ impl UnionScratch {
     }
 }
 
-/// Exact area of `union(a) ∩ union(b)`: pairwise-intersect then union.
-///
-/// Used for short critical areas: dilate net A's shapes, dilate net B's
-/// shapes, and measure where both dilations overlap.
-///
-/// # Example
-///
-/// ```
-/// use dlp_geometry::{Rect, sweep::intersection_area};
-///
-/// let a = [Rect::new(0, 0, 10, 10)];
-/// let b = [Rect::new(5, 5, 15, 15), Rect::new(-5, -5, 2, 2)];
-/// assert_eq!(intersection_area(&a, &b), 25 + 4);
-/// ```
-pub fn intersection_area(a: &[Rect], b: &[Rect]) -> i64 {
-    let mut pieces = Vec::new();
-    for ra in a {
-        for rb in b {
-            if let Some(i) = ra.intersection(rb) {
-                if !i.is_degenerate() {
-                    pieces.push(i);
-                }
-            }
-        }
-    }
-    union_area(&pieces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,23 +160,6 @@ mod tests {
     fn abutting_rects_do_not_overlap() {
         let rs = [Rect::new(0, 0, 5, 5), Rect::new(5, 0, 10, 5)];
         assert_eq!(union_area(&rs), 50);
-    }
-
-    #[test]
-    fn intersection_area_disjoint_sets() {
-        let a = [Rect::new(0, 0, 1, 1)];
-        let b = [Rect::new(5, 5, 6, 6)];
-        assert_eq!(intersection_area(&a, &b), 0);
-    }
-
-    #[test]
-    fn intersection_area_handles_internal_overlap() {
-        // Both pieces of `b` overlap the same region of `a`; the overlap
-        // must be counted once.
-        let a = [Rect::new(0, 0, 10, 10)];
-        let b = [Rect::new(2, 2, 8, 8), Rect::new(4, 4, 12, 12)];
-        // union(b) ∩ a = union of (2,2,8,8) and (4,4,10,10): 36 + 36 - 16 = 56
-        assert_eq!(intersection_area(&a, &b), 56);
     }
 
     /// Deterministic random rectangle set from the shared test RNG.
@@ -294,21 +249,6 @@ mod tests {
             ] {
                 assert_eq!(scratch.area(&rs), union_area(&rs), "{rs:?}");
             }
-        }
-    }
-
-    /// intersection_area is symmetric and bounded by either union.
-    #[test]
-    fn intersection_area_symmetric() {
-        let mut rng = crate::test_rng::TestRng::new(13);
-        for _ in 0..150 {
-            let ra = rect_set(&mut rng, 8, 30, 10);
-            let rb = rect_set(&mut rng, 8, 30, 10);
-            let iab = intersection_area(&ra, &rb);
-            let iba = intersection_area(&rb, &ra);
-            assert_eq!(iab, iba);
-            assert!(iab <= union_area(&ra));
-            assert!(iab <= union_area(&rb));
         }
     }
 }

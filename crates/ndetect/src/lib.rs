@@ -15,9 +15,8 @@
 //!   per fault and rank) for faults the pool cannot lift to `n`. The
 //!   result is an *incremental schedule*: the test set for target `n` is
 //!   a prefix of the set for `n + 1`, so coverage and DL(n) measurements
-//!   are monotone by construction.
-//! * [`dlp_atpg::compact::compact_counted`] is the matching compaction
-//!   (kept in `dlp-atpg` next to the single-detect `compact`).
+//!   are monotone by construction. The DL(n) study reads these prefixes
+//!   as they stand; no set is compacted.
 //! * The DL(n) model lives in [`dlp_core::ndetect`].
 //!
 //! # Example

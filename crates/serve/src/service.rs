@@ -80,18 +80,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dlp_bench::pipeline::{self, Extraction, PAPER_YIELD};
-use dlp_circuit::{generators, switch, Netlist};
+use dlp_circuit::{generators, Netlist};
 use dlp_core::ckpt::KeyHasher;
 use dlp_core::obs::trace::derive_trace_id;
 use dlp_core::obs::{FlightRecorder, Json, Recorder, TraceContext, TraceOutcome};
 use dlp_core::par::ThreadCount;
 use dlp_core::{PipelineError, Ppm, RunBudget, Stage};
 use dlp_extract::defects::DefectStatistics;
-use dlp_extract::faults::OpenLevelModel;
 use dlp_extract::sharded::{kind_map, TiledWeights};
 use dlp_ndetect::{build_schedule_resumable, NDetectConfig};
 use dlp_sim::detection::random_vectors;
-use dlp_sim::switchlevel::{DetectionMode, SwitchConfig, SwitchSimulator};
+use dlp_sim::switchlevel::DetectionMode;
 use dlp_sim::{ppsfp, stuck_at};
 use dlp_yield::dist::Fallout;
 
@@ -1070,14 +1069,7 @@ impl Service {
             &budget,
             None,
         )?;
-        let sw = switch::expand(netlist)
-            .map_err(|e| PipelineError::from(e).context("expanding to switch level"))?;
-        let sim = SwitchSimulator::new(sw, SwitchConfig::default());
-        let lowered = extraction.faults.to_switch_faults(
-            netlist,
-            sim.netlist(),
-            &OpenLevelModel::default(),
-        )?;
+        let (sim, lowered) = pipeline::switch_stage(&extraction)?;
         let record = sim.detect_obs(
             &lowered,
             &schedule.vectors,

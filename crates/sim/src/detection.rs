@@ -81,7 +81,8 @@ impl DetectionRecord {
 
     /// The full unweighted coverage curve, sampled at every vector count
     /// `k = 0..=vector_count`.
-    pub fn coverage_curve(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn coverage_curve(&self) -> Vec<f64> {
         let mut per_k = vec![0usize; self.vector_count + 1];
         for d in self.first_detect.iter().flatten() {
             per_k[d + 1] += 1;
@@ -192,7 +193,8 @@ impl DetectionProfile {
     /// Projects the profile onto its rank-1 detections. With `n_cap = 1`
     /// this is exactly the [`DetectionRecord`] of
     /// [`crate::ppsfp::simulate_resumable`].
-    pub fn first_detect_record(&self) -> DetectionRecord {
+    #[cfg(test)]
+    pub(crate) fn first_detect_record(&self) -> DetectionRecord {
         DetectionRecord::new(
             self.detections.iter().map(|d| d.first().copied()).collect(),
             self.vector_count,

@@ -20,7 +20,6 @@
 use dlp_core::ckpt::KeyHasher;
 use dlp_core::montecarlo::DieMix;
 use dlp_core::rng::Xorshift64Star;
-use dlp_core::yield_model;
 use dlp_core::ModelError;
 
 use crate::gamma::sample_unit_gamma;
@@ -71,13 +70,7 @@ pub trait FalloutDistribution: DieMix {
     ///
     /// [`ModelError::OutOfDomain`] if `lambda < 0` or `theta ∉ [0, 1]`.
     fn defect_level(&self, lambda: f64, theta: f64) -> Result<f64, ModelError> {
-        if !(0.0..=1.0).contains(&theta) {
-            return Err(ModelError::OutOfDomain {
-                parameter: "theta",
-                value: theta,
-                range: "[0, 1]",
-            });
-        }
+        check_theta(theta)?;
         let full = self.expected_yield(lambda)?;
         let tested = self.expected_yield(theta * lambda)?;
         if tested <= 0.0 {
@@ -98,13 +91,7 @@ pub trait FalloutDistribution: DieMix {
     /// [`ModelError::OutOfDomain`] unless `y ∈ (0, 1]`;
     /// [`ModelError::FitDiverged`] if the bracket cannot be closed.
     fn lambda_for_yield(&self, y: f64) -> Result<f64, ModelError> {
-        if !(y > 0.0 && y <= 1.0) {
-            return Err(ModelError::OutOfDomain {
-                parameter: "yield",
-                value: y,
-                range: "(0, 1]",
-            });
-        }
+        check_yield(y)?;
         if y == 1.0 {
             return Ok(0.0);
         }
@@ -128,6 +115,43 @@ pub trait FalloutDistribution: DieMix {
         }
         Ok(0.5 * (lo + hi))
     }
+}
+
+/// `lambda` as an expected defect count: non-negative and finite.
+fn check_lambda(lambda: f64) -> Result<f64, ModelError> {
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // rejects NaN too
+    if !(lambda >= 0.0) || !lambda.is_finite() {
+        return Err(ModelError::OutOfDomain {
+            parameter: "expected defects",
+            value: lambda,
+            range: "[0, ∞)",
+        });
+    }
+    Ok(lambda)
+}
+
+/// `theta` as a tested weight fraction: in `[0, 1]`.
+fn check_theta(theta: f64) -> Result<(), ModelError> {
+    if !(0.0..=1.0).contains(&theta) {
+        return Err(ModelError::OutOfDomain {
+            parameter: "theta",
+            value: theta,
+            range: "[0, 1]",
+        });
+    }
+    Ok(())
+}
+
+/// `y` as a yield a calibration can hit: in `(0, 1]`.
+fn check_yield(y: f64) -> Result<f64, ModelError> {
+    if !(y > 0.0 && y <= 1.0) {
+        return Err(ModelError::OutOfDomain {
+            parameter: "yield",
+            value: y,
+            range: "(0, 1]",
+        });
+    }
+    Ok(y)
 }
 
 fn check_alpha(
@@ -171,8 +195,9 @@ impl FalloutDistribution for Poisson {
         "poisson"
     }
 
+    /// Eq. 5's Poisson form, `Y = exp(−λ)`.
     fn expected_yield(&self, lambda: f64) -> Result<f64, ModelError> {
-        yield_model::poisson(lambda)
+        Ok((-check_lambda(lambda)?).exp())
     }
 
     /// Eq. 3, evaluated exactly as
@@ -181,19 +206,14 @@ impl FalloutDistribution for Poisson {
     /// bit-identical to the historical pipeline — `1 − Y(λ)/Y(θλ)` is
     /// the same number mathematically but rounds differently.
     fn defect_level(&self, lambda: f64, theta: f64) -> Result<f64, ModelError> {
-        if !(0.0..=1.0).contains(&theta) {
-            return Err(ModelError::OutOfDomain {
-                parameter: "theta",
-                value: theta,
-                range: "[0, 1]",
-            });
-        }
-        let y = yield_model::poisson(lambda)?;
+        check_theta(theta)?;
+        let y = self.expected_yield(lambda)?;
         Ok(1.0 - y.powf(1.0 - theta))
     }
 
+    /// `λ = −ln Y`.
     fn lambda_for_yield(&self, y: f64) -> Result<f64, ModelError> {
-        yield_model::lambda_for_yield(y)
+        Ok(-check_yield(y)?.ln())
     }
 }
 
@@ -241,16 +261,27 @@ impl FalloutDistribution for NegativeBinomial {
         "negative-binomial"
     }
 
+    /// Stapper's `Y = (1 + λ/α)^(−α)`: small `α` predicts a *higher*
+    /// yield for the same `λ`.
     fn expected_yield(&self, lambda: f64) -> Result<f64, ModelError> {
-        yield_model::negative_binomial(lambda, self.alpha)
+        let lambda = check_lambda(lambda)?;
+        Ok((1.0 + lambda / self.alpha).powf(-self.alpha))
     }
 
+    /// `1 − Y(λ)/Y(θλ)` without the default's clamp at 0.
     fn defect_level(&self, lambda: f64, theta: f64) -> Result<f64, ModelError> {
-        yield_model::nb_defect_level(lambda, theta, self.alpha)
+        check_theta(theta)?;
+        let full = self.expected_yield(lambda)?;
+        let tested = self.expected_yield(theta * lambda)?;
+        // tested >= full > 0 for finite lambda, so the ratio is in (0, 1].
+        Ok(1.0 - full / tested)
     }
 
+    /// The closed-form inverse `λ = α (Y^(−1/α) − 1)`; as `α → ∞` it
+    /// converges to `−ln Y`.
     fn lambda_for_yield(&self, y: f64) -> Result<f64, ModelError> {
-        yield_model::nb_lambda_for_yield(y, self.alpha)
+        let y = check_yield(y)?;
+        Ok(self.alpha * (y.powf(-1.0 / self.alpha) - 1.0))
     }
 }
 
@@ -356,14 +387,7 @@ impl FalloutDistribution for Hierarchical {
     /// fixed-seed deterministic quadrature — same parameters, same
     /// answer, on every machine and thread count.
     fn expected_yield(&self, lambda: f64) -> Result<f64, ModelError> {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // rejects NaN too
-        if !(lambda >= 0.0) || !lambda.is_finite() {
-            return Err(ModelError::OutOfDomain {
-                parameter: "expected defects",
-                value: lambda,
-                range: "[0, ∞)",
-            });
-        }
+        let lambda = check_lambda(lambda)?;
         let mut rng = Xorshift64Star::new(QUADRATURE_SEED);
         let mut acc = 0.0f64;
         for _ in 0..QUADRATURE_SAMPLES {
@@ -494,6 +518,95 @@ mod tests {
         ));
     }
 
+    fn nb(alpha: f64) -> NegativeBinomial {
+        NegativeBinomial::new(alpha).unwrap()
+    }
+
+    #[test]
+    fn poisson_boundaries() {
+        assert_eq!(Poisson.expected_yield(0.0).unwrap(), 1.0);
+        assert!(Poisson.expected_yield(-1.0).is_err());
+        assert!(Poisson.expected_yield(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn negative_binomial_approaches_poisson_for_large_alpha() {
+        let lambda = 0.5;
+        let p = Poisson.expected_yield(lambda).unwrap();
+        let nb = nb(1e6).expected_yield(lambda).unwrap();
+        assert!((p - nb).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clustering_raises_yield() {
+        let lambda = 1.0;
+        let clustered = nb(0.5).expected_yield(lambda).unwrap();
+        let spread = nb(100.0).expected_yield(lambda).unwrap();
+        assert!(clustered > spread);
+    }
+
+    #[test]
+    fn lambda_round_trips_through_yield() {
+        let lambda = Poisson.lambda_for_yield(0.75).unwrap();
+        assert!((Poisson.expected_yield(lambda).unwrap() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nb_lambda_round_trips_and_limits_to_poisson() {
+        for alpha in [0.3, 1.0, 4.0, 50.0] {
+            let lambda = nb(alpha).lambda_for_yield(0.75).unwrap();
+            assert!(
+                (nb(alpha).expected_yield(lambda).unwrap() - 0.75).abs() < 1e-12,
+                "alpha={alpha}"
+            );
+        }
+        let poisson_lambda = Poisson.lambda_for_yield(0.75).unwrap();
+        let nb_lambda = nb(1e8).lambda_for_yield(0.75).unwrap();
+        assert!((poisson_lambda - nb_lambda).abs() < 1e-6);
+        assert!(nb(1.0).lambda_for_yield(0.0).is_err());
+    }
+
+    #[test]
+    fn nb_defect_level_limits_and_ordering() {
+        // alpha -> infinity recovers eq. 3: DL = 1 - Y^(1-theta).
+        let y = 0.75;
+        let theta = 0.9;
+        let lambda = Poisson.lambda_for_yield(y).unwrap();
+        let eq3 = 1.0 - y.powf(1.0 - theta);
+        let dl = nb(1e8).defect_level(lambda, theta).unwrap();
+        assert!((dl - eq3).abs() < 1e-6);
+        // At a fixed *yield* (lambda recalibrated per alpha), clustering
+        // lowers the shipped defect level.
+        let mut last = eq3;
+        for alpha in [50.0, 4.0, 1.0, 0.3] {
+            let lambda = nb(alpha).lambda_for_yield(y).unwrap();
+            let dl = nb(alpha).defect_level(lambda, theta).unwrap();
+            assert!(dl < last, "alpha={alpha}: {dl} !< {last}");
+            last = dl;
+        }
+        // Boundaries: perfect test -> DL 0; no test -> DL = 1 - Y.
+        let two = nb(2.0);
+        assert_eq!(two.defect_level(0.5, 1.0).unwrap(), 0.0);
+        let dl0 = two.defect_level(0.5, 0.0).unwrap();
+        assert!((dl0 - (1.0 - two.expected_yield(0.5).unwrap())).abs() < 1e-12);
+        assert!(two.defect_level(0.5, 1.5).is_err());
+        assert!(two.defect_level(0.5, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn yields_in_unit_interval() {
+        let mut rng = Xorshift64Star::new(51);
+        for _ in 0..300 {
+            let lambda = rng.next_f64() * 20.0;
+            let alpha = 0.01 + rng.next_f64() * 99.99;
+            let p = Poisson.expected_yield(lambda).unwrap();
+            let nb = nb(alpha).expected_yield(lambda).unwrap();
+            assert!((0.0..=1.0).contains(&p));
+            assert!((0.0..=1.0).contains(&nb));
+            assert!(nb >= p - 1e-12, "clustering never hurts yield");
+        }
+    }
+
     #[test]
     fn poisson_matches_eq3() {
         let p = Poisson;
@@ -524,17 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn nb_closed_forms_agree_with_core() {
-        let nb = NegativeBinomial::new(2.0).unwrap();
-        let lambda = nb.lambda_for_yield(0.75).unwrap();
-        assert!((nb.expected_yield(lambda).unwrap() - 0.75).abs() < 1e-12);
-        assert_eq!(
-            nb.defect_level(lambda, 0.9).unwrap(),
-            yield_model::nb_defect_level(lambda, 0.9, 2.0).unwrap()
-        );
-    }
-
-    #[test]
     fn default_bisection_matches_nb_closed_form() {
         // Run the default trait bisection against NB's closed form by
         // calling it through a shim that does not override.
@@ -557,11 +659,11 @@ mod tests {
         }
         let shim = Shim(NegativeBinomial::new(0.7).unwrap());
         let bisected = shim.lambda_for_yield(0.6).unwrap();
-        let closed = yield_model::nb_lambda_for_yield(0.6, 0.7).unwrap();
+        let closed = shim.0.lambda_for_yield(0.6).unwrap();
         assert!((bisected - closed).abs() < 1e-9, "{bisected} vs {closed}");
         // And the default DL formula reduces to the closed form too.
         let dl_default = shim.defect_level(closed, 0.8).unwrap();
-        let dl_closed = yield_model::nb_defect_level(closed, 0.8, 0.7).unwrap();
+        let dl_closed = shim.0.defect_level(closed, 0.8).unwrap();
         assert!((dl_default - dl_closed).abs() < 1e-12);
     }
 

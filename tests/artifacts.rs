@@ -18,7 +18,6 @@ const BENCH_FILES: &[&str] = &[
     "BENCH_fault_sim.json",
     "BENCH_model_eval.json",
     "BENCH_ndetect.json",
-    "BENCH_parallel_speedup.json",
     "BENCH_scale_sweep.json",
     "BENCH_switch_sim.json",
     "BENCH_yield.json",
