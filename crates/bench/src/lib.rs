@@ -1,7 +1,8 @@
 //! Shared harness utilities for the figure-regeneration binaries.
 //!
-//! Each binary under `src/bin/` regenerates one figure or table of the
-//! paper (see `DESIGN.md` §4); this module supplies the common output
+//! The binaries under `src/bin/` regenerate the paper's figures and
+//! tables (see `DESIGN.md` §4); `c432_study` prints every c432-class one
+//! from a single run. This module supplies the common output
 //! plumbing: aligned numeric tables, CSV emission, and a small ASCII line
 //! plot good enough to eyeball curve shapes in a terminal.
 

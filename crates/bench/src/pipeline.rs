@@ -1,6 +1,8 @@
 //! The shared experimental pipeline behind Figs. 3–6: layout → extraction
 //! → ATPG → gate- and switch-level fault simulation, with the paper's
-//! yield scaling. Each figure binary runs the stages it needs.
+//! yield scaling. The `c432_study` binary runs it once for every figure
+//! and ablation of the c432-class chip; the other binaries run the
+//! stages they need.
 
 use dlp_atpg::generate::{generate_tests, AtpgConfig, PodemVerdict};
 use dlp_circuit::{switch, Netlist};
@@ -74,12 +76,29 @@ pub fn extract_netlist_obs(
     stats: &DefectStatistics,
     obs: &Recorder,
 ) -> Result<Extraction, PipelineError> {
-    let mut diagnostics = Diagnostics::new();
     let chip = {
         let _span = obs.span("layout");
         ChipLayout::generate(&netlist, &Default::default())
             .map_err(|e| PipelineError::from(e).context(netlist.name().to_string()))?
     };
+    extract_chip_obs(netlist, chip, stats, obs)
+}
+
+/// The post-layout half of [`extract_netlist_obs`]: extracts the
+/// weighted realistic faults of `chip`, the layout of `netlist`, under
+/// `stats`. The layout does not depend on the defect statistics, so one
+/// layout serves extractions under several of them.
+///
+/// # Errors
+///
+/// As for [`extract_netlist_obs`], less the layout failure.
+pub fn extract_chip_obs(
+    netlist: Netlist,
+    chip: ChipLayout,
+    stats: &DefectStatistics,
+    obs: &Recorder,
+) -> Result<Extraction, PipelineError> {
+    let mut diagnostics = Diagnostics::new();
     let route = chip.route_stats();
     obs.add("layout.route.waves", route.waves);
     obs.add("layout.route.expanded", route.expanded);
@@ -395,6 +414,44 @@ mod tests {
         prune_negligible(&mut faults, &mut diagnostics, Recorder::noop());
         assert_eq!(faults.len(), 10);
         assert!(diagnostics.is_empty());
+    }
+
+    #[test]
+    fn curve_samples_are_monotone_and_end_at_the_full_test() {
+        use dlp_circuit::generators;
+        for netlist in [generators::c17(), generators::ripple_adder(8)] {
+            let name = netlist.name().to_string();
+            let stats = DefectStatistics::maly_cmos();
+            let ex = extract_netlist_obs(netlist, &stats, Recorder::noop()).expect("extraction");
+            let budget = RunBudget::unlimited();
+            let run = simulate_budgeted(&ex, 1994, ThreadCount::Auto, &budget, Recorder::noop())
+                .expect("simulation");
+            let samples = curve_samples(&ex, &run).expect("samples");
+            assert!(
+                samples.windows(2).all(|p| p[1].0 > p[0].0),
+                "{name}: k increases"
+            );
+            assert_eq!(
+                samples.last().map(|s| s.0),
+                Some(run.vectors.len()),
+                "{name}"
+            );
+            for p in samples.windows(2) {
+                let ((_, t0, th0, g0, dl0), (_, t1, th1, g1, dl1)) = (p[0], p[1]);
+                assert!(
+                    t1 >= t0 && th1 >= th0 && g1 >= g0,
+                    "{name}: coverages never fall"
+                );
+                assert!(dl1 <= dl0, "{name}: DL never rises");
+            }
+            for &(k, t, theta, gamma, dl) in &samples {
+                for c in [t, theta, gamma] {
+                    assert!((0.0..=1.0).contains(&c), "{name}: coverage {c} at k = {k}");
+                }
+                let expected = ex.weights.defect_level(theta).expect("DL");
+                assert_eq!(dl.to_bits(), expected.to_bits(), "{name}: DL at k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -126,6 +126,13 @@ DLP_TRACE=target/TRACE_full_flow_c432.json \
 cargo run --release -q -p dlp-bench --bin validate_trace -- \
     target/TRACE_full_flow_c432.json
 
+# Paper-shape gate (DESIGN.md §4): the c432-class study asserts Fig. 3's
+# weight dispersion of at least 2.5 decades, Fig. 5's concavity with
+# R > 1 and theta_max < 1, the IDDQ recovery and R tracking the defect
+# mix, and panics when a shape breaks. It writes no file.
+echo "== study: c432-class figures, ablations and the zero-defect table"
+cargo run --release -q -p dlp-bench --bin c432_study > /dev/null
+
 # DL-vs-n gate: the n-detection bench must complete and regenerate
 # BENCH_ndetect.json; it asserts internally that the measured DL(n) is
 # monotone non-increasing on its prefix schedule. The regenerated file
