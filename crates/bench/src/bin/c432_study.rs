@@ -211,6 +211,13 @@ fn fig4_coverage_curves(run: &SimulationRun, samples: &[CurveSample]) -> Result<
         last.1 > 0.8,
         "random+deterministic vectors reach high stuck-at coverage"
     );
+    // The paper's ordering at high k: opens keep Γ(k) below T(k), and
+    // the voltage-undetectable residual keeps θ(k) below it too.
+    let (_, t, theta, gamma, _) = *last;
+    assert!(
+        gamma < t && theta < t,
+        "at the full test length Gamma ({gamma:.4}) and theta ({theta:.4}) must lie below T ({t:.4})"
+    );
     println!("\nacceptance checks passed: R > 1, theta_max < 1, final T > 0.8.");
     Ok(())
 }

@@ -13,15 +13,18 @@
 //! 4. a clustered-distribution request (`dist=nb`) recomputes under its
 //!    own cache key, differs from the Poisson body, and then replays
 //!    byte-identically,
-//! 5. a scale-class member (c1355) projects through the template path,
+//! 5. after those hits, a same-length in-place corruption of the sealed
+//!    `/v1/dl` artifact is a typed miss (`serve.cache.corrupt`) whose
+//!    recompute answers the original bytes,
+//! 6. a scale-class member (c1355) projects through the template path,
 //!    and `/v1/dln` refuses it with a 400,
-//! 6. client mistakes — including garbage distribution parameters and
+//! 7. client mistakes — including garbage distribution parameters and
 //!    garbage `/v1/traces` limits — map to their statuses (404 / 400),
 //!    and every error body carries a `trace_id` that round-trips to the
 //!    flight recorder and the access log,
-//! 7. `/metrics` scrapes as a valid OpenMetrics exposition with the
+//! 8. `/metrics` scrapes as a valid OpenMetrics exposition with the
 //!    exact OpenMetrics `Content-Type`, carrying the cache counters,
-//! 8. `GET /v1/traces` dumps the flight recorder; the dump is written
+//! 9. `GET /v1/traces` dumps the flight recorder; the dump is written
 //!    to `TRACE_serve_gate.json` at the workspace root for
 //!    `validate_trace --serve-trace`.
 //!
@@ -35,7 +38,7 @@ use dlp_core::obs::{openmetrics, Json};
 use dlp_core::par::ThreadCount;
 use dlp_serve::accesslog::AccessLogConfig;
 use dlp_serve::server::{serve, ServerConfig};
-use dlp_serve::service::ServiceConfig;
+use dlp_serve::service::{artifact_key, netlist_for, ServiceConfig};
 
 /// The exact exposition media type the OpenMetrics spec requires.
 const OPENMETRICS_CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
@@ -158,6 +161,35 @@ fn run() -> Result<(), String> {
             return Err("the nb hit must replay the miss byte-for-byte".to_string());
         }
 
+        // A hit never vouches for bytes it has not read: flip the sealed
+        // Poisson artifact in place, same length and with no pause, and
+        // the next request must be a typed miss that recomputes the
+        // original bytes.
+        let netlist = netlist_for("c17").map_err(|e| e.to_string())?;
+        let key = artifact_key("dl", &netlist, 1, 0, &dlp_yield::Fallout::poisson());
+        let path = handle.service().cache().path_for(key);
+        let sealed = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        let flipped = sealed.replace("\"circuit\":\"c17\"", "\"circuit\":\"c18\"");
+        if flipped == sealed {
+            return Err(format!("{path} does not name c17: {sealed}"));
+        }
+        std::fs::write(&path, flipped).map_err(|e| format!("{path}: {e}"))?;
+        let recomputed = expect_status(addr, "/v1/dl?circuit=c17&seed=1", 200)?;
+        if recomputed != miss {
+            return Err(format!(
+                "a corrupted artifact must recompute the original bytes\nmiss:       {miss}\nrecomputed: {recomputed}"
+            ));
+        }
+        if obs.counter_value("serve.cache.corrupt") != Some(1)
+            || obs.counter_value("serve.recompute") != Some(3)
+        {
+            return Err(format!(
+                "the corrupted artifact must be one typed miss and one recompute, counted corrupt {:?} recompute {:?}",
+                obs.counter_value("serve.cache.corrupt"),
+                obs.counter_value("serve.recompute")
+            ));
+        }
+
         // A scale-class member projects through the template path...
         let scale = expect_status(addr, "/v1/dl?circuit=c1355&seed=1", 200)?;
         if !scale.contains("\"class\":\"scale\"") {
@@ -212,6 +244,7 @@ fn run() -> Result<(), String> {
         for needle in [
             "serve.cache.hit",
             "serve.cache.miss",
+            "serve.cache.corrupt",
             "serve.request_seconds",
         ] {
             if !metrics.contains(needle) {
@@ -266,7 +299,9 @@ fn run() -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let _ = std::fs::remove_file(&log_path);
     result.map(|()| {
-        println!("serve_gate: OK — miss/hit byte-identity, typed errors, traces, metrics");
+        println!(
+            "serve_gate: OK — miss/hit byte-identity, corruption after a hit, typed errors, traces, metrics"
+        );
     })
 }
 

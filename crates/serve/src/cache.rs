@@ -16,6 +16,18 @@
 //! ([`CacheLookup::Miss`] carrying the [`CkptError`]) and recomputed —
 //! a damaged cache degrades to a cold one.
 //!
+//! A hit does only the work its bytes demand. Every probe checks that
+//! the artifact exists and reads it whole, so a deleted, truncated or
+//! corrupted file is seen on the very next request. The verdict of
+//! [`dlp_core::ckpt::open`] and the rendering of the body are a pure
+//! function of (bytes, kind, key), so the cache remembers the envelope
+//! text it last verified for each key: when the bytes read equal it,
+//! the probe replays the body, which is a slice of that text, without
+//! parsing, checksumming or rendering again. Any other bytes take the
+//! full verification path, and a verified envelope replaces the
+//! remembered one. Like the recompute locks, the memo holds one entry
+//! per key served.
+//!
 //! Eviction policy: **none, by design.** Every artifact is re-derivable
 //! from its key, artifacts are small (a few KB of JSON), and the
 //! catalogue of circuits × seeds a deployment serves is finite, so the
@@ -24,7 +36,8 @@
 //! and independently sealed).
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use dlp_core::ckpt::{self, CkptError};
@@ -64,6 +77,16 @@ pub struct ArtifactCache {
     /// map is bounded by the number of distinct keys served, and an
     /// `Arc<Mutex<()>>` is a few dozen bytes.
     locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// The envelope text last verified for each key, and where in it
+    /// the body's canonical rendering sits.
+    verified: Mutex<HashMap<u64, Verified>>,
+}
+
+/// A sealed envelope that passed verification, kept so the next probe
+/// that reads the same bytes can replay its body directly.
+struct Verified {
+    text: String,
+    body: Range<usize>,
 }
 
 impl ArtifactCache {
@@ -78,6 +101,7 @@ impl ArtifactCache {
         Ok(ArtifactCache {
             dir,
             locks: Mutex::new(HashMap::new()),
+            verified: Mutex::new(HashMap::new()),
         })
     }
 
@@ -89,21 +113,49 @@ impl ArtifactCache {
             .into_owned()
     }
 
-    /// Probes the cache without computing anything.
+    /// Probes the cache without computing anything. The artifact is read
+    /// on every probe; bytes equal to the ones last verified for `key`
+    /// replay the remembered body, any others are verified in full.
     pub fn lookup(&self, key: u64) -> CacheLookup {
         let path = self.path_for(key);
-        if !std::path::Path::new(&path).exists() {
+        if !Path::new(&path).exists() {
             return CacheLookup::Miss(None);
         }
-        match ckpt::load(&path, CACHE_KIND, key) {
-            Ok(payload) => match payload.get("body") {
-                Some(body) => CacheLookup::Hit(ckpt::render(body)),
-                None => CacheLookup::Miss(Some(CkptError::Malformed {
-                    what: "cached artifact payload has no body field",
-                })),
-            },
-            Err(e) => CacheLookup::Miss(Some(e)),
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => {
+                return CacheLookup::Miss(Some(CkptError::Io {
+                    path,
+                    error: e.to_string(),
+                }))
+            }
+        };
+        {
+            let verified = self.verified.lock().unwrap_or_else(|p| p.into_inner());
+            if let Some(seen) = verified.get(&key).filter(|seen| seen.text == text) {
+                return CacheLookup::Hit(seen.text[seen.body.clone()].to_string());
+            }
         }
+        let rendered = match ckpt::open(&text, CACHE_KIND, key) {
+            Ok(payload) => match payload.get("body") {
+                Some(body) => ckpt::render(body),
+                None => {
+                    return CacheLookup::Miss(Some(CkptError::Malformed {
+                        what: "cached artifact payload has no body field",
+                    }))
+                }
+            },
+            Err(e) => return CacheLookup::Miss(Some(e)),
+        };
+        // An envelope this cache sealed holds the rendering verbatim; one
+        // that does not (say, re-indented by hand yet still valid) is
+        // verified again on every probe.
+        if let Some(start) = text.rfind(&rendered) {
+            let body = start..start + rendered.len();
+            let mut verified = self.verified.lock().unwrap_or_else(|p| p.into_inner());
+            verified.insert(key, Verified { text, body });
+        }
+        CacheLookup::Hit(rendered)
     }
 
     /// Seals and atomically stores a response body, returning the same
@@ -271,6 +323,26 @@ mod tests {
         }
         // And open_strict surfaces the same failure as an error.
         assert!(cache.open_strict(9).is_err());
+    }
+
+    #[test]
+    fn verified_bytes_replay_and_changed_bytes_are_reverified() {
+        let cache = ArtifactCache::new(tmp_dir("reverify")).expect("cache dir");
+        let stored = cache.store(11, &body()).expect("store");
+        let path = cache.path_for(11);
+        let sealed = std::fs::read_to_string(&path).expect("read");
+        let hit =
+            |cache: &ArtifactCache| matches!(cache.lookup(11), CacheLookup::Hit(b) if b == stored);
+        assert!(hit(&cache) && hit(&cache));
+        // A same-length flip after verified hits is still caught.
+        std::fs::write(&path, sealed.replace("0.125", "0.625")).expect("corrupt");
+        assert!(matches!(cache.lookup(11), CacheLookup::Miss(Some(_))));
+        std::fs::write(&path, &sealed).expect("restore");
+        assert!(hit(&cache));
+        // Whitespace the canonical rendering lacks: still a valid
+        // envelope, so still a hit with the same body.
+        std::fs::write(&path, sealed.replacen('{', "{ ", 1)).expect("respace");
+        assert!(hit(&cache) && hit(&cache));
     }
 
     #[test]

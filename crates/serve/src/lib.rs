@@ -48,6 +48,6 @@ pub use error::ServeError;
 pub use http::{parse_request, Request, Response};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use service::{
-    artifact_key, circuit_class, endpoint_label, fallout_param, netlist_for, route,
-    traces_limit_param, CircuitClass, Service, ServiceConfig,
+    artifact_key, endpoint_label, fallout_param, netlist_for, route, traces_limit_param,
+    CircuitClass, Service, ServiceConfig,
 };

@@ -48,14 +48,16 @@
 //! default key), so the natural exploration order (project, then
 //! inspect the curve) pays for the pipeline once.
 //!
-//! Below the artifacts sits one in-memory stage memo. Layout and
-//! extraction depend only on the netlist and the defect statistics, so
-//! each circuit is extracted at most once per service, under a stage
-//! key that is the artifact-key recipe without the seed, `n` and
-//! fallout. Every later miss on the circuit, on any endpoint, and every
-//! scale-class miss (whose template is the c432-class extraction)
-//! reuses it. Each miss counts one of `serve.stage.compute` and
-//! `serve.stage.reuse`.
+//! Below the artifacts sits one in-memory catalogue entry per circuit,
+//! built on the circuit's first request: its netlist, the key prefix of
+//! each keyed endpoint (the hasher state after the endpoint name and
+//! the netlist fingerprint), and its stage slot. So a hit neither
+//! generates nor hashes a netlist. Layout and extraction depend only on
+//! the netlist and the defect statistics, so the slot extracts each
+//! circuit at most once per service. Every later miss on the circuit,
+//! on any endpoint, and every scale-class miss (whose template is the
+//! c432-class extraction) reuses it. Each miss counts one of
+//! `serve.stage.compute` and `serve.stage.reuse`.
 //!
 //! ## Per-request tracing
 //!
@@ -74,9 +76,8 @@
 //! recorder behind `/v1/traces`; every 4xx/5xx body carries the trace
 //! id for correlation.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dlp_bench::pipeline::{self, Extraction, PAPER_YIELD};
@@ -121,17 +122,23 @@ impl CircuitClass {
     }
 }
 
+/// Builds a catalogue member's netlist.
+pub type Generator = fn() -> Netlist;
+
 /// Circuits the service will project, by API name, with the compute
-/// class each is served under.
-pub const CIRCUITS: &[(&str, CircuitClass)] = &[
-    ("c17", CircuitClass::Full),
-    ("c432", CircuitClass::Full),
-    ("c1355", CircuitClass::Scale),
-    ("c2670", CircuitClass::Scale),
-    ("c5315", CircuitClass::Scale),
-    ("c6288", CircuitClass::Scale),
-    ("c7552", CircuitClass::Scale),
+/// class each is served under and the generator of its netlist.
+pub const CIRCUITS: &[(&str, CircuitClass, Generator)] = &[
+    ("c17", CircuitClass::Full, generators::c17),
+    ("c432", CircuitClass::Full, generators::c432_class),
+    ("c1355", CircuitClass::Scale, generators::c1355_class),
+    ("c2670", CircuitClass::Scale, generators::c2670_class),
+    ("c5315", CircuitClass::Scale, generators::c5315_class),
+    ("c6288", CircuitClass::Scale, generators::c6288_class),
+    ("c7552", CircuitClass::Scale, generators::c7552_class),
 ];
+
+/// Where c432-class, the scale path's template, sits in [`CIRCUITS`].
+const TEMPLATE: usize = 1;
 
 /// Largest accepted n-detect target (matches the `ndetect_dl` study).
 pub const MAX_N: usize = 8;
@@ -229,39 +236,27 @@ pub fn route(path: &str) -> Result<Endpoint, ServeError> {
     }
 }
 
+/// Where a circuit name sits in [`CIRCUITS`].
+///
+/// # Errors
+///
+/// [`ServeError::UnknownCircuit`] when the name is not in [`CIRCUITS`].
+fn catalogue_index(name: &str) -> Result<usize, ServeError> {
+    CIRCUITS
+        .iter()
+        .position(|(n, ..)| *n == name)
+        .ok_or_else(|| ServeError::UnknownCircuit {
+            name: name.to_string(),
+        })
+}
+
 /// The netlist behind an API circuit name.
 ///
 /// # Errors
 ///
 /// [`ServeError::UnknownCircuit`] when the name is not in [`CIRCUITS`].
 pub fn netlist_for(name: &str) -> Result<Netlist, ServeError> {
-    match name {
-        "c17" => Ok(generators::c17()),
-        "c432" => Ok(generators::c432_class()),
-        "c1355" => Ok(generators::c1355_class()),
-        "c2670" => Ok(generators::c2670_class()),
-        "c5315" => Ok(generators::c5315_class()),
-        "c6288" => Ok(generators::c6288_class()),
-        "c7552" => Ok(generators::c7552_class()),
-        _ => Err(ServeError::UnknownCircuit {
-            name: name.to_string(),
-        }),
-    }
-}
-
-/// The compute class of a served circuit.
-///
-/// # Errors
-///
-/// [`ServeError::UnknownCircuit`] when the name is not in [`CIRCUITS`].
-pub fn circuit_class(name: &str) -> Result<CircuitClass, ServeError> {
-    CIRCUITS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, class)| *class)
-        .ok_or_else(|| ServeError::UnknownCircuit {
-            name: name.to_string(),
-        })
+    catalogue_index(name).map(|index| (CIRCUITS[index].2)())
 }
 
 /// Splits a raw query string into `(name, value)` pairs. No percent
@@ -408,26 +403,26 @@ pub fn artifact_key(
     n: u64,
     fallout: &Fallout,
 ) -> u64 {
+    finish_key(key_prefix(endpoint, netlist), seed, n, fallout)
+}
+
+/// The first half of [`artifact_key`]: the endpoint name and the
+/// netlist fingerprint, the part a catalogue entry computes once.
+fn key_prefix(endpoint: &str, netlist: &Netlist) -> KeyHasher {
     let mut h = KeyHasher::new();
     h.write_bytes(endpoint.as_bytes());
     dlp_sim::ckpt::hash_netlist(&mut h, netlist);
+    h
+}
+
+/// The rest of [`artifact_key`] on top of a [`key_prefix`].
+fn finish_key(mut h: KeyHasher, seed: u64, n: u64, fallout: &Fallout) -> u64 {
+    static DEFECT_MODEL: OnceLock<String> = OnceLock::new();
+    let defect_model = DEFECT_MODEL.get_or_init(|| format!("{:?}", DefectStatistics::maly_cmos()));
     h.write_u64(seed);
     h.write_u64(n);
     fallout.dist().write_key(&mut h);
-    h.write_bytes(format!("{:?}", DefectStatistics::maly_cmos()).as_bytes());
-    h.write_u64(ENGINE_VERSION);
-    h.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
-    h.finish()
-}
-
-/// The key of a circuit's seed-independent stage, layout + extraction:
-/// [`artifact_key`]'s recipe without the seed, `n` and fallout, none of
-/// which the stage reads.
-fn stage_key(netlist: &Netlist) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write_bytes(b"stage.extract");
-    dlp_sim::ckpt::hash_netlist(&mut h, netlist);
-    h.write_bytes(format!("{:?}", DefectStatistics::maly_cmos()).as_bytes());
+    h.write_bytes(defect_model.as_bytes());
     h.write_u64(ENGINE_VERSION);
     h.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
     h.finish()
@@ -436,6 +431,37 @@ fn stage_key(netlist: &Netlist) -> u64 {
 /// A memoised stage: the extraction, or the stage and message of the
 /// error that stopped it.
 type StageResult = Result<Arc<Extraction>, (Stage, String)>;
+
+/// One catalogue member as the service holds it, built on its first
+/// request.
+struct Circuit {
+    name: &'static str,
+    class: CircuitClass,
+    netlist: Netlist,
+    /// [`key_prefix`] of each keyed endpoint.
+    dl_key: KeyHasher,
+    curve_key: KeyHasher,
+    faults_key: KeyHasher,
+    dln_key: KeyHasher,
+    /// Layout + extraction, computed at most once (see
+    /// [`Service::stage`]).
+    stage: OnceLock<StageResult>,
+}
+
+impl Circuit {
+    fn new(name: &'static str, class: CircuitClass, netlist: Netlist) -> Circuit {
+        Circuit {
+            name,
+            class,
+            dl_key: key_prefix("dl", &netlist),
+            curve_key: key_prefix("curve", &netlist),
+            faults_key: key_prefix("faults", &netlist),
+            dln_key: key_prefix("dln", &netlist),
+            netlist,
+            stage: OnceLock::new(),
+        }
+    }
+}
 
 /// Configuration for a [`Service`].
 #[derive(Debug, Clone)]
@@ -468,9 +494,8 @@ pub struct Service {
     seq: AtomicU64,
     flight: FlightRecorder,
     access_log: AccessLog,
-    /// The seed-independent stage memo: one single-flight slot per
-    /// [`stage_key`]. Bounded by the [`CIRCUITS`] catalogue.
-    stages: Mutex<HashMap<u64, Arc<OnceLock<StageResult>>>>,
+    /// One entry per [`CIRCUITS`] member, in catalogue order.
+    catalogue: [OnceLock<Circuit>; CIRCUITS.len()],
     /// The c432-class critical-area profile the scale-class members
     /// borrow, tiled once from the memoised c432-class extraction.
     scale: OnceLock<Result<TiledWeights, String>>,
@@ -494,8 +519,16 @@ impl Service {
             seq: AtomicU64::new(0),
             flight: FlightRecorder::new(config.flight_capacity),
             access_log: AccessLog::open(&config.access_log)?,
-            stages: Mutex::new(HashMap::new()),
+            catalogue: std::array::from_fn(|_| OnceLock::new()),
             scale: OnceLock::new(),
+        })
+    }
+
+    /// The catalogue entry of `CIRCUITS[index]`, built on first use.
+    fn circuit(&self, index: usize) -> &Circuit {
+        self.catalogue[index].get_or_init(|| {
+            let (name, class, generate) = CIRCUITS[index];
+            Circuit::new(name, class, generate())
         })
     }
 
@@ -652,7 +685,7 @@ impl Service {
             }
             Endpoint::Circuits => {
                 let _write = obs.span("write");
-                let circuits = CIRCUITS.iter().map(|(name, class)| {
+                let circuits = CIRCUITS.iter().map(|(name, class, _)| {
                     Json::object([
                         ("name", Json::String((*name).to_string())),
                         ("class", Json::String(class.as_str().to_string())),
@@ -680,6 +713,7 @@ impl Service {
                 let circuit = required(&params, "circuit")?;
                 let seed = u64_param(&params, "seed", 0)?;
                 let fallout = fallout_param(&params)?;
+                let circuit = self.circuit(catalogue_index(circuit)?);
                 self.projection(endpoint, circuit, seed, &fallout, obs)?
             }
             Endpoint::Dln => {
@@ -691,7 +725,7 @@ impl Service {
                         what: format!("{n} is outside the supported range 1..={MAX_N}"),
                     });
                 }
-                self.dln(circuit, n as usize, obs)?
+                self.dln(self.circuit(catalogue_index(circuit)?), n as usize, obs)?
             }
         };
         Ok((response, endpoint_label(endpoint)))
@@ -701,31 +735,25 @@ impl Service {
     fn projection(
         &self,
         endpoint: Endpoint,
-        circuit: &str,
+        circuit: &Circuit,
         seed: u64,
         fallout: &Fallout,
         obs: &Recorder,
     ) -> Result<Response, ServeError> {
-        let netlist = netlist_for(circuit)?;
-        let class = circuit_class(circuit)?;
-        let dl_key = artifact_key("dl", &netlist, seed, 0, fallout);
-        let curve_key = artifact_key("curve", &netlist, seed, 0, fallout);
+        let dl_key = finish_key(circuit.dl_key.clone(), seed, 0, fallout);
+        let curve_key = finish_key(circuit.curve_key.clone(), seed, 0, fallout);
         // The fault report depends only on the circuit — never on the
         // seed or the fallout distribution.
-        let faults_key = artifact_key("faults", &netlist, 0, 0, &Fallout::poisson());
+        let faults_key = finish_key(circuit.faults_key.clone(), 0, 0, &Fallout::poisson());
         let want = match endpoint {
             Endpoint::Dl => dl_key,
             Endpoint::Curve => curve_key,
             _ => faults_key,
         };
         let (body, _hit) = self.cache.get_or_compute(want, obs, || {
-            let (dl, curve, faults) = match class {
-                CircuitClass::Full => {
-                    self.compute_projection(circuit, &netlist, seed, fallout, obs)
-                }
-                CircuitClass::Scale => {
-                    self.compute_scale_projection(circuit, &netlist, seed, fallout, obs)
-                }
+            let (dl, curve, faults) = match circuit.class {
+                CircuitClass::Full => self.compute_projection(circuit, seed, fallout, obs),
+                CircuitClass::Scale => self.compute_scale_projection(circuit, seed, fallout, obs),
             }
             .map_err(ServeError::from)?;
             // One execution feeds all three endpoints: seal the sibling
@@ -749,23 +777,22 @@ impl Service {
         Ok(Response::ok_json(body))
     }
 
-    fn dln(&self, circuit: &str, n: usize, obs: &Recorder) -> Result<Response, ServeError> {
-        let netlist = netlist_for(circuit)?;
-        if circuit_class(circuit)? == CircuitClass::Scale {
+    fn dln(&self, circuit: &Circuit, n: usize, obs: &Recorder) -> Result<Response, ServeError> {
+        if circuit.class == CircuitClass::Scale {
             // The n-detect schedule needs the full ATPG + switch-level
             // stack, which is exactly what the scale path avoids.
             return Err(ServeError::BadParam {
                 name: "circuit",
                 what: format!(
-                    "{circuit} is served by the scale path; /v1/dln covers \
-                     full-pipeline circuits only"
+                    "{} is served by the scale path; /v1/dln covers \
+                     full-pipeline circuits only",
+                    circuit.name
                 ),
             });
         }
-        let key = artifact_key("dln", &netlist, 0, n as u64, &Fallout::poisson());
+        let key = finish_key(circuit.dln_key.clone(), 0, n as u64, &Fallout::poisson());
         let (body, _hit) = self.cache.get_or_compute(key, obs, || {
-            self.compute_dln(circuit, &netlist, n, obs)
-                .map_err(ServeError::from)
+            self.compute_dln(circuit, n, obs).map_err(ServeError::from)
         })?;
         let _write = obs.span("write");
         Ok(Response::ok_json(body))
@@ -781,19 +808,16 @@ impl Service {
     /// The circuit's layout + extraction, computed at most once per
     /// service: the stage depends on the netlist and the defect
     /// statistics, never on the seed, `n` or the fallout model.
-    /// Concurrent callers on one key wait for a single computation, and
-    /// a failure is remembered. The call that computes counts
+    /// Concurrent callers on one circuit wait for a single computation,
+    /// and a failure is remembered. The call that computes counts
     /// `serve.stage.compute` and records the `layout` and `extract`
     /// spans; every other call counts `serve.stage.reuse`.
-    fn stage(&self, netlist: &Netlist, obs: &Recorder) -> Result<Arc<Extraction>, PipelineError> {
-        let slot = {
-            let mut stages = self.stages.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(stages.entry(stage_key(netlist)).or_default())
-        };
+    fn stage(&self, circuit: &Circuit, obs: &Recorder) -> Result<Arc<Extraction>, PipelineError> {
         let mut computed = false;
-        let result = slot.get_or_init(|| {
+        let result = circuit.stage.get_or_init(|| {
             computed = true;
-            pipeline::extract_netlist_obs(netlist.clone(), &DefectStatistics::maly_cmos(), obs)
+            let stats = DefectStatistics::maly_cmos();
+            pipeline::extract_netlist_obs(circuit.netlist.clone(), &stats, obs)
                 .map(Arc::new)
                 .map_err(|e| (e.stage(), e.message().to_string()))
         });
@@ -817,13 +841,12 @@ impl Service {
     /// law calibrates to [`PAPER_YIELD`].
     fn compute_projection(
         &self,
-        circuit: &str,
-        netlist: &Netlist,
+        circuit: &Circuit,
         seed: u64,
         fallout: &Fallout,
         obs: &Recorder,
     ) -> Result<(Json, Json, Json), PipelineError> {
-        let extraction = self.stage(netlist, obs)?;
+        let extraction = self.stage(circuit, obs)?;
         let budget = self.miss_budget();
         let run = pipeline::simulate_budgeted(&extraction, seed, self.threads, &budget, obs)?;
         let samples = pipeline::curve_samples(&extraction, &run)?;
@@ -851,7 +874,7 @@ impl Service {
         };
 
         let dl_body = Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("class", Json::String("full".to_string())),
             ("seed", Json::Number(seed as f64)),
             ("dist", Json::String(fallout.label())),
@@ -885,7 +908,7 @@ impl Service {
             ]));
         }
         let curve_body = Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("class", Json::String("full".to_string())),
             ("seed", Json::Number(seed as f64)),
             ("dist", Json::String(fallout.label())),
@@ -894,9 +917,9 @@ impl Service {
             ("samples", Json::Array(curve_rows)),
         ]);
         let faults_body = Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("class", Json::String("full".to_string())),
-            ("gates", Json::Number(netlist.gate_count() as f64)),
+            ("gates", Json::Number(circuit.netlist.gate_count() as f64)),
             ("faults", Json::Number(extraction.faults.len() as f64)),
             (
                 "bridge_weight",
@@ -920,7 +943,7 @@ impl Service {
         obs: &Recorder,
     ) -> Result<(Arc<Extraction>, &TiledWeights), PipelineError> {
         let extraction = self
-            .stage(&generators::c432_class(), obs)
+            .stage(self.circuit(TEMPLATE), obs)
             .map_err(|e| e.context("scale template unavailable"))?;
         let tiled = self.scale.get_or_init(|| {
             let sites = stuck_at::enumerate(&extraction.netlist).collapse();
@@ -944,18 +967,18 @@ impl Service {
     /// weight-normalized coverage of the same record.
     fn compute_scale_projection(
         &self,
-        circuit: &str,
-        netlist: &Netlist,
+        circuit: &Circuit,
         seed: u64,
         fallout: &Fallout,
         obs: &Recorder,
     ) -> Result<(Json, Json, Json), PipelineError> {
         let (template, tiled) = self.scale_template(obs)?;
+        let (name, netlist) = (circuit.name, &circuit.netlist);
         let sites = stuck_at::enumerate(netlist).collapse();
         let map = kind_map(&template.netlist, netlist);
         let w = tiled
             .expand(netlist, sites.faults(), &map)
-            .map_err(|e| PipelineError::from(e).context(format!("{circuit} weights")))?;
+            .map_err(|e| PipelineError::from(e).context(format!("{name} weights")))?;
         let lambda = fallout
             .dist()
             .lambda_for_yield(PAPER_YIELD)
@@ -971,20 +994,20 @@ impl Service {
             &budget,
             None,
         )
-        .map_err(|e| PipelineError::from(e).context(format!("simulating {circuit}")))?;
+        .map_err(|e| PipelineError::from(e).context(format!("simulating {name}")))?;
 
         let k = vectors.len();
         let t = record.coverage_after(k);
         let theta = record
             .weighted_coverage_after(k, &w)
-            .map_err(|e| PipelineError::from(e).context(format!("θ of {circuit}")))?;
+            .map_err(|e| PipelineError::from(e).context(format!("θ of {name}")))?;
         let dl = fallout
             .dist()
             .defect_level(lambda, theta)
             .map_err(|e| PipelineError::from(e).context("DL at full test length"))?;
 
         let dl_body = Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("class", Json::String("scale".to_string())),
             ("seed", Json::Number(seed as f64)),
             ("dist", Json::String(fallout.label())),
@@ -1026,7 +1049,7 @@ impl Service {
             ]));
         }
         let curve_body = Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("class", Json::String("scale".to_string())),
             ("seed", Json::Number(seed as f64)),
             ("dist", Json::String(fallout.label())),
@@ -1036,7 +1059,7 @@ impl Service {
         ]);
 
         let faults_body = Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("class", Json::String("scale".to_string())),
             ("gates", Json::Number(netlist.gate_count() as f64)),
             ("faults", Json::Number(sites.len() as f64)),
@@ -1053,12 +1076,12 @@ impl Service {
     /// the `ndetect_dl` study's measurement at a single target.
     fn compute_dln(
         &self,
-        circuit: &str,
-        netlist: &Netlist,
+        circuit: &Circuit,
         n: usize,
         obs: &Recorder,
     ) -> Result<Json, PipelineError> {
-        let extraction = self.stage(netlist, obs)?;
+        let extraction = self.stage(circuit, obs)?;
+        let netlist = &circuit.netlist;
         let budget = self.miss_budget();
         let sa = stuck_at::enumerate(netlist).collapse();
         let schedule = build_schedule_resumable(
@@ -1084,7 +1107,7 @@ impl Service {
             .defect_level(theta)
             .map_err(|e| PipelineError::from(e).context(format!("DL at n = {n}")))?;
         Ok(Json::object([
-            ("circuit", Json::String(circuit.to_string())),
+            ("circuit", Json::String(circuit.name.to_string())),
             ("n", Json::Number(n as f64)),
             ("yield", Json::Number(PAPER_YIELD)),
             ("test_len", Json::Number(k as f64)),
@@ -1140,16 +1163,12 @@ mod tests {
 
     #[test]
     fn catalogue_rejects_unknown_circuits() {
-        for (name, class) in CIRCUITS {
+        for (name, ..) in CIRCUITS {
             assert!(netlist_for(name).is_ok(), "{name} should be served");
-            assert_eq!(circuit_class(name).expect("class"), *class);
         }
+        assert_eq!(CIRCUITS[TEMPLATE].0, "c432", "the scale template");
         assert!(matches!(
             netlist_for("c9999"),
-            Err(ServeError::UnknownCircuit { .. })
-        ));
-        assert!(matches!(
-            circuit_class("c9999"),
             Err(ServeError::UnknownCircuit { .. })
         ));
     }
@@ -1178,13 +1197,6 @@ mod tests {
             artifact_key("dl", &c17, 0, 0, &nb2),
             artifact_key("dl", &c17, 0, 0, &hier),
             "distribution family"
-        );
-        // The stage key separates circuits.
-        assert_ne!(stage_key(&c17), stage_key(&c432), "stage netlist");
-        assert_eq!(
-            stage_key(&c17),
-            stage_key(&generators::c17()),
-            "stage stable"
         );
     }
 

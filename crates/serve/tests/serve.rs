@@ -13,7 +13,12 @@
 //!   `/v1/faults`;
 //! - **stage reuse**: misses after the first reuse the circuit's
 //!   memoised extraction and answer byte-for-byte what a fresh service
-//!   answers.
+//!   answers;
+//! - **stable keys**: artifact keys are pinned, so a change to how they
+//!   are computed cannot orphan a deployed cache;
+//! - **verified replay**: a hit that replays remembered bytes still sees
+//!   a deletion, truncation or same-length corruption on the next
+//!   request.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -23,7 +28,9 @@ use dlp_core::par::ThreadCount;
 use dlp_serve::accesslog::AccessLogConfig;
 use dlp_serve::cache::CacheLookup;
 use dlp_serve::http::Request;
-use dlp_serve::service::{artifact_key, netlist_for, Service, ServiceConfig};
+use dlp_serve::service::{
+    artifact_key, fallout_param, netlist_for, query_params, Service, ServiceConfig,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dlp_serve_it_{tag}_{}", std::process::id()));
@@ -49,6 +56,13 @@ fn get(target: &str) -> Request {
         headers: Vec::new(),
         body: Vec::new(),
     }
+}
+
+/// The cache file behind `/v1/dl?circuit=c17&seed={seed}`.
+fn c17_dl_path(service: &Service, seed: u64) -> String {
+    let netlist = netlist_for("c17").expect("catalogue circuit");
+    let key = artifact_key("dl", &netlist, seed, 0, &dlp_yield::Fallout::poisson());
+    service.cache().path_for(key)
 }
 
 fn body_text(service: &Service, target: &str) -> String {
@@ -473,4 +487,145 @@ fn metrics_exposition_validates_after_traffic() {
     ] {
         assert!(text.contains(needle), "/metrics does not expose {needle}");
     }
+}
+
+/// `(circuit, endpoint, seed, n, dist, key)`: pinned [`artifact_key`]
+/// values, so a change to how keys are computed cannot silently orphan
+/// a deployed cache. `dln` rows key the n-detect target with seed 0, as
+/// the service does.
+const PINNED_KEYS: [(&str, &str, u64, u64, &str, u64); 48] = [
+    ("c17", "dl", 1, 0, "poisson", 0xfddb54ca1515059e),
+    ("c17", "dl", 1, 0, "nb", 0x06b133753205dfbd),
+    ("c17", "dl", 1, 0, "hier", 0xed33a98b1327c5bd),
+    ("c17", "dl", 2, 0, "poisson", 0xc2993714741bfdff),
+    ("c17", "dl", 2, 0, "nb", 0x344c7df34acfb7e2),
+    ("c17", "dl", 2, 0, "hier", 0x0ff4a0a1d071f976),
+    ("c17", "curve", 1, 0, "poisson", 0xc8ab415abe7455e2),
+    ("c17", "curve", 1, 0, "nb", 0x9437dc7240466be1),
+    ("c17", "curve", 1, 0, "hier", 0xb00d8dae769d6651),
+    ("c17", "curve", 2, 0, "poisson", 0x520e87362707d8b3),
+    ("c17", "curve", 2, 0, "nb", 0xeefa97ed8718d026),
+    ("c17", "curve", 2, 0, "hier", 0xfb2f814ff3814fda),
+    ("c17", "faults", 1, 0, "poisson", 0x6f93bbfc1f1635b1),
+    ("c17", "faults", 1, 0, "nb", 0xaca0f024414f2c34),
+    ("c17", "faults", 1, 0, "hier", 0x57f3986f0ab29580),
+    ("c17", "faults", 2, 0, "poisson", 0xdfd535036185d87c),
+    ("c17", "faults", 2, 0, "nb", 0x448c8a9af947ab23),
+    ("c17", "faults", 2, 0, "hier", 0xaa8b5ead295121fb),
+    ("c17", "dln", 0, 1, "poisson", 0xbcda45c1118b2697),
+    ("c17", "dln", 0, 1, "nb", 0x04918a956eff515a),
+    ("c17", "dln", 0, 1, "hier", 0x24067e5b5c53b41e),
+    ("c17", "dln", 0, 2, "poisson", 0x1314647526625656),
+    ("c17", "dln", 0, 2, "nb", 0x582c571ded181895),
+    ("c17", "dln", 0, 2, "hier", 0x810c4ec3bfb81b85),
+    ("c432", "dl", 1, 0, "poisson", 0x90d40097f9e1a06c),
+    ("c432", "dl", 1, 0, "nb", 0xa2b14a2e4845c1b3),
+    ("c432", "dl", 1, 0, "hier", 0x4e1651d10350500b),
+    ("c432", "dl", 2, 0, "poisson", 0x3f87a31cd41a7661),
+    ("c432", "dl", 2, 0, "nb", 0x81d19767c53af684),
+    ("c432", "dl", 2, 0, "hier", 0xb0817a79357a2350),
+    ("c432", "curve", 1, 0, "poisson", 0xc65116de1e744ec8),
+    ("c432", "curve", 1, 0, "nb", 0x1ebe75c6e23e0f4f),
+    ("c432", "curve", 1, 0, "hier", 0xe4b8c0f4db2097b7),
+    ("c432", "curve", 2, 0, "poisson", 0x849e282c9cf9b59d),
+    ("c432", "curve", 2, 0, "nb", 0x156a3fed0451d040),
+    ("c432", "curve", 2, 0, "hier", 0x05955dcf30eac6cc),
+    ("c432", "faults", 1, 0, "poisson", 0x8389254212201335),
+    ("c432", "faults", 1, 0, "nb", 0x8a48a4d9cb330e98),
+    ("c432", "faults", 1, 0, "hier", 0x8f874c8991dbbcf4),
+    ("c432", "faults", 2, 0, "poisson", 0xaaf58c2c12ad5bc0),
+    ("c432", "faults", 2, 0, "nb", 0x19777d8522e10047),
+    ("c432", "faults", 2, 0, "hier", 0x639b080bbcd9711f),
+    ("c432", "dln", 0, 1, "poisson", 0x37775acb967984b7),
+    ("c432", "dln", 0, 1, "nb", 0x50ce8a29d25d31fa),
+    ("c432", "dln", 0, 1, "hier", 0x32543cff2b28cd3e),
+    ("c432", "dln", 0, 2, "poisson", 0xce8f920ecdb5cc76),
+    ("c432", "dln", 0, 2, "nb", 0xca8fdf758dd97b35),
+    ("c432", "dln", 0, 2, "hier", 0x50ab2083f8dac525),
+];
+
+#[test]
+fn artifact_keys_match_the_pinned_values() {
+    for (circuit, endpoint, seed, n, dist, pinned) in PINNED_KEYS {
+        let netlist = netlist_for(circuit).expect("catalogue circuit");
+        let query = match dist {
+            "nb" => "dist=nb&alpha=2",
+            "hier" => "dist=hier",
+            _ => "dist=poisson",
+        };
+        let fallout = fallout_param(&query_params(Some(query))).expect("distribution");
+        assert_eq!(
+            artifact_key(endpoint, &netlist, seed, n, &fallout),
+            pinned,
+            "{circuit} {endpoint} seed {seed} n {n} {dist}"
+        );
+    }
+    // The service seals its artifacts under those same keys.
+    let service = service("pinned", 1);
+    let _ = body_text(&service, "/v1/dl?circuit=c17&seed=1&dist=nb&alpha=2");
+    let _ = body_text(&service, "/v1/dln?circuit=c17&n=1");
+    for sealed in [
+        ("c17", "dl", 1, 0, "nb"),
+        ("c17", "curve", 1, 0, "nb"),
+        ("c17", "dln", 0, 1, "poisson"),
+    ] {
+        let (.., key) = PINNED_KEYS
+            .into_iter()
+            .find(|&(c, e, seed, n, dist, _)| (c, e, seed, n, dist) == sealed)
+            .expect("pinned row");
+        let path = service.cache().path_for(key);
+        assert!(
+            std::path::Path::new(&path).exists(),
+            "{sealed:?}: no artifact at {path}"
+        );
+    }
+}
+
+#[test]
+fn a_verified_hit_never_masks_later_corruption() {
+    let service = service("verified_corrupt", 1);
+    let target = "/v1/dl?circuit=c17&seed=31";
+    let original = body_text(&service, target);
+    assert_eq!(body_text(&service, target), original);
+    assert_eq!(service.obs().counter_value("serve.cache.hit"), Some(1));
+
+    // Same length, rewritten in place with no pause, so the file's
+    // size and possibly its mtime match the verified artifact's.
+    let path = c17_dl_path(&service, 31);
+    let sealed = std::fs::read_to_string(&path).expect("artifact exists");
+    let flipped = sealed.replace("\"circuit\":\"c17\"", "\"circuit\":\"c18\"");
+    assert_eq!(flipped.len(), sealed.len());
+    assert_ne!(flipped, sealed);
+    std::fs::write(&path, flipped).expect("corrupt artifact");
+
+    assert_eq!(body_text(&service, target), original);
+    assert_eq!(service.obs().counter_value("serve.cache.corrupt"), Some(1));
+    assert_eq!(service.obs().counter_value("serve.recompute"), Some(2));
+    // The recompute resealed the artifact: the next request is a hit.
+    assert_eq!(body_text(&service, target), original);
+    assert_eq!(service.obs().counter_value("serve.cache.hit"), Some(2));
+}
+
+#[test]
+fn after_a_hit_deletion_is_a_cold_miss_and_truncation_a_typed_miss() {
+    let service = service("verified_gone", 1);
+    let target = "/v1/dl?circuit=c17&seed=32";
+    let original = body_text(&service, target);
+    assert_eq!(body_text(&service, target), original);
+    let path = c17_dl_path(&service, 32);
+
+    std::fs::remove_file(&path).expect("delete artifact");
+    assert_eq!(body_text(&service, target), original);
+    let obs = service.obs();
+    assert_eq!(obs.counter_value("serve.recompute"), Some(2));
+    assert_eq!(obs.counter_value("serve.cache.miss"), Some(2));
+    assert_eq!(obs.counter_value("serve.cache.corrupt"), None);
+
+    assert_eq!(body_text(&service, target), original);
+    let sealed = std::fs::read(&path).expect("artifact resealed");
+    std::fs::write(&path, &sealed[..sealed.len() / 2]).expect("truncate artifact");
+    assert_eq!(body_text(&service, target), original);
+    assert_eq!(obs.counter_value("serve.recompute"), Some(3));
+    assert_eq!(obs.counter_value("serve.cache.corrupt"), Some(1));
+    assert_eq!(obs.counter_value("serve.cache.hit"), Some(2));
 }
