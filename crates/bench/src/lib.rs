@@ -9,16 +9,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod kernels;
 pub mod pipeline;
 pub mod regress;
 
 use std::fmt::Write as _;
 
-use dlp_circuit::switch::SwitchNodeId;
-use dlp_circuit::{Netlist, NodeId};
-use dlp_core::weighted::FaultWeights;
-use dlp_core::{Diagnostics, ModelError, PipelineError};
-use dlp_sim::switchlevel::{Logic, SwitchFault, SwitchSimulator};
+use dlp_core::{Diagnostics, PipelineError};
 
 /// Prints graceful-degradation warnings (if any) to stderr, so a figure
 /// binary surfaces partial-result caveats without aborting.
@@ -169,90 +166,6 @@ pub fn log_lengths(max: usize) -> Vec<usize> {
         }
     }
     out
-}
-
-/// The Monte-Carlo inputs of the flow-shaped `montecarlo/50k_dies_150_faults`
-/// case that the `perf_regress` gate and the `model_eval` bench time: 150
-/// faults with weights spread over a 1:7 range, scaled to Y = 0.75, and
-/// nine in ten detected. A benchmark flow-switch flow hands the stage
-/// about 150 faults on average.
-///
-/// # Errors
-///
-/// None for these fixed inputs; the `Result` carries `FaultWeights`'
-/// validation.
-pub fn flow_shaped_fallout_inputs() -> Result<(FaultWeights, Vec<bool>), ModelError> {
-    let weights = FaultWeights::new((0..150).map(|j| 1.0 + (j % 7) as f64).collect())?
-        .scaled_to_yield(0.75)?;
-    let detected = (0..150).map(|j| j % 10 != 0).collect();
-    Ok((weights, detected))
-}
-
-/// The five switch-level fault families the `perf_regress` gate and the
-/// `switch_sim` bench time, `per_family` faults each, spread evenly over
-/// `netlist`: stuck-on, floating input, net-to-net bridge, stuck-open and
-/// rail bridge. The first three run on the differential driver (a
-/// net-to-net bridge only when its nets do not feed each other), the
-/// last two on the reference driver (DESIGN.md §17).
-pub fn switch_fault_families(
-    netlist: &Netlist,
-    sim: &SwitchSimulator,
-    per_family: usize,
-) -> Vec<(&'static str, Vec<SwitchFault>)> {
-    let sw = sim.netlist();
-    let spread = |len: usize| (0..per_family).map(move |i| i * len / per_family.max(1));
-    let transistors = sw.transistors().len();
-    let nets: Vec<NodeId> = netlist
-        .node_ids()
-        .filter(|&id| !netlist.fanout(id).is_empty())
-        .collect();
-    let node = |i: usize| sw.node_of_net(nets[i % nets.len()]);
-    vec![
-        (
-            "stuck_on",
-            spread(transistors)
-                .map(|t| SwitchFault::StuckOn { transistor: t })
-                .collect(),
-        ),
-        (
-            "floating_input",
-            spread(nets.len())
-                .map(|i| SwitchFault::FloatingInput {
-                    net: node(i),
-                    owners: netlist.fanout(nets[i]).to_vec(),
-                    level: Logic::One,
-                })
-                .collect(),
-        ),
-        (
-            "bridge",
-            spread(nets.len())
-                .map(|i| SwitchFault::Bridge {
-                    a: node(i),
-                    b: node(i + nets.len() / 2),
-                })
-                .collect(),
-        ),
-        (
-            "stuck_open",
-            spread(transistors)
-                .map(|t| SwitchFault::StuckOpen { transistor: t })
-                .collect(),
-        ),
-        (
-            "rail_bridge",
-            spread(nets.len())
-                .map(|i| SwitchFault::Bridge {
-                    a: node(i),
-                    b: if i % 2 == 0 {
-                        SwitchNodeId::VDD
-                    } else {
-                        SwitchNodeId::GND
-                    },
-                })
-                .collect(),
-        ),
-    ]
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 use std::time::Instant;
 
 use dlp_core::obs::{BenchEntry, BenchReport};
+use dlp_core::{PipelineError, Stage};
 
 /// Normalized slowdown at which a finding is reported (non-fatal).
 pub const WARN_RATIO: f64 = 1.5;
@@ -38,30 +39,45 @@ pub const TIMED_UNIT: &str = "ns/iter";
 /// Timed batches per workload; the gate compares the best one.
 const BATCHES: usize = 5;
 
-/// Times `f` over `BATCHES` (5) batches after a short warm-up and returns
-/// each batch's ns/iter. Batches are auto-sized to ≥ 5 ms so the numbers
-/// are above timer noise without making the gate slow.
-pub fn sample_ns<R>(mut f: impl FnMut() -> R) -> Vec<f64> {
-    let mut iters = 1usize;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
+/// Wall time of `iters` calls of `f`, in ns per call.
+fn time_batch(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    (0..iters).for_each(|_| f());
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Times each of `workloads` over `BATCHES` (5) rounds, one batch of each
+/// per round, and returns each one's ns/iter per batch. A batch is grown
+/// 4× at a time until it takes ≥ 5 ms (the warm-up), so the numbers sit
+/// above timer noise without making the gate slow. Round-robin sampling
+/// spreads a slow phase of the host over one sample of every workload
+/// instead of every sample of one.
+pub fn sample_rounds(workloads: &mut [impl FnMut()]) -> Vec<Vec<f64>> {
+    let iters: Vec<usize> = workloads
+        .iter_mut()
+        .map(|f| {
+            let mut iters = 1;
+            while time_batch(iters, f) * (iters as f64) < 5e6 && iters < 1 << 20 {
+                iters *= 4;
+            }
+            iters
+        })
+        .collect();
+    let mut samples = vec![Vec::with_capacity(BATCHES); workloads.len()];
+    for _ in 0..BATCHES {
+        for ((f, &n), s) in workloads.iter_mut().zip(&iters).zip(&mut samples) {
+            s.push(time_batch(n, f));
         }
-        if t0.elapsed().as_millis() >= 5 || iters >= 1 << 20 {
-            break;
-        }
-        iters *= 4;
-    }
-    let mut samples = vec![0f64; BATCHES];
-    for s in &mut samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        *s = t0.elapsed().as_nanos() as f64 / iters as f64;
     }
     samples
+}
+
+/// [`sample_rounds`] of one workload: its five batches in a row.
+pub fn sample_ns<R>(mut f: impl FnMut() -> R) -> Vec<f64> {
+    let run = move || {
+        std::hint::black_box(f());
+    };
+    sample_rounds(&mut [run]).swap_remove(0)
 }
 
 /// The fixed CPU-bound calibration loop: integer xorshift, no memory
@@ -76,6 +92,12 @@ pub fn calibration_spin() -> u64 {
         acc = acc.wrapping_add(x);
     }
     acc
+}
+
+/// A failure of the gate itself (a report that cannot be read or
+/// compared, a sweep that is not deterministic), as a bench-stage error.
+pub fn gate_error(msg: impl std::fmt::Display) -> PipelineError {
+    PipelineError::new(Stage::Bench, msg.to_string())
 }
 
 /// Why two reports could not be compared at all.
@@ -191,12 +213,8 @@ fn best_ns(entry: &BenchEntry) -> f64 {
         .samples
         .iter()
         .copied()
-        .fold(f64::INFINITY, f64::min)
-        .min(if entry.samples.is_empty() {
-            entry.value
-        } else {
-            f64::INFINITY
-        })
+        .reduce(f64::min)
+        .unwrap_or(entry.value)
 }
 
 fn calibration_of(report: &BenchReport, which: &'static str) -> Result<f64, RegressError> {

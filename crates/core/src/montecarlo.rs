@@ -418,6 +418,10 @@ fn simulate(
         });
     }
     let kernel = Kernel::new(weights, detected, config.seed, mix, width);
+    // The lanes the kernel interleaves (1: the serial loop), so a timing
+    // can name the kernel it timed (DESIGN.md §18).
+    let lanes = kernel.lanes.as_ref().map_or(1, |l| l.width.lanes());
+    obs.gauge("mc.lanes", lanes as f64);
 
     // Shard descriptors: (stream index, dies in shard). The last shard
     // takes the remainder.
@@ -901,6 +905,8 @@ mod tests {
             assert_eq!(report.counter("mc.good"), Some(plain.good as u64));
             assert_eq!(report.counter("mc.shipped"), Some(plain.shipped as u64));
             assert_eq!(report.counter("mc.escapes"), Some(plain.escapes as u64));
+            let lanes = Width::detect().lanes() as f64;
+            assert_eq!(report.gauge("mc.lanes"), Some(lanes));
             assert!(report.span_nanos("montecarlo").is_some());
             let worker_total: u64 = report
                 .counters

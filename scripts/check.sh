@@ -2,7 +2,7 @@
 # Full robustness gate: lint, build, test.
 #
 # The clippy pass denies `unwrap`/`expect` in all library code — the
-# panic-free contract of DESIGN.md §7. Test modules, benches, and examples
+# panic-free contract of DESIGN.md §7. Test modules and examples
 # are exempt (panicking there is idiomatic), which is why the lint runs
 # per-crate on --lib targets only.
 #
@@ -174,13 +174,15 @@ cargo run --release -q -p dlp-bench --bin validate_trace -- \
 cargo run --release -q -p dlp-bench --bin perf_regress -- \
     --baseline baselines/yield_baseline.json --current BENCH_yield_smoke.json
 
-# Performance regression gate (DESIGN.md §11): first prove the gate can
-# detect at all (a synthetic 2x slowdown must fail, an unchanged
-# baseline must pass), then compare this machine's calibration-normalized
-# hot-path costs against the committed baseline. Drift in [1.5x, 2x) is
-# warn-only; >= 2x fails.
-echo "== perf: regression-gate self-test, then compare against baselines/"
-cargo run --release -q -p dlp-bench --bin perf_regress -- --self-test
+# Performance regression gate (DESIGN.md §11): one run times every
+# kernel of the registry. It first tests the gate on that report (against
+# itself it passes at unit ratios, a synthetic 2x slowdown fails, coverage
+# and CPU-count drift are named), fails if a worker-count sweep's result
+# differs between worker counts, and prints obs_on_ratio against its
+# bound; then it compares this machine's calibration-normalized kernel
+# costs against the committed baseline. Drift in [1.5x, 2x) is warn-only;
+# >= 2x fails.
+echo "== perf: kernel registry against baselines/perf_baseline.json"
 cargo run --release -q -p dlp-bench --bin perf_regress -- \
     --baseline baselines/perf_baseline.json
 

@@ -14,12 +14,8 @@ use dlp::core::obs::{BenchReport, Recorder, RunReport};
 
 /// The committed `BenchReport` files.
 const BENCH_FILES: &[&str] = &[
-    "BENCH_critical_area.json",
-    "BENCH_fault_sim.json",
-    "BENCH_model_eval.json",
     "BENCH_ndetect.json",
     "BENCH_scale_sweep.json",
-    "BENCH_switch_sim.json",
     "BENCH_yield.json",
     "baselines/perf_baseline.json",
     "baselines/serve_baseline.json",
