@@ -65,6 +65,12 @@ fn c17_dl_path(service: &Service, seed: u64) -> String {
     service.cache().path_for(key)
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn body_text(service: &Service, target: &str) -> String {
     let response = service.handle(&get(target));
     assert_eq!(
@@ -342,7 +348,26 @@ fn misses_reusing_the_stage_answer_what_a_fresh_service_answers() {
 fn c432_and_the_scale_path_share_one_extraction() {
     let service = service("stage_c432", 2);
     let _ = body_text(&service, "/v1/dl?circuit=c432&seed=1");
-    let _ = body_text(&service, "/v1/dl?circuit=c1355&seed=1");
+    // The scale-class bodies, pinned by their FNV-1a 64 digests: the
+    // `/v1/dl` miss seals the other two, so those requests are hits.
+    let pinned = [
+        ("/v1/dl?circuit=c1355&seed=1", 0xd388_c9aa_a4a3_569c),
+        ("/v1/curve?circuit=c1355&seed=1", 0x3bf4_f203_b9cf_4312),
+        ("/v1/faults?circuit=c1355", 0x95c4_8c24_3a78_ee87),
+    ];
+    let moved: Vec<String> = pinned
+        .iter()
+        .filter_map(|&(target, digest)| {
+            let body = body_text(&service, target);
+            let got = fnv1a(body.as_bytes());
+            (got != digest).then(|| format!("{target}: {got:#018x} (pinned {digest:#018x})"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "served bytes moved:\n{}",
+        moved.join("\n")
+    );
     let obs = service.obs();
     assert_eq!(obs.counter_value("serve.recompute"), Some(2));
     assert_eq!(

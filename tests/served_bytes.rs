@@ -6,7 +6,8 @@
 //! against a warm one), so a change that moves every computed body at
 //! once passes them. These digests were captured from an earlier build
 //! and pin the computed `/v1/dl`, `/v1/curve` and `/v1/dln` bodies
-//! under each fallout distribution the service parses.
+//! under each fallout distribution the service parses, plus the
+//! `/v1/faults` report.
 
 use dlp::core::par::ThreadCount;
 use dlp_serve::accesslog::AccessLogConfig;
@@ -14,7 +15,7 @@ use dlp_serve::http::Request;
 use dlp_serve::service::{Service, ServiceConfig};
 
 /// Each request target with the FNV-1a 64 digest of its body.
-const PINNED: [(&str, u64); 7] = [
+const PINNED: [(&str, u64); 8] = [
     ("/v1/dl?circuit=c17&seed=5", 0x241d_a6e5_e487_5255),
     ("/v1/curve?circuit=c17&seed=5", 0xbbf3_7bd4_cdca_83eb),
     (
@@ -31,6 +32,7 @@ const PINNED: [(&str, u64); 7] = [
         0xdd1f_ee9b_32fd_1a70,
     ),
     ("/v1/dln?circuit=c17&n=2", 0xa905_3397_15dd_359b),
+    ("/v1/faults?circuit=c17", 0x09fc_220f_cb9e_316c),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
