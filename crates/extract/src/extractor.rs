@@ -612,7 +612,6 @@ fn extract_opens(
     config: &ExtractionConfig,
     acc: &mut Faults,
 ) -> Result<(), ExtractError> {
-    let poly_w = chip.tech().poly_width;
     for class in stats.classes() {
         if class.mechanism != Mechanism::MissingMaterial {
             continue;
@@ -632,24 +631,8 @@ fn extract_opens(
                     },
                 ) => {
                     let w = weighted(&samples, |x| open_area(&s.rect, x));
-                    let info = &chip.nets()[*net_index];
-                    let detached = match info.terminals[*terminal] {
-                        TerminalKind::Driver => Detached::All,
-                        TerminalKind::SinkGate(g) => Detached::Sink(g),
-                        TerminalKind::OutputPad => {
-                            let ElecNet::Signal(n) = net else { continue };
-                            let oi = chip
-                                .netlist()
-                                .outputs()
-                                .iter()
-                                .position(|o| o == n)
-                                .ok_or_else(|| {
-                                    ExtractError::MissingOutputNet(
-                                        chip.netlist().node_name(*n).to_string(),
-                                    )
-                                })?;
-                            Detached::Observation(oi)
-                        }
+                    let Some(detached) = route_detached(chip, net, *net_index, *terminal)? else {
+                        continue;
                     };
                     acc.add(
                         FaultKind::Break {
@@ -739,8 +722,42 @@ fn extract_opens(
             }
         }
     }
-    let _ = poly_w;
     Ok(())
+}
+
+/// What a break at `terminal` of routed net `net_index` (conductor
+/// `net`) detaches: the whole net at its driver, one sink at a gate
+/// pin, the observation at an output pad. `None` for an output pad on a
+/// net that is not a `Signal`, where no break is modelled.
+///
+/// # Errors
+///
+/// [`ExtractError::MissingOutputNet`] when an output pad's net is not a
+/// primary output of the netlist.
+fn route_detached(
+    chip: &ChipLayout,
+    net: &ElecNet,
+    net_index: usize,
+    terminal: usize,
+) -> Result<Option<Detached>, ExtractError> {
+    Ok(Some(match chip.nets()[net_index].terminals[terminal] {
+        TerminalKind::Driver => Detached::All,
+        TerminalKind::SinkGate(g) => Detached::Sink(g),
+        TerminalKind::OutputPad => {
+            let ElecNet::Signal(n) = net else {
+                return Ok(None);
+            };
+            let oi = chip
+                .netlist()
+                .outputs()
+                .iter()
+                .position(|o| o == n)
+                .ok_or_else(|| {
+                    ExtractError::MissingOutputNet(chip.netlist().node_name(*n).to_string())
+                })?;
+            Detached::Observation(oi)
+        }
+    }))
 }
 
 fn extract_cut_and_device_defects(
@@ -768,24 +785,9 @@ fn extract_cut_and_device_defects(
                             net_index,
                             terminal,
                         } => {
-                            let info = &chip.nets()[*net_index];
-                            let detached = match info.terminals[*terminal] {
-                                TerminalKind::Driver => Detached::All,
-                                TerminalKind::SinkGate(g) => Detached::Sink(g),
-                                TerminalKind::OutputPad => {
-                                    let ElecNet::Signal(n) = net else { continue };
-                                    let oi = chip
-                                        .netlist()
-                                        .outputs()
-                                        .iter()
-                                        .position(|o| o == n)
-                                        .ok_or_else(|| {
-                                        ExtractError::MissingOutputNet(
-                                            chip.netlist().node_name(*n).to_string(),
-                                        )
-                                    })?;
-                                    Detached::Observation(oi)
-                                }
+                            let Some(detached) = route_detached(chip, net, *net_index, *terminal)?
+                            else {
+                                continue;
                             };
                             acc.add(
                                 FaultKind::Break {

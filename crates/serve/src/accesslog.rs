@@ -84,14 +84,14 @@ impl AccessLog {
     }
 
     /// Logs one finished request.
-    pub fn write_record(&self, record: &TraceRecord) {
+    pub(crate) fn write_record(&self, record: &TraceRecord) {
         self.write_json(&record.to_access_json());
     }
 
     /// Logs an arbitrary JSON document (used for the shutdown flight
     /// dump). Rendered to one `\n`-terminated line and written with a
     /// single locked `write_all`; write failures are dropped by design.
-    pub fn write_json(&self, doc: &Json) {
+    pub(crate) fn write_json(&self, doc: &Json) {
         let Some(sink) = &self.sink else {
             return;
         };

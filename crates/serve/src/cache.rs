@@ -16,9 +16,9 @@
 //! ([`CacheLookup::Miss`] carrying the [`CkptError`]) and recomputed —
 //! a damaged cache degrades to a cold one.
 //!
-//! A hit does only the work its bytes demand. Every probe checks that
-//! the artifact exists and reads it whole, so a deleted, truncated or
-//! corrupted file is seen on the very next request. The verdict of
+//! A hit does only the work its bytes demand. Every probe reads the
+//! artifact whole, once, so a deleted, truncated or corrupted file is
+//! seen on the very next request. The verdict of
 //! [`dlp_core::ckpt::open`] and the rendering of the body are a pure
 //! function of (bytes, kind, key), so the cache remembers the envelope
 //! text it last verified for each key: when the bytes read equal it,
@@ -31,13 +31,13 @@
 //! Eviction policy: **none, by design.** Every artifact is re-derivable
 //! from its key, artifacts are small (a few KB of JSON), and the
 //! catalogue of circuits × seeds a deployment serves is finite, so the
-//! directory is bounded by usage. Operators reclaim space with
-//! [`ArtifactCache::clear`] (or `rm` — every file is self-describing
-//! and independently sealed).
+//! directory is bounded by usage. Operators reclaim space with `rm`:
+//! every file is self-describing and independently sealed.
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use dlp_core::ckpt::{self, CkptError};
@@ -118,11 +118,9 @@ impl ArtifactCache {
     /// replay the remembered body, any others are verified in full.
     pub fn lookup(&self, key: u64) -> CacheLookup {
         let path = self.path_for(key);
-        if !Path::new(&path).exists() {
-            return CacheLookup::Miss(None);
-        }
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
+            Err(e) if e.kind() == ErrorKind::NotFound => return CacheLookup::Miss(None),
             Err(e) => {
                 return CacheLookup::Miss(Some(CkptError::Io {
                     path,
@@ -203,7 +201,7 @@ impl ArtifactCache {
     ///
     /// Whatever `compute` fails with, or [`ServeError::Cache`] if the
     /// recomputed artifact cannot be stored.
-    pub fn get_or_compute(
+    pub(crate) fn get_or_compute(
         &self,
         key: u64,
         obs: &Recorder,
@@ -246,26 +244,6 @@ impl ArtifactCache {
             self.store(key, &body)?
         };
         Ok((rendered, false))
-    }
-
-    /// Deletes every artifact file, returning how many were removed.
-    /// The per-key locks are kept — in-flight recomputes are unaffected.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-walk or unlink errors.
-    pub fn clear(&self) -> std::io::Result<usize> {
-        let mut removed = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("serve-") && name.ends_with(".json") {
-                std::fs::remove_file(entry.path())?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
     }
 
     fn lock_for(&self, key: u64) -> Arc<Mutex<()>> {
@@ -376,17 +354,5 @@ mod tests {
         assert!(report.span_nanos("cache.probe").is_some());
         assert!(report.span_nanos("recompute").is_some());
         assert!(report.span_nanos("seal").is_some());
-    }
-
-    #[test]
-    fn clear_removes_only_artifacts() {
-        let dir = tmp_dir("clear");
-        let cache = ArtifactCache::new(&dir).expect("cache dir");
-        cache.store(1, &body()).expect("store");
-        cache.store(2, &body()).expect("store");
-        std::fs::write(dir.join("unrelated.txt"), "keep me").expect("write");
-        assert_eq!(cache.clear().expect("clear"), 2);
-        assert!(dir.join("unrelated.txt").exists());
-        assert!(matches!(cache.lookup(1), CacheLookup::Miss(None)));
     }
 }

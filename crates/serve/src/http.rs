@@ -213,7 +213,7 @@ fn is_token(name: &str) -> bool {
 /// malformed request line or header, non-`GET` method, unsupported
 /// version, any of the three byte limits, a `Content-Length` that is
 /// not an integer or promises more bytes than arrive.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
+pub(crate) fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     let line = read_line_limited(reader, MAX_REQUEST_LINE, || HttpError::RequestLineTooLong {
         limit: MAX_REQUEST_LINE,
     })?;
@@ -318,7 +318,7 @@ pub const CONTENT_TYPE_OPENMETRICS: &str =
 
 impl Response {
     /// A `200 OK` JSON response.
-    pub fn ok_json(body: String) -> Response {
+    pub(crate) fn ok_json(body: String) -> Response {
         Response {
             status: 200,
             reason: "OK",
@@ -345,7 +345,7 @@ impl Response {
     /// alongside the message — `{"error": message, "trace_id": "…"}` —
     /// so a client-observed failure can be correlated with its
     /// access-log line and flight-recorder entry.
-    pub fn error_traced(
+    pub(crate) fn error_traced(
         status: u16,
         reason: &'static str,
         message: &str,

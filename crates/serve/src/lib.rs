@@ -25,8 +25,8 @@
 //!   behind `/v1/traces`.
 //! - [`accesslog`] — one canonical-JSON line per finished request,
 //!   on stderr or an append-only file.
-//! - [`server`] — a `TcpListener` accept loop feeding a fixed worker
-//!   pool, with clean startup/shutdown for tests and the CI gate.
+//! - [`server`] — a fixed pool of workers, each accepting its own
+//!   connections, with clean startup/shutdown for tests and the CI gate.
 //!
 //! Binaries: `dlp-serve` (the daemon), `serve_gate` (the CI
 //! miss → hit → `/metrics` gate), `serve_load` (the latency benchmark
@@ -48,6 +48,6 @@ pub use error::ServeError;
 pub use http::{parse_request, Request, Response};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use service::{
-    artifact_key, endpoint_label, fallout_param, netlist_for, route, traces_limit_param,
-    CircuitClass, Service, ServiceConfig,
+    artifact_key, fallout_param, netlist_for, route, traces_limit_param, CircuitClass, Service,
+    ServiceConfig,
 };

@@ -1,24 +1,22 @@
-//! The TCP front end: a listener thread feeding a fixed worker pool.
+//! The TCP front end: a fixed pool of workers, each accepting its own
+//! connections.
 //!
-//! The shape mirrors `dlp_core::par`'s worker-pool discipline — a fixed
-//! number of std threads pulling work items (here: accepted
-//! connections) off a shared queue — kept deliberately simple: one
-//! request per connection, `Connection: close`, a per-connection read
-//! timeout so a stalled client occupies a worker for bounded time. The
-//! handle's [`ServerHandle::stop`] unblocks the listener with a
-//! self-connect, drains the queue, and joins every thread, so tests and
-//! the CI gate can start and stop servers on ephemeral ports without
-//! leaking threads.
+//! Every worker loops on `accept()` over its own clone of the listening
+//! socket, so the kernel hands each connection straight to an idle
+//! worker: no acceptor thread, no queue. The loop is kept deliberately
+//! simple: one request per connection, `Connection: close`, a
+//! per-connection read timeout so a stalled client occupies a worker
+//! for bounded time. The handle's [`ServerHandle::stop`] sets the stop
+//! flag, wakes each worker out of `accept()` with one self-connect, and
+//! joins every worker, so tests and the CI gate can start and stop
+//! servers on ephemeral ports without leaking threads.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use dlp_core::par::ThreadCount;
 
 use crate::error::ServeError;
 use crate::http;
@@ -37,12 +35,11 @@ pub struct ServerConfig {
     pub service: ServiceConfig,
 }
 
-/// A running server: its bound address and the threads behind it.
+/// A running server: its bound address and the workers behind it.
 pub struct ServerHandle {
     addr: SocketAddr,
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
-    listener_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -58,32 +55,25 @@ impl ServerHandle {
     }
 
     /// Blocks until the server stops. It never stops on its own — this
-    /// is how the daemon parks its main thread behind the listener.
-    pub fn wait(mut self) {
-        if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+    /// is how the daemon parks its main thread behind the workers.
+    pub fn wait(self) {
+        for worker in self.workers {
+            let _ = worker.join();
         }
         self.service.shutdown_dump();
     }
 
-    /// Stops accepting, drains queued connections, joins every thread,
-    /// then flushes the flight recorder to the access log so slow and
-    /// errored traces survive the shutdown.
-    pub fn stop(mut self) {
+    /// Stops accepting, lets each worker finish its connection, joins
+    /// every worker, then flushes the flight recorder to the access log
+    /// so slow and errored traces survive the shutdown.
+    pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The listener blocks in accept(); a throwaway connection wakes
-        // it so it can observe the flag and hang up.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
+        // Each worker blocks in accept(); one throwaway connection per
+        // worker wakes it to observe the flag and exit.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.service.shutdown_dump();
+        self.wait();
     }
 }
 
@@ -99,74 +89,53 @@ fn handle_connection(service: &Service, stream: TcpStream) {
     let _ = response.write_to(&mut stream);
 }
 
-/// Binds the address and starts the listener and worker threads.
+/// Binds the address and starts the workers, each accepting its own
+/// connections on a clone of the listener.
 ///
 /// # Errors
 ///
-/// [`ServeError::Io`] if the address cannot be bound, or the service's
-/// cache directory cannot be created.
+/// [`ServeError::Io`] if the address cannot be bound or the listener
+/// cloned, or the service's cache directory cannot be created.
 pub fn serve(config: &ServerConfig) -> Result<ServerHandle, ServeError> {
     let service = Arc::new(Service::new(&config.service)?);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = channel();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<JoinHandle<()>> = (0..worker_count(config.service.threads))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || loop {
-                let next = {
-                    let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                    guard.recv()
-                };
-                match next {
-                    Ok(stream) => handle_connection(&service, stream),
-                    // Sender dropped: the listener stopped; drain done.
-                    Err(_) => break,
+    // At least two workers even when the simulator is pinned to one
+    // thread, so a slow miss cannot starve the health and metrics
+    // endpoints. Every listener is cloned before any worker starts, so
+    // a failed clone leaves no worker blocked in accept().
+    let listeners = (0..config.service.threads.get().max(2))
+        .map(|_| listener.try_clone())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let workers = listeners
+        .into_iter()
+        .map(|listener| {
+            let (service, stop) = (Arc::clone(&service), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    if let Ok(stream) = stream {
+                        handle_connection(&service, stream);
+                    }
                 }
             })
         })
         .collect();
-
-    let listener_thread = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    // A send can only fail once every worker has exited,
-                    // which only happens after this sender is dropped.
-                    let _ = tx.send(stream);
-                }
-            }
-            drop(tx);
-        })
-    };
-
     Ok(ServerHandle {
         addr,
         service,
         stop,
-        listener_thread: Some(listener_thread),
         workers,
     })
-}
-
-/// At least two workers even when the simulator is pinned to one
-/// thread, so a slow miss cannot starve the health and metrics
-/// endpoints completely.
-fn worker_count(threads: ThreadCount) -> usize {
-    threads.get().max(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlp_core::par::ThreadCount;
     use std::io::{Read, Write};
 
     fn ephemeral_config(tag: &str) -> ServerConfig {
@@ -207,6 +176,8 @@ mod tests {
             handle.service().obs().counter_value("serve.requests"),
             Some(3)
         );
+        // The workers are the only threads a server starts.
+        assert_eq!(handle.workers.len(), 2, "max(2, threads) workers");
         handle.stop();
     }
 }

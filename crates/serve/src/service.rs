@@ -46,7 +46,10 @@
 //! `curve`, *and* `faults` artifacts for that `(circuit, seed, dist)`
 //! (the fault report is distribution-independent and sealed under the
 //! default key), so the natural exploration order (project, then
-//! inspect the curve) pays for the pipeline once.
+//! inspect the curve) pays for the pipeline once. Each circuit class
+//! computes its coverage curve and class-specific fields into one
+//! `Projection`, and one renderer, `render_projection`, writes all
+//! three bodies from it for both classes.
 //!
 //! Below the artifacts sits one in-memory catalogue entry per circuit,
 //! built on the circuit's first request: its netlist, the key prefix of
@@ -80,7 +83,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use dlp_bench::pipeline::{self, Extraction, PAPER_YIELD};
+use dlp_bench::pipeline::{self, CurveSample, Extraction, PAPER_YIELD};
 use dlp_circuit::{generators, Netlist};
 use dlp_core::ckpt::KeyHasher;
 use dlp_core::obs::trace::derive_trace_id;
@@ -184,7 +187,7 @@ pub enum Endpoint {
 
 /// The stable label an endpoint carries in metric names, access-log
 /// lines, and trace records.
-pub fn endpoint_label(endpoint: Endpoint) -> &'static str {
+pub(crate) fn endpoint_label(endpoint: Endpoint) -> &'static str {
     match endpoint {
         Endpoint::Dl => "dl",
         Endpoint::Dln => "dln",
@@ -327,12 +330,7 @@ fn f64_param(
 /// zero group sizes) — every garbage value answers 400, never a panic
 /// or a silently-defaulted projection.
 pub fn fallout_param(params: &[(String, String)]) -> Result<Fallout, ServeError> {
-    let dist = params
-        .iter()
-        .find(|(k, _)| k == "dist")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("poisson");
-    match dist {
+    match required(params, "dist").unwrap_or("poisson") {
         "poisson" => Ok(Fallout::poisson()),
         "nb" => {
             let alpha = f64_param(params, "alpha", DEFAULT_NB_ALPHA)?;
@@ -426,6 +424,88 @@ fn finish_key(mut h: KeyHasher, seed: u64, n: u64, fallout: &Fallout) -> u64 {
     h.write_u64(ENGINE_VERSION);
     h.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
     h.finish()
+}
+
+/// The numbers one circuit class computes on a projection miss, which
+/// [`render_projection`] turns into the `dl`, `curve` and `faults`
+/// bodies.
+struct Projection {
+    /// The coverage curve; its last sample is the full applied test
+    /// length, which the `dl` body reports.
+    curve: Vec<CurveSample>,
+    /// Class-specific `dl` fields, rendered between `vectors` and `t`.
+    dl_extra: Vec<(&'static str, Json)>,
+    /// Class-specific fault-report fields, rendered after `gates`.
+    faults_extra: Vec<(&'static str, Json)>,
+}
+
+/// Renders a projection's `(dl, curve, faults)` bodies: the one place
+/// the fields of the `dl` and `curve` bodies are named, for both
+/// circuit classes. `lambda` is the density `fallout` calibrates to
+/// [`PAPER_YIELD`].
+fn render_projection(
+    circuit: &Circuit,
+    seed: u64,
+    fallout: &Fallout,
+    lambda: f64,
+    projection: Projection,
+) -> (Json, Json, Json) {
+    let head = [
+        ("circuit", Json::String(circuit.name.to_string())),
+        ("class", Json::String(circuit.class.as_str().to_string())),
+        ("seed", Json::Number(seed as f64)),
+        ("dist", Json::String(fallout.label())),
+        ("lambda", Json::Number(lambda)),
+        ("yield", Json::Number(PAPER_YIELD)),
+    ];
+    let (k, t, theta, gamma, dl) = projection.curve.last().copied().unwrap_or_default();
+    let dl_body = head
+        .iter()
+        .cloned()
+        .chain([("vectors", Json::Number(k as f64))])
+        .chain(projection.dl_extra)
+        .chain([
+            ("t", Json::Number(t)),
+            ("theta", Json::Number(theta)),
+            ("gamma", Json::Number(gamma)),
+            ("dl", Json::Number(dl)),
+            ("dl_ppm", Json::Number(Ppm::from_fraction(dl).value())),
+        ]);
+    let rows = projection.curve.iter().map(|&(k, t, theta, gamma, dl)| {
+        Json::object([
+            ("k", Json::Number(k as f64)),
+            ("t", Json::Number(t)),
+            ("theta", Json::Number(theta)),
+            ("gamma", Json::Number(gamma)),
+            ("dl", Json::Number(dl)),
+        ])
+    });
+    let curve_body = head
+        .iter()
+        .cloned()
+        .chain([("samples", Json::Array(rows.collect()))]);
+    let mut faults_body = head[..2].to_vec();
+    faults_body.push(("gates", Json::Number(circuit.netlist.gate_count() as f64)));
+    faults_body.extend(projection.faults_extra);
+    (
+        Json::object(dl_body),
+        Json::object(curve_body),
+        Json::object(faults_body),
+    )
+}
+
+/// The curve's `DL = 1 − Y(λ)/Y(θλ)` after `k` vectors, under `fallout`
+/// at its calibrated `lambda`.
+fn clustered_dl(
+    fallout: &Fallout,
+    lambda: f64,
+    k: usize,
+    theta: f64,
+) -> Result<f64, PipelineError> {
+    fallout
+        .dist()
+        .defect_level(lambda, theta)
+        .map_err(|e| PipelineError::from(e).context(format!("curve DL at k = {k}")))
 }
 
 /// A memoised stage: the extraction, or the stage and message of the
@@ -564,7 +644,7 @@ impl Service {
     /// Writes the flight recorder's full dump to the access log — the
     /// server calls this on clean shutdown so the retained slow/error
     /// traces outlive the process without any signal handling.
-    pub fn shutdown_dump(&self) {
+    pub(crate) fn shutdown_dump(&self) {
         if self.flight.is_enabled() && self.access_log.is_enabled() && !self.flight.is_empty() {
             self.access_log.write_json(&self.flight.dump(None));
         }
@@ -615,27 +695,19 @@ impl Service {
             elapsed,
         );
         let params = query_params(req.query());
-        let lookup = |name: &str| {
-            params
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.as_str())
-        };
-        let (record, request_obs) = ctx.finish(&TraceOutcome {
+        let outcome = TraceOutcome {
             endpoint,
             target: &req.target,
-            circuit: lookup("circuit"),
-            dist: lookup("dist"),
+            circuit: required(&params, "circuit").ok(),
+            dist: required(&params, "dist").ok(),
             status: response.status,
             cache,
             bytes: response.body.len() as u64,
             error,
-        });
-        self.obs.merge_from(&request_obs);
+        };
         let depth = self.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
         self.obs.gauge("serve.in_flight", depth as f64);
-        self.access_log.write_record(&record);
-        self.flight.record(record);
+        self.close(ctx, &outcome);
         response
     }
 
@@ -651,7 +723,7 @@ impl Service {
         ctx.obs().incr("serve.errors");
         let (status, reason) = e.status();
         let response = Response::error_traced(status, reason, &e.to_string(), ctx.trace_id());
-        let (record, request_obs) = ctx.finish(&TraceOutcome {
+        let outcome = TraceOutcome {
             endpoint: "invalid",
             target: "<unparsed>",
             circuit: None,
@@ -660,11 +732,19 @@ impl Service {
             cache: "none",
             bytes: response.body.len() as u64,
             error: Some(e.to_string()),
-        });
+        };
+        self.close(ctx, &outcome);
+        response
+    }
+
+    /// Ends a request's trace: its recorder's totals merge into the
+    /// service's, and its record goes to the access log and the flight
+    /// recorder.
+    fn close(&self, ctx: TraceContext, outcome: &TraceOutcome<'_>) {
+        let (record, request_obs) = ctx.finish(outcome);
         self.obs.merge_from(&request_obs);
         self.access_log.write_record(&record);
         self.flight.record(record);
-        response
     }
 
     fn respond(
@@ -751,11 +831,17 @@ impl Service {
             _ => faults_key,
         };
         let (body, _hit) = self.cache.get_or_compute(want, obs, || {
-            let (dl, curve, faults) = match circuit.class {
-                CircuitClass::Full => self.compute_projection(circuit, seed, fallout, obs),
-                CircuitClass::Scale => self.compute_scale_projection(circuit, seed, fallout, obs),
-            }
-            .map_err(ServeError::from)?;
+            let lambda = fallout
+                .dist()
+                .lambda_for_yield(PAPER_YIELD)
+                .map_err(|e| PipelineError::from(e).context("fixed-yield calibration"))?;
+            let numbers = match circuit.class {
+                CircuitClass::Full => self.compute_projection(circuit, seed, fallout, lambda, obs),
+                CircuitClass::Scale => {
+                    self.compute_scale_projection(circuit, seed, fallout, lambda, obs)
+                }
+            }?;
+            let (dl, curve, faults) = render_projection(circuit, seed, fallout, lambda, numbers);
             // One execution feeds all three endpoints: seal the sibling
             // artifacts before returning the requested one. A sibling
             // already sealed intact holds these very bytes and is left
@@ -831,8 +917,8 @@ impl Service {
             .map_err(|(stage, message)| PipelineError::new(stage, message))
     }
 
-    /// Extraction + ATPG + both simulators, once; returns the
-    /// `(dl, curve, faults)` bodies in artifact form.
+    /// Extraction + ATPG + both simulators, once: the full class's
+    /// [`Projection`], sampled at `curve_samples`' lengths.
     ///
     /// Under the default Poisson fallout the DL numbers come from the
     /// historical `FaultWeights::defect_level` path, bit-identical to
@@ -844,94 +930,35 @@ impl Service {
         circuit: &Circuit,
         seed: u64,
         fallout: &Fallout,
+        lambda: f64,
         obs: &Recorder,
-    ) -> Result<(Json, Json, Json), PipelineError> {
+    ) -> Result<Projection, PipelineError> {
         let extraction = self.stage(circuit, obs)?;
         let budget = self.miss_budget();
         let run = pipeline::simulate_budgeted(&extraction, seed, self.threads, &budget, obs)?;
-        let samples = pipeline::curve_samples(&extraction, &run)?;
-
-        let k = run.vectors.len();
-        let w = extraction.faults.weights();
-        let t = run.record_t.coverage_after(k);
-        let theta = run.record_theta.weighted_coverage_after(k, &w)?;
-        let gamma = run.record_theta.coverage_after(k);
-        let lambda = fallout
-            .dist()
-            .lambda_for_yield(PAPER_YIELD)
-            .map_err(|e| PipelineError::from(e).context("fixed-yield calibration"))?;
-        let legacy_poisson = matches!(fallout, Fallout::Poisson(_));
-        let dl = if legacy_poisson {
-            extraction
-                .weights
-                .defect_level(theta)
-                .map_err(|e| PipelineError::from(e).context("DL at full test length"))?
-        } else {
-            fallout
-                .dist()
-                .defect_level(lambda, theta)
-                .map_err(|e| PipelineError::from(e).context("DL at full test length"))?
-        };
-
-        let dl_body = Json::object([
-            ("circuit", Json::String(circuit.name.to_string())),
-            ("class", Json::String("full".to_string())),
-            ("seed", Json::Number(seed as f64)),
-            ("dist", Json::String(fallout.label())),
-            ("lambda", Json::Number(lambda)),
-            ("yield", Json::Number(PAPER_YIELD)),
-            ("vectors", Json::Number(k as f64)),
-            ("random_prefix", Json::Number(run.random_prefix as f64)),
-            ("redundant", Json::Number(run.redundant as f64)),
-            ("t", Json::Number(t)),
-            ("theta", Json::Number(theta)),
-            ("gamma", Json::Number(gamma)),
-            ("dl", Json::Number(dl)),
-            ("dl_ppm", Json::Number(Ppm::from_fraction(dl).value())),
-        ]);
-        let mut curve_rows = Vec::with_capacity(samples.len());
-        for &(k, t, theta, gamma, dl) in &samples {
-            let dl = if legacy_poisson {
-                dl
-            } else {
-                fallout
-                    .dist()
-                    .defect_level(lambda, theta)
-                    .map_err(|e| PipelineError::from(e).context(format!("curve DL at k = {k}")))?
-            };
-            curve_rows.push(Json::object([
-                ("k", Json::Number(k as f64)),
-                ("t", Json::Number(t)),
-                ("theta", Json::Number(theta)),
-                ("gamma", Json::Number(gamma)),
-                ("dl", Json::Number(dl)),
-            ]));
+        let mut curve = pipeline::curve_samples(&extraction, &run)?;
+        if !matches!(fallout, Fallout::Poisson(_)) {
+            for sample in &mut curve {
+                sample.4 = clustered_dl(fallout, lambda, sample.0, sample.2)?;
+            }
         }
-        let curve_body = Json::object([
-            ("circuit", Json::String(circuit.name.to_string())),
-            ("class", Json::String("full".to_string())),
-            ("seed", Json::Number(seed as f64)),
-            ("dist", Json::String(fallout.label())),
-            ("lambda", Json::Number(lambda)),
-            ("yield", Json::Number(PAPER_YIELD)),
-            ("samples", Json::Array(curve_rows)),
-        ]);
-        let faults_body = Json::object([
-            ("circuit", Json::String(circuit.name.to_string())),
-            ("class", Json::String("full".to_string())),
-            ("gates", Json::Number(circuit.netlist.gate_count() as f64)),
-            ("faults", Json::Number(extraction.faults.len() as f64)),
-            (
-                "bridge_weight",
-                Json::Number(extraction.faults.bridge_weight()),
-            ),
-            ("open_weight", Json::Number(extraction.faults.open_weight())),
-            (
-                "diagnostics",
-                Json::Number(extraction.diagnostics.len() as f64),
-            ),
-        ]);
-        Ok((dl_body, curve_body, faults_body))
+        let faults = &extraction.faults;
+        Ok(Projection {
+            curve,
+            dl_extra: vec![
+                ("random_prefix", Json::Number(run.random_prefix as f64)),
+                ("redundant", Json::Number(run.redundant as f64)),
+            ],
+            faults_extra: vec![
+                ("faults", Json::Number(faults.len() as f64)),
+                ("bridge_weight", Json::Number(faults.bridge_weight())),
+                ("open_weight", Json::Number(faults.open_weight())),
+                (
+                    "diagnostics",
+                    Json::Number(extraction.diagnostics.len() as f64),
+                ),
+            ],
+        })
     }
 
     /// The c432-class template every scale-class miss borrows its
@@ -970,8 +997,9 @@ impl Service {
         circuit: &Circuit,
         seed: u64,
         fallout: &Fallout,
+        lambda: f64,
         obs: &Recorder,
-    ) -> Result<(Json, Json, Json), PipelineError> {
+    ) -> Result<Projection, PipelineError> {
         let (template, tiled) = self.scale_template(obs)?;
         let (name, netlist) = (circuit.name, &circuit.netlist);
         let sites = stuck_at::enumerate(netlist).collapse();
@@ -979,10 +1007,6 @@ impl Service {
         let w = tiled
             .expand(netlist, sites.faults(), &map)
             .map_err(|e| PipelineError::from(e).context(format!("{name} weights")))?;
-        let lambda = fallout
-            .dist()
-            .lambda_for_yield(PAPER_YIELD)
-            .map_err(|e| PipelineError::from(e).context("fixed-yield calibration"))?;
         let vectors = random_vectors(netlist.inputs().len(), SCALE_VECTORS, seed);
         let budget = self.miss_budget();
         let record = ppsfp::simulate_resumable(
@@ -996,80 +1020,31 @@ impl Service {
         )
         .map_err(|e| PipelineError::from(e).context(format!("simulating {name}")))?;
 
+        // Doubling test lengths up to the full applied test set.
         let k = vectors.len();
-        let t = record.coverage_after(k);
-        let theta = record
-            .weighted_coverage_after(k, &w)
-            .map_err(|e| PipelineError::from(e).context(format!("θ of {name}")))?;
-        let dl = fallout
-            .dist()
-            .defect_level(lambda, theta)
-            .map_err(|e| PipelineError::from(e).context("DL at full test length"))?;
-
-        let dl_body = Json::object([
-            ("circuit", Json::String(circuit.name.to_string())),
-            ("class", Json::String("scale".to_string())),
-            ("seed", Json::Number(seed as f64)),
-            ("dist", Json::String(fallout.label())),
-            ("lambda", Json::Number(lambda)),
-            ("yield", Json::Number(PAPER_YIELD)),
-            ("vectors", Json::Number(k as f64)),
-            ("t", Json::Number(t)),
-            ("theta", Json::Number(theta)),
-            ("gamma", Json::Number(t)),
-            ("dl", Json::Number(dl)),
-            ("dl_ppm", Json::Number(Ppm::from_fraction(dl).value())),
-        ]);
-
-        // Log-spaced curve samples over the applied test set, like the
-        // full path's `curve_samples`.
-        let mut curve_rows = Vec::new();
-        let mut at = 1usize;
-        let mut lengths = Vec::new();
-        while at < k {
-            lengths.push(at);
-            at = (at * 2).max(at + 1);
-        }
-        lengths.push(k);
-        for k_at in lengths {
-            let t_at = record.coverage_after(k_at);
-            let theta_at = record
-                .weighted_coverage_after(k_at, &w)
-                .map_err(|e| PipelineError::from(e).context(format!("θ at k = {k_at}")))?;
-            let dl_at = fallout
-                .dist()
-                .defect_level(lambda, theta_at)
-                .map_err(|e| PipelineError::from(e).context(format!("curve DL at k = {k_at}")))?;
-            curve_rows.push(Json::object([
-                ("k", Json::Number(k_at as f64)),
-                ("t", Json::Number(t_at)),
-                ("theta", Json::Number(theta_at)),
-                ("gamma", Json::Number(t_at)),
-                ("dl", Json::Number(dl_at)),
-            ]));
-        }
-        let curve_body = Json::object([
-            ("circuit", Json::String(circuit.name.to_string())),
-            ("class", Json::String("scale".to_string())),
-            ("seed", Json::Number(seed as f64)),
-            ("dist", Json::String(fallout.label())),
-            ("lambda", Json::Number(lambda)),
-            ("yield", Json::Number(PAPER_YIELD)),
-            ("samples", Json::Array(curve_rows)),
-        ]);
-
-        let faults_body = Json::object([
-            ("circuit", Json::String(circuit.name.to_string())),
-            ("class", Json::String("scale".to_string())),
-            ("gates", Json::Number(netlist.gate_count() as f64)),
-            ("faults", Json::Number(sites.len() as f64)),
-            ("template", Json::String("c432_class".to_string())),
-            (
-                "template_gates",
-                Json::Number(template.netlist.gate_count() as f64),
-            ),
-        ]);
-        Ok((dl_body, curve_body, faults_body))
+        let curve = std::iter::successors(Some(1), |&at| Some(at * 2))
+            .take_while(|&at| at < k)
+            .chain([k])
+            .map(|k| {
+                let t = record.coverage_after(k);
+                let theta = record
+                    .weighted_coverage_after(k, &w)
+                    .map_err(|e| PipelineError::from(e).context(format!("θ at k = {k}")))?;
+                Ok((k, t, theta, t, clustered_dl(fallout, lambda, k, theta)?))
+            })
+            .collect::<Result<Vec<CurveSample>, PipelineError>>()?;
+        Ok(Projection {
+            curve,
+            dl_extra: Vec::new(),
+            faults_extra: vec![
+                ("faults", Json::Number(sites.len() as f64)),
+                ("template", Json::String("c432_class".to_string())),
+                (
+                    "template_gates",
+                    Json::Number(template.netlist.gate_count() as f64),
+                ),
+            ],
+        })
     }
 
     /// DL(n): incremental n-detect schedule + one switch-level pass,

@@ -126,6 +126,15 @@ DLP_TRACE=target/TRACE_full_flow_c432.json \
 cargo run --release -q -p dlp-bench --bin validate_trace -- \
     target/TRACE_full_flow_c432.json
 
+# Paper-model gate (DESIGN.md §4): the model-only results assert their
+# paper shape and panic when it breaks — Fig. 1's theta-over-T crossing
+# and saturation at theta_max, Fig. 2's eq. 11 dip below Williams–Brown
+# and its residual floor at T = 1, and Examples 1–2. They write no file.
+echo "== paper: Fig. 1, Fig. 2 and Examples 1-2 from the models alone"
+for bin in fig1_coverage_growth fig2_dl_models table_examples; do
+    cargo run --release -q -p dlp-bench --bin "$bin" > /dev/null
+done
+
 # Paper-shape gate (DESIGN.md §4): the c432-class study asserts Fig. 3's
 # weight dispersion of at least 2.5 decades, Fig. 5's concavity with
 # R > 1 and theta_max < 1, the IDDQ recovery and R tracking the defect
