@@ -835,13 +835,13 @@ impl Service {
                 .dist()
                 .lambda_for_yield(PAPER_YIELD)
                 .map_err(|e| PipelineError::from(e).context("fixed-yield calibration"))?;
-            let numbers = match circuit.class {
+            let projection = match circuit.class {
                 CircuitClass::Full => self.compute_projection(circuit, seed, fallout, lambda, obs),
                 CircuitClass::Scale => {
                     self.compute_scale_projection(circuit, seed, fallout, lambda, obs)
                 }
             }?;
-            let (dl, curve, faults) = render_projection(circuit, seed, fallout, lambda, numbers);
+            let (dl, curve, faults) = render_projection(circuit, seed, fallout, lambda, projection);
             // One execution feeds all three endpoints: seal the sibling
             // artifacts before returning the requested one. A sibling
             // already sealed intact holds these very bytes and is left
